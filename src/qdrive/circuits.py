@@ -136,6 +136,8 @@ def hadamard_test_circuit(ansatz: Circuit, word: str, part: str = "real") -> Cir
     The ancilla is qubit 0 and the prepared system sits on qubits 1..q.
     P(ancilla=0) - P(ancilla=1) gives the requested part; the imaginary
     part uses an S-dagger phase on the ancilla before the controlled word.
+    An ansatz without gates gives the test's tail alone, which can then act
+    on any prepared ancilla|0> (x) system state.
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")

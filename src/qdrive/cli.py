@@ -28,6 +28,7 @@ from .config import (
 from .mitigation import ZnePoints, zne_extrapolate
 from .model import build_basis, exact_diagonalize, oracle_targets, project_hamiltonians
 from .pipeline import (
+    TARGET_LABELS,
     ResonanceRecord,
     attach_fidelity,
     deduplicate,
@@ -246,7 +247,7 @@ def write_table_csv(
     failures = []
     fields = ["q", "tier"]
     values: list = [doc["q"], doc["tier"]]
-    for label in ("bound", "resonance_1", "resonance_2"):
+    for label in TARGET_LABELS:
         record = matched.get(label)
         target = oracle.get(label)
         fields += [f"{label}_re", f"{label}_im", f"{label}_relative_error", f"{label}_status"]
@@ -270,20 +271,15 @@ def oracle_target_map(doc: dict) -> tuple[dict, dict]:
     model = build_model(doc)
     plan = build_plan(doc)
     by_key: dict[tuple[str, str], complex] = {}
-    spectra = {}
     for parity in plan.parities:
         basis = build_basis(parity, plan.q, grid)
         pair = project_hamiltonians(model, basis, grid)
         spectrum = exact_diagonalize(pair, plan.thresholds)
-        spectra[parity] = spectrum
         for kind, energy in oracle_targets(spectrum).items():
             by_key[(parity, kind)] = energy
     labels = {
-        "bound": by_key.get(("even", "bound")),
-        "resonance_1": by_key.get(("odd", "resonance")),
-        "resonance_2": by_key.get(("even", "resonance")),
+        label: by_key[key] for label, key in TARGET_LABELS.items() if key in by_key
     }
-    labels = {k: v for k, v in labels.items() if v is not None}
     return by_key, labels
 
 
@@ -337,16 +333,11 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             fh.write(json.dumps(event) + "\n")
     winners, missing_sorts = collect_winners(dag, out)
     write_winners_csv(out / "winners.csv", winners)
-    by_key, _ = oracle_target_map(doc)
+    by_key, oracle_labels = oracle_target_map(doc)
     matched = match_targets(winners, by_key)
-    oracle_labels = {
-        "bound": by_key.get(("even", "bound")),
-        "resonance_1": by_key.get(("odd", "resonance")),
-        "resonance_2": by_key.get(("even", "resonance")),
-    }
     failures = write_table_csv(out / "table.csv", doc, matched, oracle_labels)
     failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
-    for label in ("bound", "resonance_1", "resonance_2"):
+    for label in TARGET_LABELS:
         record = matched.get(label)
         target = oracle_labels.get(label)
         if record is not None and target is not None:
@@ -378,7 +369,6 @@ def cmd_sweep(doc: dict) -> int:
     for reduction in sweep["reduction_factors"]:
         for longevity in sweep["longevity_factors"]:
             for repeat in range(sweep["repeats"]):
-                point = dict(doc)
                 point = json.loads(json.dumps(doc))
                 point["gate_noise_reduction_factor"] = float(reduction)
                 point["qubit_longevity_factor"] = longevity

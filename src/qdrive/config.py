@@ -111,6 +111,20 @@ _SCALAR_SCHEMA: dict[str, tuple] = {
 }
 
 
+# counts and budgets that must be at least 1
+_POSITIVE = {
+    "shots",
+    "final_shots_factor",
+    "batch_size",
+    "workers",
+    "optimizer.hermitian_f_max",
+    "optimizer.nonhermitian_f_max",
+    "optimizer.hermitian_max_iterations",
+    "optimizer.reset_interval",
+    "sweep.repeats",
+}
+
+
 def _walk(doc: dict, prefix: str = ""):
     for key, value in doc.items():
         path = f"{prefix}.{key}" if prefix else key
@@ -140,22 +154,33 @@ def validate_config(doc: dict) -> None:
             )
         if allowed is not None and value not in allowed:
             raise ConfigError(f"config key {path!r} must be one of {allowed}")
+        if path in _POSITIVE and value <= 0:
+            raise ConfigError(f"config key {path!r} must be positive, got {value}")
     for parity in doc.get("parities", []):
         if parity not in ("even", "odd"):
             raise ConfigError(f"config key 'parities' entries must be 'even' or 'odd'")
+    if doc.get("tier") == "noisy":
+        # the noisy tier simulates the q system qubits plus one ancilla
+        path = doc.get("noise_profile") or bundled_profile_path()
+        try:
+            n_qubits = load_noise_profile(path).n_qubits
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config key 'noise_profile': cannot load {path}: {exc}")
+        if doc["q"] + 1 > n_qubits:
+            raise ConfigError(
+                f"config key 'q' = {doc['q']} needs {doc['q'] + 1} qubits on the "
+                f"noisy tier, but the noise profile covers {n_qubits}"
+            )
 
 
-def merge_defaults(doc: dict) -> dict:
-    merged = copy.deepcopy(DEFAULTS)
-
-    def recurse(dst: dict, src: dict):
-        for key, value in src.items():
-            if isinstance(value, dict) and isinstance(dst.get(key), dict):
-                recurse(dst[key], value)
-            else:
-                dst[key] = value
-
-    recurse(merged, doc)
+def merge_defaults(doc: dict, base: dict = DEFAULTS) -> dict:
+    """A deep copy of ``base`` with ``doc``'s keys laid over it, recursively."""
+    merged = copy.deepcopy(base)
+    for key, value in doc.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            merged[key] = merge_defaults(value, merged[key])
+        else:
+            merged[key] = value
     return merged
 
 
@@ -169,25 +194,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    merged = merge_defaults(doc)
-    if overrides:
-        merged = merge_defaults_into(merged, overrides)
+    merged = merge_defaults(overrides or {}, merge_defaults(doc))
     validate_config(merged)
     return merged
-
-
-def merge_defaults_into(base: dict, overrides: dict) -> dict:
-    out = copy.deepcopy(base)
-
-    def recurse(dst: dict, src: dict):
-        for key, value in src.items():
-            if isinstance(value, dict) and isinstance(dst.get(key), dict):
-                recurse(dst[key], value)
-            else:
-                dst[key] = value
-
-    recurse(out, overrides)
-    return out
 
 
 def _longevity(value) -> float | None:
@@ -227,22 +236,12 @@ def build_model(doc: dict) -> PotentialModel:
 def build_plan(doc: dict) -> RunPlan:
     opt = doc["optimizer"]
     parities = tuple(doc["parities"])
-    hermitian_cfg = None
-    if opt["hermitian_kind"] is not None:
-        hermitian_cfg = OptimizerConfig(
-            kind=opt["hermitian_kind"],
-            max_iterations=opt["hermitian_max_iterations"],
-            f_max=opt["hermitian_f_max"],
-            reset_interval=opt["reset_interval"],
-        )
-    else:
-        kind = "simplex" if doc["tier"] == "statevector" else "nft"
-        hermitian_cfg = OptimizerConfig(
-            kind=kind,
-            max_iterations=opt["hermitian_max_iterations"],
-            f_max=opt["hermitian_f_max"],
-            reset_interval=opt["reset_interval"],
-        )
+    hermitian_cfg = OptimizerConfig(
+        kind=opt["hermitian_kind"] or ("simplex" if doc["tier"] == "statevector" else "nft"),
+        max_iterations=opt["hermitian_max_iterations"],
+        f_max=opt["hermitian_f_max"],
+        reset_interval=opt["reset_interval"],
+    )
     nonhermitian_cfg = OptimizerConfig(
         kind="trust_region",
         f_max=opt["nonhermitian_f_max"],

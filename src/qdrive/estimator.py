@@ -1,13 +1,29 @@
 """Expectation-value and overlap estimation across the three simulator tiers.
 
 An :class:`Estimator` bundles the tier, shot budget, RNG stream, noise model
-and mitigation switches, and exposes the three estimation primitives:
+and mitigation switches.  Every estimate goes through one pipeline:
 
-* direct Pauli-word measurement (basis rotation + bit parity),
-* the ancilla Hadamard test (used per code word on the noisy tier, where the
-  readout inversion and ZNE post-processing are formulated for ancilla
-  statistics),
-* the low-depth overlap (run U(a) then U(b) inverted, read all-zeros).
+1. *prepare* (:meth:`Estimator._prepare`): evolve a circuit, from |0..0> or
+   from a given state, as a statevector on the exact and shot tiers, or as
+   the noisy density matrix of the circuit folded to a ZNE scale on the
+   noisy tier;
+2. *sample and mitigate* (:meth:`Estimator._distribution`): the outcome
+   distribution of the measured qubits, seen through the readout confusion
+   on the noisy tier; every tier but the statevector one replaces it by a
+   shot histogram, and readout mitigation inverts the confusion;
+3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, the
+   values at fold scales 1, 3, 5 become one zero-noise estimate.
+
+The primitives only build their circuits and apply a functional to the
+distribution:
+
+* the ancilla Hadamard test, used per code word on the noisy tier: the
+  ancilla|0> (x) ansatz base is prepared once per fold scale, each word adds
+  its tail, and the value is 2 P(ancilla=0) - 1;
+* the low-depth overlap (run U(a) then U(b) inverted): P(all zeros);
+* direct word measurement on the exact and shot tiers: the statevector
+  tier contracts the word exactly, the shot tier rotates into the word's
+  eigenbasis and averages bit parities.
 
 The identity code word is never estimated: its expectation is unity for any
 normalized state, so it contributes its coefficient analytically and no
@@ -15,28 +31,24 @@ circuit for it ever appears in the telemetry.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from . import mitigation
-from .circuits import (
-    Circuit,
-    Gate,
-    build_ansatz,
-    controlled_word_gates,
-    hadamard_test_circuit,
-    overlap_circuit,
+from .circuits import Circuit, Gate, build_ansatz, hadamard_test_circuit, overlap_circuit
+from .mitigation import (
+    ConfusionMatrix,
+    ZnePoints,
+    fold_circuit,
+    invert_distribution,
+    readout_invert,
+    zne_extrapolate,
 )
-from .mitigation import ConfusionMatrix, ZnePoints, fold_circuit, zne_extrapolate
 from .pauli import PauliSum, word_to_dense
 from .simulator import (
     NoiseModel,
-    _apply_unitary_rho,
-    _apply_unitary_state,
-    apply_gate_noise,
     density_matrix,
-    gate_matrix,
     outcome_probabilities,
     sample_shots,
     statevector,
@@ -46,6 +58,7 @@ TIERS = ("statevector", "shots", "noisy")
 ZNE_SCALES = (1, 3, 5)
 
 
+@functools.lru_cache(maxsize=None)
 def _parity_signs(word: str) -> np.ndarray:
     """(-1)^(bit parity on the word's non-identity positions), big-endian."""
     q = len(word)
@@ -55,17 +68,6 @@ def _parity_signs(word: str) -> np.ndarray:
             continue
         bit = (np.arange(2**q) >> (q - 1 - k)) & 1
         signs *= 1.0 - 2.0 * bit
-    return signs
-
-
-_parity_cache: dict[str, np.ndarray] = {}
-
-
-def _cached_parity(word: str) -> np.ndarray:
-    signs = _parity_cache.get(word)
-    if signs is None:
-        signs = _parity_signs(word)
-        _parity_cache[word] = signs
     return signs
 
 
@@ -106,9 +108,15 @@ class Estimator:
         self.rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
+        # mitigation applies to the noisy tier only, and is on there by default
         noisy = tier == "noisy"
-        self.mitigate_readout = noisy if mitigate_readout is None else mitigate_readout
-        self.mitigate_zne = noisy if mitigate_zne is None else mitigate_zne
+        self.mitigate_readout = noisy and (mitigate_readout is None or bool(mitigate_readout))
+        self.mitigate_zne = noisy and (mitigate_zne is None or bool(mitigate_zne))
+        self._confusion = (
+            [ConfusionMatrix.from_rows(noise.confusion(k)) for k in range(q)]
+            if self.mitigate_readout
+            else []
+        )
         self.telemetry = telemetry
         self.circuits_run = 0
 
@@ -120,7 +128,7 @@ class Estimator:
             self.telemetry.append({"purpose": purpose, "shots": self.shots, **extra})
 
     def _scales(self) -> tuple[int, ...]:
-        return ZNE_SCALES if (self.tier == "noisy" and self.mitigate_zne) else (1,)
+        return ZNE_SCALES if self.mitigate_zne else (1,)
 
     def statistical_sigma(self, observable: PauliSum) -> float:
         """Upper bound on the shot-noise s.d. of one expectation estimate."""
@@ -133,19 +141,106 @@ class Estimator:
         )
         return math.sqrt(ss / self.shots)
 
-    # -- state preparation --------------------------------------------------
-
     def ansatz_state(self, params) -> np.ndarray:
         """Exact statevector of the ansatz (diagnostics and exact tiers)."""
         return statevector(build_ansatz(params, self.q))
 
-    # -- direct Pauli measurement -------------------------------------------
+    # -- the pipeline: prepare, sample and mitigate, extrapolate ------------
 
-    def expectation_pauli_direct(self, params, observable: PauliSum) -> complex:
-        """sum_P C_P <P> with per-word direct measurements.
+    def _prepare(self, circuit: Circuit, lam: int = 1, initial=None) -> np.ndarray:
+        """The circuit's output state on this tier, folded to scale lam if noisy."""
+        if self.tier == "noisy":
+            return density_matrix(fold_circuit(circuit, lam), self.noise, initial)
+        return statevector(circuit, initial)
 
-        Statevector tier contracts each word exactly; the sampling tiers
-        rotate into the word's eigenbasis and average bit parities.
+    def _distribution(
+        self, state: np.ndarray, n: int, measured, purpose: str, **log
+    ) -> np.ndarray:
+        """Outcome distribution over ``measured`` (all n qubits if None).
+
+        Exact on the statevector tier; otherwise a shot histogram, with the
+        readout confusion inverted when readout mitigation is on.
+        """
+        readout = self.noise if self.tier == "noisy" else None
+        probs = outcome_probabilities(state, n, measured, readout=readout)
+        if self.tier == "statevector":
+            return probs
+        dist = sample_shots(probs / probs.sum(), self.shots, self.rng).empirical()
+        self._log(purpose, **log)
+        if not self.mitigate_readout:
+            return dist
+        if measured is not None:  # the one-qubit ancilla
+            t0, t1, _ = readout_invert(float(dist[0]), self._confusion[measured[0]])
+            return np.array([t0, t1])
+        return invert_distribution(dist, self._confusion[:n])[0]
+
+    def _maybe_extrapolate(self, xs: list[float], mode: str) -> float:
+        """Zero-noise estimate from the values at the fold scales."""
+        if len(xs) == 1:
+            return xs[0]
+        pts = ZnePoints(x1=xs[0], x3=xs[1], x5=xs[2], n=self.shots, mode=mode)
+        result = zne_extrapolate(pts)
+        if self.telemetry is not None:
+            self.telemetry.append({"purpose": "zne", **result.telemetry(pts)})
+        if mode == "probability":
+            return float(np.clip(result.x0, 0.0, 1.0))
+        return result.x0
+
+    # -- primitives -----------------------------------------------------------
+
+    def _hadamard_bases(self, params) -> dict[int, np.ndarray]:
+        """Per fold scale, ancilla|0> (x) ansatz state, shared by every word."""
+        base = build_ansatz(params, self.q).shifted(1, self.q + 1)
+        return {lam: self._prepare(base, lam) for lam in self._scales()}
+
+    def _hadamard(self, bases: dict[int, np.ndarray], word: str, part: str) -> float:
+        """2 P(ancilla=0) - 1 after the word's test tail on each base."""
+        tail = hadamard_test_circuit(Circuit(self.q, ()), word, part)
+        xs = []
+        for lam, base in bases.items():
+            dist = self._distribution(
+                self._prepare(tail, lam, base), self.q + 1, (0,),
+                "hadamard-test", word=word, part=part, lam=lam,
+            )
+            xs.append(2.0 * float(dist[0]) - 1.0)
+        return self._maybe_extrapolate(xs, mode="expectation")
+
+    def _word(self, psi: np.ndarray, word: str) -> float:
+        """<word> on the ansatz state psi by direct measurement."""
+        if self.tier == "statevector":
+            return np.vdot(psi, word_to_dense(word) @ psi).real
+        rotation = Circuit(self.q, tuple(measurement_rotation_gates(word)))
+        dist = self._distribution(
+            self._prepare(rotation, 1, psi), self.q, None, "pauli-word", word=word
+        )
+        return float(dist @ _parity_signs(word))
+
+    def expectation_hadamard_test(self, params, word: str, part: str = "real") -> float:
+        """Re or Im of <psi|P|psi> from ancilla statistics 2 P(0) - 1."""
+        if word == "I" * len(word):
+            return 1.0 if part == "real" else 0.0
+        return self._hadamard(self._hadamard_bases(params), word, part)
+
+    def overlap_lowdepth(self, params_a, params_b) -> float:
+        """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag."""
+        circuit = overlap_circuit(
+            build_ansatz(params_a, self.q), build_ansatz(params_b, self.q)
+        )
+        xs = []
+        for lam in self._scales():
+            dist = self._distribution(
+                self._prepare(circuit, lam), self.q, None, "overlap", lam=lam
+            )
+            xs.append(float(dist[0]))
+        return self._maybe_extrapolate(xs, mode="probability")
+
+    # -- assembled estimates ---------------------------------------------------
+
+    def expectation(self, observable: PauliSum, params) -> complex:
+        """Tier-appropriate estimate of sum_P C_P <P>.
+
+        The noisy tier estimates every non-identity word with the Hadamard
+        test; the exact and shot tiers measure each word directly.
         """
         if observable.n_qubits != self.q:
             raise ValueError(
@@ -156,194 +251,15 @@ class Estimator:
         words = [w for w in observable.terms if w != identity]
         if not words:
             return acc
-        ansatz = build_ansatz(params, self.q)
-        if self.tier == "statevector":
-            psi = statevector(ansatz)
-            for word in words:
-                acc += observable.terms[word] * np.vdot(psi, word_to_dense(word) @ psi).real
-            return acc
-        if self.tier == "shots":
-            psi = statevector(ansatz)
-            psi_t = psi.reshape((2,) * self.q)
-            for word in words:
-                rotated = Circuit(self.q, tuple(measurement_rotation_gates(word)))
-                phi = psi_t
-                for gate in rotated.gates:
-                    phi = _apply_unitary_state(phi, gate_matrix(gate), gate.qubits)
-                probs = np.abs(phi.reshape(-1)) ** 2
-                meas = sample_shots(probs / probs.sum(), self.shots, self.rng)
-                self._log("pauli-word", word=word)
-                acc += observable.terms[word] * float(
-                    meas.empirical() @ _cached_parity(word)
-                )
-            return acc
-        for word in words:
-            acc += observable.terms[word] * self._word_direct_noisy(ansatz, word)
+        if self.tier == "noisy":
+            bases = self._hadamard_bases(params)
+            values = (self._hadamard(bases, word, "real") for word in words)
+        else:
+            psi = self._prepare(build_ansatz(params, self.q))
+            values = (self._word(psi, word) for word in words)
+        for word, value in zip(words, values):
+            acc += observable.terms[word] * value
         return acc
-
-    def _word_direct_noisy(self, ansatz: Circuit, word: str) -> float:
-        base = Circuit(
-            self.q, ansatz.gates + tuple(measurement_rotation_gates(word))
-        )
-        signs = _cached_parity(word)
-        xs = []
-        for lam in self._scales():
-            rho = density_matrix(fold_circuit(base, lam), self.noise)
-            probs = outcome_probabilities(rho, self.q, readout=self.noise)
-            meas = sample_shots(probs / probs.sum(), self.shots, self.rng)
-            self._log("pauli-word", word=word, lam=lam)
-            emp = meas.empirical()
-            if self.mitigate_readout:
-                matrices = [
-                    ConfusionMatrix.from_rows(self.noise.confusion(k))
-                    for k in range(self.q)
-                ]
-                emp, _ = mitigation.invert_distribution(emp, matrices)
-            xs.append(float(np.clip(emp @ signs, -1.0, 1.0)))
-        return self._maybe_extrapolate(xs, mode="expectation")
-
-    # -- Hadamard test -------------------------------------------------------
-
-    def expectation_hadamard_test(self, params, word: str, part: str = "real") -> float:
-        """Re or Im of <psi|P|psi> from ancilla statistics P(0) - P(1)."""
-        identity = "I" * len(word)
-        if word == identity:
-            return 1.0 if part == "real" else 0.0
-        ansatz = build_ansatz(params, self.q)
-        circuit = hadamard_test_circuit(ansatz, word, part)
-        if self.tier == "statevector":
-            psi = statevector(circuit)
-            probs = outcome_probabilities(psi, circuit.n_qubits, measured=(0,))
-            return float(probs[0] - probs[1])
-        if self.tier == "shots":
-            psi = statevector(circuit)
-            probs = outcome_probabilities(psi, circuit.n_qubits, measured=(0,))
-            meas = sample_shots(probs / probs.sum(), self.shots, self.rng)
-            self._log("hadamard-test", word=word, part=part)
-            p0 = meas.empirical()[0]
-            return 2.0 * float(p0) - 1.0
-        xs = []
-        for lam in self._scales():
-            xs.append(self._hadamard_point(fold_circuit(circuit, lam), word, part, lam))
-        return self._maybe_extrapolate(xs, mode="expectation")
-
-    def _hadamard_point(self, circuit: Circuit, word: str, part: str, lam: int) -> float:
-        rho = density_matrix(circuit, self.noise)
-        probs = outcome_probabilities(rho, circuit.n_qubits, measured=(0,), readout=self.noise)
-        meas = sample_shots(probs / probs.sum(), self.shots, self.rng)
-        self._log("hadamard-test", word=word, part=part, lam=lam)
-        n0 = float(meas.empirical()[0])
-        if self.mitigate_readout:
-            t0, _, _ = mitigation.readout_invert(
-                n0, ConfusionMatrix.from_rows(self.noise.confusion(0))
-            )
-            n0 = t0
-        return 2.0 * n0 - 1.0
-
-    # -- low-depth overlap ----------------------------------------------------
-
-    def overlap_lowdepth(self, params_a, params_b) -> float:
-        """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag."""
-        circuit = overlap_circuit(
-            build_ansatz(params_a, self.q), build_ansatz(params_b, self.q)
-        )
-        if self.tier == "statevector":
-            psi = statevector(circuit)
-            return float(np.abs(psi[0]) ** 2)
-        if self.tier == "shots":
-            psi = statevector(circuit)
-            probs = np.abs(psi) ** 2
-            meas = sample_shots(probs / probs.sum(), self.shots, self.rng)
-            self._log("overlap")
-            return float(meas.empirical()[0])
-        xs = []
-        for lam in self._scales():
-            rho = density_matrix(fold_circuit(circuit, lam), self.noise)
-            probs = outcome_probabilities(rho, self.q, readout=self.noise)
-            meas = sample_shots(probs / probs.sum(), self.shots, self.rng)
-            self._log("overlap", lam=lam)
-            emp = meas.empirical()
-            if self.mitigate_readout:
-                matrices = [
-                    ConfusionMatrix.from_rows(self.noise.confusion(k))
-                    for k in range(self.q)
-                ]
-                emp, _ = mitigation.invert_distribution(emp, matrices)
-            xs.append(float(emp[0]))
-        value = self._maybe_extrapolate(xs, mode="probability")
-        return float(np.clip(value, 0.0, 1.0))
-
-    # -- assembled estimates ---------------------------------------------------
-
-    def _maybe_extrapolate(self, xs: list[float], mode: str) -> float:
-        if len(xs) == 1:
-            return xs[0]
-        pts = ZnePoints(x1=xs[0], x3=xs[1], x5=xs[2], n=self.shots, mode=mode)
-        result = zne_extrapolate(pts)
-        if self.telemetry is not None:
-            self.telemetry.append({"purpose": "zne", **result.telemetry(pts)})
-        return result.x0
-
-    def expectation(self, observable: PauliSum, params) -> complex:
-        """Tier-appropriate estimate of <observable>.
-
-        The noisy tier estimates every non-identity word with the Hadamard
-        test; the exact and shot tiers use direct measurements.
-        """
-        if self.tier != "noisy":
-            return self.expectation_pauli_direct(params, observable)
-        identity = observable.identity_word
-        acc = complex(observable.terms.get(identity, 0.0))
-        words = [w for w in observable.terms if w != identity]
-        if not words:
-            return acc
-        ansatz = build_ansatz(params, self.q)
-        bases = self._noisy_ansatz_bases(ansatz)
-        for word in words:
-            xs = [
-                self._hadamard_tail_point(bases[lam], word, "real", lam)
-                for lam in self._scales()
-            ]
-            acc += observable.terms[word] * self._maybe_extrapolate(
-                xs, mode="expectation"
-            )
-        return acc
-
-    def _noisy_ansatz_bases(self, ansatz: Circuit) -> dict[int, np.ndarray]:
-        """Per fold-scale noisy density of ancilla|0> (x) folded ansatz."""
-        n = self.q + 1
-        bases = {}
-        for lam in self._scales():
-            folded = fold_circuit(ansatz.shifted(1, n), lam)
-            bases[lam] = density_matrix(folded, self.noise)
-        return bases
-
-    def _hadamard_tail_point(
-        self, base_rho: np.ndarray, word: str, part: str, lam: int
-    ) -> float:
-        n = self.q + 1
-        tail = [Gate("h", (0,))]
-        if part == "imag":
-            tail.append(Gate("sdg", (0,)))
-        tail.extend(controlled_word_gates(word, control=0, targets_offset=1))
-        tail.append(Gate("h", (0,)))
-        folded_tail = fold_circuit(Circuit(n, tuple(tail)), lam)
-        rho = base_rho.reshape((2,) * (2 * n))
-        for gate in folded_tail.gates:
-            rho = _apply_unitary_rho(rho, gate_matrix(gate), gate.qubits, n)
-            rho = apply_gate_noise(rho, gate, self.noise, n)
-        probs = outcome_probabilities(
-            rho.reshape(2**n, 2**n), n, measured=(0,), readout=self.noise
-        )
-        meas = sample_shots(probs / probs.sum(), self.shots, self.rng)
-        self._log("hadamard-test", word=word, part=part, lam=lam)
-        n0 = float(meas.empirical()[0])
-        if self.mitigate_readout:
-            t0, _, _ = mitigation.readout_invert(
-                n0, ConfusionMatrix.from_rows(self.noise.confusion(0))
-            )
-            n0 = t0
-        return 2.0 * n0 - 1.0
 
     def energy(self, params, h_h: PauliSum, v_cap: PauliSum) -> complex:
         """<H_N> assembled from the two Hermitian parts: <H_H> + i <V_cap>."""

@@ -121,13 +121,14 @@ def nft_minimize(
     On the first parameter of the first sweep the fitted sinusoid is
     validated with an extra evaluation at the predicted minimizer; a
     relative residual above max(residual_tol, 5*sigma_hint) downgrades the
-    whole run to the trust-region kind.
+    whole run to the trust-region kind.  When fewer evaluations are left
+    than trust_region needs to start, the downgraded run returns NFT's best
+    evaluated point, flagged exhausted.
     """
     x = wrap_angles(np.asarray(x0, dtype=float))
     m = x.size
     counted = _Counted(fun, config.f_max, telemetry)
     updates = 0
-    current = math.inf  # analytic value of the objective at x, once known
     try:
         for sweep in range(config.max_iterations):
             for k in range(m):
@@ -143,22 +144,23 @@ def nft_minimize(
                 r = math.hypot(alpha, beta)
                 phi = math.atan2(beta, alpha)
                 x[k] = wrap_angles(np.array([x[k] + phi + math.pi]))[0]
-                current = a - r
-                if current < counted.best_val:
-                    counted.best_val = current
-                    counted.best_x = x.copy()
+                predicted = a - r
                 updates += 1
-                if sweep == 0 and k == 0:
+                first = sweep == 0 and k == 0
+                if first:
                     actual = counted(x)
                     scale = max(1.0, abs(a) + r)
-                    residual = abs(actual - current) / scale
+                    residual = abs(actual - predicted) / scale
                     if residual > max(config.residual_tol, 5.0 * sigma_hint / scale):
-                        inner = replace(
-                            config,
-                            kind="trust_region",
-                            f_max=config.f_max - counted.nfev,
-                        )
-                        result = trust_region_minimize(fun, x, inner, telemetry)
+                        remaining = config.f_max - counted.nfev
+                        if remaining < 2 * m + 1:  # too few for trust_region to start
+                            result = OptResult(
+                                params=counted.best_x, value=counted.best_val,
+                                nfev=0, converged=False, exhausted=True,
+                            )
+                        else:
+                            inner = replace(config, kind="trust_region", f_max=remaining)
+                            result = trust_region_minimize(fun, x, inner, telemetry)
                         result.nfev += counted.nfev
                         result.message = (
                             f"sinusoid residual {residual:.2e} exceeded tolerance; "
@@ -166,12 +168,12 @@ def nft_minimize(
                         )
                         result.kind = "nft->trust_region"
                         return result
-                    current = actual
-                elif updates % config.reset_interval == 0:
-                    current = counted(x)
-                    if current < counted.best_val:
-                        counted.best_val = current
-                        counted.best_x = x.copy()
+                # the prediction at x is exact for a sinusoidal objective
+                if predicted < counted.best_val:
+                    counted.best_val = predicted
+                    counted.best_x = x.copy()
+                if not first and updates % config.reset_interval == 0:
+                    counted(x)
     except _BudgetExhausted:
         return OptResult(
             params=counted.best_x if counted.best_x is not None else x,

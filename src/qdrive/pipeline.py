@@ -38,6 +38,12 @@ from .optimize import (
 from .simulator import NoiseModel, statevector
 
 PARITY_CODE = {"even": 0, "odd": 1}
+# report label -> (parity, oracle kind) of the three target states
+TARGET_LABELS = {
+    "bound": ("even", "bound"),
+    "resonance_1": ("odd", "resonance"),
+    "resonance_2": ("even", "resonance"),
+}
 KIND_CODE = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3, "init": 4}
 
 
@@ -338,18 +344,12 @@ def match_targets(
     """Assign non-spurious winners to the oracle target states.
 
     ``targets`` maps (parity, kind) to the oracle energy, with kinds "bound"
-    and "resonance"; the reported states are the bound state (even), the
-    first resonance (odd channel), and the second resonance (even channel).
+    and "resonance"; the reported states are those of ``TARGET_LABELS``.
     Each target takes the winner of matching parity and classification with
     the closest real energy.
     """
     out: dict[str, ResonanceRecord | None] = {}
-    label_map = {
-        "bound": ("even", "bound"),
-        "resonance_1": ("odd", "resonance"),
-        "resonance_2": ("even", "resonance"),
-    }
-    for label, key in label_map.items():
+    for label, key in TARGET_LABELS.items():
         if key not in targets:
             out[label] = None
             continue

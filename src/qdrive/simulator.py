@@ -62,12 +62,18 @@ def _apply_unitary_state(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ..
     return np.moveaxis(psi, tuple(range(k)), qubits)
 
 
-def statevector(circuit: Circuit) -> np.ndarray:
-    """Exact amplitudes of the circuit output, big-endian flat vector."""
+def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+    """Exact amplitudes of the circuit output, big-endian flat vector.
+
+    The circuit acts on |0..0>, or on the flat state ``initial`` if given.
+    """
     if any(g.kind == "measure" for g in circuit.gates):
         raise ValueError("statevector simulation does not accept measure gates")
-    psi = np.zeros((2,) * circuit.n_qubits, dtype=complex)
-    psi[(0,) * circuit.n_qubits] = 1.0
+    if initial is None:
+        psi = np.zeros((2,) * circuit.n_qubits, dtype=complex)
+        psi[(0,) * circuit.n_qubits] = 1.0
+    else:
+        psi = np.asarray(initial).reshape((2,) * circuit.n_qubits)
     for gate in circuit.gates:
         psi = _apply_unitary_state(psi, gate_matrix(gate), gate.qubits)
     return psi.reshape(-1)
@@ -357,8 +363,11 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
         raise ValueError("density matrix is not positive semidefinite")
 
 
-def density_matrix(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
-    """Evolve |0..0><0..0| through the circuit, flat (2^n x 2^n) output.
+def density_matrix(
+    circuit: Circuit, noise: NoiseModel | None = None, initial: np.ndarray | None = None
+) -> np.ndarray:
+    """Evolve |0..0><0..0|, or the flat density ``initial`` if given, through
+    the circuit; flat (2^n x 2^n) output.
 
     With a noise model, every gate is followed by its noise block; the
     profile must cover at least the circuit's qubit count.
@@ -368,8 +377,11 @@ def density_matrix(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndar
         raise ValueError(
             f"noise profile covers {noise.n_qubits} qubits, circuit needs {n}"
         )
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
+    if initial is None:
+        rho = np.zeros((2,) * (2 * n), dtype=complex)
+        rho[(0,) * (2 * n)] = 1.0
+    else:
+        rho = np.asarray(initial).reshape((2,) * (2 * n))
     for gate in circuit.gates:
         if gate.kind == "measure":
             continue

@@ -60,6 +60,24 @@ class TestConfig:
         code = main(["--config", path, "diag"])
         assert code == 2
         assert "qubitz" in capsys.readouterr().err
+        # bad values fail at load, before any task runs
+        cases = [
+            (["--set", f"{key}=0"], key)
+            for key in (
+                "shots", "final_shots_factor", "batch_size", "workers",
+                "optimizer.hermitian_f_max", "optimizer.nonhermitian_f_max",
+                "optimizer.hermitian_max_iterations", "optimizer.reset_interval",
+                "sweep.repeats",
+            )
+        ]
+        cases.append((["--set", "shots=-5"], "shots"))
+        cases.append((["--set", "q=5", "--set", "tier=noisy"], "'q'"))
+        out = str(tmp_path / "out")
+        for args, key in cases:
+            code = main(["--set", f"output_dir={out}", *args, "run"])
+            assert code == 2, args
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_override_flags(self, tmp_path):
         path = write_config(tmp_path, {"q": 3})

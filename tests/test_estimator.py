@@ -23,14 +23,14 @@ class TestStatevectorTier:
         est = Estimator(q=2, tier="statevector")
         obs = PauliSum(2, {"II": 0.75 + 0.1j})
         params = RNG(0).uniform(-np.pi, np.pi, 16)
-        assert est.expectation_pauli_direct(params, obs) == 0.75 + 0.1j
+        assert est.expectation(obs, params) == 0.75 + 0.1j
 
     def test_z_on_excited_state(self):
         est = Estimator(q=1, tier="statevector")
         params = np.zeros(8)
         params[0] = np.pi
         obs = PauliSum(1, {"Z": 1.0})
-        assert est.expectation_pauli_direct(params, obs).real == pytest.approx(-1.0)
+        assert est.expectation(obs, params).real == pytest.approx(-1.0)
 
     def test_matches_dense_contraction(self):
         rng = RNG(1)
@@ -40,13 +40,13 @@ class TestStatevectorTier:
             params = rng.uniform(-np.pi, np.pi, 16)
             psi = est.ansatz_state(params)
             expected = np.vdot(psi, dense @ psi)
-            got = est.expectation_pauli_direct(params, obs)
+            got = est.expectation(obs, params)
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_size_mismatch_rejected(self):
         est = Estimator(q=2, tier="statevector")
         with pytest.raises(ValueError, match="qubits"):
-            est.expectation_pauli_direct(np.zeros(16), PauliSum(1, {"Z": 1.0}))
+            est.expectation(PauliSum(1, {"Z": 1.0}), np.zeros(16))
 
 
 class TestHadamardTest:
@@ -125,8 +125,8 @@ class TestShotTier:
         exact = Estimator(q=2, tier="statevector")
         shots = Estimator(q=2, tier="shots", shots=n, seed=9)
         params = rng.uniform(-np.pi, np.pi, 16)
-        expected = exact.expectation_pauli_direct(params, obs).real
-        got = shots.expectation_pauli_direct(params, obs).real
+        expected = exact.expectation(obs, params).real
+        got = shots.expectation(obs, params).real
         sigma = sum(abs(c) for w, c in obs.terms.items() if set(w) != {"I"}) / math.sqrt(n)
         assert abs(got - expected) < 5 * sigma
 
@@ -134,8 +134,8 @@ class TestShotTier:
         rng = RNG(10)
         obs, _ = random_observable(2, rng)
         params = rng.uniform(-np.pi, np.pi, 16)
-        a = Estimator(q=2, tier="shots", shots=4096, seed=11).expectation_pauli_direct(params, obs)
-        b = Estimator(q=2, tier="shots", shots=4096, seed=11).expectation_pauli_direct(params, obs)
+        a = Estimator(q=2, tier="shots", shots=4096, seed=11).expectation(obs, params)
+        b = Estimator(q=2, tier="shots", shots=4096, seed=11).expectation(obs, params)
         assert a == b
 
 
@@ -151,7 +151,7 @@ class TestNoisyTier:
         exact = Estimator(q=2, tier="statevector")
         noisy = Estimator(q=2, tier="noisy", noise=noise, shots=10**5, seed=13)
         params = rng.uniform(-np.pi, np.pi, 16)
-        expected = exact.expectation_pauli_direct(params, obs).real
+        expected = exact.expectation(obs, params).real
         got = noisy.expectation(obs, params).real
         scale = sum(abs(c) for c in obs.terms.values())
         assert abs(got - expected) < 0.05 * max(1.0, scale)
@@ -164,6 +164,16 @@ class TestNoisyTier:
         est.expectation(obs, RNG(15).uniform(-np.pi, np.pi, 16))
         words = [e.get("word") for e in telemetry if e["purpose"] != "zne"]
         assert words and all(w != "II" for w in words)
+
+    def test_hadamard_test_is_the_expectation_path(self):
+        # both primitives share bases, tail, sampling, inversion and ZNE
+        noise = torino_like(3)
+        params = RNG(21).uniform(-np.pi, np.pi, 16)
+        a = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
+        b = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
+        expected = a.expectation(PauliSum(2, {"XZ": 1.0}), params).real
+        assert b.expectation_hadamard_test(params, "XZ") == expected
+        assert a.circuits_run == b.circuits_run == 3
 
     def test_zne_branch_telemetry_logged(self):
         noise = torino_like(3)

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qdrive.circuits import Circuit, Gate, build_ansatz
 from qdrive.mitigation import (
@@ -90,6 +93,40 @@ class TestInvertDistribution:
         out, clamped = invert_distribution(p, [ConfusionMatrix.identity()] * 2)
         assert np.allclose(out, p)
         assert not clamped
+
+
+# well-conditioned single-qubit confusion: P(read correctly) in [0.6, 1]
+_fidelity = st.floats(0.6, 1.0)
+confusions = st.builds(
+    lambda p00, p11: ConfusionMatrix(p00, 1.0 - p00, 1.0 - p11, p11), _fidelity, _fidelity
+)
+
+
+class TestInversionProperties:
+    @settings(deadline=None)
+    @given(cm=confusions, t=st.floats(0.0, 1.0))
+    def test_one_qubit_inversions_agree(self, cm, t):
+        n0 = cm.forward(t)
+        t0, _, clamped = readout_invert(n0, cm)
+        dist, clamped_dist = invert_distribution(np.array([n0, 1.0 - n0]), [cm])
+        assume(not clamped and not clamped_dist)
+        assert abs(t0 - dist[0]) <= 1e-12
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_undoes_forward_confusion(self, data):
+        m = data.draw(st.integers(1, 3), label="qubits")
+        cms = data.draw(st.lists(confusions, min_size=m, max_size=m), label="confusions")
+        weights = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=2**m, max_size=2**m), label="weights"
+        )
+        assume(sum(weights) > 1e-3)
+        p_true = np.array(weights) / sum(weights)
+        forward = functools.reduce(
+            np.kron, [np.array([[c.p00, c.p01], [c.p10, c.p11]]) for c in cms]
+        )
+        recovered, _ = invert_distribution(p_true @ forward, cms)
+        assert np.max(np.abs(recovered - p_true)) < 1e-9
 
 
 class TestZScore:

@@ -69,6 +69,23 @@ class TestNft:
         assert result.kind == "nft->trust_region"
         assert "downgraded" in result.message
 
+    @pytest.mark.parametrize("f_max", [4, 8])
+    def test_downgrade_without_budget_keeps_nft_best(self, f_max):
+        # trust_region needs 2m+1 = 25 evaluations to start; 4 are spent
+        values = []
+
+        def fun(x):
+            values.append(float(np.sum((x - 1.0) ** 2 + 0.3 * x**4)))
+            return values[-1]
+
+        cfg = OptimizerConfig(kind="nft", f_max=f_max)
+        result = nft_minimize(fun, np.full(12, 0.2), cfg)
+        assert result.kind == "nft->trust_region"
+        assert result.exhausted and not result.converged
+        assert result.nfev == len(values) <= f_max
+        assert result.value == min(values)
+        assert fun(result.params) == result.value
+
     def test_monotone_best_bookkeeping(self):
         values = []
 
