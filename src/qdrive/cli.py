@@ -65,9 +65,17 @@ def _read_json(path: Path):
 
 
 def _write_json(path: Path, doc) -> None:
+    """Write ``doc`` atomically: a crash leaves the old file or none, never a
+    truncated one that a downstream task would read.  Each artifact has one
+    writing task, so the process id makes the temporary name unique."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def make_payload(plan, problems, root: Path, batch: str):
@@ -77,18 +85,8 @@ def make_payload(plan, problems, root: Path, batch: str):
         if node.kind == "hermitian":
             thetas: list = []
             stages: list = []
-            if node.index > 1:
-                prev = _read_json(
-                    root
-                    / orchestrator.artifact_path(
-                        batch,
-                        node.parity,
-                        node.run,
-                        orchestrator.node_id(
-                            node.parity, node.run, "hermitian", node.index - 1
-                        ),
-                    )
-                )
+            if node.inputs:  # the previous Hermitian stage's artifact
+                prev = _read_json(root / node.inputs[0])
                 thetas = prev["thetas"]
                 stages = prev["stages"]
             priors = [np.asarray(t) for t in thetas]
@@ -100,17 +98,7 @@ def make_payload(plan, problems, root: Path, batch: str):
                 {"thetas": thetas + [stage["theta"]], "stages": stages + [stage]},
             )
         elif node.kind == "nonhermitian":
-            herm = _read_json(
-                root
-                / orchestrator.artifact_path(
-                    batch,
-                    node.parity,
-                    node.run,
-                    orchestrator.node_id(
-                        node.parity, node.run, "hermitian", node.index
-                    ),
-                )
-            )
+            herm = _read_json(root / node.inputs[0])
             record = run_nonhermitian_stage(
                 node.index,
                 np.asarray(herm["thetas"][-1]),

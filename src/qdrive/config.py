@@ -113,6 +113,7 @@ _SCALAR_SCHEMA: dict[str, tuple] = {
 
 # counts and budgets that must be at least 1
 _POSITIVE = {
+    "q",
     "shots",
     "final_shots_factor",
     "batch_size",
@@ -159,6 +160,31 @@ def validate_config(doc: dict) -> None:
     for parity in doc.get("parities", []):
         if parity not in ("even", "odd"):
             raise ConfigError(f"config key 'parities' entries must be 'even' or 'odd'")
+    try:
+        n_points = build_grid(doc).n_points
+        build_model(doc)
+    except ValueError as exc:
+        raise ConfigError(f"config key 'model': {exc}")
+    if 2 ** doc["q"] > n_points // 4:
+        raise ConfigError(
+            f"config key 'q' = {doc['q']}: 2**q basis functions alias on "
+            f"model.n_points = {n_points} grid points; need 2**q <= n_points / 4"
+        )
+    factors = [
+        ("gate_noise_reduction_factor", doc["gate_noise_reduction_factor"], False),
+        *(("sweep.reduction_factors", v, False) for v in doc["sweep"]["reduction_factors"]),
+        *(("sweep.longevity_factors", v, True) for v in doc["sweep"]["longevity_factors"]),
+    ]
+    if doc["qubit_longevity_factor"] is not None:
+        factors.append(("qubit_longevity_factor", doc["qubit_longevity_factor"], True))
+    for path, value, inf_ok in factors:
+        if isinstance(value, str):
+            valid = inf_ok and value.lower() in ("inf", "infinity")
+        else:
+            valid = isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
+        if not valid:
+            allowed = "a positive number or 'inf'" if inf_ok else "a positive number"
+            raise ConfigError(f"config key {path!r} must be {allowed}, got {value!r}")
     if doc.get("tier") == "noisy":
         # the noisy tier simulates the q system qubits plus one ancilla
         path = doc.get("noise_profile") or bundled_profile_path()
@@ -202,11 +228,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 def _longevity(value) -> float | None:
     if value is None:
         return None
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError("config key 'qubit_longevity_factor' string must be 'inf'")
-    return float(value)
+    # validate_config admits no string but 'inf'
+    return math.inf if isinstance(value, str) else float(value)
 
 
 def bundled_profile_path() -> Path:
@@ -241,6 +264,7 @@ def build_plan(doc: dict) -> RunPlan:
         max_iterations=opt["hermitian_max_iterations"],
         f_max=opt["hermitian_f_max"],
         reset_interval=opt["reset_interval"],
+        p_beg=float(opt["p_beg"]),
     )
     nonhermitian_cfg = OptimizerConfig(
         kind="trust_region",
@@ -248,7 +272,6 @@ def build_plan(doc: dict) -> RunPlan:
         f_tol=float(opt["f_tol"]),
         retries=opt["retries"],
         r_beg=float(opt["r_beg"]),
-        p_beg=float(opt["p_beg"]),
     )
     cls = doc["classifier"]
     return RunPlan(

@@ -93,8 +93,8 @@ class Estimator:
         noise: NoiseModel | None = None,
         shots: int = 10**5,
         seed=0,
-        mitigate_readout: bool | None = None,
-        mitigate_zne: bool | None = None,
+        mitigate_readout: bool = True,
+        mitigate_zne: bool = True,
         telemetry: list | None = None,
     ):
         if tier not in TIERS:
@@ -110,8 +110,8 @@ class Estimator:
         )
         # mitigation applies to the noisy tier only, and is on there by default
         noisy = tier == "noisy"
-        self.mitigate_readout = noisy and (mitigate_readout is None or bool(mitigate_readout))
-        self.mitigate_zne = noisy and (mitigate_zne is None or bool(mitigate_zne))
+        self.mitigate_readout = noisy and mitigate_readout
+        self.mitigate_zne = noisy and mitigate_zne
         self._confusion = (
             [ConfusionMatrix.from_rows(noise.confusion(k)) for k in range(q)]
             if self.mitigate_readout

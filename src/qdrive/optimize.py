@@ -249,7 +249,9 @@ def simplex_minimize(fun, x0, config: OptimizerConfig, telemetry=None) -> OptRes
             method="COBYLA",
             options={
                 "rhobeg": config.p_beg,
-                "maxiter": min(config.max_iterations, config.f_max),
+                # COBYLA needs m + 2 evaluations to start; _Counted
+                # enforces f_max
+                "maxiter": max(x.size + 2, min(config.max_iterations, config.f_max)),
                 "tol": 1e-10,
             },
         )

@@ -7,12 +7,13 @@ nodes of a channel feed that channel's sort node.  Any ready node may be
 claimed by any idle worker immediately (scavenger semantics, no barriers).
 
 Pool and sort nodes are gather points: they run in degraded mode when at
-least one input артifact exists even if sibling branches failed, so one
+least one input artifact exists even if sibling branches failed, so one
 broken run never voids a batch.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -152,153 +153,127 @@ def build_dag(
 # ---------------------------------------------------------------------------
 
 
-def _finish_order(dag: TaskDag):
-    """Bookkeeping shared by both executors: readiness and skip propagation."""
-    unfinished = {nid: len(ps) for nid, ps in dag.parents.items()}
-    return unfinished
+def _run_payload(node: TaskNode, degraded: list[str]) -> tuple[str, str | None]:
+    try:
+        if node.payload is not None:
+            node.payload(node, degraded)
+        return "done", None
+    except Exception as exc:  # noqa: BLE001 - failures recorded, not raised
+        return "failed", f"{type(exc).__name__}: {exc}"
 
 
-def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
-    """Run every node payload on a thread pool; returns the execution trace.
+def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
+    """The scheduler core shared by both executors; returns the trace.
 
-    A node starts only after all parents finished; a failed or skipped
-    parent skips regular descendants, while gather nodes (pool/sort) run in
+    While fewer than ``workers`` nodes run, the ready node with the lowest
+    sort key is claimed and handed to ``start(node, degraded)``.
+    ``finished()`` blocks until at least one started node ends and returns
+    the trace events of those that did; ``now()`` stamps skip events.  A
+    node becomes ready when all parents finished; a failed or skipped parent
+    skips regular descendants, while gather nodes (pool/sort) run in
     degraded mode if at least one parent succeeded.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
-    unfinished = _finish_order(dag)
-    ready: list = []
+    waiting = {nid: len(ps) for nid, ps in dag.parents.items()}
+    ready = [dag.nodes[nid].sort_key() for nid, count in waiting.items() if count == 0]
+    heapq.heapify(ready)
     trace: list[dict] = []
-    trace_lock = threading.Lock()
+    running = 0
 
-    def push_ready(nid: str):
-        heapq.heappush(ready, dag.nodes[nid].sort_key())
+    def finish(event: dict):
+        node = dag.nodes[event["node"]]
+        node.status, node.error = event["status"], event["error"]
+        trace.append(event)
+        for child_id in dag.children[node.id]:
+            waiting[child_id] -= 1
+            if waiting[child_id]:
+                continue
+            child = dag.nodes[child_id]
+            done = [dag.nodes[p].status == "done" for p in dag.parents[child_id]]
+            if all(done) or (child.gather and any(done)):
+                heapq.heappush(ready, child.sort_key())
+            else:
+                t = now()
+                finish({
+                    "node": child_id, "status": "skipped", "error": "upstream failure",
+                    "start": t, "finish": t, "worker": None, "degraded_inputs": [],
+                })
 
-    for nid, count in unfinished.items():
-        if count == 0:
-            push_ready(nid)
+    while ready or running:
+        while ready and running < workers:
+            node = dag.nodes[heapq.heappop(ready)[-1]]
+            node.status = "running"
+            start(node, [p for p in dag.parents[node.id] if dag.nodes[p].status != "done"])
+            running += 1
+        for event in finished():
+            running -= 1
+            finish(event)
+    return trace
 
-    def run_payload(node: TaskNode) -> dict:
-        start = time.monotonic()
-        worker = threading.current_thread().name
-        degraded = [
-            p for p in dag.parents[node.id] if dag.nodes[p].status != "done"
-        ]
-        try:
-            if node.payload is not None:
-                node.payload(node, degraded)
-            status, error = "done", None
-        except Exception as exc:  # noqa: BLE001 - failures recorded, not raised
-            status, error = "failed", f"{type(exc).__name__}: {exc}"
-        end = time.monotonic()
+
+def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
+    """Run every node payload on a pool of ``workers`` threads; returns the
+    execution trace with monotonic-clock start/finish times."""
+
+    def run(node: TaskNode, degraded: list[str]) -> dict:
+        begin = time.monotonic()
+        status, error = _run_payload(node, degraded)
         return {
-            "node": node.id,
-            "status": status,
-            "error": error,
-            "start": start,
-            "finish": end,
-            "worker": worker,
-            "degraded_inputs": degraded,
+            "node": node.id, "status": status, "error": error,
+            "start": begin, "finish": time.monotonic(),
+            "worker": threading.current_thread().name, "degraded_inputs": degraded,
         }
 
-    def finish(node: TaskNode, event: dict):
-        node.status = event["status"]
-        node.error = event["error"]
-        with trace_lock:
-            trace.append(event)
-        newly_ready = []
-        for child_id in dag.children[node.id]:
-            unfinished[child_id] -= 1
-            if unfinished[child_id] == 0:
-                newly_ready.append(child_id)
-        for child_id in newly_ready:
-            child = dag.nodes[child_id]
-            parent_status = [dag.nodes[p].status for p in dag.parents[child_id]]
-            runnable = (
-                all(s == "done" for s in parent_status)
-                or (child.gather and any(s == "done" for s in parent_status))
-            )
-            if runnable:
-                push_ready(child_id)
-            else:
-                now = time.monotonic()
-                finish(
-                    child,
-                    {
-                        "node": child_id,
-                        "status": "skipped",
-                        "error": "upstream failure",
-                        "start": now,
-                        "finish": now,
-                        "worker": None,
-                        "degraded_inputs": [],
-                    },
-                )
+    futures: set = set()
 
-    futures = {}
+    def finished() -> list[dict]:
+        done, _ = wait(futures, return_when=FIRST_COMPLETED)
+        futures.difference_update(done)
+        return [fut.result() for fut in done]
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        while ready or futures:
-            while ready:
-                nid = heapq.heappop(ready)[-1]
-                node = dag.nodes[nid]
-                node.status = "running"
-                futures[pool.submit(run_payload, node)] = node
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                node = futures.pop(fut)
-                finish(node, fut.result())
-    return trace
+        return _schedule(
+            dag, workers,
+            lambda node, degraded: futures.add(pool.submit(run, node, degraded)),
+            finished, time.monotonic,
+        )
 
 
 def execute_simulated(
     dag: TaskDag, workers: int, durations: dict[str, float] | float = 1.0
 ) -> list[dict]:
-    """Virtual-clock scheduler for scheduling tests: no payloads run.
+    """Inline executor on a virtual clock, for tests.
 
-    Idle workers claim ready tasks in (run, state index) order; the trace
-    carries virtual start/finish times and worker ids.  No worker idles
-    while a ready task exists.
+    Payloads run one at a time in the calling thread as their nodes are
+    claimed; each node then occupies the lowest-numbered idle virtual worker
+    for its duration (``durations[node]``, default 1.0, or one number for
+    all), and the trace carries virtual start/finish times.  Scheduling,
+    skip and degrade follow :func:`execute`.
     """
-
-    def duration(nid: str) -> float:
-        if isinstance(durations, dict):
-            return float(durations.get(nid, 1.0))
-        return float(durations)
-
-    unfinished = _finish_order(dag)
-    ready = [dag.nodes[nid].sort_key() for nid, c in unfinished.items() if c == 0]
-    heapq.heapify(ready)
-    idle = list(range(workers))
-    running: list[tuple[float, int, int, str]] = []  # (finish, seq, worker, node)
     clock = 0.0
-    seq = 0
-    trace = []
-    while ready or running:
-        while ready and idle:
-            nid = heapq.heappop(ready)[-1]
-            worker = idle.pop(0)
-            heapq.heappush(running, (clock + duration(nid), seq, worker, nid))
-            seq += 1
-            trace.append(
-                {
-                    "node": nid,
-                    "status": "done",
-                    "start": clock,
-                    "finish": clock + duration(nid),
-                    "worker": f"sim-{worker}",
-                }
-            )
-        finish_time, _, worker, nid = heapq.heappop(running)
-        clock = finish_time
-        idle.append(worker)
-        idle.sort()
-        dag.nodes[nid].status = "done"
-        for child in dag.children[nid]:
-            unfinished[child] -= 1
-            if unfinished[child] == 0:
-                heapq.heappush(ready, dag.nodes[child].sort_key())
-    return trace
+    idle = list(range(workers))
+    running: list = []  # (finish, claim number, worker, event)
+    claims = itertools.count()
+
+    def start(node: TaskNode, degraded: list[str]) -> None:
+        status, error = _run_payload(node, degraded)
+        span = durations.get(node.id, 1.0) if isinstance(durations, dict) else durations
+        worker = heapq.heappop(idle)
+        event = {
+            "node": node.id, "status": status, "error": error,
+            "start": clock, "finish": clock + float(span),
+            "worker": f"sim-{worker}", "degraded_inputs": degraded,
+        }
+        heapq.heappush(running, (event["finish"], next(claims), worker, event))
+
+    def finished() -> list[dict]:
+        nonlocal clock
+        clock, _, worker, event = heapq.heappop(running)
+        heapq.heappush(idle, worker)
+        return [event]
+
+    return _schedule(dag, workers, start, finished, lambda: clock)
 
 
 # ---------------------------------------------------------------------------

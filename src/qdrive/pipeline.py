@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -88,38 +88,28 @@ def build_problem(
 
 @dataclass
 class RunPlan:
-    """Everything one batch needs: problem sizes, tier, budgets, and seeds."""
+    """Everything one batch needs: problem sizes, tier, budgets, and seeds.
 
-    q: int = 3
-    parities: tuple[str, ...] = ("even", "odd")
-    n_states: dict = field(default_factory=lambda: {"even": 4, "odd": 2})
-    batch_size: int = 8
-    tier: str = "statevector"
-    shots: int = 10**5
-    final_shots: int = 10**6
-    seed: int = 20240601
-    noise: NoiseModel | None = None
-    penalty: float = 100.0
-    overlap_tol: float = 0.5
-    thresholds: ClassifierThresholds = field(default_factory=ClassifierThresholds)
-    hermitian_cfg: OptimizerConfig | None = None
-    nonhermitian_cfg: OptimizerConfig | None = None
-    mitigate_readout: bool | None = None
-    mitigate_zne: bool | None = None
+    Built from a config document by ``config.build_plan``, which owns the
+    defaults.
+    """
 
-    def hermitian_config(self) -> OptimizerConfig:
-        if self.hermitian_cfg is not None:
-            return self.hermitian_cfg
-        if self.tier == "statevector":
-            return OptimizerConfig(kind="simplex", max_iterations=2**9, f_max=2**11)
-        return OptimizerConfig(kind="nft", f_max=2**11, reset_interval=32)
-
-    def nonhermitian_config(self) -> OptimizerConfig:
-        if self.nonhermitian_cfg is not None:
-            return self.nonhermitian_cfg
-        return OptimizerConfig(
-            kind="trust_region", f_max=2**10, f_tol=0.05, retries=3, r_beg=1.0
-        )
+    q: int
+    parities: tuple[str, ...]
+    n_states: dict
+    batch_size: int
+    tier: str
+    shots: int
+    final_shots: int
+    seed: int
+    noise: NoiseModel | None
+    penalty: float
+    overlap_tol: float
+    thresholds: ClassifierThresholds
+    hermitian_cfg: OptimizerConfig
+    nonhermitian_cfg: OptimizerConfig
+    mitigate_readout: bool
+    mitigate_zne: bool
 
     def task_seed(self, parity: str, run: int, kind: str, index: int = 0) -> np.random.SeedSequence:
         return np.random.SeedSequence(
@@ -188,7 +178,7 @@ def run_hermitian_stage(
     est = plan.make_estimator(problem.parity, run_id, "hermitian", index, telemetry=telemetry)
     rng = np.random.default_rng(plan.task_seed(problem.parity, run_id, "init", index))
     x0 = random_initial_params(plan.q, rng)
-    cfg = plan.hermitian_config()
+    cfg = plan.hermitian_cfg
 
     def objective(x):
         return vqd_objective(x, problem.h_h, priors, plan.penalty, est)
@@ -220,7 +210,7 @@ def run_nonhermitian_stage(
 ) -> ResonanceRecord:
     """Pseudovariance minimization warm-started at the Hermitian eigenstate."""
     est = plan.make_estimator(problem.parity, run_id, "nonhermitian", index, telemetry=telemetry)
-    cfg = plan.nonhermitian_config()
+    cfg = plan.nonhermitian_cfg
 
     def objective(x):
         return pseudovariance_objective(x, problem.h_n, problem.h_dag_h, est)

@@ -5,8 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdrive.cli import main
-from qdrive.config import ConfigError, load_config, validate_config
+from qdrive.cli import (
+    _write_json,
+    collect_winners,
+    main,
+    prepare_execution,
+    write_winners_csv,
+)
+from qdrive.config import ConfigError, build_plan, load_config, validate_config
+from qdrive.orchestrator import execute_simulated
 
 FAST_RUN = {
     "q": 2,
@@ -72,12 +79,24 @@ class TestConfig:
         ]
         cases.append((["--set", "shots=-5"], "shots"))
         cases.append((["--set", "q=5", "--set", "tier=noisy"], "'q'"))
+        cases.append((["--set", "model.n_points=16", "--set", "q=3"], "'q'"))
+        cases.append((["--set", "model.n_points=100"], "'model'"))
+        cases.append((["--set", "q=0"], "'q'"))
+        cases.append((["--set", "sweep.reduction_factors=[0]"], "sweep.reduction_factors"))
+        cases.append((["--set", "sweep.longevity_factors=[-1]"], "sweep.longevity_factors"))
+        cases.append((["--set", 'sweep.longevity_factors=["never"]'], "sweep.longevity_factors"))
+        cases.append((["--set", "gate_noise_reduction_factor=0"], "gate_noise_reduction_factor"))
+        cases.append((["--set", "qubit_longevity_factor=0"], "qubit_longevity_factor"))
         out = str(tmp_path / "out")
         for args, key in cases:
             code = main(["--set", f"output_dir={out}", *args, "run"])
             assert code == 2, args
             assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_p_beg_reaches_the_simplex(self):
+        plan = build_plan(load_config(None, {"optimizer": {"p_beg": 0.3}}))
+        assert plan.hermitian_cfg.p_beg == 0.3
 
     def test_override_flags(self, tmp_path):
         path = write_config(tmp_path, {"q": 3})
@@ -200,6 +219,15 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "run"]) == 0
         assert (tmp_path / "out8" / "winners.csv").read_bytes() == first
+        # the inline virtual-clock executor picks the same winners
+        out = tmp_path / "out_sim"
+        out.mkdir()
+        _, _, dag = prepare_execution(doc, out)
+        execute_simulated(dag, workers=2)
+        winners, missing = collect_winners(dag, out)
+        assert missing == []
+        write_winners_csv(out / "winners.csv", winners)
+        assert (out / "winners.csv").read_bytes() == first
 
     def test_single_task_mode(self, tmp_path):
         doc = dict(FAST_RUN)
@@ -227,3 +255,13 @@ class TestOutputRootEnv:
         path = write_config(tmp_path, {"output_dir": "rel", "q": 2})
         assert main(["--config", path, "diag"]) == 0
         assert (tmp_path / "root" / "rel" / "diag_even.csv").exists()
+
+
+def test_failed_write_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "artifact.json"
+    _write_json(path, {"value": 1})
+    # json.dump has written part of the document when it reaches the object
+    with pytest.raises(TypeError):
+        _write_json(path, {"value": 2, "broken": object()})
+    assert json.loads(path.read_text()) == {"value": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,15 @@ class TestSimplex:
         cfg = OptimizerConfig(kind="simplex", max_iterations=400, f_max=500)
         result = minimize(fun, cfg, np.array([1.0, 1.0]))
         assert result.value < 1e-6
+
+    def test_budget_below_cobyla_minimum_does_not_warn(self):
+        # q=2 has 16 parameters, so COBYLA needs 18 evaluations to start
+        cfg = OptimizerConfig(kind="simplex", f_max=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = minimize(lambda x: float(np.sum(x**2)), cfg, np.ones(16))
+        assert result.nfev == 6
+        assert result.exhausted
 
 
 class TestVqdObjective:

@@ -96,7 +96,23 @@ class TestExecute:
         h2 = interval(trace, node_id("even", 0, "hermitian", 2))
         assert n1[0] < h2[1] and h2[0] < n1[1]
 
-    def test_failure_skips_descendants_but_pool_degrades(self):
+    def test_one_worker_runs_payloads_in_sort_key_order(self):
+        orders = []
+        for executor in (execute, execute_simulated):
+            dag = build_dag({"even": 2, "odd": 1}, 2, parities=("even", "odd"))
+            seen = []
+
+            def payload(node, degraded):
+                seen.append(node.id)
+
+            for node in dag.nodes.values():
+                node.payload = payload
+            executor(dag, workers=1)
+            orders.append(seen)
+        assert orders[0] == orders[1]
+
+    @pytest.mark.parametrize("executor", [execute, execute_simulated])
+    def test_failure_skips_descendants_but_pool_degrades(self, executor):
         dag = build_dag({"even": 3}, 1, parities=("even",))
 
         def payload(node, degraded):
@@ -105,7 +121,7 @@ class TestExecute:
 
         for node in dag.nodes.values():
             node.payload = payload
-        trace = execute(dag, workers=2)
+        trace = executor(dag, workers=2)
         assert status_of(trace, node_id("even", 0, "hermitian", 2)) == "failed"
         for skipped in ["hermitian", "nonhermitian"]:
             assert status_of(trace, node_id("even", 0, skipped, 3)) == "skipped"
@@ -115,7 +131,8 @@ class TestExecute:
         assert pool_event["status"] == "done"
         assert pool_event["degraded_inputs"]
 
-    def test_all_parents_failed_skips_gather(self):
+    @pytest.mark.parametrize("executor", [execute, execute_simulated])
+    def test_all_parents_failed_skips_gather(self, executor):
         dag = build_dag({"even": 1}, 1, parities=("even",))
 
         def payload(node, degraded):
@@ -124,7 +141,7 @@ class TestExecute:
 
         for node in dag.nodes.values():
             node.payload = payload
-        trace = execute(dag, workers=1)
+        trace = executor(dag, workers=1)
         assert status_of(trace, node_id("even", 0, "pool")) == "skipped"
         assert status_of(trace, node_id("even", 0, "sort")) == "skipped"
 

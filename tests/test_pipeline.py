@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from qdrive.config import build_plan, load_config
 from qdrive.estimator import Estimator
 from qdrive.model import (
-    ClassifierThresholds,
     Grid,
     PotentialModel,
     exact_diagonalize,
 )
-from qdrive.optimize import OptimizerConfig
 from qdrive.pipeline import (
     ResonanceRecord,
-    RunPlan,
     build_problem,
     compute_fidelity_error,
     deduplicate,
@@ -39,8 +37,14 @@ def q2_even(grid):
 
 @pytest.fixture(scope="module")
 def sv_plan():
-    return RunPlan(q=2, parities=("even",), n_states={"even": 4}, batch_size=2,
-                   tier="statevector", seed=77)
+    return make_plan(q=2, n_even=4, batch_size=2, seed=77)
+
+
+def make_plan(q, n_even, batch_size, seed):
+    return build_plan(load_config(None, {
+        "q": q, "parities": ["even"], "n_states": {"even": n_even},
+        "batch_size": batch_size, "tier": "statevector", "seed": seed,
+    }))
 
 
 def make_record(index=1, run_id=0, sigma2=0.1, energy=(1.0, -0.01), params=None,
@@ -85,8 +89,7 @@ class TestNonHermitianStage:
         # with the absorber onset beyond the box the warm start is optimal
         capless = PotentialModel(lam=0.1, j=0.8, x0=100.0)
         problem = build_problem(capless, grid, "even", 1)
-        plan = RunPlan(q=1, parities=("even",), n_states={"even": 1}, batch_size=1,
-                       tier="statevector", seed=3)
+        plan = make_plan(q=1, n_even=1, batch_size=1, seed=3)
         stage = run_hermitian_stage(1, [], problem, plan, run_id=0)
         record = run_nonhermitian_stage(1, np.asarray(stage["theta"]), problem, plan, 0)
         assert record.sigma2 < 1e-6
@@ -95,8 +98,7 @@ class TestNonHermitianStage:
 
     def test_q3_bound_state_energy(self, grid):
         problem = build_problem(BENCHMARK, grid, "even", 3)
-        plan = RunPlan(q=3, parities=("even",), n_states={"even": 1}, batch_size=1,
-                       tier="statevector", seed=11)
+        plan = make_plan(q=3, n_even=1, batch_size=1, seed=11)
         stage = run_hermitian_stage(1, [], problem, plan, run_id=0)
         record = run_nonhermitian_stage(1, np.asarray(stage["theta"]), problem, plan, 0)
         reference = 0.504 - 2.48e-5j
@@ -186,8 +188,7 @@ class TestPoolBatches:
 class TestFilterSpurious:
     def test_oracle_like_bound_record(self, grid):
         problem = build_problem(BENCHMARK, grid, "even", 3)
-        plan = RunPlan(q=3, parities=("even",), n_states={"even": 1}, batch_size=1,
-                       tier="statevector", seed=5)
+        plan = make_plan(q=3, n_even=1, batch_size=1, seed=5)
         stage = run_hermitian_stage(1, [], problem, plan, run_id=0)
         record = run_nonhermitian_stage(1, np.asarray(stage["theta"]), problem, plan, 0)
         filter_spurious([record], problem)
@@ -221,8 +222,7 @@ class TestFidelity:
 
     def test_q3_bound_state_against_oracle(self, grid):
         problem = build_problem(BENCHMARK, grid, "even", 3)
-        plan = RunPlan(q=3, parities=("even",), n_states={"even": 1}, batch_size=1,
-                       tier="statevector", seed=21)
+        plan = make_plan(q=3, n_even=1, batch_size=1, seed=21)
         stage = run_hermitian_stage(1, [], problem, plan, run_id=0)
         record = run_nonhermitian_stage(1, np.asarray(stage["theta"]), problem, plan, 0)
         spectrum = exact_diagonalize(problem.pair)
