@@ -152,11 +152,3 @@ def hadamard_test_circuit(ansatz: Circuit, word: str, part: str = "real") -> Cir
     gates.append(Gate("h", (0,)))
     return Circuit(n, tuple(gates))
 
-
-def overlap_circuit(ansatz_a: Circuit, ansatz_b: Circuit) -> Circuit:
-    """Low-depth overlap: run U(a) then U(b)^dagger; P(all zeros) = |<b|a>|^2."""
-    if ansatz_a.n_qubits != ansatz_b.n_qubits:
-        raise ValueError("overlap requires equal qubit counts")
-    return Circuit(
-        ansatz_a.n_qubits, ansatz_a.gates + ansatz_b.inverse().gates
-    )

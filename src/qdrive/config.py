@@ -10,9 +10,11 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from importlib import resources
 from pathlib import Path
 
+from .circuits import ansatz_parameter_count
 from .model import ClassifierThresholds, Grid, PotentialModel
 from .optimize import OptimizerConfig
 from .pipeline import RunPlan
@@ -222,7 +224,27 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     merged = merge_defaults(overrides or {}, merge_defaults(doc))
     validate_config(merged)
+    _warn_idle_trust_region(merged)
     return merged
+
+
+def _warn_idle_trust_region(doc: dict) -> None:
+    """Warn on stderr when the pseudovariance stages cannot optimize.
+
+    Their trust-region optimizer needs 2m + 1 evaluations (m ansatz
+    parameters) to start; with a smaller ``optimizer.nonhermitian_f_max`` it
+    evaluates nothing and every stage keeps its Hermitian warm start.
+    """
+    f_max = doc["optimizer"]["nonhermitian_f_max"]
+    needed = 2 * ansatz_parameter_count(doc["q"]) + 1
+    if f_max < needed:
+        print(
+            f"warning: config key 'optimizer.nonhermitian_f_max' = {f_max} is "
+            f"below the {needed} evaluations the trust-region optimizer needs "
+            f"to start at q = {doc['q']}; the pseudovariance stages will keep "
+            "their Hermitian warm starts",
+            file=sys.stderr,
+        )
 
 
 def _longevity(value) -> float | None:

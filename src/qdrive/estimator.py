@@ -1,29 +1,39 @@
 """Expectation-value and overlap estimation across the three simulator tiers.
 
 An :class:`Estimator` bundles the tier, shot budget, RNG stream, noise model
-and mitigation switches.  Every estimate goes through one pipeline:
+and mitigation switches.  Every estimate splits its circuit into a prepared
+state and a measured tail, and goes through one pipeline:
 
-1. *prepare* (:meth:`Estimator._prepare`): evolve a circuit, from |0..0> or
-   from a given state, as a statevector on the exact and shot tiers, or as
-   the noisy density matrix of the circuit folded to a ZNE scale on the
-   noisy tier;
-2. *sample and mitigate* (:meth:`Estimator._distribution`): the outcome
-   distribution of the measured qubits, seen through the readout confusion
-   on the noisy tier; every tier but the statevector one replaces it by a
-   shot histogram, and readout mitigation inverts the confusion;
+1. *prepare* (:meth:`Estimator._prepare`): evolve the head of the circuit
+   from |0..0>, as a statevector on the exact and shot tiers, or as the
+   noisy density matrix rho of the head folded to a ZNE scale on the noisy
+   tier;
+2. *measure, sample and mitigate* (:meth:`Estimator._distribution`): the
+   outcome distribution of the measured qubits after the tail.  The exact
+   and shot tiers run the tail forward on the statevector.  The noisy tier
+   reads every outcome probability as Tr(M_y rho), where M_y is the
+   effective POVM element of outcome y (readout confusion included) taken
+   back through the folded noisy tail
+   (:func:`~qdrive.simulator.effective_povm`).  M depends only on the tail,
+   the fold scale and the noise model, so it is built once per noise model
+   and cached there, and an objective evaluation evolves only its states.
+   Every tier but the statevector one replaces the distribution by a shot
+   histogram, and readout mitigation inverts the confusion;
 3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, the
    values at fold scales 1, 3, 5 become one zero-noise estimate.
 
-The primitives only build their circuits and apply a functional to the
-distribution:
+The primitives differ only in their split and in the functional applied to
+the distribution:
 
 * the ancilla Hadamard test, used per code word on the noisy tier: the
-  ancilla|0> (x) ansatz base is prepared once per fold scale, each word adds
-  its tail, and the value is 2 P(ancilla=0) - 1;
-* the low-depth overlap (run U(a) then U(b) inverted): P(all zeros);
+  ancilla|0> (x) ansatz base is prepared once per fold scale (and kept for
+  the next call with the same parameters), each word's test is the tail,
+  and the value is 2 P(ancilla=0) - 1;
+* the low-depth overlap: U(a) is prepared, U(b) inverted is the tail, and
+  the value is P(all zeros);
 * direct word measurement on the exact and shot tiers: the statevector
-  tier contracts the word exactly, the shot tier rotates into the word's
-  eigenbasis and averages bit parities.
+  tier contracts the word exactly, the shot tier's tail rotates into the
+  word's eigenbasis and the value averages bit parities.
 
 The identity code word is never estimated: its expectation is unity for any
 normalized state, so it contributes its coefficient analytically and no
@@ -36,7 +46,7 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, Gate, build_ansatz, hadamard_test_circuit, overlap_circuit
+from .circuits import Circuit, Gate, build_ansatz, hadamard_test_circuit
 from .mitigation import (
     ConfusionMatrix,
     ZnePoints,
@@ -49,6 +59,7 @@ from .pauli import PauliSum, word_to_dense
 from .simulator import (
     NoiseModel,
     density_matrix,
+    effective_povm,
     outcome_probabilities,
     sample_shots,
     statevector,
@@ -69,6 +80,12 @@ def _parity_signs(word: str) -> np.ndarray:
         bit = (np.arange(2**q) >> (q - 1 - k)) & 1
         signs *= 1.0 - 2.0 * bit
     return signs
+
+
+@functools.lru_cache(maxsize=None)
+def _hadamard_tail(q: int, word: str, part: str) -> Circuit:
+    """The word's Hadamard test without a state preparation: its measured tail."""
+    return hadamard_test_circuit(Circuit(q, ()), word, part)
 
 
 def measurement_rotation_gates(word: str) -> list[Gate]:
@@ -119,6 +136,8 @@ class Estimator:
         )
         self.telemetry = telemetry
         self.circuits_run = 0
+        self._bases_key: bytes | None = None
+        self._bases: dict[int, np.ndarray] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -145,34 +164,44 @@ class Estimator:
         """Exact statevector of the ansatz (diagnostics and exact tiers)."""
         return statevector(build_ansatz(params, self.q))
 
-    # -- the pipeline: prepare, sample and mitigate, extrapolate ------------
+    # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
-    def _prepare(self, circuit: Circuit, lam: int = 1, initial=None) -> np.ndarray:
+    def _prepare(self, circuit: Circuit, lam: int = 1) -> np.ndarray:
         """The circuit's output state on this tier, folded to scale lam if noisy."""
         if self.tier == "noisy":
-            return density_matrix(fold_circuit(circuit, lam), self.noise, initial)
-        return statevector(circuit, initial)
+            return density_matrix(fold_circuit(circuit, lam), self.noise)
+        return statevector(circuit)
 
     def _distribution(
-        self, state: np.ndarray, n: int, measured, purpose: str, **log
+        self, state: np.ndarray, tail: Circuit, lam: int, measured, purpose: str, **log
     ) -> np.ndarray:
-        """Outcome distribution over ``measured`` (all n qubits if None).
+        """Outcome distribution over ``measured`` (all qubits if None) after
+        ``tail`` acts on the prepared ``state``.
 
-        Exact on the statevector tier; otherwise a shot histogram, with the
-        readout confusion inverted when readout mitigation is on.
+        The noisy tier reads it as Tr(M_y rho) from the effective POVM of the
+        tail folded to scale lam, built once per noise model; the other tiers
+        run the tail forward.  Exact on the statevector tier; otherwise a shot
+        histogram, with the readout confusion inverted when readout
+        mitigation is on.
         """
-        readout = self.noise if self.tier == "noisy" else None
-        probs = outcome_probabilities(state, n, measured, readout=readout)
+        if self.tier == "noisy":
+            povm = self.noise.povm(
+                (tail, lam, measured),
+                lambda: effective_povm(fold_circuit(tail, lam), self.noise, measured),
+            )
+            probs = np.clip(np.einsum("yab,ba->y", povm, state).real, 0.0, None)
+        else:
+            probs = outcome_probabilities(statevector(tail, state), tail.n_qubits, measured)
         if self.tier == "statevector":
             return probs
         dist = sample_shots(probs / probs.sum(), self.shots, self.rng).empirical()
-        self._log(purpose, **log)
+        self._log(purpose, lam=lam, **log)
         if not self.mitigate_readout:
             return dist
         if measured is not None:  # the one-qubit ancilla
             t0, t1, _ = readout_invert(float(dist[0]), self._confusion[measured[0]])
             return np.array([t0, t1])
-        return invert_distribution(dist, self._confusion[:n])[0]
+        return invert_distribution(dist, self._confusion[: tail.n_qubits])[0]
 
     def _maybe_extrapolate(self, xs: list[float], mode: str) -> float:
         """Zero-noise estimate from the values at the fold scales."""
@@ -189,18 +218,25 @@ class Estimator:
     # -- primitives -----------------------------------------------------------
 
     def _hadamard_bases(self, params) -> dict[int, np.ndarray]:
-        """Per fold scale, ancilla|0> (x) ansatz state, shared by every word."""
-        base = build_ansatz(params, self.q).shifted(1, self.q + 1)
-        return {lam: self._prepare(base, lam) for lam in self._scales()}
+        """Per fold scale, ancilla|0> (x) ansatz state, shared by every word.
+
+        The last parameters' bases are kept, so the several observables of
+        one objective evaluation prepare them once.
+        """
+        key = np.asarray(params, dtype=float).tobytes()
+        if key != self._bases_key:
+            base = build_ansatz(params, self.q).shifted(1, self.q + 1)
+            self._bases = {lam: self._prepare(base, lam) for lam in self._scales()}
+            self._bases_key = key
+        return self._bases
 
     def _hadamard(self, bases: dict[int, np.ndarray], word: str, part: str) -> float:
         """2 P(ancilla=0) - 1 after the word's test tail on each base."""
-        tail = hadamard_test_circuit(Circuit(self.q, ()), word, part)
+        tail = _hadamard_tail(self.q, word, part)
         xs = []
         for lam, base in bases.items():
             dist = self._distribution(
-                self._prepare(tail, lam, base), self.q + 1, (0,),
-                "hadamard-test", word=word, part=part, lam=lam,
+                base, tail, lam, (0,), "hadamard-test", word=word, part=part
             )
             xs.append(2.0 * float(dist[0]) - 1.0)
         return self._maybe_extrapolate(xs, mode="expectation")
@@ -210,9 +246,7 @@ class Estimator:
         if self.tier == "statevector":
             return np.vdot(psi, word_to_dense(word) @ psi).real
         rotation = Circuit(self.q, tuple(measurement_rotation_gates(word)))
-        dist = self._distribution(
-            self._prepare(rotation, 1, psi), self.q, None, "pauli-word", word=word
-        )
+        dist = self._distribution(psi, rotation, 1, None, "pauli-word", word=word)
         return float(dist @ _parity_signs(word))
 
     def expectation_hadamard_test(self, params, word: str, part: str = "real") -> float:
@@ -222,14 +256,17 @@ class Estimator:
         return self._hadamard(self._hadamard_bases(params), word, part)
 
     def overlap_lowdepth(self, params_a, params_b) -> float:
-        """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag."""
-        circuit = overlap_circuit(
-            build_ansatz(params_a, self.q), build_ansatz(params_b, self.q)
-        )
+        """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag.
+
+        U(a) prepares the state and U(b)^dag is the measured tail; folding
+        acts gate by gate, so the folded circuit splits the same way.
+        """
+        head = build_ansatz(params_a, self.q)
+        tail = build_ansatz(params_b, self.q).inverse()
         xs = []
         for lam in self._scales():
             dist = self._distribution(
-                self._prepare(circuit, lam), self.q, None, "overlap", lam=lam
+                self._prepare(head, lam), tail, lam, None, "overlap"
             )
             xs.append(float(dist[0]))
         return self._maybe_extrapolate(xs, mode="probability")

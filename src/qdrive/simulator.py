@@ -2,7 +2,10 @@
 
 * exact statevector (no noise, no sampling),
 * shot sampling on top of exact probabilities,
-* full density-matrix evolution with per-gate Kraus noise.
+* full density-matrix evolution with per-gate Kraus noise, and its
+  Heisenberg-picture adjoint: :func:`effective_povm` takes the readout-weighted
+  outcome projectors back through a noisy circuit, so that the circuit's
+  outcome probabilities on any input state rho are Tr(M_y rho).
 
 Density matrices stay small by design: at most a four-qubit ansatz plus one
 ancilla is ever simulated, i.e. a 32 x 32 matrix.  After each gate the noisy
@@ -145,6 +148,7 @@ class NoiseModel:
     qubit_longevity_factor: float | None = None
     name: str = "custom"
     _relax_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _povm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.t1_us = np.asarray(self.t1_us, dtype=float)
@@ -218,6 +222,19 @@ class NoiseModel:
     def confusion(self, qubit: int) -> np.ndarray:
         return self.readout[qubit]
 
+    def povm(self, key, build) -> np.ndarray:
+        """Effective POVM operators under ``key``, from ``build()`` on first use.
+
+        The operators depend on this model's noise, so they live on the model:
+        every estimator sharing it shares them, and :func:`scale_noise` starts
+        a new model with none.  Threads that miss the same key at once each
+        build it; the copies are equal, so either may stay.
+        """
+        cached = self._povm_cache.get(key)
+        if cached is None:
+            cached = self._povm_cache[key] = build()
+        return cached
+
 
 def scale_noise(noise: NoiseModel) -> NoiseModel:
     """Apply the gate-noise-reduction and qubit-longevity factors.
@@ -251,6 +268,7 @@ def scale_noise(noise: NoiseModel) -> NoiseModel:
         gate_noise_reduction_factor=1.0,
         qubit_longevity_factor=None,
         _relax_cache={},
+        _povm_cache={},
     )
 
 
@@ -295,6 +313,10 @@ def save_noise_profile(noise: NoiseModel, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The kernels below act on a density tensor of 2n axes (n ket, then n bra),
+# followed by any number of stack axes that they carry along unchanged.
+
+
 def _apply_unitary_rho(rho: np.ndarray, mat: np.ndarray, qubits, n: int):
     k = len(qubits)
     mt = mat.reshape((2,) * (2 * k))
@@ -310,7 +332,8 @@ def _apply_superop_1q(rho: np.ndarray, sop: np.ndarray, qubit: int, n: int):
     in_idx[qubit] = 2 * n
     in_idx[n + qubit] = 2 * n + 1
     return np.einsum(
-        sop, [qubit, n + qubit, 2 * n, 2 * n + 1], rho, in_idx, list(range(2 * n))
+        sop, [qubit, n + qubit, 2 * n, 2 * n + 1],
+        rho, in_idx + [...], list(range(2 * n)) + [...],
     )
 
 
@@ -323,11 +346,11 @@ def _depolarize(rho: np.ndarray, qubits, p: float, n: int):
     for q in qubits:
         in_idx[n + q] = in_idx[q]
     rest = [i for i in range(2 * n) if i not in [q for q in qubits] + [n + q for q in qubits]]
-    traced = np.einsum(rho, in_idx, rest)
+    traced = np.einsum(rho, in_idx + [...], rest + [...])
     eyes = []
     for q in qubits:
         eyes.extend([np.eye(2), [q, n + q]])
-    mixed = np.einsum(*eyes, traced, rest, list(range(2 * n))) / 2.0**d
+    mixed = np.einsum(*eyes, traced, rest + [...], list(range(2 * n)) + [...]) / 2.0**d
     return (1.0 - p) * rho + p * mixed
 
 
@@ -340,6 +363,24 @@ def apply_gate_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
         sop = noise.relaxation_superop(q, noise.gate_time_2q_us, 0.0)
         rho = _apply_superop_1q(rho, sop, q, n)
     return _depolarize(rho, gate.qubits, noise.p2, n)
+
+
+def adjoint_superop_1q(sop: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt adjoint of a (2, 2, 2, 2) one-qubit superoperator."""
+    return sop.conj().transpose(2, 3, 0, 1)
+
+
+def apply_gate_noise_adjoint(op: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
+    """Adjoint of :func:`apply_gate_noise`: its channels in reverse order, each
+    replaced by its adjoint (local depolarizing is self-adjoint)."""
+    if len(gate.qubits) == 1:
+        sop = noise.relaxation_superop(gate.qubits[0], noise.gate_time_1q_us, noise.p1)
+        return _apply_superop_1q(op, adjoint_superop_1q(sop), gate.qubits[0], n)
+    op = _depolarize(op, gate.qubits, noise.p2, n)
+    for q in reversed(gate.qubits):
+        sop = noise.relaxation_superop(q, noise.gate_time_2q_us, 0.0)
+        op = _apply_superop_1q(op, adjoint_superop_1q(sop), q, n)
+    return op
 
 
 def apply_noise_channels(rho: np.ndarray, gate: Gate, noise: NoiseModel) -> np.ndarray:
@@ -363,25 +404,24 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
         raise ValueError("density matrix is not positive semidefinite")
 
 
-def density_matrix(
-    circuit: Circuit, noise: NoiseModel | None = None, initial: np.ndarray | None = None
-) -> np.ndarray:
-    """Evolve |0..0><0..0|, or the flat density ``initial`` if given, through
-    the circuit; flat (2^n x 2^n) output.
+def _check_profile(circuit: Circuit, noise: NoiseModel | None) -> None:
+    if noise is not None and noise.n_qubits < circuit.n_qubits:
+        raise ValueError(
+            f"noise profile covers {noise.n_qubits} qubits, "
+            f"circuit needs {circuit.n_qubits}"
+        )
+
+
+def density_matrix(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+    """Evolve |0..0><0..0| through the circuit; flat (2^n x 2^n) output.
 
     With a noise model, every gate is followed by its noise block; the
     profile must cover at least the circuit's qubit count.
     """
+    _check_profile(circuit, noise)
     n = circuit.n_qubits
-    if noise is not None and noise.n_qubits < n:
-        raise ValueError(
-            f"noise profile covers {noise.n_qubits} qubits, circuit needs {n}"
-        )
-    if initial is None:
-        rho = np.zeros((2,) * (2 * n), dtype=complex)
-        rho[(0,) * (2 * n)] = 1.0
-    else:
-        rho = np.asarray(initial).reshape((2,) * (2 * n))
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
     for gate in circuit.gates:
         if gate.kind == "measure":
             continue
@@ -389,6 +429,48 @@ def density_matrix(
         if noise is not None:
             rho = apply_gate_noise(rho, gate, noise, n)
     return rho.reshape(2**n, 2**n)
+
+
+def adjoint_density_matrix(
+    circuit: Circuit, operator: np.ndarray, noise: NoiseModel | None = None
+) -> np.ndarray:
+    """Heisenberg picture of :func:`density_matrix`: E^dag(O) for the circuit's
+    channel E, so that Tr(O E(rho)) = Tr(E^dag(O) rho) for every rho.
+
+    Walks the gates in reverse; for each, the adjoint of its noise block,
+    then U^dag O U.  ``operator`` is flat (2^n x 2^n), or a stack of such
+    operators (k, 2^n, 2^n) taken back together; the output has its shape.
+    """
+    _check_profile(circuit, noise)
+    n = circuit.n_qubits
+    shape = np.shape(operator)
+    op = np.asarray(operator, dtype=complex).reshape((-1,) + (2,) * (2 * n))
+    op = np.moveaxis(op, 0, -1)
+    for gate in reversed(circuit.gates):
+        if gate.kind == "measure":
+            continue
+        if noise is not None:
+            op = apply_gate_noise_adjoint(op, gate, noise, n)
+        op = _apply_unitary_rho(op, gate_matrix(gate).conj().T, gate.qubits, n)
+    return np.moveaxis(op, -1, 0).reshape(shape)
+
+
+def effective_povm(
+    circuit: Circuit, noise: NoiseModel, measured: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Operators M[y] with P(y) = Tr(M[y] rho) for the noisy circuit run on rho.
+
+    y runs over the big-endian outcomes of the measured qubits (all by
+    default), seen through the readout confusion: M[y] is the adjoint of the
+    circuit's channel applied to sum_x R(x -> y) |x><x|, whose weights are
+    :func:`outcome_probabilities` of each basis state.  Shape (2^m, 2^n, 2^n).
+    """
+    n = circuit.n_qubits
+    weights = np.array(
+        [outcome_probabilities(basis, n, measured, noise) for basis in np.eye(2**n)]
+    )
+    projectors = np.array([np.diag(w) for w in weights.T])
+    return adjoint_density_matrix(circuit, projectors, noise)
 
 
 # ---------------------------------------------------------------------------

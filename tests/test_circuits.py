@@ -7,7 +7,6 @@ from qdrive.circuits import (
     ansatz_parameter_count,
     build_ansatz,
     hadamard_test_circuit,
-    overlap_circuit,
 )
 from qdrive.simulator import statevector
 
@@ -86,14 +85,3 @@ class TestHadamardCircuit:
         with pytest.raises(ValueError, match="length"):
             hadamard_test_circuit(ansatz, "XX")
 
-
-class TestOverlapCircuit:
-    def test_is_composition_with_inverse(self):
-        rng = np.random.default_rng(1)
-        a = build_ansatz(rng.uniform(-np.pi, np.pi, 16), 2)
-        b = build_ansatz(rng.uniform(-np.pi, np.pi, 16), 2)
-        circuit = overlap_circuit(a, b)
-        psi_a = statevector(a)
-        psi_b = statevector(b)
-        p0 = abs(statevector(circuit)[0]) ** 2
-        assert p0 == pytest.approx(abs(np.vdot(psi_b, psi_a)) ** 2, abs=1e-12)

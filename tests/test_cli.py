@@ -94,6 +94,14 @@ class TestConfig:
             assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("f_max,warned", [(24, True), (33, False)])
+    def test_idle_trust_region_warned(self, f_max, warned, capsys):
+        # at q=2 the trust region needs 2m + 1 = 33 evaluations to start
+        load_config(None, {"q": 2, "optimizer": {"nonhermitian_f_max": f_max}})
+        err = capsys.readouterr().err
+        assert ("optimizer.nonhermitian_f_max" in err) == warned
+        assert err.count("warning:") == int(warned)
+
     def test_p_beg_reaches_the_simplex(self):
         plan = build_plan(load_config(None, {"optimizer": {"p_beg": 0.3}}))
         assert plan.hermitian_cfg.p_beg == 0.3

@@ -1,10 +1,15 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from qdrive.circuits import Circuit, Gate, ansatz_parameter_count
+from qdrive.config import bundled_profile_path
 from qdrive.estimator import Estimator
 from qdrive.pauli import PauliSum, decompose
+from qdrive.simulator import NoiseModel, effective_povm, load_noise_profile, scale_noise
 from tests.test_simulator import torino_like
 
 RNG = np.random.default_rng
@@ -205,3 +210,99 @@ class TestNoisyTier:
         expected = np.vdot(psi, (h + 1j * v) @ psi)
         got = est.energy(params, h_sum, v_sum)
         assert got == pytest.approx(expected, abs=1e-10)
+
+
+class TestTierConsistency:
+    """Noiseless noisy tier, mitigation off, against the statevector tier."""
+
+    SHOTS = 10**4
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_expectation_and_overlap_match_statevector(self, q):
+        rng = RNG(40 + q)
+        obs, _ = random_observable(q, rng)
+        exact = Estimator(q=q, tier="statevector")
+        noisy = Estimator(
+            q=q, tier="noisy", noise=NoiseModel.noiseless(q + 1), shots=self.SHOTS,
+            seed=41 + q, mitigate_readout=False, mitigate_zne=False,
+        )
+        a, b = (rng.uniform(-np.pi, np.pi, ansatz_parameter_count(q)) for _ in range(2))
+        sigma = noisy.statistical_sigma(obs)
+        got, expected = noisy.expectation(obs, a).real, exact.expectation(obs, a).real
+        assert abs(got - expected) < 5 * sigma
+        sigma = 0.5 / math.sqrt(self.SHOTS)  # binomial bound for P(all zeros)
+        for x, y in [(a, b), (a, a)]:
+            got, expected = noisy.overlap_lowdepth(x, y), exact.overlap_lowdepth(x, y)
+            assert abs(got - expected) < 5 * sigma
+
+
+class TestPovmCache:
+    """The effective-POVM cache lives on one noise model and no other."""
+
+    TAIL = Circuit(3, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("h", (0,))))
+
+    def profile_and_reduced(self):
+        profile = load_noise_profile(bundled_profile_path())
+        reduced = load_noise_profile(bundled_profile_path())
+        reduced.gate_noise_reduction_factor = 1e4
+        return scale_noise(profile), scale_noise(reduced)
+
+    def test_scale_noise_starts_an_empty_cache(self):
+        profile, _ = self.profile_and_reduced()
+        profile.povm("key", lambda: np.zeros(1))
+        scaled = scale_noise(profile)
+        assert scaled._povm_cache == {}
+        assert "key" in profile._povm_cache
+
+    def test_reduced_noise_changes_the_operators(self):
+        profile, reduced = self.profile_and_reduced()
+        m_profile = effective_povm(self.TAIL, profile, (0,))
+        m_reduced = effective_povm(self.TAIL, reduced, (0,))
+        assert np.max(np.abs(m_profile - m_reduced)) > 1e-4
+
+    def test_estimator_never_reads_another_models_entries(self):
+        profile, reduced = self.profile_and_reduced()
+        obs = PauliSum(2, {"ZX": 0.7, "YY": -0.4})
+        params = RNG(30).uniform(-np.pi, np.pi, 16)
+        overlap_with = RNG(31).uniform(-np.pi, np.pi, 16)
+
+        def run(noise):
+            est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=32)
+            return est.expectation(obs, params), est.overlap_lowdepth(params, overlap_with)
+
+        run(profile)
+        assert profile._povm_cache
+        for key in profile._povm_cache:  # poison every entry of the base model
+            profile._povm_cache[key] = np.full_like(profile._povm_cache[key], np.nan)
+        _, fresh = self.profile_and_reduced()
+        assert run(reduced) == run(fresh)
+        assert all(np.all(np.isfinite(m)) for m in reduced._povm_cache.values())
+        assert reduced._povm_cache.keys() == profile._povm_cache.keys()
+
+    def test_threads_sharing_a_cold_cache_agree_with_one_thread(self):
+        # more threads than cores race to build the same operators
+        noise, _ = self.profile_and_reduced()
+        obs = PauliSum(2, {"ZX": 0.7, "YY": -0.4, "XI": 0.2})
+        params = RNG(33).uniform(-np.pi, np.pi, 16)
+
+        def estimate(model):
+            est = Estimator(q=2, tier="noisy", noise=model, shots=512, seed=34)
+            return est.expectation(obs, params)
+
+        expected = estimate(self.profile_and_reduced()[0])
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(estimate(noise)))
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4

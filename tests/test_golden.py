@@ -67,9 +67,9 @@ CASES = {
 }
 
 
-def run_case(name: str, out: Path) -> Path:
+def run_case(name: str, out: Path, **extra) -> Path:
     command, overrides, _ = CASES[name]
-    doc = json.loads(json.dumps({**_TINY, **overrides}))
+    doc = json.loads(json.dumps({**_TINY, **overrides, **extra}))
     doc["output_dir"] = str(out)
     out.mkdir(parents=True, exist_ok=True)
     config = out.parent / f"{name}.json"
@@ -85,6 +85,13 @@ def test_seeded_outputs_match_golden(name, tmp_path):
         assert (out / artifact).read_bytes() == (GOLDEN / name / artifact).read_bytes(), (
             f"{name}/{artifact} differs from the golden copy"
         )
+
+
+def test_noisy_outputs_do_not_depend_on_workers(tmp_path):
+    # two worker threads share the plan's noise model and its operator cache
+    out = run_case("noisy", tmp_path / "out", workers=2)
+    for artifact in CASES["noisy"][2]:
+        assert (out / artifact).read_bytes() == (GOLDEN / "noisy" / artifact).read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,15 +1,24 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdrive.circuits import Circuit, Gate, build_ansatz
+from qdrive.config import bundled_profile_path
 from qdrive.simulator import (
     Measurement,
     NoiseModel,
+    adjoint_density_matrix,
+    adjoint_superop_1q,
+    apply_gate_noise_adjoint,
     apply_noise_channels,
     density_matrix,
+    effective_povm,
     gate_matrix,
+    kraus_to_superop,
     load_noise_profile,
     outcome_probabilities,
     sample_shots,
@@ -46,6 +55,53 @@ def random_circuit(n, rng, depth=12):
             gates.append(Gate(kind, (int(rng.integers(n)),), float(rng.uniform(-np.pi, np.pi))))
         else:
             gates.append(Gate("h", (int(rng.integers(n)),)))
+    return Circuit(n, tuple(gates))
+
+
+def random_density(dim, rng) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_hermitian(dim, rng) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (a + a.conj().T)
+
+
+@functools.cache
+def noise_models() -> dict[str, NoiseModel]:
+    """The bundled profile, a 10^4-reduced copy of it, and no noise."""
+    reduced = load_noise_profile(bundled_profile_path())
+    reduced.gate_noise_reduction_factor = 1e4
+    reduced.qubit_longevity_factor = 10.0
+    return {
+        "profile": load_noise_profile(bundled_profile_path()),
+        "scaled": scale_noise(reduced),
+        "noiseless": NoiseModel.noiseless(3),
+    }
+
+
+_KINDS_1Q = ("ry", "rz", "h", "x", "s", "sdg")
+_KINDS_2Q = ("cx", "cy", "cz")
+
+
+@st.composite
+def circuits(draw) -> Circuit:
+    """1-3 qubits, 1-8 gates of every kind."""
+    n = draw(st.integers(1, 3), label="qubits")
+    kinds = _KINDS_1Q + (_KINDS_2Q if n > 1 else ())
+    gates = []
+    for _ in range(draw(st.integers(1, 8), label="depth")):
+        kind = draw(st.sampled_from(kinds))
+        if kind in _KINDS_2Q:
+            pair = draw(st.permutations(range(n)))[:2]
+            gates.append(Gate(kind, tuple(pair)))
+        elif kind in ("ry", "rz"):
+            angle = draw(st.floats(-math.pi, math.pi))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), angle))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),)))
     return Circuit(n, tuple(gates))
 
 
@@ -120,6 +176,76 @@ class TestNoiseChannels:
         rho = density_matrix(random_circuit(3, RNG(4)), noise)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+
+
+class TestAdjointChannel:
+    """Heisenberg-picture evolution against the forward density matrix."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        circuit=circuits(),
+        model=st.sampled_from(["profile", "scaled", "noiseless"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trace_identity(self, circuit, model, seed):
+        # Tr(M E(rho)) = Tr(E^dag(M) rho), rho prepared by a noisy circuit
+        noise, rng, n = noise_models()[model], RNG(seed), circuit.n_qubits
+        prep = random_circuit(n, rng, depth=6)
+        rho = density_matrix(prep, noise)
+        evolved = density_matrix(Circuit(n, prep.gates + circuit.gates), noise)
+        m = random_hermitian(2**n, rng)
+        back = adjoint_density_matrix(circuit, m, noise)
+        assert abs(np.trace(m @ evolved) - np.trace(back @ rho)) < 1e-12
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        circuit=circuits(),
+        model=st.sampled_from(["profile", "scaled", "noiseless"]),
+        data=st.data(),
+    )
+    def test_effective_povm_gives_the_forward_distribution(self, circuit, model, data):
+        noise, n = noise_models()[model], circuit.n_qubits
+        order = data.draw(st.permutations(range(n)), label="order")
+        measured = tuple(order[: data.draw(st.integers(1, n), label="measured")])
+        prep = random_circuit(n, RNG(data.draw(st.integers(0, 2**32 - 1))), depth=6)
+        evolved = density_matrix(Circuit(n, prep.gates + circuit.gates), noise)
+        forward = outcome_probabilities(evolved, n, measured, noise)
+        povm = effective_povm(circuit, noise, measured)
+        assert povm.shape == (2 ** len(measured), 2**n, 2**n)
+        backward = np.einsum("yab,ba->y", povm, density_matrix(prep, noise)).real
+        assert np.max(np.abs(forward - backward)) < 1e-12
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        model=st.sampled_from(["profile", "scaled", "noiseless"]),
+        n=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noise_blocks_unital_backward_trace_preserving_forward(self, model, n, seed):
+        noise, rng = noise_models()[model], RNG(seed)
+        a, b = (int(q) for q in rng.permutation(n)[:2])
+        eye = np.eye(2**n, dtype=complex)
+        for gate in (Gate("ry", (a,), 0.3), Gate("cz", (a, b))):
+            out = apply_gate_noise_adjoint(eye.reshape((2,) * (2 * n)), gate, noise, n)
+            assert np.max(np.abs(out.reshape(2**n, 2**n) - eye)) < 1e-12
+            rho = apply_noise_channels(random_density(2**n, rng), gate, noise)
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_superop_of_a_complex_channel(self, seed):
+        # the profile's superoperators are real; a complex channel checks
+        # the conjugation as well as the index order
+        rng = RNG(seed)
+        kraus = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        w, v = np.linalg.eigh(sum(k.conj().T @ k for k in kraus))
+        kraus = [k @ v @ np.diag(w**-0.5) @ v.conj().T for k in kraus]
+        sop = kraus_to_superop(kraus).reshape(2, 2, 2, 2)
+        rho, m = random_density(2, rng), random_hermitian(2, rng)
+        forward = np.einsum("abcd,cd->ab", sop, rho)
+        back = np.einsum("abcd,cd->ab", adjoint_superop_1q(sop), m)
+        assert abs(np.trace(forward) - 1.0) < 1e-12
+        assert abs(np.trace(m @ forward) - np.trace(back @ rho)) < 1e-12
 
 
 class TestStatevectorDensityAgreement:
