@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import multiprocessing
 import sys
 from importlib import resources
 from pathlib import Path
@@ -159,6 +160,11 @@ def validate_config(doc: dict) -> None:
             raise ConfigError(f"config key {path!r} must be one of {allowed}")
         if path in _POSITIVE and value <= 0:
             raise ConfigError(f"config key {path!r} must be positive, got {value}")
+    if doc["workers"] > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(
+            "config key 'workers' must be 1 here: more workers run in forked "
+            "processes, and this platform cannot fork"
+        )
     for parity in doc.get("parities", []):
         if parity not in ("even", "odd"):
             raise ConfigError(f"config key 'parities' entries must be 'even' or 'odd'")

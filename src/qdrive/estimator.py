@@ -29,8 +29,9 @@ the distribution:
   ancilla|0> (x) ansatz base is prepared once per fold scale (and kept for
   the next call with the same parameters), each word's test is the tail,
   and the value is 2 P(ancilla=0) - 1;
-* the low-depth overlap: U(a) is prepared, U(b) inverted is the tail, and
-  the value is P(all zeros);
+* the low-depth overlap: U(a) is prepared once per fold scale (and kept
+  for the next call with the same a), U(b) inverted is the tail, and the
+  value is P(all zeros);
 * direct word measurement on the exact and shot tiers: the statevector
   tier contracts the word exactly, the shot tier's tail rotates into the
   word's eigenbasis and the value averages bit parities.
@@ -136,8 +137,8 @@ class Estimator:
         )
         self.telemetry = telemetry
         self.circuits_run = 0
-        self._bases_key: bytes | None = None
-        self._bases: dict[int, np.ndarray] = {}
+        # per head kind, the last parameters' bytes and their states per scale
+        self._heads: dict[str, tuple[bytes, dict[int, np.ndarray]]] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -217,18 +218,24 @@ class Estimator:
 
     # -- primitives -----------------------------------------------------------
 
-    def _hadamard_bases(self, params) -> dict[int, np.ndarray]:
-        """Per fold scale, ancilla|0> (x) ansatz state, shared by every word.
+    def _heads_for(self, kind: str, params, head) -> dict[int, np.ndarray]:
+        """Per fold scale, the prepared state of ``head(ansatz(params))``.
 
-        The last parameters' bases are kept, so the several observables of
-        one objective evaluation prepare them once.
+        The states of the last parameters are kept per ``kind``, so the
+        several estimates of one objective evaluation that share a head
+        prepare it once.
         """
         key = np.asarray(params, dtype=float).tobytes()
-        if key != self._bases_key:
-            base = build_ansatz(params, self.q).shifted(1, self.q + 1)
-            self._bases = {lam: self._prepare(base, lam) for lam in self._scales()}
-            self._bases_key = key
-        return self._bases
+        cached = self._heads.get(kind)
+        if cached is None or cached[0] != key:
+            circuit = head(build_ansatz(params, self.q))
+            cached = (key, {lam: self._prepare(circuit, lam) for lam in self._scales()})
+            self._heads[kind] = cached
+        return cached[1]
+
+    def _hadamard_bases(self, params) -> dict[int, np.ndarray]:
+        """Per fold scale, ancilla|0> (x) ansatz state, shared by every word."""
+        return self._heads_for("hadamard", params, lambda c: c.shifted(1, self.q + 1))
 
     def _hadamard(self, bases: dict[int, np.ndarray], word: str, part: str) -> float:
         """2 P(ancilla=0) - 1 after the word's test tail on each base."""
@@ -259,15 +266,15 @@ class Estimator:
         """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag.
 
         U(a) prepares the state and U(b)^dag is the measured tail; folding
-        acts gate by gate, so the folded circuit splits the same way.
+        acts gate by gate, so the folded circuit splits the same way.  The
+        states of the last ``params_a`` are kept, so overlaps of one state
+        with several priors prepare it once.
         """
-        head = build_ansatz(params_a, self.q)
+        heads = self._heads_for("overlap", params_a, lambda c: c)
         tail = build_ansatz(params_b, self.q).inverse()
         xs = []
-        for lam in self._scales():
-            dist = self._distribution(
-                self._prepare(head, lam), tail, lam, None, "overlap"
-            )
+        for lam, head in heads.items():
+            dist = self._distribution(head, tail, lam, None, "overlap")
             xs.append(float(dist[0]))
         return self._maybe_extrapolate(xs, mode="probability")
 

@@ -9,14 +9,22 @@ claimed by any idle worker immediately (scavenger semantics, no barriers).
 Pool and sort nodes are gather points: they run in degraded mode when at
 least one input artifact exists even if sibling branches failed, so one
 broken run never voids a batch.
+
+With more than one worker, :func:`execute` runs the payloads in forked
+worker processes, so stages that are pure-Python optimizer work run in
+parallel instead of taking turns on one interpreter lock.  The workers
+inherit the DAG, its payload closures and everything they reach through
+fork; only node ids go to them and only trace events come back, and
+payloads hand their results to each other as artifact files.  With one
+worker the payloads run inline in the calling process.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
+import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 KIND_RANK = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3}
@@ -212,18 +220,53 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     return trace
 
 
-def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
-    """Run every node payload on a pool of ``workers`` threads; returns the
-    execution trace with monotonic-clock start/finish times."""
+_worker_dag: TaskDag | None = None  # set in each pool worker by _adopt
 
-    def run(node: TaskNode, degraded: list[str]) -> dict:
-        begin = time.monotonic()
-        status, error = _run_payload(node, degraded)
-        return {
-            "node": node.id, "status": status, "error": error,
-            "start": begin, "finish": time.monotonic(),
-            "worker": threading.current_thread().name, "degraded_inputs": degraded,
-        }
+
+def _adopt(dag: TaskDag) -> None:
+    """Pool initializer: keep the DAG that the worker inherited by fork."""
+    global _worker_dag
+    _worker_dag = dag
+
+
+def _run_node(dag: TaskDag, node_id: str, degraded: list[str]) -> dict:
+    """Run one node's payload in this process; returns its trace event."""
+    node = dag.nodes[node_id]
+    begin = time.monotonic()
+    status, error = _run_payload(node, degraded)
+    return {
+        "node": node_id, "status": status, "error": error,
+        "start": begin, "finish": time.monotonic(),
+        "worker": multiprocessing.current_process().name, "degraded_inputs": degraded,
+    }
+
+
+def _run_in_worker(node_id: str, degraded: list[str]) -> dict:
+    return _run_node(_worker_dag, node_id, degraded)
+
+
+def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
+    """Run every node payload with ``workers`` at a time; returns the
+    execution trace with monotonic-clock start/finish times.
+
+    More than one worker runs the payloads on a pool of
+    ``min(workers, len(dag.nodes))`` processes started with the ``fork``
+    method.  Fork hands each of them the DAG through the pool initializer
+    without pickling it, so payloads may be closures over unpicklable state;
+    a worker gets a node id and its degraded inputs, and returns the trace
+    event, whose ``worker`` is the process name.  A fork pool starts all
+    its processes at the first submit, before it starts a thread of its
+    own.  One worker, or a DAG of one node, runs the payloads inline in the
+    calling process.
+    """
+    size = min(workers, len(dag.nodes))
+    if size <= 1:  # at most one node runs at a time, so one event is pending
+        events: list[dict] = []
+        return _schedule(
+            dag, workers,
+            lambda node, degraded: events.append(_run_node(dag, node.id, degraded)),
+            lambda: [events.pop()], time.monotonic,
+        )
 
     futures: set = set()
 
@@ -232,10 +275,17 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
         futures.difference_update(done)
         return [fut.result() for fut in done]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=size,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(dag,),
+    ) as pool:
         return _schedule(
             dag, workers,
-            lambda node, degraded: futures.add(pool.submit(run, node, degraded)),
+            lambda node, degraded: futures.add(
+                pool.submit(_run_in_worker, node.id, degraded)
+            ),
             finished, time.monotonic,
         )
 
@@ -245,7 +295,7 @@ def execute_simulated(
 ) -> list[dict]:
     """Inline executor on a virtual clock, for tests.
 
-    Payloads run one at a time in the calling thread as their nodes are
+    Payloads run one at a time in the calling process as their nodes are
     claimed; each node then occupies the lowest-numbered idle virtual worker
     for its duration (``durations[node]``, default 1.0, or one number for
     all), and the trace carries virtual start/finish times.  Scheduling,

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tier"):
             load_config(path)
 
-    def test_cli_exit_code_two_on_config_error(self, tmp_path, capsys):
+    def test_cli_exit_code_two_on_config_error(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, {"qubitz": 3})
         code = main(["--config", path, "diag"])
         assert code == 2
@@ -92,6 +93,11 @@ class TestConfig:
             code = main(["--set", f"output_dir={out}", *args, "run"])
             assert code == 2, args
             assert key in capsys.readouterr().err
+        # more than one worker needs fork; one worker runs inline anywhere
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert main(["--set", f"output_dir={out}", "--set", "workers=2", "run"]) == 2
+        assert "'workers'" in capsys.readouterr().err
+        load_config(None, {"workers": 1})
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("f_max,warned", [(24, True), (33, False)])
@@ -219,14 +225,15 @@ class TestRun:
 
     def test_workers_do_not_change_winners(self, fast_run):
         tmp_path, _, _ = fast_run
-        first = (tmp_path / "out" / "winners.csv").read_bytes()
+        first = (tmp_path / "out" / "winners.csv").read_bytes()  # 2 workers
         doc = json.loads((tmp_path / "out" / "config.frozen.json").read_text())
-        doc["workers"] = 8
-        doc["output_dir"] = str(tmp_path / "out8")
-        path = tmp_path / "config8.json"
-        path.write_text(json.dumps(doc))
-        assert main(["--config", str(path), "run"]) == 0
-        assert (tmp_path / "out8" / "winners.csv").read_bytes() == first
+        for workers in (1, 4):
+            doc["workers"] = workers
+            doc["output_dir"] = str(tmp_path / f"out{workers}")
+            path = tmp_path / f"config{workers}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["--config", str(path), "run"]) == 0
+            assert (tmp_path / f"out{workers}" / "winners.csv").read_bytes() == first
         # the inline virtual-clock executor picks the same winners
         out = tmp_path / "out_sim"
         out.mkdir()

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from qdrive import estimator as estimator_module
 from qdrive.circuits import Circuit, Gate, ansatz_parameter_count
 from qdrive.config import bundled_profile_path
 from qdrive.estimator import Estimator
@@ -197,6 +198,27 @@ class TestNoisyTier:
             rng.uniform(-np.pi, np.pi, 16), rng.uniform(-np.pi, np.pi, 16)
         )
         assert 0.0 <= value <= 1.0
+
+    def test_overlaps_with_one_state_prepare_it_once(self, monkeypatch):
+        # a VQD evaluation with k priors evolves its state at 3 scales, not 3k
+        rng = RNG(21)
+        a, b1, b2 = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
+        reference = Estimator(q=2, tier="noisy", noise=torino_like(2), shots=2048, seed=22)
+        expected = []
+        for b in (b1, b2):
+            reference._heads.clear()  # prepare afresh for every overlap
+            expected.append(reference.overlap_lowdepth(a, b))
+        evolved = []
+        real = estimator_module.density_matrix
+
+        def counted(*args, **kwargs):
+            evolved.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "density_matrix", counted)
+        est = Estimator(q=2, tier="noisy", noise=torino_like(2), shots=2048, seed=22)
+        assert [est.overlap_lowdepth(a, b) for b in (b1, b2)] == expected
+        assert len(evolved) == 3
 
     def test_energy_assembly_matches_split_paths(self):
         grid_rng = RNG(20)

@@ -88,7 +88,7 @@ def test_seeded_outputs_match_golden(name, tmp_path):
 
 
 def test_noisy_outputs_do_not_depend_on_workers(tmp_path):
-    # two worker threads share the plan's noise model and its operator cache
+    # two worker processes, each filling its own copy of the operator cache
     out = run_case("noisy", tmp_path / "out", workers=2)
     for artifact in CASES["noisy"][2]:
         assert (out / artifact).read_bytes() == (GOLDEN / "noisy" / artifact).read_bytes()

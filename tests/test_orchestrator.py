@@ -1,7 +1,10 @@
+import os
 import time
+from concurrent.futures import Future
 
 import pytest
 
+from qdrive import orchestrator
 from qdrive.orchestrator import (
     TaskDag,
     TaskNode,
@@ -110,6 +113,52 @@ class TestExecute:
             executor(dag, workers=1)
             orders.append(seen)
         assert orders[0] == orders[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_run_in_child_processes(self, workers, tmp_path):
+        dag = build_dag({"even": 2}, 2, parities=("even",))
+
+        def payload(node, degraded):
+            (tmp_path / node.id).write_text(str(os.getpid()))
+
+        for node in dag.nodes.values():
+            node.payload = payload
+        trace = execute(dag, workers=workers)
+        assert all(e["status"] == "done" for e in trace)
+        pids = {int((tmp_path / nid).read_text()) for nid in dag.nodes}
+        if workers == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids
+
+    def test_pool_never_outnumbers_the_nodes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and runs nothing in another process."""
+
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(orchestrator, "_worker_dag", None)
+        dag = build_dag({"even": 2}, 2, parities=("even",))
+        trace = execute(dag, workers=10**6)
+        assert sizes == [len(dag.nodes)]
+        assert len(trace) == len(dag.nodes)
+        assert all(e["status"] == "done" for e in trace)
 
     @pytest.mark.parametrize("executor", [execute, execute_simulated])
     def test_failure_skips_descendants_but_pool_degrades(self, executor):
