@@ -7,7 +7,9 @@ state and a measured tail, and goes through one pipeline:
 1. *prepare* (:meth:`Estimator._prepare`): evolve the head of the circuit
    from |0..0>, as a statevector on the exact and shot tiers, or as the
    noisy density matrix rho of the head folded to a ZNE scale on the noisy
-   tier;
+   tier.  Prepared heads are kept for the last parameters, so the estimates
+   of one objective evaluation share them: on the exact and shot tiers every
+   word of every observable and every overlap reads the one ansatz state;
 2. *measure, sample and mitigate* (:meth:`Estimator._distribution`): the
    outcome distribution of the measured qubits after the tail.  The exact
    and shot tiers run the tail forward on the statevector.  The noisy tier
@@ -139,6 +141,8 @@ class Estimator:
         self.circuits_run = 0
         # per head kind, the last parameters' bytes and their states per scale
         self._heads: dict[str, tuple[bytes, dict[int, np.ndarray]]] = {}
+        # per prior's parameter bytes, its inverted ansatz: an overlap's tail
+        self._tails: dict[bytes, Circuit] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -223,15 +227,22 @@ class Estimator:
 
         The states of the last parameters are kept per ``kind``, so the
         several estimates of one objective evaluation that share a head
-        prepare it once.
+        prepare it once.  They are read-only: every estimate shares them.
         """
         key = np.asarray(params, dtype=float).tobytes()
         cached = self._heads.get(kind)
         if cached is None or cached[0] != key:
             circuit = head(build_ansatz(params, self.q))
-            cached = (key, {lam: self._prepare(circuit, lam) for lam in self._scales()})
-            self._heads[kind] = cached
+            states = {lam: self._prepare(circuit, lam) for lam in self._scales()}
+            for state in states.values():
+                state.setflags(write=False)
+            cached = self._heads[kind] = (key, states)
         return cached[1]
+
+    def _ansatz_states(self, params) -> dict[int, np.ndarray]:
+        """Per fold scale, the ansatz state itself, shared by every estimate
+        of the exact and shot tiers and by every tier's overlaps."""
+        return self._heads_for("ansatz", params, lambda c: c)
 
     def _hadamard_bases(self, params) -> dict[int, np.ndarray]:
         """Per fold scale, ancilla|0> (x) ansatz state, shared by every word."""
@@ -268,10 +279,14 @@ class Estimator:
         U(a) prepares the state and U(b)^dag is the measured tail; folding
         acts gate by gate, so the folded circuit splits the same way.  The
         states of the last ``params_a`` are kept, so overlaps of one state
-        with several priors prepare it once.
+        with several priors prepare it once, and each prior's tail is built
+        once.
         """
-        heads = self._heads_for("overlap", params_a, lambda c: c)
-        tail = build_ansatz(params_b, self.q).inverse()
+        heads = self._ansatz_states(params_a)
+        key = np.asarray(params_b, dtype=float).tobytes()
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
         xs = []
         for lam, head in heads.items():
             dist = self._distribution(head, tail, lam, None, "overlap")
@@ -299,7 +314,7 @@ class Estimator:
             bases = self._hadamard_bases(params)
             values = (self._hadamard(bases, word, "real") for word in words)
         else:
-            psi = self._prepare(build_ansatz(params, self.q))
+            psi = self._ansatz_states(params)[1]
             values = (self._word(psi, word) for word in words)
         for word, value in zip(words, values):
             acc += observable.terms[word] * value

@@ -23,8 +23,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import multiprocessing
+import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 KIND_RANK = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3}
@@ -245,6 +247,29 @@ def _run_in_worker(node_id: str, degraded: list[str]) -> dict:
     return _run_node(_worker_dag, node_id, degraded)
 
 
+def _fork_pool(size: int, dag: TaskDag) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=size,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(dag,),
+    )
+
+
+def _dead_workers(processes: list) -> str:
+    """Names and exit codes of the processes of a broken pool that died.
+
+    Once a worker dies the pool terminates the others, so those end with
+    -SIGTERM and are not named.
+    """
+    dead = [
+        f"{proc.name} (pid {proc.pid}, exit code {proc.exitcode})"
+        for proc in processes
+        if proc.exitcode != -signal.SIGTERM
+    ]
+    return ", ".join(dead) or "unknown"
+
+
 def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
     """Run every node payload with ``workers`` at a time; returns the
     execution trace with monotonic-clock start/finish times.
@@ -258,6 +283,12 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
     its processes at the first submit, before it starts a thread of its
     own.  One worker, or a DAG of one node, runs the payloads inline in the
     calling process.
+
+    A worker process that dies (a crash, ``os._exit``, the OOM killer)
+    breaks its pool: every node then running on it fails with an error that
+    names the dead worker, their descendants are skipped or degraded as for
+    any failure, and the remaining nodes run on a fresh pool of the same
+    size.
     """
     size = min(workers, len(dag.nodes))
     if size <= 1:  # at most one node runs at a time, so one event is pending
@@ -268,26 +299,41 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
             lambda: [events.pop()], time.monotonic,
         )
 
-    futures: set = set()
+    running: dict = {}  # future -> (node id, degraded inputs, submit time)
+    pool = _fork_pool(size, dag)
+
+    def start(node: TaskNode, degraded: list[str]) -> None:
+        fut = pool.submit(_run_in_worker, node.id, degraded)
+        running[fut] = (node.id, degraded, time.monotonic())
 
     def finished() -> list[dict]:
-        done, _ = wait(futures, return_when=FIRST_COMPLETED)
-        futures.difference_update(done)
-        return [fut.result() for fut in done]
+        nonlocal pool
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        error = None
+        if any(isinstance(fut.exception(), BrokenProcessPool) for fut in done):
+            # the pool lists its processes only privately, and shutdown drops the list
+            processes = list(pool._processes.values())
+            pool.shutdown()  # joins every worker and settles every future
+            error = f"BrokenProcessPool: worker {_dead_workers(processes)} died"
+            done = set(running)
+            pool = _fork_pool(size, dag)
+        events = []
+        for fut in done:
+            nid, degraded, begin = running.pop(fut)
+            if isinstance(fut.exception(), BrokenProcessPool):
+                events.append({
+                    "node": nid, "status": "failed", "error": error,
+                    "start": begin, "finish": time.monotonic(), "worker": None,
+                    "degraded_inputs": degraded,
+                })
+            else:
+                events.append(fut.result())
+        return events
 
-    with ProcessPoolExecutor(
-        max_workers=size,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(dag,),
-    ) as pool:
-        return _schedule(
-            dag, workers,
-            lambda node, degraded: futures.add(
-                pool.submit(_run_in_worker, node.id, degraded)
-            ),
-            finished, time.monotonic,
-        )
+    try:
+        return _schedule(dag, workers, start, finished, time.monotonic)
+    finally:
+        pool.shutdown()
 
 
 def execute_simulated(

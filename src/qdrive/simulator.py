@@ -7,6 +7,12 @@
   outcome projectors back through a noisy circuit, so that the circuit's
   outcome probabilities on any input state rho are Tr(M_y rho).
 
+A gate is one matrix product: the tensor's axes are permuted so that the
+gate's qubits come first (the permutation and its inverse are cached per
+tensor rank and qubit tuple), flattened to a 2^k-row matrix, multiplied,
+and permuted back.  A density matrix takes the gate on its ket axes and the
+conjugate gate on its bra axes.
+
 Density matrices stay small by design: at most a four-qubit ansatz plus one
 ancilla is ever simulated, i.e. a 32 x 32 matrix.  After each gate the noisy
 tier applies thermal relaxation on the gate's qubits (generalized amplitude
@@ -16,6 +22,7 @@ channel on the same qubits.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -26,23 +33,29 @@ from .circuits import Circuit, Gate
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_FIXED_1Q = {
+
+def _controlled(target: list) -> np.ndarray:
+    """|0><0| (x) I + |1><1| (x) target, control first."""
+    mat = np.eye(4, dtype=complex)
+    mat[2:, 2:] = target
+    return mat
+
+
+_FIXED = {
     "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "s": np.array([[1, 0], [0, 1j]], dtype=complex),
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-}
-
-_PAULI_TARGET = {
-    "cx": np.array([[0, 1], [1, 0]], dtype=complex),
-    "cy": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "cz": np.array([[1, 0], [0, -1]], dtype=complex),
+    "cx": _controlled([[0, 1], [1, 0]]),
+    "cy": _controlled([[0, -1j], [1j, 0]]),
+    "cz": _controlled([[1, 0], [0, -1]]),
 }
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind in _FIXED_1Q:
-        return _FIXED_1Q[gate.kind]
+    """The gate's unitary; a fixed gate's is a shared module constant."""
+    if gate.kind in _FIXED:
+        return _FIXED[gate.kind]
     if gate.kind == "ry":
         c, s = math.cos(gate.param / 2.0), math.sin(gate.param / 2.0)
         return np.array([[c, -s], [s, c]], dtype=complex)
@@ -51,18 +64,32 @@ def gate_matrix(gate: Gate) -> np.ndarray:
             [[np.exp(-0.5j * gate.param), 0], [0, np.exp(0.5j * gate.param)]],
             dtype=complex,
         )
-    if gate.kind in _PAULI_TARGET:
-        mat = np.eye(4, dtype=complex)
-        mat[2:, 2:] = _PAULI_TARGET[gate.kind]
-        return mat
     raise ValueError(f"no matrix for gate kind {gate.kind!r}")
 
 
-def _apply_unitary_state(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]):
-    k = len(qubits)
-    mt = mat.reshape((2,) * (2 * k))
-    psi = np.tensordot(mt, psi, axes=(tuple(range(k, 2 * k)), qubits))
-    return np.moveaxis(psi, tuple(range(k)), qubits)
+@functools.lru_cache(maxsize=None)
+def _contraction(ndim: int, axes: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Permutations (front, back) around a matrix acting on ``axes``.
+
+    ``front`` brings ``axes`` to the front, in their order, and keeps the
+    other axes in theirs; ``back`` is its inverse.
+    """
+    front = axes + tuple(i for i in range(ndim) if i not in axes)
+    back = tuple(sorted(range(ndim), key=front.__getitem__))
+    return front, back
+
+
+def _apply_matrix(t: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``mat`` (2^k x 2^k, big-endian over ``axes``) applied to the k axes of t.
+
+    Every axis of t has size 2 except possibly a trailing stack axis, which
+    is carried along.  This is one matrix product on the permuted tensor,
+    the product ``np.tensordot`` forms, so the result is bitwise the one of
+    ``tensordot`` followed by ``moveaxis``.
+    """
+    front, back = _contraction(t.ndim, axes)
+    flat = t.transpose(front).reshape(mat.shape[0], -1)
+    return np.dot(mat, flat).reshape(t.shape).transpose(back)
 
 
 def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -78,7 +105,7 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
     else:
         psi = np.asarray(initial).reshape((2,) * circuit.n_qubits)
     for gate in circuit.gates:
-        psi = _apply_unitary_state(psi, gate_matrix(gate), gate.qubits)
+        psi = _apply_matrix(psi, gate_matrix(gate), gate.qubits)
     return psi.reshape(-1)
 
 
@@ -318,13 +345,9 @@ def save_noise_profile(noise: NoiseModel, path) -> None:
 
 
 def _apply_unitary_rho(rho: np.ndarray, mat: np.ndarray, qubits, n: int):
-    k = len(qubits)
-    mt = mat.reshape((2,) * (2 * k))
-    rho = np.tensordot(mt, rho, axes=(tuple(range(k, 2 * k)), qubits))
-    rho = np.moveaxis(rho, tuple(range(k)), qubits)
-    bra = tuple(n + q for q in qubits)
-    rho = np.tensordot(mt.conj(), rho, axes=(tuple(range(k, 2 * k)), bra))
-    return np.moveaxis(rho, tuple(range(k)), bra)
+    """U rho U^dag: ``mat`` on the ket axes, then its conjugate on the bra axes."""
+    rho = _apply_matrix(rho, mat, qubits)
+    return _apply_matrix(rho, mat.conj(), tuple(n + q for q in qubits))
 
 
 def _apply_superop_1q(rho: np.ndarray, sop: np.ndarray, qubit: int, n: int):

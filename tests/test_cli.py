@@ -1,11 +1,13 @@
 import csv
 import json
 import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qdrive import cli
 from qdrive.cli import (
     _write_json,
     collect_winners,
@@ -260,6 +262,31 @@ class TestRun:
         doc["output_dir"] = str(tmp_path / "out")
         path = write_config(tmp_path, doc)
         assert main(["--config", path, "run", "--single-task", "nope"]) == 2
+
+
+def test_dead_worker_gives_exit_three(tmp_path, monkeypatch, capsys):
+    real = cli.make_payload
+
+    def make_payload(*args):
+        payload = real(*args)
+
+        def dying(node, degraded):
+            if node.id == "odd_r0_h1":
+                os._exit(1)
+            payload(node, degraded)
+
+        return dying
+
+    monkeypatch.setattr(cli, "make_payload", make_payload)  # forked workers inherit it
+    doc = dict(FAST_RUN, batch_size=1, n_states={"even": 1, "odd": 1})
+    doc["optimizer"] = {"hermitian_f_max": 64, "nonhermitian_f_max": 64}
+    doc["output_dir"] = str(tmp_path / "out")
+    assert main(["--config", write_config(tmp_path, doc), "run"]) == 3
+    assert "odd_r0_h1" in capsys.readouterr().err
+    trace = [json.loads(line) for line in (tmp_path / "out" / "trace.jsonl").open()]
+    event = next(e for e in trace if e["node"] == "odd_r0_h1")
+    assert event["status"] == "failed"
+    assert event["error"].startswith("BrokenProcessPool")
 
 
 class TestOutputRootEnv:

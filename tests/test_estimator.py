@@ -9,6 +9,7 @@ from qdrive import estimator as estimator_module
 from qdrive.circuits import Circuit, Gate, ansatz_parameter_count
 from qdrive.config import bundled_profile_path
 from qdrive.estimator import Estimator
+from qdrive.optimize import pseudovariance_objective, vqd_objective
 from qdrive.pauli import PauliSum, decompose
 from qdrive.simulator import NoiseModel, effective_povm, load_noise_profile, scale_noise
 from tests.test_simulator import torino_like
@@ -232,6 +233,79 @@ class TestNoisyTier:
         expected = np.vdot(psi, (h + 1j * v) @ psi)
         got = est.energy(params, h_sum, v_sum)
         assert got == pytest.approx(expected, abs=1e-10)
+
+
+class PreparedAfresh(Estimator):
+    """Forgets every prepared state before each estimate."""
+
+    def expectation(self, *args):
+        self._heads.clear()
+        return super().expectation(*args)
+
+    def overlap_lowdepth(self, *args):
+        self._heads.clear()
+        return super().overlap_lowdepth(*args)
+
+
+class TestSharedAnsatzState:
+    """The exact and shot tiers prepare the ansatz once per evaluation."""
+
+    @staticmethod
+    def problem(rng):
+        h_n, m = random_observable(2, rng, hermitian=False)
+        return h_n, decompose(m.conj().T @ m)
+
+    @staticmethod
+    def count_statevectors(monkeypatch) -> list:
+        calls = []
+        real = estimator_module.statevector
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "statevector", counted)
+        return calls
+
+    def test_pseudovariance_prepares_the_ansatz_once(self, monkeypatch):
+        rng = RNG(50)
+        h_n, h_dag_h = self.problem(rng)
+        est = Estimator(q=2, tier="statevector")
+        calls = self.count_statevectors(monkeypatch)
+        pseudovariance_objective(rng.uniform(-np.pi, np.pi, 16), h_n, h_dag_h, est)
+        assert len(calls) == 1
+        (state,) = est._heads["ansatz"][1].values()
+        with pytest.raises(ValueError, match="read-only"):
+            state[0] = 0.0
+
+    def test_vqd_prepares_one_head_and_one_tail_per_prior(self, monkeypatch):
+        rng = RNG(51)
+        h_h, _ = random_observable(2, rng)
+        params, *priors = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
+        est = Estimator(q=2, tier="statevector")
+        calls = self.count_statevectors(monkeypatch)
+        vqd_objective(params, h_h, priors, 10.0, est)
+        assert len(calls) == 1 + 2
+
+    @pytest.mark.parametrize("tier", ["statevector", "shots"])
+    def test_sharing_leaves_every_estimate_unchanged(self, tier):
+        rng = RNG(52)
+        h_n, h_dag_h = self.problem(rng)
+        h_h, _ = h_n.hermitian_split()
+        priors = [rng.uniform(-np.pi, np.pi, 16) for _ in range(2)]
+        values = []
+        for cls in (Estimator, PreparedAfresh):
+            est = cls(q=2, tier=tier, shots=4096, seed=53)
+            evals = np.random.default_rng(54)
+            values.append([
+                objective(evals.uniform(-np.pi, np.pi, 16))
+                for _ in range(3)
+                for objective in (
+                    lambda x: pseudovariance_objective(x, h_n, h_dag_h, est),
+                    lambda x: vqd_objective(x, h_h, priors, 10.0, est),
+                )
+            ])
+        assert values[0] == values[1]
 
 
 class TestTierConsistency:

@@ -141,11 +141,8 @@ class TestExecute:
                 sizes.append(max_workers)
                 initializer(*initargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self):
+                pass
 
             def submit(self, fn, *args):
                 future = Future()
@@ -159,6 +156,39 @@ class TestExecute:
         assert sizes == [len(dag.nodes)]
         assert len(trace) == len(dag.nodes)
         assert all(e["status"] == "done" for e in trace)
+
+    def test_dead_worker_fails_its_node_not_the_run(self, tmp_path):
+        # run 0's n1 dies after run 1's pool node has ended (with time for
+        # its result to arrive), so nothing else runs on the pool it breaks;
+        # the sort node then runs on a fresh pool
+        dag = build_dag({"even": 1}, 2, parities=("even",))
+        dying, marker = node_id("even", 0, "nonhermitian", 1), node_id("even", 1, "pool")
+
+        def payload(node, degraded):
+            if node.id == dying:
+                deadline = time.monotonic() + 60
+                while not (tmp_path / marker).exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.5)
+                os._exit(1)
+            (tmp_path / node.id).write_text(str(os.getpid()))
+
+        for node in dag.nodes.values():
+            node.payload = payload
+        trace = execute(dag, workers=2)
+        assert len(trace) == len(dag.nodes)
+        event = next(e for e in trace if e["node"] == dying)
+        assert event["status"] == "failed"
+        assert event["error"].startswith("BrokenProcessPool")
+        assert "exit code 1" in event["error"]
+        assert status_of(trace, node_id("even", 0, "pool")) == "skipped"
+        for nid in ["even_r0_h1", "even_r1_h1", "even_r1_n1", "even_r1_pool"]:
+            assert status_of(trace, nid) == "done"
+        sort = next(e for e in trace if e["node"] == node_id("even", 0, "sort"))
+        assert sort["status"] == "done"
+        assert sort["degraded_inputs"] == [node_id("even", 0, "pool")]
+        first_pool = {int((tmp_path / n).read_text()) for n in ["even_r0_h1", "even_r1_h1"]}
+        assert int((tmp_path / sort["node"]).read_text()) not in first_pool
 
     @pytest.mark.parametrize("executor", [execute, execute_simulated])
     def test_failure_skips_descendants_but_pool_degrades(self, executor):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdrive import simulator
 from qdrive.circuits import Circuit, Gate, build_ansatz
 from qdrive.config import bundled_profile_path
 from qdrive.simulator import (
@@ -122,6 +123,33 @@ class TestStatevector:
     def test_measure_gate_rejected(self):
         with pytest.raises(ValueError, match="measure"):
             statevector(Circuit(1, (Gate("measure", (0,)),)))
+
+
+def tensordot_kernel(t, mat, axes):
+    """Reference gate kernel: ``np.tensordot`` on the axes, then ``moveaxis``."""
+    k = len(axes)
+    mt = mat.reshape((2,) * (2 * k))
+    t = np.tensordot(mt, t, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(t, tuple(range(k)), axes)
+
+
+class TestGateKernel:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_bitwise_equal_to_tensordot(self, data):
+        n = data.draw(st.integers(1, 5), label="qubits")
+        k = data.draw(st.integers(1, min(2, n)), label="gate width")
+        axes = tuple(data.draw(st.permutations(range(n)), label="order")[:k])
+        stack = data.draw(st.sampled_from([(), (1,), (3,)]), label="stack")
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (2,) * n + stack
+        t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        if data.draw(st.booleans(), label="adjoint view"):
+            mat = mat.conj().T
+        got = simulator._apply_matrix(t, mat, axes)
+        assert got.shape == shape
+        assert np.array_equal(got, tensordot_kernel(t, mat, axes))
 
 
 class TestNoiseChannels:
