@@ -42,7 +42,7 @@ class Circuit:
 
     def __post_init__(self):
         for gate in self.gates:
-            if gate.kind not in _KINDS_1Q | _KINDS_2Q | {"measure"}:
+            if gate.kind not in _KINDS_1Q | _KINDS_2Q:
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
             if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
                 raise ValueError(
@@ -53,8 +53,6 @@ class Circuit:
                 raise ValueError(f"two-qubit gate needs two distinct qubits: {gate}")
 
     def inverse(self) -> "Circuit":
-        if any(g.kind == "measure" for g in self.gates):
-            raise ValueError("cannot invert a circuit containing measurements")
         return Circuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)))
 
     def shifted(self, offset: int, n_qubits: int) -> "Circuit":
@@ -64,17 +62,6 @@ class Circuit:
             for g in self.gates
         )
         return Circuit(n_qubits, gates)
-
-    def dump(self) -> str:
-        """Line-per-gate debug text."""
-        lines = []
-        for g in self.gates:
-            qubits = ",".join(str(q) for q in g.qubits)
-            if g.param is None:
-                lines.append(f"{g.kind} {qubits}")
-            else:
-                lines.append(f"{g.kind} {qubits} {g.param:.12g}")
-        return "\n".join(lines)
 
 
 def ansatz_parameter_count(q: int, layers: int = ANSATZ_LAYERS) -> int:

@@ -253,16 +253,21 @@ def write_table_csv(
     return failures
 
 
-def oracle_target_map(doc: dict) -> tuple[dict, dict]:
-    """Exact-diagonalization targets per (parity, kind) and per report label."""
+def _spectra(doc: dict):
+    """(parity, exact spectrum) of each parity channel of the config."""
     grid = build_grid(doc)
     model = build_model(doc)
     plan = build_plan(doc)
-    by_key: dict[tuple[str, str], complex] = {}
     for parity in plan.parities:
         basis = build_basis(parity, plan.q, grid)
         pair = project_hamiltonians(model, basis, grid)
-        spectrum = exact_diagonalize(pair, plan.thresholds)
+        yield parity, exact_diagonalize(pair, plan.thresholds)
+
+
+def oracle_target_map(doc: dict) -> tuple[dict, dict]:
+    """Exact-diagonalization targets per (parity, kind) and per report label."""
+    by_key: dict[tuple[str, str], complex] = {}
+    for parity, spectrum in _spectra(doc):
         for kind, energy in oracle_targets(spectrum).items():
             by_key[(parity, kind)] = energy
     labels = {
@@ -277,16 +282,8 @@ def oracle_target_map(doc: dict) -> tuple[dict, dict]:
 
 
 def cmd_diag(doc: dict) -> int:
-    if doc["q"] > 6:
-        raise ConfigError("config key 'q' must be at most 6 for diagonalization")
     out = resolve_output_dir(doc)
-    grid = build_grid(doc)
-    model = build_model(doc)
-    plan = build_plan(doc)
-    for parity in plan.parities:
-        basis = build_basis(parity, plan.q, grid)
-        pair = project_hamiltonians(model, basis, grid)
-        spectrum = exact_diagonalize(pair, plan.thresholds)
+    for parity, spectrum in _spectra(doc):
         (out / f"diag_{parity}.json").write_text(spectrum.to_json())
         with open(out / f"diag_{parity}.csv", "w", newline="") as fh:
             fh.write(DIAG_SCHEMA + "\n")
@@ -374,13 +371,6 @@ def cmd_sweep(doc: dict) -> int:
                             "reduction": reduction,
                             "longevity": longevity,
                             "repeat": repeat,
-                            "parity": "",
-                            "index": "",
-                            "sigma2": "",
-                            "fidelity_error": "",
-                            "energy_re": "",
-                            "energy_im": "",
-                            "classification": "",
                             "status": f"error: {exc}",
                         }
                     )

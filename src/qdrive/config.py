@@ -165,9 +165,19 @@ def validate_config(doc: dict) -> None:
             "config key 'workers' must be 1 here: more workers run in forked "
             "processes, and this platform cannot fork"
         )
-    for parity in doc.get("parities", []):
+    if doc["q"] > 6:
+        raise ConfigError(
+            f"config key 'q' = {doc['q']} is above 6: the exact-diagonalization "
+            "oracle takes at most 2**6 basis functions per channel"
+        )
+    parities = doc["parities"]
+    for parity in parities:
         if parity not in ("even", "odd"):
             raise ConfigError(f"config key 'parities' entries must be 'even' or 'odd'")
+    if not parities or len(set(parities)) != len(parities):
+        raise ConfigError(
+            f"config key 'parities' must be nonempty and distinct, got {parities}"
+        )
     try:
         n_points = build_grid(doc).n_points
         build_model(doc)
@@ -268,10 +278,11 @@ def resolve_noise(doc: dict) -> NoiseModel | None:
     if doc["tier"] != "noisy":
         return None
     path = doc["noise_profile"] or bundled_profile_path()
-    noise = load_noise_profile(path)
-    noise.gate_noise_reduction_factor = float(doc["gate_noise_reduction_factor"])
-    noise.qubit_longevity_factor = _longevity(doc["qubit_longevity_factor"])
-    return scale_noise(noise)
+    return scale_noise(
+        load_noise_profile(path),
+        reduction=float(doc["gate_noise_reduction_factor"]),
+        longevity=_longevity(doc["qubit_longevity_factor"]),
+    )
 
 
 def build_grid(doc: dict) -> Grid:

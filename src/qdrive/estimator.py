@@ -165,10 +165,6 @@ class Estimator:
         )
         return math.sqrt(ss / self.shots)
 
-    def ansatz_state(self, params) -> np.ndarray:
-        """Exact statevector of the ansatz (diagnostics and exact tiers)."""
-        return statevector(build_ansatz(params, self.q))
-
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
     def _prepare(self, circuit: Circuit, lam: int = 1) -> np.ndarray:

@@ -55,10 +55,6 @@ class ConfusionMatrix:
             p11=float(rows[1, 1]),
         )
 
-    @classmethod
-    def identity(cls) -> "ConfusionMatrix":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def forward(self, t0: float) -> float:
         """Noisy P(measure 0) for a true P(0) of t0."""
         return t0 * self.p00 + (1.0 - t0) * self.p10
@@ -222,9 +218,6 @@ def fold_circuit(circuit: Circuit, lam: int) -> Circuit:
     reps = (lam - 1) // 2
     gates: list[Gate] = []
     for gate in circuit.gates:
-        if gate.kind == "measure":
-            gates.append(gate)
-            continue
         gates.append(gate)
         inverse = gate.inverse()
         for _ in range(reps):

@@ -407,21 +407,3 @@ def export_dagman(
             ordered = [c for c in order if c in set(children)]
             lines.append(f"PARENT {nid} CHILD {' '.join(ordered)}")
     return "\n".join(lines) + "\n", submits
-
-
-def parse_dagman(text: str) -> tuple[set[str], set[tuple[str, str]]]:
-    """Inverse of :func:`export_dagman` for round-trip checks."""
-    jobs: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "JOB":
-            jobs.add(parts[1])
-        elif parts[0] == "PARENT":
-            split = parts.index("CHILD")
-            for parent in parts[1:split]:
-                for child in parts[split + 1 :]:
-                    edges.add((parent, child))
-    return jobs, edges

@@ -23,7 +23,6 @@ PAULI_1Q = {
 }
 
 PRUNE_TOL = 1e-14
-HERMITIAN_TOL = 1e-12
 
 # xy = iz and cyclic; reversed order flips the sign.
 _MUL = {
@@ -86,10 +85,6 @@ class PauliSum:
     def identity_word(self) -> str:
         return "I" * self.n_qubits
 
-    @property
-    def is_hermitian(self) -> bool:
-        return all(abs(c.imag) < HERMITIAN_TOL for c in self.terms.values())
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -134,29 +129,6 @@ class PauliSum:
                 mat += coeff * word_to_dense(word)
             self._dense = mat
         return self._dense
-
-    def to_text(self) -> str:
-        """Serialize as one ``coeff_re coeff_im WORD`` line per term."""
-        lines = [
-            f"{c.real:.17g} {c.imag:.17g} {w}"
-            for w, c in sorted(self.terms.items())
-        ]
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
-        terms: dict[str, complex] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            re_s, im_s, word = line.split()
-            terms[word] = terms.get(word, 0.0) + complex(float(re_s), float(im_s))
-        if n_qubits is None:
-            if not terms:
-                raise ValueError("cannot infer qubit count from empty text")
-            n_qubits = len(next(iter(terms)))
-        return cls(n_qubits, terms)
 
 
 def decompose(matrix: np.ndarray) -> PauliSum:

@@ -8,21 +8,18 @@ state index keeps the record with the lowest pseudovariance.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import pauli
-from .circuits import ansatz_parameter_count, build_ansatz, random_initial_params
+from .circuits import build_ansatz, random_initial_params
 from .estimator import Estimator
 from .model import (
     ClassifierThresholds,
     Grid,
     HamiltonianPair,
     PotentialModel,
-    SineBasis,
     build_basis,
     classify_state,
     exact_diagonalize,
@@ -49,7 +46,7 @@ KIND_CODE = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3, "init": 4}
 
 @dataclass
 class ChannelProblem:
-    """Pauli-space operators of one parity channel plus the grid context."""
+    """Pauli-space operators of one parity channel and its projected pair."""
 
     parity: str
     q: int
@@ -58,9 +55,6 @@ class ChannelProblem:
     h_n: pauli.PauliSum
     h_dag_h: pauli.PauliSum
     pair: HamiltonianPair
-    basis: SineBasis
-    grid: Grid
-    model: PotentialModel
 
 
 def build_problem(
@@ -80,9 +74,6 @@ def build_problem(
         h_n=h_n,
         h_dag_h=h_dag_h,
         pair=pair,
-        basis=basis,
-        grid=grid,
-        model=model,
     )
 
 
@@ -297,8 +288,8 @@ def filter_spurious(
         record.classification = classify_state(
             record.energy,
             coeffs,
-            problem.basis,
-            problem.model,
+            problem.pair.basis,
+            problem.pair.model,
             sigma2=record.sigma2,
             thresholds=thresholds,
         )
@@ -353,11 +344,3 @@ def match_targets(
             continue
         out[label] = min(candidates, key=lambda w: abs(w.energy_re - target.real))
     return out
-
-
-def records_to_json(records: list[ResonanceRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2)
-
-
-def records_from_json(text: str) -> list[ResonanceRecord]:
-    return [ResonanceRecord.from_dict(doc) for doc in json.loads(text)]

@@ -97,8 +97,6 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
 
     The circuit acts on |0..0>, or on the flat state ``initial`` if given.
     """
-    if any(g.kind == "measure" for g in circuit.gates):
-        raise ValueError("statevector simulation does not accept measure gates")
     if initial is None:
         psi = np.zeros((2,) * circuit.n_qubits, dtype=complex)
         psi[(0,) * circuit.n_qubits] = 1.0
@@ -158,9 +156,6 @@ class NoiseModel:
     """Per-qubit relaxation, depolarizing gate errors, and readout confusion.
 
     ``readout[q]`` rows are (true state -> measured state) probabilities.
-    ``gate_noise_reduction_factor`` and ``qubit_longevity_factor`` describe a
-    hypothetical better processor; they are consumed by :func:`scale_noise`
-    and ignored by the simulator itself.
     """
 
     t1_us: np.ndarray
@@ -171,8 +166,6 @@ class NoiseModel:
     p1: float
     p2: float
     readout: np.ndarray  # (n, 2, 2)
-    gate_noise_reduction_factor: float = 1.0
-    qubit_longevity_factor: float | None = None
     name: str = "custom"
     _relax_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _povm_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -196,8 +189,6 @@ class NoiseModel:
                 raise ValueError(f"{label} outside [0, 1]")
         if not np.allclose(self.readout.sum(axis=2), 1.0, atol=1e-9):
             raise ValueError("readout confusion rows must sum to 1")
-        if self.gate_noise_reduction_factor <= 0:
-            raise ValueError("gate_noise_reduction_factor must be positive")
 
     @property
     def n_qubits(self) -> int:
@@ -263,18 +254,21 @@ class NoiseModel:
         return cached
 
 
-def scale_noise(noise: NoiseModel) -> NoiseModel:
-    """Apply the gate-noise-reduction and qubit-longevity factors.
+def scale_noise(
+    noise: NoiseModel, reduction: float = 1.0, longevity: float | None = None
+) -> NoiseModel:
+    """The model of a hypothetical better processor.
 
-    Depolarizing probabilities are divided by the reduction factor.  The
-    longevity factor sets T1 to (leading digit of baseline T1) times the
-    factor, preserving the T2/T1 ratio; an infinite factor removes thermal
-    relaxation entirely.
+    Depolarizing probabilities are divided by the gate-noise ``reduction``
+    factor.  The qubit ``longevity`` factor, if given, sets T1 to (leading
+    digit of baseline T1) times the factor, preserving the T2/T1 ratio; an
+    infinite factor removes thermal relaxation entirely.
     """
-    p1 = noise.p1 / noise.gate_noise_reduction_factor
-    p2 = noise.p2 / noise.gate_noise_reduction_factor
+    if reduction <= 0:
+        raise ValueError("gate noise reduction factor must be positive")
+    p1 = noise.p1 / reduction
+    p2 = noise.p2 / reduction
     t1, t2 = noise.t1_us.copy(), noise.t2_us.copy()
-    longevity = noise.qubit_longevity_factor
     if longevity is not None:
         if math.isinf(longevity):
             t1 = np.full_like(t1, math.inf)
@@ -292,8 +286,6 @@ def scale_noise(noise: NoiseModel) -> NoiseModel:
         t2_us=t2,
         p1=p1,
         p2=p2,
-        gate_noise_reduction_factor=1.0,
-        qubit_longevity_factor=None,
         _relax_cache={},
         _povm_cache={},
     )
@@ -317,22 +309,6 @@ def load_noise_profile(path) -> NoiseModel:
         )
     except KeyError as exc:
         raise ValueError(f"noise profile missing key {exc.args[0]!r}") from exc
-
-
-def save_noise_profile(noise: NoiseModel, path) -> None:
-    doc = {
-        "name": noise.name,
-        "t1_us": noise.t1_us.tolist(),
-        "t2_us": noise.t2_us.tolist(),
-        "excited_population": noise.excited_population.tolist(),
-        "gate_time_1q_us": noise.gate_time_1q_us,
-        "gate_time_2q_us": noise.gate_time_2q_us,
-        "p1": noise.p1,
-        "p2": noise.p2,
-        "readout": noise.readout.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -406,27 +382,6 @@ def apply_gate_noise_adjoint(op: np.ndarray, gate: Gate, noise: NoiseModel, n: i
     return op
 
 
-def apply_noise_channels(rho: np.ndarray, gate: Gate, noise: NoiseModel) -> np.ndarray:
-    """Public entry point operating on a flat (2^n x 2^n) density matrix."""
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    if rho.shape != (dim, dim) or 2**n != dim:
-        raise ValueError(f"bad density matrix shape {rho.shape}")
-    validate_density_matrix(rho)
-    tensor = rho.reshape((2,) * (2 * n))
-    tensor = apply_gate_noise(tensor, gate, noise, n)
-    return tensor.reshape(dim, dim)
-
-
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
-    if abs(np.trace(rho) - 1.0) > 1e-6:
-        raise ValueError(f"density matrix trace {np.trace(rho):.6f} != 1")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-        raise ValueError("density matrix is not Hermitian")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -tol:
-        raise ValueError("density matrix is not positive semidefinite")
-
-
 def _check_profile(circuit: Circuit, noise: NoiseModel | None) -> None:
     if noise is not None and noise.n_qubits < circuit.n_qubits:
         raise ValueError(
@@ -446,8 +401,6 @@ def density_matrix(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndar
     rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho[(0,) * (2 * n)] = 1.0
     for gate in circuit.gates:
-        if gate.kind == "measure":
-            continue
         rho = _apply_unitary_rho(rho, gate_matrix(gate), gate.qubits, n)
         if noise is not None:
             rho = apply_gate_noise(rho, gate, noise, n)
@@ -470,8 +423,6 @@ def adjoint_density_matrix(
     op = np.asarray(operator, dtype=complex).reshape((-1,) + (2,) * (2 * n))
     op = np.moveaxis(op, 0, -1)
     for gate in reversed(circuit.gates):
-        if gate.kind == "measure":
-            continue
         if noise is not None:
             op = apply_gate_noise_adjoint(op, gate, noise, n)
         op = _apply_unitary_rho(op, gate_matrix(gate).conj().T, gate.qubits, n)

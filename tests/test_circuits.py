@@ -59,9 +59,9 @@ class TestCircuit:
         psi = statevector(identity)
         assert abs(psi[0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_dump_roundtrips_visually(self):
-        circuit = Circuit(2, (Gate("ry", (0,), 0.5), Gate("cx", (0, 1))))
-        assert circuit.dump().splitlines() == ["ry 0 0.5", "cx 0,1"]
+    def test_measure_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate kind 'measure'"):
+            Circuit(1, (Gate("measure", (0,)),))
 
 
 class TestHadamardCircuit:

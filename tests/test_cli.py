@@ -85,6 +85,9 @@ class TestConfig:
         cases.append((["--set", "model.n_points=16", "--set", "q=3"], "'q'"))
         cases.append((["--set", "model.n_points=100"], "'model'"))
         cases.append((["--set", "q=0"], "'q'"))
+        cases.append((["--set", "q=7"], "'q'"))
+        cases.append((["--set", 'parities=["even","even"]'], "'parities'"))
+        cases.append((["--set", "parities=[]"], "'parities'"))
         cases.append((["--set", "sweep.reduction_factors=[0]"], "sweep.reduction_factors"))
         cases.append((["--set", "sweep.longevity_factors=[-1]"], "sweep.longevity_factors"))
         cases.append((["--set", 'sweep.longevity_factors=["never"]'], "sweep.longevity_factors"))

@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from qdrive import estimator as estimator_module
-from qdrive.circuits import Circuit, Gate, ansatz_parameter_count
+from qdrive.circuits import Circuit, Gate, ansatz_parameter_count, build_ansatz
 from qdrive.config import bundled_profile_path
 from qdrive.estimator import Estimator
 from qdrive.optimize import pseudovariance_objective, vqd_objective
 from qdrive.pauli import PauliSum, decompose
-from qdrive.simulator import NoiseModel, effective_povm, load_noise_profile, scale_noise
+from qdrive.simulator import (
+    NoiseModel,
+    effective_povm,
+    load_noise_profile,
+    scale_noise,
+    statevector,
+)
 from tests.test_simulator import torino_like
 
 RNG = np.random.default_rng
@@ -45,7 +51,7 @@ class TestStatevectorTier:
         obs, dense = random_observable(2, rng)
         for _ in range(5):
             params = rng.uniform(-np.pi, np.pi, 16)
-            psi = est.ansatz_state(params)
+            psi = statevector(build_ansatz(params, est.q))
             expected = np.vdot(psi, dense @ psi)
             got = est.expectation(obs, params)
             assert got == pytest.approx(expected, abs=1e-10)
@@ -80,7 +86,7 @@ class TestHadamardTest:
 
         for _ in range(3):
             params = rng.uniform(-np.pi, np.pi, 16)
-            psi = est.ansatz_state(params)
+            psi = statevector(build_ansatz(params, est.q))
             expected = np.vdot(psi, word_to_dense(word) @ psi).real
             assert est.expectation_hadamard_test(params, word) == pytest.approx(
                 expected, abs=1e-10
@@ -94,7 +100,7 @@ class TestHadamardTest:
         exact_est = Estimator(q=2, tier="statevector")
         shot_est = Estimator(q=2, tier="shots", shots=n, seed=5)
         params = rng.uniform(-np.pi, np.pi, 16)
-        psi = exact_est.ansatz_state(params)
+        psi = statevector(build_ansatz(params, exact_est.q))
         expected = np.vdot(psi, word_to_dense("XZ") @ psi).real
         got = shot_est.expectation_hadamard_test(params, "XZ")
         # x = 2 p0 - 1: sd of x is 2 sqrt(p(1-p)/n) <= 1/sqrt(n)
@@ -120,7 +126,9 @@ class TestOverlap:
         for _ in range(5):
             a = rng.uniform(-np.pi, np.pi, 16)
             b = rng.uniform(-np.pi, np.pi, 16)
-            expected = abs(np.vdot(est.ansatz_state(b), est.ansatz_state(a))) ** 2
+            psi_a = statevector(build_ansatz(a, est.q))
+            psi_b = statevector(build_ansatz(b, est.q))
+            expected = abs(np.vdot(psi_b, psi_a)) ** 2
             assert est.overlap_lowdepth(a, b) == pytest.approx(expected, abs=1e-10)
 
 
@@ -229,7 +237,7 @@ class TestNoisyTier:
         h_sum, v_sum = decompose(h.astype(complex)), decompose(v.astype(complex))
         est = Estimator(q=2, tier="statevector")
         params = grid_rng.uniform(-np.pi, np.pi, 16)
-        psi = est.ansatz_state(params)
+        psi = statevector(build_ansatz(params, est.q))
         expected = np.vdot(psi, (h + 1j * v) @ psi)
         got = est.energy(params, h_sum, v_sum)
         assert got == pytest.approx(expected, abs=1e-10)
@@ -339,9 +347,7 @@ class TestPovmCache:
 
     def profile_and_reduced(self):
         profile = load_noise_profile(bundled_profile_path())
-        reduced = load_noise_profile(bundled_profile_path())
-        reduced.gate_noise_reduction_factor = 1e4
-        return scale_noise(profile), scale_noise(reduced)
+        return scale_noise(profile), scale_noise(profile, reduction=1e4)
 
     def test_scale_noise_starts_an_empty_cache(self):
         profile, _ = self.profile_and_reduced()

@@ -34,7 +34,7 @@ WORKED_TRIPLES = [
 
 class TestReadoutInvert:
     def test_identity_matrix_passthrough(self):
-        t0, t1, clamped = readout_invert(0.6, ConfusionMatrix.identity())
+        t0, t1, clamped = readout_invert(0.6, ConfusionMatrix(1.0, 0.0, 0.0, 1.0))
         assert t0 == pytest.approx(0.6)
         assert t1 == pytest.approx(0.4)
         assert not clamped
@@ -90,7 +90,7 @@ class TestInvertDistribution:
 
     def test_identity_matrices_noop(self):
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        out, clamped = invert_distribution(p, [ConfusionMatrix.identity()] * 2)
+        out, clamped = invert_distribution(p, [ConfusionMatrix(1.0, 0.0, 0.0, 1.0)] * 2)
         assert np.allclose(out, p)
         assert not clamped
 

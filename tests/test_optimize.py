@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdrive import pauli
+from qdrive.circuits import build_ansatz
 from qdrive.estimator import Estimator
 from qdrive.model import Grid, PotentialModel, build_basis, project_hamiltonians
 from qdrive.optimize import (
@@ -15,6 +16,7 @@ from qdrive.optimize import (
     wrap_angles,
 )
 from qdrive.pauli import PauliSum, decompose
+from qdrive.simulator import statevector
 
 BENCHMARK = PotentialModel(lam=0.1, j=0.8, x0=8.0)
 
@@ -173,8 +175,8 @@ class TestVqdObjective:
         rng = np.random.default_rng(2)
         params = rng.uniform(-np.pi, np.pi, 16)
         prior = rng.uniform(-np.pi, np.pi, 16)
-        psi = est.ansatz_state(params)
-        chi = est.ansatz_state(prior)
+        psi = statevector(build_ansatz(params, est.q))
+        chi = statevector(build_ansatz(prior, est.q))
         expected = np.vdot(psi, pair.h_h @ psi).real + 100.0 * abs(np.vdot(chi, psi)) ** 2
         got = vqd_objective(params, h_h, [prior], 100.0, est)
         assert got == pytest.approx(expected, abs=1e-9)
@@ -240,7 +242,7 @@ class TestPseudovariance:
         est = Estimator(q=2, tier="statevector")
         rng = np.random.default_rng(4)
         params = rng.uniform(-np.pi, np.pi, 16)
-        psi = est.ansatz_state(params)
+        psi = statevector(build_ansatz(params, est.q))
         dense = pair.h_n
         expected = np.vdot(psi, dense.conj().T @ dense @ psi).real - abs(
             np.vdot(psi, dense @ psi)

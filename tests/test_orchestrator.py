@@ -13,8 +13,25 @@ from qdrive.orchestrator import (
     execute_simulated,
     export_dagman,
     node_id,
-    parse_dagman,
 )
+
+
+def parse_dagman(text: str) -> tuple[set[str], set[tuple[str, str]]]:
+    """Jobs and (parent, child) edges of a DAGMan description."""
+    jobs: set[str] = set()
+    edges: set[tuple[str, str]] = set()
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "JOB":
+            jobs.add(parts[1])
+        elif parts[0] == "PARENT":
+            split = parts.index("CHILD")
+            for parent in parts[1:split]:
+                for child in parts[split + 1 :]:
+                    edges.add((parent, child))
+    return jobs, edges
 
 
 def interval(trace, node):

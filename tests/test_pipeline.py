@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from qdrive.circuits import build_ansatz
 from qdrive.config import build_plan, load_config
 from qdrive.estimator import Estimator
 from qdrive.model import (
@@ -16,11 +19,10 @@ from qdrive.pipeline import (
     filter_spurious,
     match_targets,
     pool_batches,
-    records_from_json,
-    records_to_json,
     run_hermitian_stage,
     run_nonhermitian_stage,
 )
+from qdrive.simulator import statevector
 
 BENCHMARK = PotentialModel(lam=0.1, j=0.8, x0=8.0)
 
@@ -107,7 +109,8 @@ class TestNonHermitianStage:
 
     def test_record_serialization(self):
         record = make_record()
-        back = records_from_json(records_to_json([record]))[0]
+        text = json.dumps([record.to_dict()])
+        back = ResonanceRecord.from_dict(json.loads(text)[0])
         assert back == record
 
 
@@ -261,7 +264,7 @@ class TestMatchTargets:
 class TestParitySeparation:
     def test_even_channel_states_have_even_densities(self, q2_even, sv_plan):
         stage = run_hermitian_stage(1, [], q2_even, sv_plan, run_id=0)
-        coeffs = Estimator(q=2, tier="statevector").ansatz_state(np.asarray(stage["theta"]))
-        psi = coeffs @ q2_even.basis.functions
+        coeffs = statevector(build_ansatz(np.asarray(stage["theta"]), 2))
+        psi = coeffs @ q2_even.pair.basis.functions
         dens = np.abs(psi)
         assert np.max(np.abs(dens - dens[::-1])) < 1e-6
