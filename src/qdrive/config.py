@@ -145,13 +145,11 @@ def validate_config(doc: dict) -> None:
         expected, allowed = _SCALAR_SCHEMA[path]
         if isinstance(expected, type):
             expected = (expected,)
-        # bool is an int subclass; require exact bool where schema says bool
+        # bool is an int subclass: only a bool key takes true/false
         if bool in expected:
             if not isinstance(value, bool):
                 raise ConfigError(f"config key {path!r} must be a boolean")
-        elif isinstance(value, bool) and int in expected and float not in expected:
-            raise ConfigError(f"config key {path!r} must be an integer")
-        elif not isinstance(value, tuple(expected)):
+        elif isinstance(value, bool) or not isinstance(value, tuple(expected)):
             raise ConfigError(
                 f"config key {path!r} has type {type(value).__name__}, "
                 f"expected {'/'.join(t.__name__ for t in expected)}"
@@ -303,6 +301,9 @@ def build_plan(doc: dict) -> RunPlan:
         max_iterations=opt["hermitian_max_iterations"],
         f_max=opt["hermitian_f_max"],
         reset_interval=opt["reset_interval"],
+        retries=opt["retries"],
+        r_beg=float(opt["r_beg"]),
+        f_tol=float(opt["f_tol"]),
         p_beg=float(opt["p_beg"]),
     )
     nonhermitian_cfg = OptimizerConfig(

@@ -30,8 +30,6 @@ import scipy.optimize
 from .estimator import Estimator
 from .pauli import PauliSum
 
-DEFAULT_PENALTY = 100.0
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:

@@ -10,24 +10,24 @@ Pool and sort nodes are gather points: they run in degraded mode when at
 least one input artifact exists even if sibling branches failed, so one
 broken run never voids a batch.
 
-With more than one worker, :func:`execute` runs the payloads in forked
-worker processes, so stages that are pure-Python optimizer work run in
+With more than one worker, :func:`execute` forks worker processes of its
+own, one pipe each, so stages that are pure-Python optimizer work run in
 parallel instead of taking turns on one interpreter lock.  The workers
 inherit the DAG, its payload closures and everything they reach through
-fork; only node ids go to them and only trace events come back, and
-payloads hand their results to each other as artifact files.  With one
-worker the payloads run inline in the calling process.
+fork; only node ids go down a pipe and only trace events come back, and
+payloads hand their results to each other as artifact files.  A worker that
+dies fails only the node it was running.  With one worker the payloads run
+inline in the calling process.
 """
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import multiprocessing
-import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 
 KIND_RANK = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3}
 
@@ -222,15 +222,6 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     return trace
 
 
-_worker_dag: TaskDag | None = None  # set in each pool worker by _adopt
-
-
-def _adopt(dag: TaskDag) -> None:
-    """Pool initializer: keep the DAG that the worker inherited by fork."""
-    global _worker_dag
-    _worker_dag = dag
-
-
 def _run_node(dag: TaskDag, node_id: str, degraded: list[str]) -> dict:
     """Run one node's payload in this process; returns its trace event."""
     node = dag.nodes[node_id]
@@ -243,52 +234,46 @@ def _run_node(dag: TaskDag, node_id: str, degraded: list[str]) -> dict:
     }
 
 
-def _run_in_worker(node_id: str, degraded: list[str]) -> dict:
-    return _run_node(_worker_dag, node_id, degraded)
+def _serve(dag: TaskDag, conn: Connection) -> None:
+    """Worker loop: run each (node id, degraded inputs) received until None."""
+    for request in iter(conn.recv, None):
+        conn.send(_run_node(dag, *request))
 
 
-def _fork_pool(size: int, dag: TaskDag) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=size,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(dag,),
-    )
+def _fork_worker(dag: TaskDag) -> tuple[Connection, multiprocessing.Process]:
+    """Fork a worker that inherits ``dag``; returns this end of its pipe and
+    the process.  Only the worker keeps the other end, so its death reads as
+    EOF here."""
+    conn, child_end = multiprocessing.Pipe()
+    proc = multiprocessing.get_context("fork").Process(target=_serve, args=(dag, child_end))
+    proc.start()
+    child_end.close()
+    return conn, proc
 
 
-def _dead_workers(processes: list) -> str:
-    """Names and exit codes of the processes of a broken pool that died.
-
-    Once a worker dies the pool terminates the others, so those end with
-    -SIGTERM and are not named.
-    """
-    dead = [
-        f"{proc.name} (pid {proc.pid}, exit code {proc.exitcode})"
-        for proc in processes
-        if proc.exitcode != -signal.SIGTERM
-    ]
-    return ", ".join(dead) or "unknown"
+def _stop(conn: Connection, proc: multiprocessing.Process) -> None:
+    """Tell a worker to stop, wait for it to exit and close its pipe."""
+    with contextlib.suppress(ConnectionError):  # it may have died already
+        conn.send(None)
+    proc.join()
+    conn.close()
 
 
 def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
     """Run every node payload with ``workers`` at a time; returns the
     execution trace with monotonic-clock start/finish times.
 
-    More than one worker runs the payloads on a pool of
-    ``min(workers, len(dag.nodes))`` processes started with the ``fork``
-    method.  Fork hands each of them the DAG through the pool initializer
-    without pickling it, so payloads may be closures over unpicklable state;
-    a worker gets a node id and its degraded inputs, and returns the trace
-    event, whose ``worker`` is the process name.  A fork pool starts all
-    its processes at the first submit, before it starts a thread of its
-    own.  One worker, or a DAG of one node, runs the payloads inline in the
-    calling process.
+    More than one worker forks ``min(workers, len(dag.nodes))`` workers
+    once.  Each gets a node id and its degraded inputs down its pipe, runs
+    the payload and sends back the trace event, whose ``worker`` is its
+    process name; this process waits on the pipes of the busy workers.  One
+    worker, or a DAG of one node, runs the payloads inline.
 
-    A worker process that dies (a crash, ``os._exit``, the OOM killer)
-    breaks its pool: every node then running on it fails with an error that
-    names the dead worker, their descendants are skipped or degraded as for
-    any failure, and the remaining nodes run on a fresh pool of the same
-    size.
+    A worker that dies (a crash, ``os._exit``, the OOM killer) reads as EOF
+    on its pipe.  Only its node fails, with an error that names the worker,
+    its pid and its exit code; a new worker is forked in its place and the
+    other running nodes carry on.  Every worker is stopped and joined before
+    this returns or raises.
     """
     size = min(workers, len(dag.nodes))
     if size <= 1:  # at most one node runs at a time, so one event is pending
@@ -299,41 +284,49 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
             lambda: [events.pop()], time.monotonic,
         )
 
-    running: dict = {}  # future -> (node id, degraded inputs, submit time)
-    pool = _fork_pool(size, dag)
+    procs: dict[Connection, multiprocessing.Process] = {}
+    idle: list[Connection] = []
+    busy: dict = {}  # connection -> (node id, degraded inputs, start time)
+
+    def fork() -> None:
+        conn, proc = _fork_worker(dag)
+        procs[conn] = proc
+        idle.append(conn)
 
     def start(node: TaskNode, degraded: list[str]) -> None:
-        fut = pool.submit(_run_in_worker, node.id, degraded)
-        running[fut] = (node.id, degraded, time.monotonic())
+        conn = idle.pop()
+        with contextlib.suppress(ConnectionError):  # died idle: finished() reads EOF
+            conn.send((node.id, degraded))
+        busy[conn] = (node.id, degraded, time.monotonic())
 
     def finished() -> list[dict]:
-        nonlocal pool
-        done, _ = wait(running, return_when=FIRST_COMPLETED)
-        error = None
-        if any(isinstance(fut.exception(), BrokenProcessPool) for fut in done):
-            # the pool lists its processes only privately, and shutdown drops the list
-            processes = list(pool._processes.values())
-            pool.shutdown()  # joins every worker and settles every future
-            error = f"BrokenProcessPool: worker {_dead_workers(processes)} died"
-            done = set(running)
-            pool = _fork_pool(size, dag)
         events = []
-        for fut in done:
-            nid, degraded, begin = running.pop(fut)
-            if isinstance(fut.exception(), BrokenProcessPool):
-                events.append({
+        for conn in wait(list(busy)):
+            nid, degraded, begin = busy.pop(conn)
+            try:
+                event = conn.recv()
+            except (EOFError, ConnectionError):  # the worker died
+                proc = procs.pop(conn)
+                _stop(conn, proc)
+                error = f"worker {proc.name} (pid {proc.pid}) died with exit code {proc.exitcode}"
+                event = {
                     "node": nid, "status": "failed", "error": error,
-                    "start": begin, "finish": time.monotonic(), "worker": None,
+                    "start": begin, "finish": time.monotonic(), "worker": proc.name,
                     "degraded_inputs": degraded,
-                })
+                }
+                fork()
             else:
-                events.append(fut.result())
+                idle.append(conn)
+            events.append(event)
         return events
 
     try:
+        for _ in range(size):
+            fork()
         return _schedule(dag, workers, start, finished, time.monotonic)
     finally:
-        pool.shutdown()
+        for conn, proc in procs.items():
+            _stop(conn, proc)
 
 
 def execute_simulated(

@@ -93,6 +93,10 @@ class TestConfig:
         cases.append((["--set", 'sweep.longevity_factors=["never"]'], "sweep.longevity_factors"))
         cases.append((["--set", "gate_noise_reduction_factor=0"], "gate_noise_reduction_factor"))
         cases.append((["--set", "qubit_longevity_factor=0"], "qubit_longevity_factor"))
+        # a boolean is an int to Python, but no number key takes one
+        cases.append((["--set", "model.lam=true"], "model.lam"))
+        cases.append((["--set", "optimizer.f_tol=true"], "optimizer.f_tol"))
+        cases.append((["--set", "dedup_overlap_tol=false"], "dedup_overlap_tol"))
         out = str(tmp_path / "out")
         for args, key in cases:
             code = main(["--set", f"output_dir={out}", *args, "run"])
@@ -116,6 +120,14 @@ class TestConfig:
     def test_p_beg_reaches_the_simplex(self):
         plan = build_plan(load_config(None, {"optimizer": {"p_beg": 0.3}}))
         assert plan.hermitian_cfg.p_beg == 0.3
+
+    def test_trust_region_settings_reach_the_nft_downgrade(self):
+        # an NFT stage that downgrades runs trust_region on its own config
+        overrides = {"optimizer": {"r_beg": 0.25, "retries": 5, "f_tol": 0.01}}
+        plan = build_plan(load_config(None, {"tier": "shots", **overrides}))
+        assert plan.hermitian_cfg.kind == "nft"
+        for cfg in (plan.hermitian_cfg, plan.nonhermitian_cfg):
+            assert (cfg.r_beg, cfg.retries, cfg.f_tol) == (0.25, 5, 0.01)
 
     def test_override_flags(self, tmp_path):
         path = write_config(tmp_path, {"q": 3})
@@ -285,11 +297,17 @@ def test_dead_worker_gives_exit_three(tmp_path, monkeypatch, capsys):
     doc["optimizer"] = {"hermitian_f_max": 64, "nonhermitian_f_max": 64}
     doc["output_dir"] = str(tmp_path / "out")
     assert main(["--config", write_config(tmp_path, doc), "run"]) == 3
-    assert "odd_r0_h1" in capsys.readouterr().err
-    trace = [json.loads(line) for line in (tmp_path / "out" / "trace.jsonl").open()]
-    event = next(e for e in trace if e["node"] == "odd_r0_h1")
+    out, err = capsys.readouterr()
+    assert "odd_r0_h1" in err and "Traceback" not in err
+    # the even channel ran beside the dying node and finished
+    assert any(line.startswith("bound: E = ") for line in out.splitlines())
+    trace = {e["node"]: e for e in map(json.loads, (tmp_path / "out" / "trace.jsonl").open())}
+    event = trace["odd_r0_h1"]
     assert event["status"] == "failed"
-    assert event["error"].startswith("BrokenProcessPool")
+    assert event["error"].startswith(f"worker {event['worker']} (pid ")
+    assert event["error"].endswith("died with exit code 1")
+    for nid in ("even_r0_h1", "even_sort"):
+        assert trace[nid]["status"] == "done"
 
 
 class TestOutputRootEnv:

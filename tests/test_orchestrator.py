@@ -1,6 +1,8 @@
+import multiprocessing
 import os
+import sys
 import time
-from concurrent.futures import Future
+import warnings
 
 import pytest
 
@@ -148,64 +150,102 @@ class TestExecute:
         else:
             assert os.getpid() not in pids
 
-    def test_pool_never_outnumbers_the_nodes(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Records the pool size and runs nothing in another process."""
-
-            def __init__(self, max_workers, initializer, initargs, **kwargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def shutdown(self):
-                pass
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(orchestrator, "_worker_dag", None)
+    def test_workers_never_outnumber_the_nodes(self, monkeypatch):
         dag = build_dag({"even": 2}, 2, parities=("even",))
+        real, forks = orchestrator._fork_worker, []
+
+        def counted(*args):
+            forks.append(args)
+            if len(forks) > len(dag.nodes):  # a broken cap stops here, not at 10**6
+                raise RuntimeError("forked more workers than there are nodes")
+            return real(*args)
+
+        monkeypatch.setattr(orchestrator, "_fork_worker", counted)
         trace = execute(dag, workers=10**6)
-        assert sizes == [len(dag.nodes)]
+        assert len(forks) == len(dag.nodes)
         assert len(trace) == len(dag.nodes)
         assert all(e["status"] == "done" for e in trace)
 
     def test_dead_worker_fails_its_node_not_the_run(self, tmp_path):
-        # run 0's n1 dies after run 1's pool node has ended (with time for
-        # its result to arrive), so nothing else runs on the pool it breaks;
-        # the sort node then runs on a fresh pool
+        # run 0's n1 dies while run 1's n1 runs in the other worker; that
+        # sibling, its pool node and the sort node carry on
         dag = build_dag({"even": 1}, 2, parities=("even",))
-        dying, marker = node_id("even", 0, "nonhermitian", 1), node_id("even", 1, "pool")
+        dying = node_id("even", 0, "nonhermitian", 1)
+        sibling = node_id("even", 1, "nonhermitian", 1)
 
         def payload(node, degraded):
+            (tmp_path / node.id).write_text(str(os.getpid()))
+            if node.id == sibling:
+                time.sleep(0.5)
             if node.id == dying:
                 deadline = time.monotonic() + 60
-                while not (tmp_path / marker).exists() and time.monotonic() < deadline:
+                while not (tmp_path / sibling).exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
-                time.sleep(0.5)
                 os._exit(1)
-            (tmp_path / node.id).write_text(str(os.getpid()))
 
         for node in dag.nodes.values():
             node.payload = payload
         trace = execute(dag, workers=2)
         assert len(trace) == len(dag.nodes)
         event = next(e for e in trace if e["node"] == dying)
+        dead_pid = int((tmp_path / dying).read_text())
         assert event["status"] == "failed"
-        assert event["error"].startswith("BrokenProcessPool")
-        assert "exit code 1" in event["error"]
+        assert event["error"] == (
+            f"worker {event['worker']} (pid {dead_pid}) died with exit code 1"
+        )
         assert status_of(trace, node_id("even", 0, "pool")) == "skipped"
-        for nid in ["even_r0_h1", "even_r1_h1", "even_r1_n1", "even_r1_pool"]:
+        for nid in ["even_r0_h1", "even_r1_h1", sibling, "even_r1_pool"]:
             assert status_of(trace, nid) == "done"
         sort = next(e for e in trace if e["node"] == node_id("even", 0, "sort"))
         assert sort["status"] == "done"
         assert sort["degraded_inputs"] == [node_id("even", 0, "pool")]
-        first_pool = {int((tmp_path / n).read_text()) for n in ["even_r0_h1", "even_r1_h1"]}
-        assert int((tmp_path / sort["node"]).read_text()) not in first_pool
+        assert int((tmp_path / sort["node"]).read_text()) != dead_pid
+
+    @pytest.mark.parametrize("ending", ["returns", "raises", "exits"])
+    def test_no_worker_or_pipe_outlives_execute(self, ending, monkeypatch):
+        unraisable = []  # a warning raised in __del__ reaches only this hook
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        dag = build_dag({"even": 2}, 2, parities=("even",))
+
+        def payload(node, degraded):
+            if node.id == node_id("even", 1, "hermitian", 1):
+                if ending == "raises":
+                    raise RuntimeError("injected")
+                if ending == "exits":
+                    os._exit(1)
+
+        for node in dag.nodes.values():
+            node.payload = payload
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            trace = execute(dag, workers=2)
+        assert multiprocessing.active_children() == []
+        assert unraisable == []
+        failed = {e["node"] for e in trace if e["status"] == "failed"}
+        assert failed == (set() if ending == "returns" else {node_id("even", 1, "hermitian", 1)})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trace_events_share_one_schema(self, workers):
+        # h2 raises, so n2, h3 and n3 are skipped; with forked workers n1 dies
+        dag = build_dag({"even": 3}, 1, parities=("even",))
+
+        def payload(node, degraded):
+            if node.id == node_id("even", 0, "hermitian", 2):
+                raise RuntimeError("injected")
+            if workers > 1 and node.id == node_id("even", 0, "nonhermitian", 1):
+                os._exit(1)
+
+        for node in dag.nodes.values():
+            node.payload = payload
+        trace = execute(dag, workers=workers)
+        assert {e["status"] for e in trace} == {"done", "failed", "skipped"}
+        for event in trace:
+            assert set(event) == {
+                "node", "status", "error", "start", "finish", "worker", "degraded_inputs",
+            }
+        if workers > 1:
+            dead = next(e for e in trace if e["node"] == node_id("even", 0, "nonhermitian", 1))
+            assert "died with exit code 1" in dead["error"]
 
     @pytest.mark.parametrize("executor", [execute, execute_simulated])
     def test_failure_skips_descendants_but_pool_degrades(self, executor):

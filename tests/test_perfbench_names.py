@@ -1,9 +1,11 @@
-"""The functions the benchmark traces by name still exist in ``qdrive``.
+"""The functions and trace fields the benchmark reads by name still exist.
 
 ``perfbench`` reads each per-layer metric from the traced calls of a function
-it names as a string.  A deleted or renamed function would not fail the
-benchmark: its metric would silently read 0.  This test resolves every such
-name and checks that the tracer would wrap it.
+it names as a string, and its scheduling metrics from the fields of the
+events that ``orchestrator.execute`` returns.  A deleted or renamed function
+or field would not fail the benchmark: its metric would silently read 0.
+These tests resolve every such function name, check that the tracer would
+wrap it, and feed a real multi-worker trace to the scheduling metrics.
 """
 import functools
 import importlib
@@ -11,11 +13,13 @@ import importlib.util
 import inspect
 import pkgutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import qdrive
+from qdrive.orchestrator import build_dag, execute
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +65,23 @@ def test_traced_name_resolves(name):
         target = getattr(target, attr)
     assert inspect.isfunction(target), f"{name} is not a function or method"
     assert name in wrapped_names(), f"the tracer does not wrap {name}"
+
+
+def test_orchestrator_metrics_read_a_real_trace():
+    dag = build_dag({"even": 2, "odd": 1}, 2, parities=("even", "odd"))
+    for node in dag.nodes.values():
+        node.payload = lambda node, degraded: time.sleep(0.01)
+    entry = time.monotonic()
+    trace = execute(dag, workers=2)
+    call = {
+        "entry": entry,
+        "exit": time.monotonic(),
+        "parents": {nid: list(ps) for nid, ps in dag.parents.items()},
+        "events": trace,
+    }
+    metrics = bench.orchestrator_metrics([call])
+    assert metrics["orchestrator.nodes"] == len(dag.nodes)
+    assert metrics["orchestrator.nodes_failed"] == metrics["orchestrator.nodes_skipped"] == 0
+    assert 0 < metrics["orchestrator.critical_path_s"] <= metrics["orchestrator.execute_s"]
+    assert metrics["orchestrator.node_busy_s"] >= 0.01 * len(dag.nodes)
+    assert metrics["orchestrator.dispatch_wait_s"] >= 0
