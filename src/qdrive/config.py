@@ -129,6 +129,16 @@ _POSITIVE = {
 }
 
 
+# real-valued keys: the test a finite value must pass, and what it asks for
+_RANGES = {
+    "optimizer.r_beg": (lambda v: v > 0, "positive"),
+    "optimizer.p_beg": (lambda v: v > 0, "positive"),
+    "optimizer.f_tol": (lambda v: v >= 0, "nonnegative"),
+    "optimizer.penalty_c": (lambda v: v >= 0, "nonnegative"),
+    "dedup_overlap_tol": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
 def _walk(doc: dict, prefix: str = ""):
     for key, value in doc.items():
         path = f"{prefix}.{key}" if prefix else key
@@ -158,6 +168,10 @@ def validate_config(doc: dict) -> None:
             raise ConfigError(f"config key {path!r} must be one of {allowed}")
         if path in _POSITIVE and value <= 0:
             raise ConfigError(f"config key {path!r} must be positive, got {value}")
+        if path in _RANGES:
+            test, wanted = _RANGES[path]
+            if not (math.isfinite(value) and test(value)):
+                raise ConfigError(f"config key {path!r} must be finite and {wanted}, got {value}")
     if doc["workers"] > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError(
             "config key 'workers' must be 1 here: more workers run in forked "

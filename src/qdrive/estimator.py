@@ -9,7 +9,14 @@ state and a measured tail, and goes through one pipeline:
    noisy density matrix rho of the head folded to a ZNE scale on the noisy
    tier.  Prepared heads are kept for the last parameters, so the estimates
    of one objective evaluation share them: on the exact and shot tiers every
-   word of every observable and every overlap reads the one ansatz state;
+   word of every observable and every overlap reads the one ansatz state.
+   New parameters resume from the longest unchanged prefix of the head's
+   gates, with angles compared bit for bit: each head kind and fold scale
+   keeps the gates it last evolved and the state after each of them (after
+   each fold block of lam gates on the noisy tier,
+   :class:`~qdrive.simulator.Checkpoints`).  So an NFT shift or a COBYQA
+   start-up point that moves one angle evolves only the gates from that
+   angle on, and the state is bitwise the one evolved from |0..0>;
 2. *measure, sample and mitigate* (:meth:`Estimator._distribution`): the
    outcome distribution of the measured qubits after the tail.  The exact
    and shot tiers run the tail forward on the statevector.  The noisy tier
@@ -60,6 +67,7 @@ from .mitigation import (
 )
 from .pauli import PauliSum, word_to_dense
 from .simulator import (
+    Checkpoints,
     NoiseModel,
     density_matrix,
     effective_povm,
@@ -141,6 +149,8 @@ class Estimator:
         self.circuits_run = 0
         # per head kind, the last parameters' bytes and their states per scale
         self._heads: dict[str, tuple[bytes, dict[int, np.ndarray]]] = {}
+        # per head kind and scale, the gates last evolved and the states on the way
+        self._checkpoints: dict[tuple[str, int], Checkpoints] = {}
         # per prior's parameter bytes, its inverted ansatz: an overlap's tail
         self._tails: dict[bytes, Circuit] = {}
 
@@ -167,11 +177,16 @@ class Estimator:
 
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
-    def _prepare(self, circuit: Circuit, lam: int = 1) -> np.ndarray:
-        """The circuit's output state on this tier, folded to scale lam if noisy."""
+    def _prepare(self, kind: str, circuit: Circuit, lam: int = 1) -> np.ndarray:
+        """The circuit's output state on this tier, folded to scale lam if
+        noisy; read-only.  It resumes from the longest prefix of gates that
+        the last preparation of the same head ``kind`` and scale shares."""
+        checkpoints = self._checkpoints.get((kind, lam))
+        if checkpoints is None:
+            checkpoints = self._checkpoints[kind, lam] = Checkpoints(stride=lam)
         if self.tier == "noisy":
-            return density_matrix(fold_circuit(circuit, lam), self.noise)
-        return statevector(circuit)
+            return density_matrix(fold_circuit(circuit, lam), self.noise, checkpoints)
+        return statevector(circuit, checkpoints=checkpoints)
 
     def _distribution(
         self, state: np.ndarray, tail: Circuit, lam: int, measured, purpose: str, **log
@@ -229,9 +244,7 @@ class Estimator:
         cached = self._heads.get(kind)
         if cached is None or cached[0] != key:
             circuit = head(build_ansatz(params, self.q))
-            states = {lam: self._prepare(circuit, lam) for lam in self._scales()}
-            for state in states.values():
-                state.setflags(write=False)
+            states = {lam: self._prepare(kind, circuit, lam) for lam in self._scales()}
             cached = self._heads[kind] = (key, states)
         return cached[1]
 

@@ -5,6 +5,10 @@ h(1) -> h(2) -> ... -> h(N); each h(i) also feeds the matching
 non-Hermitian stage n(i); every n(i) feeds the run's pool node; all pool
 nodes of a channel feed that channel's sort node.  Any ready node may be
 claimed by any idle worker immediately (scavenger semantics, no barriers).
+The ready node with the longest chain of descendants below it is claimed
+first, so the Hermitian chain of the channel with most states, the batch's
+critical path, never waits behind a branch that can run beside it; ties go
+by :meth:`TaskNode.sort_key`.
 
 Pool and sort nodes are gather points: they run in degraded mode when at
 least one input artifact exists even if sibling branches failed, so one
@@ -175,8 +179,9 @@ def _run_payload(node: TaskNode, degraded: list[str]) -> tuple[str, str | None]:
 def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     """The scheduler core shared by both executors; returns the trace.
 
-    While fewer than ``workers`` nodes run, the ready node with the lowest
-    sort key is claimed and handed to ``start(node, degraded)``.
+    While fewer than ``workers`` nodes run, the ready node with the most
+    nodes on its longest path of descendants is claimed, the lowest sort key
+    among equals, and handed to ``start(node, degraded)``.
     ``finished()`` blocks until at least one started node ends and returns
     the trace events of those that did; ``now()`` stamps skip events.  A
     node becomes ready when all parents finished; a failed or skipped parent
@@ -185,8 +190,15 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     """
     if workers < 1:
         raise ValueError("need at least one worker")
+    depth: dict[str, int] = {}  # nodes on the longest path of descendants
+    for nid in reversed(dag.topological_order()):
+        depth[nid] = max((1 + depth[c] for c in dag.children[nid]), default=0)
+
+    def claim_key(nid: str) -> tuple:
+        return (-depth[nid], *dag.nodes[nid].sort_key())  # the id comes last
+
     waiting = {nid: len(ps) for nid, ps in dag.parents.items()}
-    ready = [dag.nodes[nid].sort_key() for nid, count in waiting.items() if count == 0]
+    ready = [claim_key(nid) for nid, count in waiting.items() if count == 0]
     heapq.heapify(ready)
     trace: list[dict] = []
     running = 0
@@ -202,7 +214,7 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
             child = dag.nodes[child_id]
             done = [dag.nodes[p].status == "done" for p in dag.parents[child_id]]
             if all(done) or (child.gather and any(done)):
-                heapq.heappush(ready, child.sort_key())
+                heapq.heappush(ready, claim_key(child_id))
             else:
                 t = now()
                 finish({

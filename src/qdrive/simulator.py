@@ -13,8 +13,16 @@ tensor rank and qubit tuple), flattened to a 2^k-row matrix, multiplied,
 and permuted back.  A density matrix takes the gate on its ket axes and the
 conjugate gate on its bra axes.
 
-Density matrices stay small by design: at most a four-qubit ansatz plus one
-ancilla is ever simulated, i.e. a 32 x 32 matrix.  After each gate the noisy
+:func:`statevector` and :func:`density_matrix` can keep :class:`Checkpoints`:
+the gates they last evolved and the states on the way.  The next evolution
+then starts after the longest unchanged prefix of its gates, which is most
+of the circuit when an optimizer moves one or two angles at a time.  The
+same kernels run on the same arrays, so the output is bitwise the one of a
+fresh evolution.
+
+Density matrices stay small by design: at most a six-qubit ansatz plus one
+ancilla is ever simulated, i.e. a 128 x 128 matrix (32 x 32 under the
+bundled five-qubit noise profile).  After each gate the noisy
 tier applies thermal relaxation on the gate's qubits (generalized amplitude
 damping composed with pure dephasing such that the total off-diagonal decay
 over the gate duration is exp(-t/T2)) followed by a local depolarizing
@@ -92,19 +100,99 @@ def _apply_matrix(t: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.n
     return np.dot(mat, flat).reshape(t.shape).transpose(back)
 
 
-def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+@dataclass(eq=False)
+class Checkpoints:
+    """The gates one preparation last evolved from |0..0> and the states on
+    the way, for :func:`statevector` and :func:`density_matrix` to resume the
+    next preparation from the longest unchanged prefix of its gates.
+
+    ``states[k]`` is the state after the first ``stride * (k + 1)`` gates:
+    one per whole block of ``stride`` gates.  A circuit folded to scale lam
+    has lam gates per gate of the unfolded one, and a changed angle changes
+    the first gate of its block, so ``stride=lam`` keeps every reuse at 1/lam
+    of the memory.  A statevector checkpoint takes 16 * 2^n bytes, a density
+    one 16 * 4^n bytes (256 KiB at n = 7, a q = 6 ansatz plus ancilla).
+    """
+
+    stride: int = 1
+    gates: tuple[Gate, ...] = ()
+    states: list[np.ndarray] = field(default_factory=list)
+    # what the states are of: (qubits, tensor rank) and the noise model
+    layout: tuple[int, int] = (0, 0)
+    noise: "NoiseModel | None" = None
+
+
+def _same_gate(a: Gate, b: Gate) -> bool:
+    """Equal kinds and qubits and bitwise-equal angles (so -0.0 != 0.0)."""
+    return a is b or (
+        a == b and (a.param != 0.0 or math.copysign(1.0, a.param) == math.copysign(1.0, b.param))
+    )
+
+
+def _evolve(circuit: Circuit, state, step, checkpoints: Checkpoints | None, noise=None):
+    """``state`` taken through ``step(state, gate)`` for each gate of the circuit.
+
+    With ``checkpoints`` recorded for the same kind of state, width and
+    noise model, the evolution starts from the last stored block before the
+    first gate that differs from the recorded ones, and the record is
+    rewritten from there.
+    """
+    gates = circuit.gates
+    if checkpoints is None:
+        for gate in gates:
+            state = step(state, gate)
+        return state
+    stride, kept = checkpoints.stride, 0
+    layout = (circuit.n_qubits, state.ndim)
+    if checkpoints.layout == layout and checkpoints.noise is noise:
+        for old, new in zip(checkpoints.gates, gates):
+            if not _same_gate(old, new):
+                break
+            kept += 1
+    kept //= stride
+    states = checkpoints.states
+    del states[kept:]
+    if kept:
+        state = states[-1]
+    for i in range(kept * stride, len(gates)):
+        state = step(state, gates[i])
+        if (i + 1) % stride == 0:
+            states.append(state)
+    checkpoints.gates, checkpoints.layout, checkpoints.noise = gates, layout, noise
+    return state
+
+
+def statevector(
+    circuit: Circuit,
+    initial: np.ndarray | None = None,
+    checkpoints: Checkpoints | None = None,
+) -> np.ndarray:
     """Exact amplitudes of the circuit output, big-endian flat vector.
 
     The circuit acts on |0..0>, or on the flat state ``initial`` if given.
+    With ``checkpoints`` it resumes from them (only from |0..0>) and returns
+    a read-only state.
     """
     if initial is None:
         psi = np.zeros((2,) * circuit.n_qubits, dtype=complex)
         psi[(0,) * circuit.n_qubits] = 1.0
+    elif checkpoints is not None:
+        raise ValueError("checkpoints resume evolutions from |0..0> only")
     else:
         psi = np.asarray(initial).reshape((2,) * circuit.n_qubits)
-    for gate in circuit.gates:
-        psi = _apply_matrix(psi, gate_matrix(gate), gate.qubits)
-    return psi.reshape(-1)
+    psi = _evolve(
+        circuit, psi, lambda t, gate: _apply_matrix(t, gate_matrix(gate), gate.qubits),
+        checkpoints,
+    )
+    return _flat(psi, (-1,), checkpoints)
+
+
+def _flat(state: np.ndarray, shape: tuple, checkpoints: Checkpoints | None) -> np.ndarray:
+    """``state`` reshaped, read-only when it may be a view of a checkpoint."""
+    state = state.reshape(shape)
+    if checkpoints is not None:
+        state.setflags(write=False)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +478,28 @@ def _check_profile(circuit: Circuit, noise: NoiseModel | None) -> None:
         )
 
 
-def density_matrix(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+def density_matrix(
+    circuit: Circuit,
+    noise: NoiseModel | None = None,
+    checkpoints: Checkpoints | None = None,
+) -> np.ndarray:
     """Evolve |0..0><0..0| through the circuit; flat (2^n x 2^n) output.
 
     With a noise model, every gate is followed by its noise block; the
-    profile must cover at least the circuit's qubit count.
+    profile must cover at least the circuit's qubit count.  With
+    ``checkpoints`` it resumes from them and returns a read-only state.
     """
     _check_profile(circuit, noise)
     n = circuit.n_qubits
     rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho[(0,) * (2 * n)] = 1.0
-    for gate in circuit.gates:
+
+    def step(rho: np.ndarray, gate: Gate) -> np.ndarray:
         rho = _apply_unitary_rho(rho, gate_matrix(gate), gate.qubits, n)
-        if noise is not None:
-            rho = apply_gate_noise(rho, gate, noise, n)
-    return rho.reshape(2**n, 2**n)
+        return rho if noise is None else apply_gate_noise(rho, gate, noise, n)
+
+    rho = _evolve(circuit, rho, step, checkpoints, noise)
+    return _flat(rho, (2**n, 2**n), checkpoints)
 
 
 def adjoint_density_matrix(

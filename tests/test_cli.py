@@ -97,6 +97,15 @@ class TestConfig:
         cases.append((["--set", "model.lam=true"], "model.lam"))
         cases.append((["--set", "optimizer.f_tol=true"], "optimizer.f_tol"))
         cases.append((["--set", "dedup_overlap_tol=false"], "dedup_overlap_tol"))
+        # real-valued settings out of range or not finite
+        for key, values in [
+            ("optimizer.r_beg", ("-1", "0", "NaN", "Infinity")),
+            ("optimizer.p_beg", ("-0.5", "0", "NaN")),
+            ("optimizer.f_tol", ("-0.01", "NaN", "Infinity")),
+            ("optimizer.penalty_c", ("-1", "-Infinity", "NaN")),
+            ("dedup_overlap_tol", ("-0.1", "1.5", "NaN")),
+        ]:
+            cases.extend((["--set", f"{key}={value}"], key) for value in values)
         out = str(tmp_path / "out")
         for args, key in cases:
             code = main(["--set", f"output_dir={out}", *args, "run"])

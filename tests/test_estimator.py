@@ -4,15 +4,20 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdrive import estimator as estimator_module
+from qdrive import simulator
 from qdrive.circuits import Circuit, Gate, ansatz_parameter_count, build_ansatz
 from qdrive.config import bundled_profile_path
-from qdrive.estimator import Estimator
+from qdrive.estimator import TIERS, ZNE_SCALES, Estimator
+from qdrive.mitigation import fold_circuit
 from qdrive.optimize import pseudovariance_objective, vqd_objective
 from qdrive.pauli import PauliSum, decompose
 from qdrive.simulator import (
     NoiseModel,
+    density_matrix,
     effective_povm,
     load_noise_profile,
     scale_noise,
@@ -212,11 +217,8 @@ class TestNoisyTier:
         # a VQD evaluation with k priors evolves its state at 3 scales, not 3k
         rng = RNG(21)
         a, b1, b2 = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
-        reference = Estimator(q=2, tier="noisy", noise=torino_like(2), shots=2048, seed=22)
-        expected = []
-        for b in (b1, b2):
-            reference._heads.clear()  # prepare afresh for every overlap
-            expected.append(reference.overlap_lowdepth(a, b))
+        reference = PreparedAfresh(q=2, tier="noisy", noise=torino_like(2), shots=2048, seed=22)
+        expected = [reference.overlap_lowdepth(a, b) for b in (b1, b2)]
         evolved = []
         real = estimator_module.density_matrix
 
@@ -225,9 +227,12 @@ class TestNoisyTier:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimator_module, "density_matrix", counted)
+        gates = count_gate_noise(monkeypatch)
         est = Estimator(q=2, tier="noisy", noise=torino_like(2), shots=2048, seed=22)
         assert [est.overlap_lowdepth(a, b) for b in (b1, b2)] == expected
         assert len(evolved) == 3
+        # every gate of the three folded ansatz circuits, once
+        assert len(gates) == sum(ZNE_SCALES) * len(build_ansatz(a, 2).gates)
 
     def test_energy_assembly_matches_split_paths(self):
         grid_rng = RNG(20)
@@ -243,15 +248,33 @@ class TestNoisyTier:
         assert got == pytest.approx(expected, abs=1e-10)
 
 
+def count_gate_noise(monkeypatch) -> list:
+    """The gates that noisy evolutions apply from now on, one entry each."""
+    gates = []
+    real = simulator.apply_gate_noise
+
+    def counted(rho, gate, *args):
+        gates.append(gate)
+        return real(rho, gate, *args)
+
+    monkeypatch.setattr(simulator, "apply_gate_noise", counted)
+    return gates
+
+
 class PreparedAfresh(Estimator):
-    """Forgets every prepared state before each estimate."""
+    """Forgets every prepared state and checkpoint before each estimate, so
+    each one evolves its states from |0..0>."""
+
+    def _forget(self):
+        self._heads.clear()
+        self._checkpoints.clear()
 
     def expectation(self, *args):
-        self._heads.clear()
+        self._forget()
         return super().expectation(*args)
 
     def overlap_lowdepth(self, *args):
-        self._heads.clear()
+        self._forget()
         return super().overlap_lowdepth(*args)
 
 
@@ -264,36 +287,50 @@ class TestSharedAnsatzState:
         return h_n, decompose(m.conj().T @ m)
 
     @staticmethod
-    def count_statevectors(monkeypatch) -> list:
-        calls = []
-        real = estimator_module.statevector
+    def count_statevectors(monkeypatch) -> tuple[list, list]:
+        """The circuits handed to ``statevector`` and the gates it applies."""
+        calls, gates = [], []
+        real, real_matrix = estimator_module.statevector, simulator.gate_matrix
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
+        def counted_matrix(gate):
+            gates.append(gate)
+            return real_matrix(gate)
+
         monkeypatch.setattr(estimator_module, "statevector", counted)
-        return calls
+        monkeypatch.setattr(simulator, "gate_matrix", counted_matrix)
+        return calls, gates
 
     def test_pseudovariance_prepares_the_ansatz_once(self, monkeypatch):
         rng = RNG(50)
         h_n, h_dag_h = self.problem(rng)
         est = Estimator(q=2, tier="statevector")
-        calls = self.count_statevectors(monkeypatch)
-        pseudovariance_objective(rng.uniform(-np.pi, np.pi, 16), h_n, h_dag_h, est)
+        calls, gates = self.count_statevectors(monkeypatch)
+        params = rng.uniform(-np.pi, np.pi, 16)
+        pseudovariance_objective(params, h_n, h_dag_h, est)
         assert len(calls) == 1
+        assert len(gates) == len(build_ansatz(params, 2).gates)
         (state,) = est._heads["ansatz"][1].values()
         with pytest.raises(ValueError, match="read-only"):
             state[0] = 0.0
+        # a step in the last angle evolves the last gate only
+        params[-1] += 0.5
+        pseudovariance_objective(params, h_n, h_dag_h, est)
+        assert len(calls) == 2
+        assert len(gates) == len(build_ansatz(params, 2).gates) + 1
 
     def test_vqd_prepares_one_head_and_one_tail_per_prior(self, monkeypatch):
         rng = RNG(51)
         h_h, _ = random_observable(2, rng)
         params, *priors = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
         est = Estimator(q=2, tier="statevector")
-        calls = self.count_statevectors(monkeypatch)
+        calls, gates = self.count_statevectors(monkeypatch)
         vqd_objective(params, h_h, priors, 10.0, est)
         assert len(calls) == 1 + 2
+        assert len(gates) == (1 + 2) * len(build_ansatz(params, 2).gates)
 
     @pytest.mark.parametrize("tier", ["statevector", "shots"])
     def test_sharing_leaves_every_estimate_unchanged(self, tier):
@@ -408,3 +445,78 @@ class TestPovmCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 4
+
+
+ANGLES = st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-math.pi, math.pi)
+
+
+def gates_on(q: int):
+    qubit = st.integers(0, q - 1).map(lambda k: (k,))
+    options = [
+        st.builds(Gate, st.sampled_from(["ry", "rz"]), qubit, ANGLES),
+        st.builds(Gate, st.sampled_from(["h", "s", "x"]), qubit),
+    ]
+    if q > 1:
+        options.append(st.permutations(range(q)).map(lambda p: Gate("cx", (p[0], p[1]))))
+    return st.one_of(options)
+
+
+class TestResumedPreparation:
+    """A preparation that resumes from the last one's checkpoints gives,
+    read-only, bitwise the state evolved from |0..0>."""
+
+    NOISE = torino_like(4)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        data=st.data(),
+        tier=st.sampled_from(TIERS),
+        lam=st.sampled_from(ZNE_SCALES),
+        q=st.integers(1, 3),
+    )
+    def test_resumed_state_is_the_fresh_one(self, data, tier, lam, q):
+        est = Estimator(q=q, tier=tier, noise=self.NOISE)
+        gates: tuple = ()
+        for _ in range(data.draw(st.integers(1, 5), label="preparations")):
+            keep = data.draw(st.integers(0, len(gates)), label="shared prefix")
+            if keep < len(gates) and data.draw(st.booleans(), label="coordinate step"):
+                # one angle moves, or only its sign bit flips (0.0 -> -0.0)
+                old = gates[keep]
+                angle = None if old.param is None else -old.param
+                gates = gates[:keep] + (Gate(old.kind, old.qubits, angle),) + gates[keep + 1 :]
+            else:
+                gates = gates[:keep] + tuple(data.draw(st.lists(gates_on(q), max_size=6)))
+            circuit = Circuit(q, gates)
+            got = est._prepare("ansatz", circuit, lam)
+            if tier == "noisy":
+                fresh = density_matrix(fold_circuit(circuit, lam), self.NOISE)
+            else:
+                fresh = statevector(circuit)
+            assert np.array_equal(got, fresh)
+            assert got.tobytes() == fresh.tobytes()  # signed zeros too
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got.flat[0] = 0.0
+
+    def test_signed_zero_angles_are_different_gates(self):
+        # the sign of a zero angle can reach the state's signed zeros
+        est = Estimator(q=2, tier="statevector")
+        states = []
+        for second in (0.0, -0.0):
+            circuit = Circuit(2, (Gate("ry", (1,), -0.0), Gate("ry", (1,), second)))
+            states.append(est._prepare("ansatz", circuit).tobytes())
+            assert states[-1] == statevector(circuit).tobytes()
+        assert states[0] != states[1]
+
+    @pytest.mark.parametrize("lam", ZNE_SCALES)
+    def test_a_coordinate_step_evolves_from_its_gate_on(self, lam, monkeypatch):
+        est = Estimator(q=2, tier="noisy", noise=self.NOISE)
+        params = RNG(60).uniform(-np.pi, np.pi, 16)
+        n_gates = len(build_ansatz(params, 2).gates)
+        est._prepare("ansatz", build_ansatz(params, 2), lam)
+        gates = count_gate_noise(monkeypatch)
+        params[-3] = -0.0 if params[-3] == 0.0 else 0.0  # the third-last gate
+        est._prepare("ansatz", build_ansatz(params, 2), lam)
+        assert len(gates) == 3 * lam
+        est._prepare("hadamard", build_ansatz(params, 2).shifted(1, 3), lam)
+        assert len(gates) == 3 * lam + n_gates * lam  # kinds keep their own records

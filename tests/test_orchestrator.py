@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import random
 import sys
 import time
 import warnings
@@ -118,7 +119,7 @@ class TestExecute:
         h2 = interval(trace, node_id("even", 0, "hermitian", 2))
         assert n1[0] < h2[1] and h2[0] < n1[1]
 
-    def test_one_worker_runs_payloads_in_sort_key_order(self):
+    def test_one_worker_runs_payloads_longest_chain_first(self):
         orders = []
         for executor in (execute, execute_simulated):
             dag = build_dag({"even": 2, "odd": 1}, 2, parities=("even", "odd"))
@@ -132,6 +133,15 @@ class TestExecute:
             executor(dag, workers=1)
             orders.append(seen)
         assert orders[0] == orders[1]
+        # the deepest ready node first; equal depths by sort key
+        assert orders[0] == [
+            "even_r0_h1", "even_r1_h1",  # 4 nodes below
+            "odd_r0_h1", "even_r0_h2", "odd_r1_h1", "even_r1_h2",  # 3
+            "even_r0_n1", "odd_r0_n1", "even_r0_n2",  # 2
+            "even_r1_n1", "odd_r1_n1", "even_r1_n2",
+            "odd_r0_pool", "even_r0_pool", "odd_r1_pool", "even_r1_pool",
+            "odd_sort", "even_sort",
+        ]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_run_in_child_processes(self, workers, tmp_path):
@@ -311,6 +321,21 @@ class TestSimulatedClock:
         n = 3
         assert makespan_1 == pytest.approx(2 * n + 2)
         assert makespan_2 <= (n + 3) / (2 * n + 2) * makespan_1 + 1e-9
+
+    @pytest.mark.parametrize("seed", [None, *range(20)])
+    def test_hermitian_chain_never_waits(self, seed):
+        # the batch's critical path is the longest channel's Hermitian chain:
+        # each h(i+1) starts the moment h(i) finishes, whatever the durations
+        dag = build_dag({"even": 4, "odd": 2}, 1, parities=("even", "odd"))
+        durations = 1.0
+        if seed is not None:
+            rng = random.Random(seed)
+            durations = {nid: rng.uniform(0.2, 2.0) for nid in dag.nodes}
+        trace = execute_simulated(dag, workers=2, durations=durations)
+        for i in range(1, 4):
+            finish = interval(trace, node_id("even", 0, "hermitian", i))[1]
+            start = interval(trace, node_id("even", 0, "hermitian", i + 1))[0]
+            assert start == finish
 
     def test_deterministic_tie_breaking(self):
         traces = []

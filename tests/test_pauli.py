@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdrive import pauli
-from qdrive.pauli import PauliSum, adjoint, decompose, multiply, word_to_dense
+from qdrive.pauli import (
+    LETTERS,
+    PRUNE_TOL,
+    PauliSum,
+    adjoint,
+    decompose,
+    multiply,
+    word_to_dense,
+)
 
 
 def real_coefficients(s: PauliSum) -> bool:
@@ -138,3 +148,33 @@ class TestPauliSum:
     def test_word_dense_consistency(self):
         xz = word_to_dense("XZ")
         assert np.allclose(xz, np.kron(pauli.PAULI_1Q["X"], pauli.PAULI_1Q["Z"]))
+
+
+class TestRoundTripProperty:
+    """decompose and to_dense invert each other up to rounding at q = 1-4."""
+
+    EPS = np.finfo(float).eps
+    coefficients = st.complex_numbers(
+        max_magnitude=10.0, allow_nan=False, allow_infinity=False
+    )
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), q=st.integers(1, 4))
+    def test_sum_to_dense_and_back(self, data, q):
+        words = data.draw(st.lists(st.text(LETTERS, min_size=q, max_size=q), max_size=12))
+        s = PauliSum(q, {w: data.draw(self.coefficients) for w in words})
+        back = decompose(s.to_dense())
+        # every coefficient is an average of 4^q products of dense entries
+        tol = PRUNE_TOL + 64 * self.EPS * (1.0 + sum(abs(c) for c in s.terms.values()))
+        for word in set(s.terms) | set(back.terms):
+            assert abs(back.terms.get(word, 0.0) - s.terms.get(word, 0.0)) <= tol, word
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), q=st.integers(1, 4))
+    def test_dense_to_sum_and_back(self, data, q):
+        dim = 2**q
+        m = np.array(data.draw(st.lists(self.coefficients, min_size=dim * dim, max_size=dim * dim)))
+        m = m.reshape(dim, dim)
+        # each of the 4^q words may lose a pruned coefficient below PRUNE_TOL
+        tol = 4**q * PRUNE_TOL + 64 * dim * self.EPS * (1.0 + np.abs(m).max())
+        assert np.abs(decompose(m).to_dense() - m).max() <= tol
