@@ -136,6 +136,10 @@ _RANGES = {
     "optimizer.f_tol": (lambda v: v >= 0, "nonnegative"),
     "optimizer.penalty_c": (lambda v: v >= 0, "nonnegative"),
     "dedup_overlap_tol": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "classifier.cap_weight": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "classifier.im_gain": (lambda v: v >= 0, "nonnegative"),
+    "classifier.sigma_max": (lambda v: v >= 0, "nonnegative"),
+    "classifier.gamma_max": (lambda v: v >= 0, "nonnegative"),
 }
 
 

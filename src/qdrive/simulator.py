@@ -10,8 +10,18 @@
 A gate is one matrix product: the tensor's axes are permuted so that the
 gate's qubits come first (the permutation and its inverse are cached per
 tensor rank and qubit tuple), flattened to a 2^k-row matrix, multiplied,
-and permuted back.  A density matrix takes the gate on its ket axes and the
-conjugate gate on its bra axes.
+and permuted back.
+
+On a density matrix a k-qubit gate and the noise block after it are one
+superoperator S = N (U (x) U*), a 4^k x 4^k matrix on the gate's ket axes
+and then its bra axes (the Liouville form of the channel), applied by the
+same kernel; the adjoint evolution applies S^dag.  The noise block N is
+:func:`apply_gate_noise` run once on the gate's own k-qubit basis: thermal
+relaxation on each of the gate's qubits (generalized amplitude damping
+composed with pure dephasing such that the total off-diagonal decay over the
+gate duration is exp(-t/T2)), then local depolarizing on the same qubits.
+The :class:`NoiseModel` caches N per qubit tuple and a fixed gate's whole S
+per kind and qubit tuple; a rotation's S is formed per gate from its angle.
 
 :func:`statevector` and :func:`density_matrix` can keep :class:`Checkpoints`:
 the gates they last evolved and the states on the way.  The next evolution
@@ -22,11 +32,7 @@ fresh evolution.
 
 Density matrices stay small by design: at most a six-qubit ansatz plus one
 ancilla is ever simulated, i.e. a 128 x 128 matrix (32 x 32 under the
-bundled five-qubit noise profile).  After each gate the noisy
-tier applies thermal relaxation on the gate's qubits (generalized amplitude
-damping composed with pure dephasing such that the total off-diagonal decay
-over the gate duration is exp(-t/T2)) followed by a local depolarizing
-channel on the same qubits.
+bundled five-qubit noise profile).
 """
 from __future__ import annotations
 
@@ -255,8 +261,10 @@ class NoiseModel:
     p2: float
     readout: np.ndarray  # (n, 2, 2)
     name: str = "custom"
-    _relax_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _povm_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # N per qubit tuple and a fixed gate's S per (kind, qubits); effective POVMs.
+    # Not init fields, so every new model (scale_noise's too) starts empty.
+    _superop_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _povm_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t1_us = np.asarray(self.t1_us, dtype=float)
@@ -266,6 +274,10 @@ class NoiseModel:
         n = len(self.t1_us)
         if self.readout.shape != (n, 2, 2):
             raise ValueError(f"readout must have shape ({n}, 2, 2)")
+        if not (np.all(self.t1_us > 0) and np.all(self.t2_us > 0)):
+            raise ValueError("T1 and T2 must be positive")
+        if not all(0 <= t < math.inf for t in (self.gate_time_1q_us, self.gate_time_2q_us)):
+            raise ValueError("gate times must be finite and nonnegative")
         if np.any(self.t2_us > 2.0 * self.t1_us + 1e-12):
             raise ValueError("T2 must not exceed 2*T1")
         for arr, label in [
@@ -310,10 +322,6 @@ class NoiseModel:
 
     def relaxation_superop(self, qubit: int, t_us: float, depol: float) -> np.ndarray:
         """Composed 1-qubit noise block: GAD, then dephasing, then depolarizing."""
-        key = (qubit, t_us, depol)
-        cached = self._relax_cache.get(key)
-        if cached is not None:
-            return cached
         g1, g2p = self.gammas(qubit, t_us)
         sop = kraus_to_superop(
             amplitude_damping_kraus(g1, float(self.excited_population[qubit]))
@@ -321,9 +329,22 @@ class NoiseModel:
         sop = kraus_to_superop(phase_damping_kraus(g2p)) @ sop
         if depol > 0:
             sop = _depolarizing_superop_1q(depol) @ sop
-        sop = sop.reshape(2, 2, 2, 2)
-        self._relax_cache[key] = sop
-        return sop
+        return sop.reshape(2, 2, 2, 2)
+
+    def _noise_block(self, qubits: tuple[int, ...]) -> np.ndarray:
+        """N, the noise block after a gate on ``qubits``, as a 4^k x 4^k matrix
+        on their ket axes, then their bra axes: :func:`apply_gate_noise` run
+        once on the gate's own k-qubit basis."""
+        block = self._superop_cache.get(qubits)
+        if block is None:
+            k, sub = len(qubits), list(qubits)
+            local = replace(self, t1_us=self.t1_us[sub], t2_us=self.t2_us[sub],
+                            excited_population=self.excited_population[sub],
+                            readout=self.readout[sub])
+            basis = np.eye(4**k, dtype=complex).reshape((2,) * (2 * k) + (4**k,))
+            block = apply_gate_noise(basis, Gate("", tuple(range(k))), local, k)
+            block = self._superop_cache[qubits] = block.reshape(4**k, 4**k)
+        return block
 
     def confusion(self, qubit: int) -> np.ndarray:
         return self.readout[qubit]
@@ -374,8 +395,6 @@ def scale_noise(
         t2_us=t2,
         p1=p1,
         p2=p2,
-        _relax_cache={},
-        _povm_cache={},
     )
 
 
@@ -406,12 +425,6 @@ def load_noise_profile(path) -> NoiseModel:
 
 # The kernels below act on a density tensor of 2n axes (n ket, then n bra),
 # followed by any number of stack axes that they carry along unchanged.
-
-
-def _apply_unitary_rho(rho: np.ndarray, mat: np.ndarray, qubits, n: int):
-    """U rho U^dag: ``mat`` on the ket axes, then its conjugate on the bra axes."""
-    rho = _apply_matrix(rho, mat, qubits)
-    return _apply_matrix(rho, mat.conj(), tuple(n + q for q in qubits))
 
 
 def _apply_superop_1q(rho: np.ndarray, sop: np.ndarray, qubit: int, n: int):
@@ -452,22 +465,19 @@ def apply_gate_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
     return _depolarize(rho, gate.qubits, noise.p2, n)
 
 
-def adjoint_superop_1q(sop: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of a (2, 2, 2, 2) one-qubit superoperator."""
-    return sop.conj().transpose(2, 3, 0, 1)
-
-
-def apply_gate_noise_adjoint(op: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
-    """Adjoint of :func:`apply_gate_noise`: its channels in reverse order, each
-    replaced by its adjoint (local depolarizing is self-adjoint)."""
-    if len(gate.qubits) == 1:
-        sop = noise.relaxation_superop(gate.qubits[0], noise.gate_time_1q_us, noise.p1)
-        return _apply_superop_1q(op, adjoint_superop_1q(sop), gate.qubits[0], n)
-    op = _depolarize(op, gate.qubits, noise.p2, n)
-    for q in reversed(gate.qubits):
-        sop = noise.relaxation_superop(q, noise.gate_time_2q_us, 0.0)
-        op = _apply_superop_1q(op, adjoint_superop_1q(sop), q, n)
-    return op
+def _gate_superop(gate: Gate, noise: NoiseModel | None) -> np.ndarray:
+    """S = N (U (x) U*): the gate, then its noise block N (none without a
+    model), as one 4^k x 4^k matrix on the gate's ket axes, then its bra axes."""
+    key = (gate.kind, gate.qubits)
+    sop = None if noise is None else noise._superop_cache.get(key)
+    if sop is None:
+        u = gate_matrix(gate)
+        sop = (u[:, None, :, None] * u.conj()[:, None, :]).reshape(len(u) ** 2, -1)
+        if noise is not None:
+            sop = noise._noise_block(gate.qubits) @ sop
+            if gate.kind in _FIXED:
+                noise._superop_cache[key] = sop
+    return sop
 
 
 def _check_profile(circuit: Circuit, noise: NoiseModel | None) -> None:
@@ -485,9 +495,10 @@ def density_matrix(
 ) -> np.ndarray:
     """Evolve |0..0><0..0| through the circuit; flat (2^n x 2^n) output.
 
-    With a noise model, every gate is followed by its noise block; the
-    profile must cover at least the circuit's qubit count.  With
-    ``checkpoints`` it resumes from them and returns a read-only state.
+    Each gate, with a noise model followed by its noise block, is one
+    product with its superoperator S = N (U (x) U*); the profile must cover
+    at least the circuit's qubit count.  With ``checkpoints`` it resumes
+    from them and returns a read-only state.
     """
     _check_profile(circuit, noise)
     n = circuit.n_qubits
@@ -495,8 +506,8 @@ def density_matrix(
     rho[(0,) * (2 * n)] = 1.0
 
     def step(rho: np.ndarray, gate: Gate) -> np.ndarray:
-        rho = _apply_unitary_rho(rho, gate_matrix(gate), gate.qubits, n)
-        return rho if noise is None else apply_gate_noise(rho, gate, noise, n)
+        axes = gate.qubits + tuple(n + q for q in gate.qubits)
+        return _apply_matrix(rho, _gate_superop(gate, noise), axes)
 
     rho = _evolve(circuit, rho, step, checkpoints, noise)
     return _flat(rho, (2**n, 2**n), checkpoints)
@@ -508,9 +519,9 @@ def adjoint_density_matrix(
     """Heisenberg picture of :func:`density_matrix`: E^dag(O) for the circuit's
     channel E, so that Tr(O E(rho)) = Tr(E^dag(O) rho) for every rho.
 
-    Walks the gates in reverse; for each, the adjoint of its noise block,
-    then U^dag O U.  ``operator`` is flat (2^n x 2^n), or a stack of such
-    operators (k, 2^n, 2^n) taken back together; the output has its shape.
+    Walks the gates in reverse, applying each gate's S^dag.  ``operator`` is
+    flat (2^n x 2^n), or a stack of such operators (k, 2^n, 2^n) taken back
+    together; the output has its shape.
     """
     _check_profile(circuit, noise)
     n = circuit.n_qubits
@@ -518,9 +529,8 @@ def adjoint_density_matrix(
     op = np.asarray(operator, dtype=complex).reshape((-1,) + (2,) * (2 * n))
     op = np.moveaxis(op, 0, -1)
     for gate in reversed(circuit.gates):
-        if noise is not None:
-            op = apply_gate_noise_adjoint(op, gate, noise, n)
-        op = _apply_unitary_rho(op, gate_matrix(gate).conj().T, gate.qubits, n)
+        axes = gate.qubits + tuple(n + q for q in gate.qubits)
+        op = _apply_matrix(op, _gate_superop(gate, noise).conj().T, axes)
     return np.moveaxis(op, -1, 0).reshape(shape)
 
 

@@ -15,7 +15,7 @@ from qdrive.cli import (
     prepare_execution,
     write_winners_csv,
 )
-from qdrive.config import ConfigError, build_plan, load_config, validate_config
+from qdrive.config import ConfigError, build_plan, bundled_profile_path, load_config, validate_config
 from qdrive.orchestrator import execute_simulated
 
 FAST_RUN = {
@@ -104,8 +104,22 @@ class TestConfig:
             ("optimizer.f_tol", ("-0.01", "NaN", "Infinity")),
             ("optimizer.penalty_c", ("-1", "-Infinity", "NaN")),
             ("dedup_overlap_tol", ("-0.1", "1.5", "NaN")),
+            ("classifier.cap_weight", ("-0.1", "1.5", "NaN")),
+            ("classifier.im_gain", ("-5", "NaN")),
+            ("classifier.sigma_max", ("-1", "Infinity")),
+            ("classifier.gamma_max", ("-0.01", "NaN")),
         ]:
             cases.extend((["--set", f"{key}={value}"], key) for value in values)
+        # a noise profile with a negative gate time or T1 fails at load too
+        profile = json.loads(bundled_profile_path().read_text())
+        n = len(profile["t1_us"])
+        for i, fields in enumerate([
+            {"gate_time_1q_us": -0.05},
+            {"t1_us": [-70.0] * n, "t2_us": [-140.0] * n},  # T2 <= 2 T1 holds
+        ]):
+            path = write_config(tmp_path, {**profile, **fields}, name=f"bad_profile_{i}.json")
+            args = ["--set", "tier=noisy", "--set", f"noise_profile={path}"]
+            cases.append((args, "'noise_profile'"))
         out = str(tmp_path / "out")
         for args, key in cases:
             code = main(["--set", f"output_dir={out}", *args, "run"])

@@ -217,7 +217,9 @@ class TestNoisyTier:
         # a VQD evaluation with k priors evolves its state at 3 scales, not 3k
         rng = RNG(21)
         a, b1, b2 = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
-        reference = PreparedAfresh(q=2, tier="noisy", noise=torino_like(2), shots=2048, seed=22)
+        # one model, whose tails' effective POVMs the reference builds
+        noise = torino_like(2)
+        reference = PreparedAfresh(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
         expected = [reference.overlap_lowdepth(a, b) for b in (b1, b2)]
         evolved = []
         real = estimator_module.density_matrix
@@ -228,7 +230,7 @@ class TestNoisyTier:
 
         monkeypatch.setattr(estimator_module, "density_matrix", counted)
         gates = count_gate_noise(monkeypatch)
-        est = Estimator(q=2, tier="noisy", noise=torino_like(2), shots=2048, seed=22)
+        est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
         assert [est.overlap_lowdepth(a, b) for b in (b1, b2)] == expected
         assert len(evolved) == 3
         # every gate of the three folded ansatz circuits, once
@@ -249,15 +251,17 @@ class TestNoisyTier:
 
 
 def count_gate_noise(monkeypatch) -> list:
-    """The gates that noisy evolutions apply from now on, one entry each."""
+    """The gates that noisy evolutions apply from now on, one entry each: the
+    calls for their fused superoperators (the adjoint evolutions that build
+    effective POVMs make them too)."""
     gates = []
-    real = simulator.apply_gate_noise
+    real = simulator._gate_superop
 
-    def counted(rho, gate, *args):
+    def counted(gate, *args):
         gates.append(gate)
-        return real(rho, gate, *args)
+        return real(gate, *args)
 
-    monkeypatch.setattr(simulator, "apply_gate_noise", counted)
+    monkeypatch.setattr(simulator, "_gate_superop", counted)
     return gates
 
 

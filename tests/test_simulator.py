@@ -13,9 +13,7 @@ from qdrive.simulator import (
     Measurement,
     NoiseModel,
     adjoint_density_matrix,
-    adjoint_superop_1q,
     apply_gate_noise,
-    apply_gate_noise_adjoint,
     density_matrix,
     effective_povm,
     kraus_to_superop,
@@ -151,6 +149,14 @@ def apply_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel) -> np.ndarray:
     return apply_gate_noise(rho.reshape((2,) * (2 * n)), gate, noise, n).reshape(rho.shape)
 
 
+def apply_superop(rho: np.ndarray, gate: Gate, noise: NoiseModel | None) -> np.ndarray:
+    """The gate and its noise block, fused into S, on a flat density matrix."""
+    n = rho.shape[0].bit_length() - 1
+    axes = gate.qubits + tuple(n + q for q in gate.qubits)
+    sop = simulator._gate_superop(gate, noise)
+    return simulator._apply_matrix(rho.reshape((2,) * (2 * n)), sop, axes).reshape(rho.shape)
+
+
 class TestNoiseChannels:
     def test_full_depolarization_gives_maximally_mixed(self):
         noise = torino_like(1, p1=1.0)
@@ -192,6 +198,26 @@ class TestNoiseChannels:
     def test_t2_cap_enforced(self):
         with pytest.raises(ValueError, match="T2"):
             torino_like(1, t2_us=np.full(1, 150.0))
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"t1_us": np.full(1, -70.0), "t2_us": np.full(1, -140.0)}, "T1 and T2"),
+            ({"t1_us": np.zeros(1)}, "T1 and T2"),
+            ({"t2_us": np.full(1, np.nan)}, "T1 and T2"),
+            ({"gate_time_1q_us": -0.05}, "gate times"),
+            ({"gate_time_2q_us": math.inf}, "gate times"),
+            ({"gate_time_2q_us": math.nan}, "gate times"),
+        ],
+    )
+    def test_bad_times_rejected(self, overrides, match):
+        # a negative gate time would make the relaxation block gain trace
+        with pytest.raises(ValueError, match=match):
+            torino_like(1, **overrides)
+
+    def test_infinite_t1_and_t2_allowed(self):
+        noise = torino_like(1, t1_us=np.full(1, math.inf), t2_us=np.full(1, math.inf))
+        assert noise.gammas(0, 1e3) == (0.0, 0.0)
 
     def test_trace_preserved_through_noisy_circuit(self):
         noise = torino_like(3)
@@ -301,30 +327,79 @@ class TestAdjointChannel:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_noise_blocks_unital_backward_trace_preserving_forward(self, model, n, seed):
+        # S^dag(I) = U^dag N^dag(I) U is I exactly when N^dag is unital
         noise, rng = noise_models()[model], RNG(seed)
         a, b = (int(q) for q in rng.permutation(n)[:2])
         eye = np.eye(2**n, dtype=complex)
         for gate in (Gate("ry", (a,), 0.3), Gate("cz", (a, b))):
-            out = apply_gate_noise_adjoint(eye.reshape((2,) * (2 * n)), gate, noise, n)
-            assert np.max(np.abs(out.reshape(2**n, 2**n) - eye)) < 1e-12
-            rho = apply_noise(random_density(2**n, rng), gate, noise)
+            out = adjoint_density_matrix(Circuit(n, (gate,)), eye, noise)
+            assert np.max(np.abs(out - eye)) < 1e-12
+            rho = apply_superop(random_density(2**n, rng), gate, noise)
             assert abs(np.trace(rho) - 1.0) < 1e-12
 
     @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_adjoint_superop_of_a_complex_channel(self, seed):
-        # the profile's superoperators are real; a complex channel checks
-        # the conjugation as well as the index order
+    @given(qubit=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_superop_of_a_complex_channel(self, qubit, seed):
+        # the profile's noise blocks are real; a complex one checks the
+        # conjugation in S^dag as well as the index order
         rng = RNG(seed)
         kraus = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
         w, v = np.linalg.eigh(sum(k.conj().T @ k for k in kraus))
         kraus = [k @ v @ np.diag(w**-0.5) @ v.conj().T for k in kraus]
-        sop = kraus_to_superop(kraus).reshape(2, 2, 2, 2)
-        rho, m = random_density(2, rng), random_hermitian(2, rng)
-        forward = np.einsum("abcd,cd->ab", sop, rho)
-        back = np.einsum("abcd,cd->ab", adjoint_superop_1q(sop), m)
+        noise = NoiseModel.noiseless(2)
+        noise._superop_cache[(qubit,)] = kraus_to_superop(kraus)
+        gate = Gate("ry", (qubit,), 0.7)
+        rho, m = random_density(4, rng), random_hermitian(4, rng)
+        forward = apply_superop(rho, gate, noise)
+        back = adjoint_density_matrix(Circuit(2, (gate,)), m, noise)
         assert abs(np.trace(forward) - 1.0) < 1e-12
         assert abs(np.trace(m @ forward) - np.trace(back @ rho)) < 1e-12
+
+
+def gate_then_noise(t: np.ndarray, gate: Gate, noise: NoiseModel | None, n: int) -> np.ndarray:
+    """U t U^dag by the reference kernel, then :func:`apply_gate_noise`, on a
+    density tensor of n qubits with any trailing stack axes."""
+    u = simulator.gate_matrix(gate)
+    t = tensordot_kernel(t, u, gate.qubits)
+    t = tensordot_kernel(t, u.conj(), tuple(n + q for q in gate.qubits))
+    return t if noise is None else apply_gate_noise(t, gate, noise, n)
+
+
+class TestFusedGate:
+    """One product with S = N (U (x) U*) is the gate followed by its noise
+    block, and S^dag is that channel's Hilbert-Schmidt adjoint."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        data=st.data(),
+        model=st.sampled_from(["profile", "scaled", "noiseless", "relaxing", "none"]),
+    )
+    def test_equals_the_gate_then_its_noise_block(self, data, model):
+        if model == "relaxing":
+            noise = data.draw(relaxing_models(), label="relaxing model")
+        else:
+            noise = None if model == "none" else noise_models()[model]
+        n = data.draw(st.integers(1, 4 if noise is None else min(4, noise.n_qubits)), label="qubits")
+        kind = data.draw(st.sampled_from(_KINDS_1Q + (_KINDS_2Q if n > 1 else ())), label="kind")
+        order = data.draw(st.permutations(range(n)), label="order")
+        qubits = tuple(order[: 2 if kind in _KINDS_2Q else 1])
+        angle = data.draw(st.floats(-math.pi, math.pi), label="angle")
+        gate = Gate(kind, qubits, angle if kind in ("ry", "rz") else None)
+        stack = data.draw(st.sampled_from([(), (3,)]), label="stack")
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (2,) * (2 * n) + stack
+        t = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
+        axes = qubits + tuple(n + q for q in qubits)
+        fused = simulator._apply_matrix(t, simulator._gate_superop(gate, noise), axes)
+        assert np.max(np.abs(fused - gate_then_noise(t, gate, noise, n))) < 1e-14
+        # the reference channel as a 4^n x 4^n matrix: its adjoint is C^dag
+        dim = 4**n
+        basis = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
+        channel = gate_then_noise(basis, gate, noise, n).reshape(dim, dim)
+        ops = np.moveaxis(t, range(2 * n), range(-2 * n, 0)).reshape(stack + (2**n, 2**n))
+        back = adjoint_density_matrix(Circuit(n, (gate,)), ops, noise)
+        expected = (ops.reshape(-1, dim) @ channel.conj()).reshape(ops.shape)
+        assert np.max(np.abs(back - expected)) < 1e-14
 
 
 class TestStatevectorDensityAgreement:
