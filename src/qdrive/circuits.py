@@ -1,8 +1,7 @@
-"""Gate-list circuits: the hardware-efficient ansatz and estimation circuitry.
+"""Gate-list circuits and the hardware-efficient ansatz.
 
-Qubit 0 is reserved for the ancilla whenever one is present; bitstrings and
-state indices are big-endian in qubit order (qubit 0 is the most significant
-bit).
+Bitstrings and state indices are big-endian in qubit order (qubit 0 is the
+most significant bit).
 """
 from __future__ import annotations
 
@@ -55,14 +54,6 @@ class Circuit:
     def inverse(self) -> "Circuit":
         return Circuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)))
 
-    def shifted(self, offset: int, n_qubits: int) -> "Circuit":
-        """Re-target every gate by ``offset`` on a wider register."""
-        gates = tuple(
-            Gate(g.kind, tuple(q + offset for q in g.qubits), g.param)
-            for g in self.gates
-        )
-        return Circuit(n_qubits, gates)
-
 
 def ansatz_parameter_count(q: int, layers: int = ANSATZ_LAYERS) -> int:
     return 2 * q * (layers + 1)
@@ -105,37 +96,3 @@ def build_ansatz(params: np.ndarray, q: int) -> Circuit:
             gates.append(Gate("cx", (k, k + 1)))
         rotation_block(layer)
     return Circuit(q, tuple(gates))
-
-
-def controlled_word_gates(word: str, control: int, targets_offset: int) -> list[Gate]:
-    """Controlled Pauli code word as one controlled gate per non-identity letter."""
-    gates = []
-    for k, letter in enumerate(word):
-        if letter == "I":
-            continue
-        gates.append(Gate("c" + letter.lower(), (control, targets_offset + k)))
-    return gates
-
-
-def hadamard_test_circuit(ansatz: Circuit, word: str, part: str = "real") -> Circuit:
-    """Ancilla-based estimation of Re or Im of <psi|P|psi> for a Pauli word.
-
-    The ancilla is qubit 0 and the prepared system sits on qubits 1..q.
-    P(ancilla=0) - P(ancilla=1) gives the requested part; the imaginary
-    part uses an S-dagger phase on the ancilla before the controlled word.
-    An ansatz without gates gives the test's tail alone, which can then act
-    on any prepared ancilla|0> (x) system state.
-    """
-    if part not in ("real", "imag"):
-        raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    if len(word) != ansatz.n_qubits:
-        raise ValueError("word length must match the ansatz qubit count")
-    n = ansatz.n_qubits + 1
-    gates = list(ansatz.shifted(1, n).gates)
-    gates.append(Gate("h", (0,)))
-    if part == "imag":
-        gates.append(Gate("sdg", (0,)))
-    gates.extend(controlled_word_gates(word, control=0, targets_offset=1))
-    gates.append(Gate("h", (0,)))
-    return Circuit(n, tuple(gates))
-

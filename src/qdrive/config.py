@@ -220,15 +220,15 @@ def validate_config(doc: dict) -> None:
             allowed = "a positive number or 'inf'" if inf_ok else "a positive number"
             raise ConfigError(f"config key {path!r} must be {allowed}, got {value!r}")
     if doc.get("tier") == "noisy":
-        # the noisy tier simulates the q system qubits plus one ancilla
+        # the noisy tier simulates the q qubits of the ansatz
         path = doc.get("noise_profile") or bundled_profile_path()
         try:
             n_qubits = load_noise_profile(path).n_qubits
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config key 'noise_profile': cannot load {path}: {exc}")
-        if doc["q"] + 1 > n_qubits:
+        if doc["q"] > n_qubits:
             raise ConfigError(
-                f"config key 'q' = {doc['q']} needs {doc['q'] + 1} qubits on the "
+                f"config key 'q' = {doc['q']} needs {doc['q']} qubits on the "
                 f"noisy tier, but the noise profile covers {n_qubits}"
             )
 

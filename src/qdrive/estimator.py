@@ -1,53 +1,39 @@
 """Expectation-value and overlap estimation across the three simulator tiers.
 
-An :class:`Estimator` bundles the tier, shot budget, RNG stream, noise model
-and mitigation switches.  Every estimate splits its circuit into a prepared
-state and a measured tail, and goes through one pipeline:
+An :class:`Estimator` bundles the tier, shot budget, RNG stream, noise model,
+mitigation switches and the measurement groups of the words it reads.
+Every estimate goes through one pipeline:
 
-1. *prepare* (:meth:`Estimator._prepare`): evolve the head of the circuit
-   from |0..0>, as a statevector on the exact and shot tiers, or as the
-   noisy density matrix rho of the head folded to a ZNE scale on the noisy
-   tier.  Prepared heads are kept for the last parameters, so the estimates
-   of one objective evaluation share them: on the exact and shot tiers every
-   word of every observable and every overlap reads the one ansatz state.
-   New parameters resume from the longest unchanged prefix of the head's
-   gates, with angles compared bit for bit: each head kind and fold scale
-   keeps the gates it last evolved and the state after each of them (after
-   each fold block of lam gates on the noisy tier,
-   :class:`~qdrive.simulator.Checkpoints`).  So an NFT shift or a COBYQA
-   start-up point that moves one angle evolves only the gates from that
-   angle on, and the state is bitwise the one evolved from |0..0>;
+1. *prepare* (:meth:`Estimator._prepare`): the ansatz state, a statevector
+   on the exact and shot tiers or the density matrix of the ansatz folded
+   to a ZNE scale on the noisy tier.  The states of the last parameters are
+   kept for every estimate of one objective evaluation, and new parameters
+   resume from the longest unchanged prefix of gates, compared bit for bit
+   (:class:`~qdrive.simulator.Checkpoints`), so a step in one angle evolves
+   only the gates from that angle on;
 2. *measure, sample and mitigate* (:meth:`Estimator._distribution`): the
-   outcome distribution of the measured qubits after the tail.  The exact
-   and shot tiers run the tail forward on the statevector.  The noisy tier
-   reads every outcome probability as Tr(M_y rho), where M_y is the
-   effective POVM element of outcome y (readout confusion included) taken
-   back through the folded noisy tail
-   (:func:`~qdrive.simulator.effective_povm`).  M depends only on the tail,
-   the fold scale and the noise model, so it is built once per noise model
-   and cached there, and an objective evaluation evolves only its states.
-   Every tier but the statevector one replaces the distribution by a shot
-   histogram, and readout mitigation inverts the confusion;
-3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, the
-   values at fold scales 1, 3, 5 become one zero-noise estimate.
+   distribution of the q qubits after a measured tail, sampled into a shot
+   histogram and, with readout mitigation, taken through one Kronecker
+   inverse of the confusion built per estimator.  The noisy tier reads each
+   probability as Tr(M_y rho) from the effective POVM M of the folded noisy
+   tail (:func:`~qdrive.simulator.effective_povm`), cached on the noise
+   model.  The tail is either
+   * a Pauli group's rotation: the words fall into qubit-wise-commuting
+     groups (:func:`~qdrive.pauli.qwc_groups`, built once per channel by
+     :func:`~qdrive.pipeline.build_problem`), the tail rotates each qubit
+     into the eigenbasis of the letter the group's words share there, and
+     one distribution gives every word of the group as the mean of its
+     parity signs.  The tail, its noise and the readout act on each qubit
+     alone, so M is a product of one-qubit POVMs; or
+   * an overlap's inverted ansatz U(b)^dag, whose value is P(all zeros);
+3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, each
+   word's or overlap's values at fold scales 1, 3, 5 become one estimate.
 
-The primitives differ only in their split and in the functional applied to
-the distribution:
-
-* the ancilla Hadamard test, used per code word on the noisy tier: the
-  ancilla|0> (x) ansatz base is prepared once per fold scale (and kept for
-  the next call with the same parameters), each word's test is the tail,
-  and the value is 2 P(ancilla=0) - 1;
-* the low-depth overlap: U(a) is prepared once per fold scale (and kept
-  for the next call with the same a), U(b) inverted is the tail, and the
-  value is P(all zeros);
-* direct word measurement on the exact and shot tiers: the statevector
-  tier contracts the word exactly, the shot tier's tail rotates into the
-  word's eigenbasis and the value averages bit parities.
-
-The identity code word is never estimated: its expectation is unity for any
-normalized state, so it contributes its coefficient analytically and no
-circuit for it ever appears in the telemetry.
+The statevector tier contracts each word exactly, psi^dag P psi, in place
+of step 2.  The word values of the last parameters are kept, so the
+observables of one evaluation share their draws and a group is measured
+at most once per parameters.  The identity word is never estimated: it
+contributes its coefficient analytically.
 """
 from __future__ import annotations
 
@@ -56,16 +42,16 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, Gate, build_ansatz, hadamard_test_circuit
+from .circuits import Circuit, Gate, build_ansatz
 from .mitigation import (
     ConfusionMatrix,
     ZnePoints,
     fold_circuit,
     invert_distribution,
-    readout_invert,
+    readout_inverse,
     zne_extrapolate,
 )
-from .pauli import PauliSum, word_to_dense
+from .pauli import PauliSum, covers, qwc_groups, word_to_dense
 from .simulator import (
     Checkpoints,
     NoiseModel,
@@ -94,25 +80,24 @@ def _parity_signs(word: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _hadamard_tail(q: int, word: str, part: str) -> Circuit:
-    """The word's Hadamard test without a state preparation: its measured tail."""
-    return hadamard_test_circuit(Circuit(q, ()), word, part)
-
-
-def measurement_rotation_gates(word: str) -> list[Gate]:
-    """Map each non-identity letter's eigenbasis onto the computational basis."""
+def measurement_rotation(basis: str) -> Circuit:
+    """The tail that maps each letter's eigenbasis onto the computational basis."""
     gates = []
-    for k, letter in enumerate(word):
-        if letter == "X":
-            gates.append(Gate("h", (k,)))
-        elif letter == "Y":
+    for k, letter in enumerate(basis):
+        if letter == "Y":
             gates.append(Gate("sdg", (k,)))
+        if letter in "XY":
             gates.append(Gate("h", (k,)))
-    return gates
+    return Circuit(len(basis), tuple(gates))
 
 
 class Estimator:
-    """Stateful estimation context for one task (one RNG stream)."""
+    """Stateful estimation context for one task (one RNG stream).
+
+    ``groups`` are the bases of the qubit-wise-commuting groups to read words
+    from (a channel's :attr:`~qdrive.pipeline.ChannelProblem.groups`); words
+    that none of them covers are grouped among themselves on first use.
+    """
 
     def __init__(
         self,
@@ -124,6 +109,7 @@ class Estimator:
         mitigate_readout: bool = True,
         mitigate_zne: bool = True,
         telemetry: list | None = None,
+        groups: tuple[str, ...] = (),
     ):
         if tier not in TIERS:
             raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
@@ -140,17 +126,25 @@ class Estimator:
         noisy = tier == "noisy"
         self.mitigate_readout = noisy and mitigate_readout
         self.mitigate_zne = noisy and mitigate_zne
-        self._confusion = (
-            [ConfusionMatrix.from_rows(noise.confusion(k)) for k in range(q)]
+        self._inverse = (
+            readout_inverse(
+                [ConfusionMatrix.from_rows(noise.confusion(k)) for k in range(q)]
+            )
             if self.mitigate_readout
-            else []
+            else None
         )
         self.telemetry = telemetry
         self.circuits_run = 0
-        # per head kind, the last parameters' bytes and their states per scale
-        self._heads: dict[str, tuple[bytes, dict[int, np.ndarray]]] = {}
-        # per head kind and scale, the gates last evolved and the states on the way
-        self._checkpoints: dict[tuple[str, int], Checkpoints] = {}
+        self.groups = list(groups)
+        # per word, the basis of the group it is read from
+        self._basis: dict[str, str] = {}
+        # the last parameters' bytes and their states per scale
+        self._heads: tuple[bytes, dict[int, np.ndarray]] | None = None
+        # the last parameters' bytes, their groups' distributions per scale
+        # and the word values read from them
+        self._reads: tuple[bytes, dict[str, list], dict[str, float]] = (b"", {}, {})
+        # per scale, the gates last evolved and the states on the way
+        self._checkpoints: dict[int, Checkpoints] = {}
         # per prior's parameter bytes, its inverted ansatz: an overlap's tail
         self._tails: dict[bytes, Circuit] = {}
 
@@ -164,60 +158,95 @@ class Estimator:
     def _scales(self) -> tuple[int, ...]:
         return ZNE_SCALES if self.mitigate_zne else (1,)
 
+    def _cover(self, words: list[str]) -> None:
+        """Assign each word its group's basis; the words no group covers form
+        new groups, grouped among themselves."""
+        new = [w for w in words if w not in self._basis]
+        if not new:
+            return
+        self.groups.extend(
+            qwc_groups(w for w in new if not any(covers(b, w) for b in self.groups))
+        )
+        for word in new:
+            self._basis[word] = next(b for b in self.groups if covers(b, word))
+
     def statistical_sigma(self, observable: PauliSum) -> float:
-        """Upper bound on the shot-noise s.d. of one expectation estimate."""
+        """Upper bound on the shot-noise s.d. of one expectation estimate.
+
+        A word's value is the shot mean of its parity signs (through the
+        readout inverse, if any), so its s.d. is at most a / sqrt(shots), a
+        the largest sign in magnitude.  A group's words share their shots,
+        so their errors add up to at most sum |c| a / sqrt(shots); groups
+        are independent.  ZNE's linear extrapolation (3 x1 - x3) / 2 scales
+        the s.d. by sqrt(10) / 2; its exponential branch is not covered.
+        """
         if self.tier == "statevector":
             return 0.0
-        ss = sum(
-            abs(c) ** 2
-            for w, c in observable.terms.items()
-            if w != observable.identity_word
-        )
-        return math.sqrt(ss / self.shots)
+        words = [w for w in observable.terms if w != observable.identity_word]
+        self._cover(words)
+        per_group: dict[str, float] = {}
+        for word in words:
+            signs = _parity_signs(word)
+            if self._inverse is not None:
+                signs = self._inverse.T @ signs
+            bound = abs(observable.terms[word]) * np.max(np.abs(signs))
+            per_group[self._basis[word]] = per_group.get(self._basis[word], 0.0) + bound
+        zne = math.sqrt(10.0) / 2.0 if self.mitigate_zne else 1.0
+        return zne * math.sqrt(sum(s * s for s in per_group.values()) / self.shots)
 
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
-    def _prepare(self, kind: str, circuit: Circuit, lam: int = 1) -> np.ndarray:
+    def _prepare(self, circuit: Circuit, lam: int = 1) -> np.ndarray:
         """The circuit's output state on this tier, folded to scale lam if
         noisy; read-only.  It resumes from the longest prefix of gates that
-        the last preparation of the same head ``kind`` and scale shares."""
-        checkpoints = self._checkpoints.get((kind, lam))
+        the last preparation at the same scale shares."""
+        checkpoints = self._checkpoints.get(lam)
         if checkpoints is None:
-            checkpoints = self._checkpoints[kind, lam] = Checkpoints(stride=lam)
+            checkpoints = self._checkpoints[lam] = Checkpoints(stride=lam)
         if self.tier == "noisy":
             return density_matrix(fold_circuit(circuit, lam), self.noise, checkpoints)
         return statevector(circuit, checkpoints=checkpoints)
 
-    def _distribution(
-        self, state: np.ndarray, tail: Circuit, lam: int, measured, purpose: str, **log
-    ) -> np.ndarray:
-        """Outcome distribution over ``measured`` (all qubits if None) after
-        ``tail`` acts on the prepared ``state``.
+    def _probabilities(self, state: np.ndarray, tail: Circuit, lam: int) -> np.ndarray:
+        """Outcome probabilities of the q qubits after ``tail`` acts on the
+        prepared ``state``: run forward on a statevector, or read as
+        Tr(M_y rho) from the effective POVM of the tail folded to scale lam."""
+        if self.tier != "noisy":
+            return outcome_probabilities(statevector(tail, state), self.q)
+        povm = self.noise.povm(
+            (tail, lam), lambda: effective_povm(fold_circuit(tail, lam), self.noise)
+        )
+        return np.einsum("yab,ba->y", povm, state).real
 
-        The noisy tier reads it as Tr(M_y rho) from the effective POVM of the
-        tail folded to scale lam, built once per noise model; the other tiers
-        run the tail forward.  Exact on the statevector tier; otherwise a shot
-        histogram, with the readout confusion inverted when readout
-        mitigation is on.
-        """
-        if self.tier == "noisy":
-            povm = self.noise.povm(
-                (tail, lam, measured),
-                lambda: effective_povm(fold_circuit(tail, lam), self.noise, measured),
-            )
-            probs = np.clip(np.einsum("yab,ba->y", povm, state).real, 0.0, None)
-        else:
-            probs = outcome_probabilities(statevector(tail, state), tail.n_qubits, measured)
+    def _group_probabilities(self, state: np.ndarray, basis: str, lam: int) -> np.ndarray:
+        """Outcome probabilities after the group's rotation; on the noisy
+        tier each qubit's POVM M^k[y, c, r] for its letter, read as a 2 x 4
+        matrix on the qubit's (row, column) pair, is applied in turn."""
+        if self.tier != "noisy":
+            return self._probabilities(state, measurement_rotation(basis), lam)
+        pairs = [i for k in range(self.q) for i in (k, self.q + k)]
+        t = state.reshape((2,) * (2 * self.q)).transpose(pairs)
+        for k, letter in enumerate(basis):
+            tail = measurement_rotation(letter)
+            factor = self.noise.povm((k, tail, lam), lambda: effective_povm(
+                fold_circuit(tail, lam), self.noise.restricted((k,))
+            ).transpose(0, 2, 1).reshape(2, 4))
+            # contract the leading pair; the outcome axis goes last
+            t = (factor @ t.reshape(4, -1)).T
+        return t.real.reshape(-1)
+
+    def _distribution(self, probs: np.ndarray, lam: int, purpose: str, **log) -> np.ndarray:
+        """The outcome distribution of ``probs``: themselves on the
+        statevector tier, otherwise a shot histogram, with the readout
+        confusion inverted when readout mitigation is on."""
         if self.tier == "statevector":
             return probs
+        probs = np.clip(probs, 0.0, None)
         dist = sample_shots(probs / probs.sum(), self.shots, self.rng).empirical()
         self._log(purpose, lam=lam, **log)
-        if not self.mitigate_readout:
+        if self._inverse is None:
             return dist
-        if measured is not None:  # the one-qubit ancilla
-            t0, t1, _ = readout_invert(float(dist[0]), self._confusion[measured[0]])
-            return np.array([t0, t1])
-        return invert_distribution(dist, self._confusion[: tail.n_qubits])[0]
+        return invert_distribution(dist, self._inverse)[0]
 
     def _maybe_extrapolate(self, xs: list[float], mode: str) -> float:
         """Zero-noise estimate from the values at the fold scales."""
@@ -233,54 +262,46 @@ class Estimator:
 
     # -- primitives -----------------------------------------------------------
 
-    def _heads_for(self, kind: str, params, head) -> dict[int, np.ndarray]:
-        """Per fold scale, the prepared state of ``head(ansatz(params))``.
-
-        The states of the last parameters are kept per ``kind``, so the
-        several estimates of one objective evaluation that share a head
-        prepare it once.  They are read-only: every estimate shares them.
-        """
-        key = np.asarray(params, dtype=float).tobytes()
-        cached = self._heads.get(kind)
-        if cached is None or cached[0] != key:
-            circuit = head(build_ansatz(params, self.q))
-            states = {lam: self._prepare(kind, circuit, lam) for lam in self._scales()}
-            cached = self._heads[kind] = (key, states)
-        return cached[1]
-
     def _ansatz_states(self, params) -> dict[int, np.ndarray]:
-        """Per fold scale, the ansatz state itself, shared by every estimate
-        of the exact and shot tiers and by every tier's overlaps."""
-        return self._heads_for("ansatz", params, lambda c: c)
+        """Per fold scale, the read-only ansatz state of ``params``, kept for
+        the last parameters and shared by every estimate."""
+        key = np.asarray(params, dtype=float).tobytes()
+        if self._heads is None or self._heads[0] != key:
+            circuit = build_ansatz(params, self.q)
+            states = {lam: self._prepare(circuit, lam) for lam in self._scales()}
+            self._heads = (key, states)
+        return self._heads[1]
 
-    def _hadamard_bases(self, params) -> dict[int, np.ndarray]:
-        """Per fold scale, ancilla|0> (x) ansatz state, shared by every word."""
-        return self._heads_for("hadamard", params, lambda c: c.shifted(1, self.q + 1))
-
-    def _hadamard(self, bases: dict[int, np.ndarray], word: str, part: str) -> float:
-        """2 P(ancilla=0) - 1 after the word's test tail on each base."""
-        tail = _hadamard_tail(self.q, word, part)
-        xs = []
-        for lam, base in bases.items():
-            dist = self._distribution(
-                base, tail, lam, (0,), "hadamard-test", word=word, part=part
+    def _read(self, params, words: list[str]) -> list[float]:
+        """<word> on the ansatz state of ``params`` for each word, each read
+        once per parameters: its group's distributions are sampled on the
+        first word that needs them."""
+        key = np.asarray(params, dtype=float).tobytes()
+        if self._reads[0] != key:
+            self._reads = (key, {}, {})
+        _, dists, values = self._reads
+        missing = [w for w in words if w not in values]
+        if missing and self.tier == "statevector":
+            psi = self._ansatz_states(params)[1]
+            for word in missing:
+                values[word] = np.vdot(psi, word_to_dense(word) @ psi).real
+            missing = []
+        self._cover(missing)
+        for word in missing:
+            basis = self._basis[word]
+            if basis not in dists:
+                dists[basis] = [
+                    self._distribution(
+                        self._group_probabilities(state, basis, lam),
+                        lam, "pauli-group", basis=basis,
+                    )
+                    for lam, state in self._ansatz_states(params).items()
+                ]
+            signs = _parity_signs(word)
+            values[word] = self._maybe_extrapolate(
+                [float(d @ signs) for d in dists[basis]], mode="expectation"
             )
-            xs.append(2.0 * float(dist[0]) - 1.0)
-        return self._maybe_extrapolate(xs, mode="expectation")
-
-    def _word(self, psi: np.ndarray, word: str) -> float:
-        """<word> on the ansatz state psi by direct measurement."""
-        if self.tier == "statevector":
-            return np.vdot(psi, word_to_dense(word) @ psi).real
-        rotation = Circuit(self.q, tuple(measurement_rotation_gates(word)))
-        dist = self._distribution(psi, rotation, 1, None, "pauli-word", word=word)
-        return float(dist @ _parity_signs(word))
-
-    def expectation_hadamard_test(self, params, word: str, part: str = "real") -> float:
-        """Re or Im of <psi|P|psi> from ancilla statistics 2 P(0) - 1."""
-        if word == "I" * len(word):
-            return 1.0 if part == "real" else 0.0
-        return self._hadamard(self._hadamard_bases(params), word, part)
+        return [values[w] for w in words]
 
     def overlap_lowdepth(self, params_a, params_b) -> float:
         """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag.
@@ -298,18 +319,14 @@ class Estimator:
             tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
         xs = []
         for lam, head in heads.items():
-            dist = self._distribution(head, tail, lam, None, "overlap")
+            dist = self._distribution(self._probabilities(head, tail, lam), lam, "overlap")
             xs.append(float(dist[0]))
         return self._maybe_extrapolate(xs, mode="probability")
 
     # -- assembled estimates ---------------------------------------------------
 
     def expectation(self, observable: PauliSum, params) -> complex:
-        """Tier-appropriate estimate of sum_P C_P <P>.
-
-        The noisy tier estimates every non-identity word with the Hadamard
-        test; the exact and shot tiers measure each word directly.
-        """
+        """Tier-appropriate estimate of sum_P C_P <P>."""
         if observable.n_qubits != self.q:
             raise ValueError(
                 f"observable acts on {observable.n_qubits} qubits, ansatz has {self.q}"
@@ -317,15 +334,7 @@ class Estimator:
         identity = observable.identity_word
         acc = complex(observable.terms.get(identity, 0.0))
         words = [w for w in observable.terms if w != identity]
-        if not words:
-            return acc
-        if self.tier == "noisy":
-            bases = self._hadamard_bases(params)
-            values = (self._hadamard(bases, word, "real") for word in words)
-        else:
-            psi = self._ansatz_states(params)[1]
-            values = (self._word(psi, word) for word in words)
-        for word, value in zip(words, values):
+        for word, value in zip(words, self._read(params, words)):
             acc += observable.terms[word] * value
         return acc
 

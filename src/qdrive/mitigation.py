@@ -1,7 +1,7 @@
 """Measurement post-processing: readout inversion and hybrid exp-linear ZNE.
 
-Readout errors are undone by inverting the 2x2 confusion matrix under the
-normalization T0 + T1 = 1.  Gate errors are extrapolated away from circuit
+Readout errors are undone by the inverse of the joint confusion, the
+Kronecker product of the per-qubit 2x2 inverses, built once per estimator.  Gate errors are extrapolated away from circuit
 results at fold scales 1, 3, 5: an exponential fit where the three points
 decay monotonically and significantly, with linear and outlier fallbacks in
 the statistically degenerate orderings.  Significance between two points is
@@ -79,23 +79,29 @@ def readout_invert(n0: float, matrix: ConfusionMatrix) -> tuple[float, float, bo
     return t0, t1, clamped
 
 
-def invert_distribution(
-    probs: np.ndarray, matrices: list[ConfusionMatrix]
-) -> tuple[np.ndarray, bool]:
-    """Per-qubit confusion inversion of a multi-qubit outcome distribution.
+def readout_inverse(matrices: list[ConfusionMatrix]) -> np.ndarray:
+    """The matrix that undoes independent per-qubit confusions on a
+    big-endian outcome distribution.
 
     The joint confusion is the tensor product of the single-qubit matrices,
-    so its inverse applies qubit by qubit.  Negative entries from sampling
-    noise are clamped to zero and the distribution renormalized (flagged).
+    so its inverse is the Kronecker product of theirs; probabilities
+    transform with the transpose of the true->measured map.
     """
-    m = len(matrices)
-    tensor = np.asarray(probs, dtype=float).reshape((2,) * m)
-    for axis, cm in enumerate(matrices):
+    inverse = np.ones((1, 1))
+    for cm in matrices:
         fwd = np.array([[cm.p00, cm.p01], [cm.p10, cm.p11]])
-        inv = np.linalg.inv(fwd)
-        # probabilities transform with the transpose of the true->measured map
-        tensor = np.moveaxis(np.tensordot(tensor, inv.T, axes=([axis], [1])), -1, axis)
-    flat = tensor.reshape(-1)
+        inverse = np.kron(inverse, np.linalg.inv(fwd).T)
+    return inverse
+
+
+def invert_distribution(probs: np.ndarray, inverse: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Confusion inversion of a multi-qubit outcome distribution with the
+    ``inverse`` of :func:`readout_inverse`.
+
+    Negative entries from sampling noise are clamped to zero and the
+    distribution renormalized (flagged).
+    """
+    flat = inverse @ np.asarray(probs, dtype=float)
     clamped = bool(np.any(flat < -1e-12))
     flat = np.clip(flat, 0.0, None)
     total = flat.sum()
@@ -123,9 +129,9 @@ def z_score(x3: float, x5: float, n: int) -> float:
 class ZnePoints:
     """Expectation estimates at fold scales 1, 3, 5 with their shot count.
 
-    ``mode`` is "probability" for values in [0, 1] (ancilla or all-zeros
-    statistics) and "expectation" for values in [-1, 1], which are mapped
-    affinely to proportions before the binomial z-test.
+    ``mode`` is "probability" for values in [0, 1] (all-zeros statistics)
+    and "expectation" for values in [-1, 1], which are mapped affinely to
+    proportions before the binomial z-test.
     """
 
     x1: float

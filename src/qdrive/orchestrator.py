@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -177,7 +176,8 @@ def _run_payload(node: TaskNode, degraded: list[str]) -> tuple[str, str | None]:
 
 
 def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
-    """The scheduler core shared by both executors; returns the trace.
+    """The scheduler core of :func:`execute` (and of the inline
+    virtual-clock executor of the tests); returns the trace.
 
     While fewer than ``workers`` nodes run, the ready node with the most
     nodes on its longest path of descendants is claimed, the lowest sort key
@@ -339,42 +339,6 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
     finally:
         for conn, proc in procs.items():
             _stop(conn, proc)
-
-
-def execute_simulated(
-    dag: TaskDag, workers: int, durations: dict[str, float] | float = 1.0
-) -> list[dict]:
-    """Inline executor on a virtual clock, for tests.
-
-    Payloads run one at a time in the calling process as their nodes are
-    claimed; each node then occupies the lowest-numbered idle virtual worker
-    for its duration (``durations[node]``, default 1.0, or one number for
-    all), and the trace carries virtual start/finish times.  Scheduling,
-    skip and degrade follow :func:`execute`.
-    """
-    clock = 0.0
-    idle = list(range(workers))
-    running: list = []  # (finish, claim number, worker, event)
-    claims = itertools.count()
-
-    def start(node: TaskNode, degraded: list[str]) -> None:
-        status, error = _run_payload(node, degraded)
-        span = durations.get(node.id, 1.0) if isinstance(durations, dict) else durations
-        worker = heapq.heappop(idle)
-        event = {
-            "node": node.id, "status": status, "error": error,
-            "start": clock, "finish": clock + float(span),
-            "worker": f"sim-{worker}", "degraded_inputs": degraded,
-        }
-        heapq.heappush(running, (event["finish"], next(claims), worker, event))
-
-    def finished() -> list[dict]:
-        nonlocal clock
-        clock, _, worker, event = heapq.heappop(running)
-        heapq.heappush(idle, worker)
-        return [event]
-
-    return _schedule(dag, workers, start, finished, lambda: clock)
 
 
 # ---------------------------------------------------------------------------

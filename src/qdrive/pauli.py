@@ -178,3 +178,29 @@ def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
 def adjoint(a: PauliSum) -> PauliSum:
     """Hermitian adjoint: Pauli words are self-adjoint, so conjugate coefficients."""
     return PauliSum(a.n_qubits, {w: c.conjugate() for w, c in a.terms.items()})
+
+
+def qwc_groups(words) -> tuple[str, ...]:
+    """Greedy first-fit cover of ``words`` by qubit-wise-commuting groups.
+
+    Each group is given by its measurement basis: per qubit, the letter its
+    members share there, or I where none of them acts.  A word joins the
+    first group whose members it commutes with qubit by qubit, i.e. whose
+    basis it agrees with wherever both act.  Merging only fills I letters,
+    so a word's group is the first basis that covers it.
+    """
+    bases: list[str] = []
+    for word in words:
+        for i, basis in enumerate(bases):
+            if all(a == "I" or b == "I" or a == b for a, b in zip(word, basis)):
+                bases[i] = "".join(b if a == "I" else a for a, b in zip(word, basis))
+                break
+        else:
+            bases.append(word)
+    return tuple(bases)
+
+
+def covers(basis: str, word: str) -> bool:
+    """Whether ``word`` is read from the ``basis``: it acts only where the
+    basis does, with the same letter."""
+    return all(a == "I" or a == b for a, b in zip(word, basis))

@@ -46,7 +46,11 @@ KIND_CODE = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3, "init": 4}
 
 @dataclass
 class ChannelProblem:
-    """Pauli-space operators of one parity channel and its projected pair."""
+    """Pauli-space operators of one parity channel and its projected pair.
+
+    ``groups`` are the bases of the qubit-wise-commuting groups that the
+    estimators read every word of ``h_h``, ``v_cap`` and ``h_dag_h`` from.
+    """
 
     parity: str
     q: int
@@ -55,6 +59,7 @@ class ChannelProblem:
     h_n: pauli.PauliSum
     h_dag_h: pauli.PauliSum
     pair: HamiltonianPair
+    groups: tuple[str, ...]
 
 
 def build_problem(
@@ -66,6 +71,11 @@ def build_problem(
     v_cap = pauli.decompose(pair.v_cap)
     h_n = h_h + v_cap.scaled(1j)
     h_dag_h = pauli.multiply(pauli.adjoint(h_n), h_n)
+    # the h_h words first: a VQD evaluation, which reads only them, then
+    # measures as few groups as grouping them alone would give
+    identity = h_h.identity_word
+    first = sorted(set(h_h.terms) - {identity})
+    rest = sorted((set(v_cap.terms) | set(h_dag_h.terms)) - set(first) - {identity})
     return ChannelProblem(
         parity=parity,
         q=q,
@@ -74,6 +84,7 @@ def build_problem(
         h_n=h_n,
         h_dag_h=h_dag_h,
         pair=pair,
+        groups=pauli.qwc_groups(first + rest),
     )
 
 
@@ -109,7 +120,7 @@ class RunPlan:
 
     def make_estimator(
         self, parity: str, run: int, kind: str, index: int = 0,
-        shots: int | None = None, telemetry=None,
+        shots: int | None = None, telemetry=None, groups: tuple[str, ...] = (),
     ) -> Estimator:
         return Estimator(
             q=self.q,
@@ -120,6 +131,7 @@ class RunPlan:
             mitigate_readout=self.mitigate_readout,
             mitigate_zne=self.mitigate_zne,
             telemetry=telemetry,
+            groups=groups,
         )
 
 
@@ -166,7 +178,9 @@ def run_hermitian_stage(
     telemetry=None,
 ) -> dict:
     """Find the index-th Hermitian eigenstate by deflated minimization."""
-    est = plan.make_estimator(problem.parity, run_id, "hermitian", index, telemetry=telemetry)
+    est = plan.make_estimator(
+        problem.parity, run_id, "hermitian", index, telemetry=telemetry, groups=problem.groups
+    )
     rng = np.random.default_rng(plan.task_seed(problem.parity, run_id, "init", index))
     x0 = random_initial_params(plan.q, rng)
     cfg = plan.hermitian_cfg
@@ -200,7 +214,10 @@ def run_nonhermitian_stage(
     telemetry=None,
 ) -> ResonanceRecord:
     """Pseudovariance minimization warm-started at the Hermitian eigenstate."""
-    est = plan.make_estimator(problem.parity, run_id, "nonhermitian", index, telemetry=telemetry)
+    est = plan.make_estimator(
+        problem.parity, run_id, "nonhermitian", index, telemetry=telemetry,
+        groups=problem.groups,
+    )
     cfg = plan.nonhermitian_cfg
 
     def objective(x):
@@ -216,9 +233,12 @@ def run_nonhermitian_stage(
             converged=warm <= cfg.f_tol, kind=result.kind,
             message="warm start retained",
         )
-    # final comparison estimates use an extra order of magnitude of shots
+    # final comparison estimates use an extra order of magnitude of shots;
+    # the estimator keeps the word values of the last parameters, so the
+    # energy and sigma2 come from the same draws
     final_est = plan.make_estimator(
-        problem.parity, run_id, "nonhermitian", index + 1000, shots=plan.final_shots
+        problem.parity, run_id, "nonhermitian", index + 1000, shots=plan.final_shots,
+        groups=problem.groups,
     )
     h_h, v_cap = problem.h_n.hermitian_split()
     energy = final_est.energy(result.params, h_h, v_cap)

@@ -30,9 +30,9 @@ of the circuit when an optimizer moves one or two angles at a time.  The
 same kernels run on the same arrays, so the output is bitwise the one of a
 fresh evolution.
 
-Density matrices stay small by design: at most a six-qubit ansatz plus one
-ancilla is ever simulated, i.e. a 128 x 128 matrix (32 x 32 under the
-bundled five-qubit noise profile).
+Density matrices stay small by design: at most a six-qubit ansatz is ever
+simulated, i.e. a 64 x 64 matrix (32 x 32 under the bundled five-qubit
+noise profile).
 """
 from __future__ import annotations
 
@@ -117,7 +117,7 @@ class Checkpoints:
     has lam gates per gate of the unfolded one, and a changed angle changes
     the first gate of its block, so ``stride=lam`` keeps every reuse at 1/lam
     of the memory.  A statevector checkpoint takes 16 * 2^n bytes, a density
-    one 16 * 4^n bytes (256 KiB at n = 7, a q = 6 ansatz plus ancilla).
+    one 16 * 4^n bytes (64 KiB at n = 6, the widest ansatz).
     """
 
     stride: int = 1
@@ -337,14 +337,18 @@ class NoiseModel:
         once on the gate's own k-qubit basis."""
         block = self._superop_cache.get(qubits)
         if block is None:
-            k, sub = len(qubits), list(qubits)
-            local = replace(self, t1_us=self.t1_us[sub], t2_us=self.t2_us[sub],
-                            excited_population=self.excited_population[sub],
-                            readout=self.readout[sub])
+            k = len(qubits)
             basis = np.eye(4**k, dtype=complex).reshape((2,) * (2 * k) + (4**k,))
-            block = apply_gate_noise(basis, Gate("", tuple(range(k))), local, k)
+            block = apply_gate_noise(basis, Gate("", tuple(range(k))), self.restricted(qubits), k)
             block = self._superop_cache[qubits] = block.reshape(4**k, 4**k)
         return block
+
+    def restricted(self, qubits: tuple[int, ...]) -> "NoiseModel":
+        """The model of ``qubits`` alone, renumbered from 0, with empty caches."""
+        sub = list(qubits)
+        return replace(self, t1_us=self.t1_us[sub], t2_us=self.t2_us[sub],
+                       excited_population=self.excited_population[sub],
+                       readout=self.readout[sub])
 
     def confusion(self, qubit: int) -> np.ndarray:
         return self.readout[qubit]
@@ -534,19 +538,17 @@ def adjoint_density_matrix(
     return np.moveaxis(op, -1, 0).reshape(shape)
 
 
-def effective_povm(
-    circuit: Circuit, noise: NoiseModel, measured: tuple[int, ...] | None = None
-) -> np.ndarray:
+def effective_povm(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Operators M[y] with P(y) = Tr(M[y] rho) for the noisy circuit run on rho.
 
-    y runs over the big-endian outcomes of the measured qubits (all by
-    default), seen through the readout confusion: M[y] is the adjoint of the
-    circuit's channel applied to sum_x R(x -> y) |x><x|, whose weights are
-    :func:`outcome_probabilities` of each basis state.  Shape (2^m, 2^n, 2^n).
+    y runs over the big-endian outcomes of all qubits, seen through the
+    readout confusion: M[y] is the adjoint of the circuit's channel applied
+    to sum_x R(x -> y) |x><x|, whose weights are :func:`outcome_probabilities`
+    of each basis state.  Shape (2^n, 2^n, 2^n).
     """
     n = circuit.n_qubits
     weights = np.array(
-        [outcome_probabilities(basis, n, measured, noise) for basis in np.eye(2**n)]
+        [outcome_probabilities(basis, n, readout=noise) for basis in np.eye(2**n)]
     )
     projectors = np.array([np.diag(w) for w in weights.T])
     return adjoint_density_matrix(circuit, projectors, noise)
@@ -574,12 +576,9 @@ class Measurement:
 
 
 def outcome_probabilities(
-    state: np.ndarray,
-    n_qubits: int,
-    measured: tuple[int, ...] | None = None,
-    readout: NoiseModel | None = None,
+    state: np.ndarray, n_qubits: int, readout: NoiseModel | None = None
 ) -> np.ndarray:
-    """Outcome distribution over the measured qubits (all by default).
+    """Outcome distribution over all qubits, big-endian.
 
     ``state`` is a flat statevector or a flat density matrix; with a noise
     model the per-qubit readout confusion is applied.
@@ -589,23 +588,12 @@ def outcome_probabilities(
     else:
         probs = np.real(np.diag(state)).copy()
     probs = probs.reshape((2,) * n_qubits)
-    if measured is None:
-        measured = tuple(range(n_qubits))
-    drop = [q for q in range(n_qubits) if q not in measured]
-    if drop:
-        probs = probs.sum(axis=tuple(drop))
-        kept = [q for q in range(n_qubits) if q in measured]
-        order = [kept.index(q) for q in measured]
-        probs = np.transpose(probs, order)
     if readout is not None:
-        for axis, q in enumerate(measured):
+        for q in range(n_qubits):
             probs = np.moveaxis(
-                np.tensordot(probs, readout.confusion(q), axes=([axis], [0])),
-                -1,
-                axis,
+                np.tensordot(probs, readout.confusion(q), axes=([q], [0])), -1, q
             )
-    probs = probs.reshape(-1)
-    return np.clip(probs, 0.0, None)
+    return np.clip(probs.reshape(-1), 0.0, None)
 
 
 def sample_shots(probabilities: np.ndarray, n: int, rng) -> Measurement:

@@ -6,7 +6,6 @@ from qdrive.circuits import (
     Gate,
     ansatz_parameter_count,
     build_ansatz,
-    hadamard_test_circuit,
 )
 from qdrive.simulator import statevector
 
@@ -62,26 +61,3 @@ class TestCircuit:
     def test_measure_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind 'measure'"):
             Circuit(1, (Gate("measure", (0,)),))
-
-
-class TestHadamardCircuit:
-    def test_ancilla_is_qubit_zero(self):
-        ansatz = build_ansatz(np.zeros(16), 2)
-        circuit = hadamard_test_circuit(ansatz, "ZI")
-        assert circuit.n_qubits == 3
-        assert circuit.gates[-1] == Gate("h", (0,))
-        # ansatz gates were shifted off the ancilla
-        for gate in circuit.gates[: len(ansatz.gates)]:
-            assert 0 not in gate.qubits
-
-    def test_imaginary_part_uses_phase_gate(self):
-        ansatz = build_ansatz(np.zeros(8), 1)
-        circuit = hadamard_test_circuit(ansatz, "X", part="imag")
-        kinds = [g.kind for g in circuit.gates]
-        assert "sdg" in kinds
-
-    def test_word_length_checked(self):
-        ansatz = build_ansatz(np.zeros(8), 1)
-        with pytest.raises(ValueError, match="length"):
-            hadamard_test_circuit(ansatz, "XX")
-

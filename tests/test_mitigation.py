@@ -14,6 +14,7 @@ from qdrive.mitigation import (
     fold_circuit,
     invert_distribution,
     readout_invert,
+    readout_inverse,
     z_score,
     zne_extrapolate,
 )
@@ -84,13 +85,13 @@ class TestInvertDistribution:
             np.array([[0.95, 0.05], [0.04, 0.96]]),
         )
         noisy = p_true @ fwd
-        recovered, clamped = invert_distribution(noisy, cms)
+        recovered, clamped = invert_distribution(noisy, readout_inverse(cms))
         assert np.max(np.abs(recovered - p_true)) < 1e-12
         assert not clamped
 
     def test_identity_matrices_noop(self):
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        out, clamped = invert_distribution(p, [ConfusionMatrix(1.0, 0.0, 0.0, 1.0)] * 2)
+        out, clamped = invert_distribution(p, readout_inverse([ConfusionMatrix(1.0, 0.0, 0.0, 1.0)] * 2))
         assert np.allclose(out, p)
         assert not clamped
 
@@ -108,7 +109,7 @@ class TestInversionProperties:
     def test_one_qubit_inversions_agree(self, cm, t):
         n0 = cm.forward(t)
         t0, _, clamped = readout_invert(n0, cm)
-        dist, clamped_dist = invert_distribution(np.array([n0, 1.0 - n0]), [cm])
+        dist, clamped_dist = invert_distribution(np.array([n0, 1.0 - n0]), readout_inverse([cm]))
         assume(not clamped and not clamped_dist)
         assert abs(t0 - dist[0]) <= 1e-12
 
@@ -125,7 +126,7 @@ class TestInversionProperties:
         forward = functools.reduce(
             np.kron, [np.array([[c.p00, c.p01], [c.p10, c.p11]]) for c in cms]
         )
-        recovered, _ = invert_distribution(p_true @ forward, cms)
+        recovered, _ = invert_distribution(p_true @ forward, readout_inverse(cms))
         assert np.max(np.abs(recovered - p_true)) < 1e-9
 
 

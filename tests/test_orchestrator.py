@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import multiprocessing
 import os
 import random
@@ -13,10 +15,45 @@ from qdrive.orchestrator import (
     TaskNode,
     build_dag,
     execute,
-    execute_simulated,
     export_dagman,
     node_id,
 )
+
+
+def execute_simulated(
+    dag: TaskDag, workers: int, durations: dict[str, float] | float = 1.0
+) -> list[dict]:
+    """Inline executor on a virtual clock.
+
+    Payloads run one at a time in the calling process as their nodes are
+    claimed; each node then occupies the lowest-numbered idle virtual worker
+    for its duration (``durations[node]``, default 1.0, or one number for
+    all), and the trace carries virtual start/finish times.  Scheduling,
+    skip and degrade follow :func:`execute`.
+    """
+    clock = 0.0
+    idle = list(range(workers))
+    running: list = []  # (finish, claim number, worker, event)
+    claims = itertools.count()
+
+    def start(node: TaskNode, degraded: list[str]) -> None:
+        status, error = orchestrator._run_payload(node, degraded)
+        span = durations.get(node.id, 1.0) if isinstance(durations, dict) else durations
+        worker = heapq.heappop(idle)
+        event = {
+            "node": node.id, "status": status, "error": error,
+            "start": clock, "finish": clock + float(span),
+            "worker": f"sim-{worker}", "degraded_inputs": degraded,
+        }
+        heapq.heappush(running, (event["finish"], next(claims), worker, event))
+
+    def finished() -> list[dict]:
+        nonlocal clock
+        clock, _, worker, event = heapq.heappop(running)
+        heapq.heappush(idle, worker)
+        return [event]
+
+    return orchestrator._schedule(dag, workers, start, finished, lambda: clock)
 
 
 def parse_dagman(text: str) -> tuple[set[str], set[tuple[str, str]]]:

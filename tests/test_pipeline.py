@@ -13,6 +13,7 @@ from qdrive.model import (
 )
 from qdrive.pipeline import (
     ResonanceRecord,
+    RunPlan,
     build_problem,
     compute_fidelity_error,
     deduplicate,
@@ -106,6 +107,34 @@ class TestNonHermitianStage:
         reference = 0.504 - 2.48e-5j
         assert abs(record.energy - reference) / abs(reference) < 0.01
         assert record.sigma2 <= record.warm_start_value + 1e-12
+
+    def test_final_energy_and_sigma2_share_one_draw(self, q2_even, monkeypatch):
+        plan = build_plan(load_config(None, {
+            "q": 2, "parities": ["even"], "n_states": {"even": 1}, "batch_size": 1,
+            "tier": "noisy", "seed": 81, "shots": 1000, "final_shots_factor": 2,
+            "optimizer": {"nonhermitian_f_max": 4},
+        }))
+        made = []
+        make = RunPlan.make_estimator
+
+        def spy(self, *args, **kwargs):
+            made.append(make(self, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(RunPlan, "make_estimator", spy)
+        theta = np.random.default_rng(82).uniform(-np.pi, np.pi, 16)
+        record = run_nonhermitian_stage(1, theta, q2_even, plan, run_id=0)
+        # ZNE on: one distribution per group and fold scale, for both figures
+        assert made[-1].circuits_run == len(q2_even.groups) * 3 == 27
+        fresh = make(plan, "even", 0, "nonhermitian", 1 + 1000, shots=plan.final_shots,
+                     groups=q2_even.groups)
+        params = np.asarray(record.params)
+        h_h, v_cap = q2_even.h_n.hermitian_split()
+        energy = fresh.energy(params, h_h, v_cap)
+        second = fresh.expectation(q2_even.h_dag_h, params).real
+        assert fresh.circuits_run == 27
+        assert (record.energy_re, record.energy_im) == (energy.real, energy.imag)
+        assert record.sigma2 == second - abs(energy) ** 2
 
     def test_record_serialization(self):
         record = make_record()

@@ -310,13 +310,11 @@ class TestAdjointChannel:
     )
     def test_effective_povm_gives_the_forward_distribution(self, circuit, model, data):
         noise, n = noise_models()[model], circuit.n_qubits
-        order = data.draw(st.permutations(range(n)), label="order")
-        measured = tuple(order[: data.draw(st.integers(1, n), label="measured")])
         prep = random_circuit(n, RNG(data.draw(st.integers(0, 2**32 - 1))), depth=6)
         evolved = density_matrix(Circuit(n, prep.gates + circuit.gates), noise)
-        forward = outcome_probabilities(evolved, n, measured, noise)
-        povm = effective_povm(circuit, noise, measured)
-        assert povm.shape == (2 ** len(measured), 2**n, 2**n)
+        forward = outcome_probabilities(evolved, n, readout=noise)
+        povm = effective_povm(circuit, noise)
+        assert povm.shape == (2**n, 2**n, 2**n)
         backward = np.einsum("yab,ba->y", povm, density_matrix(prep, noise)).real
         assert np.max(np.abs(forward - backward)) < 1e-12
 
@@ -489,14 +487,15 @@ class TestReadoutApplication:
         assert probs[0] == pytest.approx(0.98)
         assert probs[1] == pytest.approx(0.02)
 
-    def test_marginalization_selects_qubit(self):
-        # |10>: qubit 0 reads 1, qubit 1 reads 0 (big-endian)
+    def test_outcomes_are_big_endian(self):
+        # |10>: qubit 0 reads 1, qubit 1 reads 0, outcome index 2
         circuit = Circuit(2, (Gate("x", (0,)),))
-        psi = statevector(circuit)
-        probs = outcome_probabilities(psi, 2, measured=(0,))
-        assert probs[1] == pytest.approx(1.0)
-        probs = outcome_probabilities(psi, 2, measured=(1,))
-        assert probs[0] == pytest.approx(1.0)
+        probs = outcome_probabilities(statevector(circuit), 2)
+        assert probs[2] == pytest.approx(1.0)
+        # readout confusion on qubit 1 only moves weight to |11>
+        noise = torino_like(2, readout=np.array([np.eye(2), [[0.9, 0.1], [0.2, 0.8]]]))
+        probs = outcome_probabilities(statevector(circuit), 2, readout=noise)
+        assert probs == pytest.approx([0.0, 0.0, 0.9, 0.1])
 
 
 class TestProfileIO:
