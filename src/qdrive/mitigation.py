@@ -1,10 +1,11 @@
 """Measurement post-processing: readout inversion and hybrid exp-linear ZNE.
 
 Readout errors are undone by the inverse of the joint confusion, the
-Kronecker product of the per-qubit 2x2 inverses, built once per estimator.  Gate errors are extrapolated away from circuit
-results at fold scales 1, 3, 5: an exponential fit where the three points
-decay monotonically and significantly, with linear and outlier fallbacks in
-the statistically degenerate orderings.  Significance between two points is
+Kronecker product of the per-qubit 2x2 inverses.  Gate errors are
+extrapolated away from circuit results at fold scales 1, 3, 5: an
+exponential fit where the three points decay monotonically and
+significantly, with linear and outlier fallbacks in the statistically
+degenerate orderings.  Significance between two points is
 decided by a two-sample binomial z-test at |z| > 1.96.
 """
 from __future__ import annotations
