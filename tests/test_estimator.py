@@ -71,6 +71,48 @@ class TestStatevectorTier:
             est.expectation(PauliSum(1, {"Z": 1.0}), np.zeros(16))
 
 
+class TestHadamardTest:
+    """One word's estimate, the figure the ancilla Hadamard test gave per
+    word; each word is now read from its qubit-wise-commuting group."""
+
+    def test_identity_word_analytic(self):
+        est = Estimator(q=2, tier="shots", seed=1)
+        assert est.expectation(PauliSum(2, {"II": 1.0}), np.zeros(16)) == 1.0
+        assert est.circuits_run == 0
+
+    def test_z_on_vacuum(self):
+        est = Estimator(q=1, tier="shots", shots=100, seed=1)
+        assert est.expectation(PauliSum(1, {"Z": 1.0}), np.zeros(8)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("word", ["XZ", "YI", "ZZ"])
+    def test_statevector_matches_contraction(self, word):
+        rng = RNG(3)
+        est = Estimator(q=2, tier="shots")
+        from qdrive.pauli import word_to_dense
+
+        signs = estimator_module._parity_signs(word)
+        for _ in range(3):
+            params = rng.uniform(-np.pi, np.pi, 16)
+            psi = statevector(build_ansatz(params, est.q))
+            expected = np.vdot(psi, word_to_dense(word) @ psi).real
+            got = est._group_probabilities(psi, word, 1) @ signs
+            assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_shots_within_binomial_bound(self):
+        n = 10**5
+        rng = RNG(4)
+        from qdrive.pauli import word_to_dense
+
+        exact_est = Estimator(q=2, tier="statevector")
+        shot_est = Estimator(q=2, tier="shots", shots=n, seed=5)
+        params = rng.uniform(-np.pi, np.pi, 16)
+        psi = statevector(build_ansatz(params, exact_est.q))
+        expected = np.vdot(psi, word_to_dense("XZ") @ psi).real
+        got = shot_est.expectation(PauliSum(2, {"XZ": 1.0}), params).real
+        # x = 2 p0 - 1: sd of x is 2 sqrt(p(1-p)/n) <= 1/sqrt(n)
+        assert abs(got - expected) < 5.0 / math.sqrt(n)
+
+
 class TestOverlap:
     def test_self_overlap(self):
         est = Estimator(q=2, tier="statevector")

@@ -497,6 +497,13 @@ class TestReadoutApplication:
         probs = outcome_probabilities(statevector(circuit), 2, readout=noise)
         assert probs == pytest.approx([0.0, 0.0, 0.9, 0.1])
 
+    def test_marginalization_selects_qubit(self):
+        # |10>: qubit 0 reads 1, qubit 1 reads 0 (big-endian)
+        circuit = Circuit(2, (Gate("x", (0,)),))
+        probs = outcome_probabilities(statevector(circuit), 2).reshape(2, 2)
+        assert probs.sum(axis=1)[1] == pytest.approx(1.0)
+        assert probs.sum(axis=0)[0] == pytest.approx(1.0)
+
 
 class TestProfileIO:
     def test_missing_key_reported(self, tmp_path):
