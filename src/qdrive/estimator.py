@@ -19,7 +19,7 @@ Every estimate goes through one pipeline:
    tail (:func:`~qdrive.simulator.effective_povm`), cached on the noise
    model.  The tail is either
    * a Pauli group's rotation: the words fall into qubit-wise-commuting
-     groups (:func:`~qdrive.pauli.qwc_groups`, built once per channel by
+     groups (:func:`~qdrive.pauli.qwc_groups`, decided once per channel by
      :func:`~qdrive.pipeline.build_problem`), the tail rotates each qubit
      into the eigenbasis of the letter the group's words share there, and
      one distribution gives every word of the group as the mean of its
@@ -29,11 +29,13 @@ Every estimate goes through one pipeline:
 3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, each
    word's or overlap's values at fold scales 1, 3, 5 become one estimate.
 
-The statevector tier contracts each word exactly, psi^dag P psi, in place
-of step 2.  The word values of the last parameters are kept, so the
-observables of one evaluation share their draws and a group is measured
-at most once per parameters.  The identity word is never estimated: it
-contributes its coefficient analytically.
+For an expectation the statevector tier replaces step 2 with one exact
+contraction of the observable's cached dense operator D,
+c_I + psi^dag (D - c_I) psi.  On the other tiers the word values of the
+last parameters are kept, so the observables of one evaluation share their
+draws and a group is measured at most once per parameters.  On every tier
+the identity word is never estimated: its coefficient c_I is added
+analytically.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from .mitigation import (
     readout_inverse,
     zne_extrapolate,
 )
-from .pauli import PauliSum, covers, qwc_groups, word_to_dense
+from .pauli import PauliSum, qwc_groups
 from .simulator import (
     Checkpoints,
     NoiseModel,
@@ -94,9 +96,10 @@ def measurement_rotation(basis: str) -> Circuit:
 class Estimator:
     """Stateful estimation context for one task (one RNG stream).
 
-    ``groups`` are the bases of the qubit-wise-commuting groups to read words
-    from (a channel's :attr:`~qdrive.pipeline.ChannelProblem.groups`); words
-    that none of them covers are grouped among themselves on first use.
+    ``groups`` maps each word to the basis of the qubit-wise-commuting group
+    it is read from (a channel's
+    :attr:`~qdrive.pipeline.ChannelProblem.groups`); words outside the map
+    are grouped among themselves on first use and added to it.
     """
 
     def __init__(
@@ -109,7 +112,7 @@ class Estimator:
         mitigate_readout: bool = True,
         mitigate_zne: bool = True,
         telemetry: list | None = None,
-        groups: tuple[str, ...] = (),
+        groups: dict[str, str] | None = None,
     ):
         if tier not in TIERS:
             raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
@@ -135,9 +138,7 @@ class Estimator:
         )
         self.telemetry = telemetry
         self.circuits_run = 0
-        self.groups = list(groups)
-        # per word, the basis of the group it is read from
-        self._basis: dict[str, str] = {}
+        self.groups = dict(groups or {})
         # the last parameters' bytes and their states per scale
         self._heads: tuple[bytes, dict[int, np.ndarray]] | None = None
         # the last parameters' bytes, their groups' distributions per scale
@@ -158,17 +159,11 @@ class Estimator:
     def _scales(self) -> tuple[int, ...]:
         return ZNE_SCALES if self.mitigate_zne else (1,)
 
-    def _cover(self, words: list[str]) -> None:
-        """Assign each word its group's basis; the words no group covers form
-        new groups, grouped among themselves."""
-        new = [w for w in words if w not in self._basis]
-        if not new:
-            return
-        self.groups.extend(
-            qwc_groups(w for w in new if not any(covers(b, w) for b in self.groups))
-        )
-        for word in new:
-            self._basis[word] = next(b for b in self.groups if covers(b, word))
+    def _group(self, words: list[str]) -> None:
+        """Group the words outside the map among themselves and add them."""
+        new = [w for w in words if w not in self.groups]
+        if new:
+            self.groups.update(qwc_groups(new))
 
     def statistical_sigma(self, observable: PauliSum) -> float:
         """Upper bound on the shot-noise s.d. of one expectation estimate.
@@ -183,14 +178,14 @@ class Estimator:
         if self.tier == "statevector":
             return 0.0
         words = [w for w in observable.terms if w != observable.identity_word]
-        self._cover(words)
+        self._group(words)
         per_group: dict[str, float] = {}
         for word in words:
             signs = _parity_signs(word)
             if self._inverse is not None:
                 signs = self._inverse.T @ signs
             bound = abs(observable.terms[word]) * np.max(np.abs(signs))
-            per_group[self._basis[word]] = per_group.get(self._basis[word], 0.0) + bound
+            per_group[self.groups[word]] = per_group.get(self.groups[word], 0.0) + bound
         zne = math.sqrt(10.0) / 2.0 if self.mitigate_zne else 1.0
         return zne * math.sqrt(sum(s * s for s in per_group.values()) / self.shots)
 
@@ -281,14 +276,9 @@ class Estimator:
             self._reads = (key, {}, {})
         _, dists, values = self._reads
         missing = [w for w in words if w not in values]
-        if missing and self.tier == "statevector":
-            psi = self._ansatz_states(params)[1]
-            for word in missing:
-                values[word] = np.vdot(psi, word_to_dense(word) @ psi).real
-            missing = []
-        self._cover(missing)
+        self._group(missing)
         for word in missing:
-            basis = self._basis[word]
+            basis = self.groups[word]
             if basis not in dists:
                 dists[basis] = [
                     self._distribution(
@@ -333,6 +323,10 @@ class Estimator:
             )
         identity = observable.identity_word
         acc = complex(observable.terms.get(identity, 0.0))
+        if self.tier == "statevector":
+            psi = self._ansatz_states(params)[1]
+            traceless = observable.to_dense() - acc * np.eye(2**self.q)
+            return acc + np.vdot(psi, traceless @ psi)
         words = [w for w in observable.terms if w != identity]
         for word, value in zip(words, self._read(params, words)):
             acc += observable.terms[word] * value

@@ -24,27 +24,7 @@ PAULI_1Q = {
 
 PRUNE_TOL = 1e-14
 
-# xy = iz and cyclic; reversed order flips the sign.
-_MUL = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Z", "Y"): (-1j, "X"),
-    ("X", "Z"): (-1j, "Y"),
-}
-
 _word_dense_cache: dict[str, np.ndarray] = {}
-
-
-def _mul_letters(a: str, b: str) -> tuple[complex, str]:
-    if a == "I":
-        return 1, b
-    if b == "I":
-        return 1, a
-    if a == b:
-        return 1, "I"
-    return _MUL[(a, b)]
 
 
 def word_to_dense(word: str) -> np.ndarray:
@@ -155,52 +135,26 @@ def decompose(matrix: np.ndarray) -> PauliSum:
     return PauliSum(q, terms)
 
 
-def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Exact Pauli-algebra product with phase bookkeeping."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(
-            f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}"
-        )
-    out: dict[str, complex] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            phase: complex = 1
-            letters = []
-            for la, lb in zip(wa, wb):
-                ph, letter = _mul_letters(la, lb)
-                phase *= ph
-                letters.append(letter)
-            word = "".join(letters)
-            out[word] = out.get(word, 0.0) + ca * cb * phase
-    return PauliSum(a.n_qubits, out)
+def qwc_groups(words) -> dict[str, str]:
+    """Greedy first-fit cover of ``words`` by qubit-wise-commuting groups:
+    each word mapped to the measurement basis of its group.
 
-
-def adjoint(a: PauliSum) -> PauliSum:
-    """Hermitian adjoint: Pauli words are self-adjoint, so conjugate coefficients."""
-    return PauliSum(a.n_qubits, {w: c.conjugate() for w, c in a.terms.items()})
-
-
-def qwc_groups(words) -> tuple[str, ...]:
-    """Greedy first-fit cover of ``words`` by qubit-wise-commuting groups.
-
-    Each group is given by its measurement basis: per qubit, the letter its
-    members share there, or I where none of them acts.  A word joins the
-    first group whose members it commutes with qubit by qubit, i.e. whose
-    basis it agrees with wherever both act.  Merging only fills I letters,
-    so a word's group is the first basis that covers it.
+    A group's basis is, per qubit, the letter its members share there, or I
+    where none of them acts.  A word joins the first group whose members it
+    commutes with qubit by qubit, i.e. whose basis it agrees with wherever
+    both act.  Merging only fills I letters, so a word's group is the first
+    basis that covers it, and the map's distinct values, in order, are the
+    groups in the order they were opened.
     """
     bases: list[str] = []
+    group: dict[str, int] = {}
     for word in words:
         for i, basis in enumerate(bases):
             if all(a == "I" or b == "I" or a == b for a, b in zip(word, basis)):
                 bases[i] = "".join(b if a == "I" else a for a, b in zip(word, basis))
                 break
         else:
+            i = len(bases)
             bases.append(word)
-    return tuple(bases)
-
-
-def covers(basis: str, word: str) -> bool:
-    """Whether ``word`` is read from the ``basis``: it acts only where the
-    basis does, with the same letter."""
-    return all(a == "I" or a == b for a, b in zip(word, basis))
+        group[word] = i
+    return {word: bases[i] for word, i in group.items()}

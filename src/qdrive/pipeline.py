@@ -48,8 +48,8 @@ KIND_CODE = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3, "init": 4}
 class ChannelProblem:
     """Pauli-space operators of one parity channel and its projected pair.
 
-    ``groups`` are the bases of the qubit-wise-commuting groups that the
-    estimators read every word of ``h_h``, ``v_cap`` and ``h_dag_h`` from.
+    ``groups`` maps every word of ``h_h``, ``v_cap`` and ``h_dag_h`` to the
+    basis of the qubit-wise-commuting group the estimators read it from.
     """
 
     parity: str
@@ -59,7 +59,7 @@ class ChannelProblem:
     h_n: pauli.PauliSum
     h_dag_h: pauli.PauliSum
     pair: HamiltonianPair
-    groups: tuple[str, ...]
+    groups: dict[str, str]
 
 
 def build_problem(
@@ -70,7 +70,8 @@ def build_problem(
     h_h = pauli.decompose(pair.h_h)
     v_cap = pauli.decompose(pair.v_cap)
     h_n = h_h + v_cap.scaled(1j)
-    h_dag_h = pauli.multiply(pauli.adjoint(h_n), h_n)
+    m = h_n.to_dense()
+    h_dag_h = pauli.decompose(m.conj().T @ m)
     # the h_h words first: a VQD evaluation, which reads only them, then
     # measures as few groups as grouping them alone would give
     identity = h_h.identity_word
@@ -120,7 +121,7 @@ class RunPlan:
 
     def make_estimator(
         self, parity: str, run: int, kind: str, index: int = 0,
-        shots: int | None = None, telemetry=None, groups: tuple[str, ...] = (),
+        shots: int | None = None, telemetry=None, groups: dict[str, str] | None = None,
     ) -> Estimator:
         return Estimator(
             q=self.q,

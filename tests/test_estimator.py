@@ -379,7 +379,7 @@ class TestPauliGroups:
 
     def test_one_distribution_per_group_and_scale(self):
         problem = self.problem()
-        assert len(problem.groups) == 9
+        assert len(set(problem.groups.values())) == 9
         x, *priors = (RNG(71).uniform(-np.pi, np.pi, (3, 16)))
         est = self.estimator()
         sigma2 = pseudovariance_objective(x, problem.h_n, problem.h_dag_h, est)
@@ -421,9 +421,9 @@ class TestPauliGroups:
     def test_words_outside_the_groups_form_new_groups(self):
         est = Estimator(q=2, tier="shots", seed=74)
         est.expectation(PauliSum(2, {"XX": 0.5, "XI": 0.2, "IZ": -0.3, "YI": 0.1}), np.zeros(16))
-        assert est.groups == ["XX", "YZ"]
+        assert list(dict.fromkeys(est.groups.values())) == ["XX", "YZ"]
         est.expectation(PauliSum(2, {"ZZ": 0.5, "XI": 0.2}), np.zeros(16))
-        assert est.groups == ["XX", "YZ", "ZZ"]
+        assert list(dict.fromkeys(est.groups.values())) == ["XX", "YZ", "ZZ"]
         assert est.circuits_run == 3
 
 

@@ -8,9 +8,8 @@ from qdrive.pauli import (
     LETTERS,
     PRUNE_TOL,
     PauliSum,
-    adjoint,
     decompose,
-    multiply,
+    qwc_groups,
     word_to_dense,
 )
 
@@ -82,51 +81,6 @@ class TestDecompose:
         assert out.terms["III"] == pytest.approx(np.trace(m) / 8.0, abs=1e-12)
 
 
-class TestMultiply:
-    def test_single_qubit_algebra(self):
-        out = multiply(PauliSum(1, {"X": 1.0}), PauliSum(1, {"Y": 1.0}))
-        assert out.terms == {"Z": 1j}
-
-    def test_involution(self):
-        xi = PauliSum(2, {"XI": 1.0})
-        assert multiply(xi, xi).terms == {"II": 1.0 + 0.0j}
-
-    def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            multiply(PauliSum(1, {"X": 1.0}), PauliSum(2, {"XX": 1.0}))
-
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = random_pauli_sum(2, rng)
-            b = random_pauli_sum(2, rng)
-            prod = multiply(a, b)
-            assert np.max(np.abs(prod.to_dense() - a.to_dense() @ b.to_dense())) < 1e-12
-
-    def test_dagger_product_is_hermitian_flagged(self):
-        rng = np.random.default_rng(11)
-        h = random_pauli_sum(2, rng, complex_coeffs=False)
-        v = random_pauli_sum(2, rng, complex_coeffs=False)
-        h_n = h + v.scaled(1j)
-        assert real_coefficients(multiply(adjoint(h_n), h_n))
-
-
-class TestAdjoint:
-    def test_conjugates_coefficients(self):
-        out = adjoint(PauliSum(1, {"Z": 1 + 2j}))
-        assert out.terms == {"Z": 1 - 2j}
-
-    def test_hermitian_fixed_point(self):
-        s = PauliSum(2, {"XZ": 0.5, "YY": -1.25})
-        assert adjoint(s) == s
-
-    def test_matches_dense_conjugate_transpose(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            a = random_pauli_sum(3, rng)
-            assert np.max(np.abs(adjoint(a).to_dense() - a.to_dense().conj().T)) < 1e-12
-
-
 class TestPauliSum:
     def test_prunes_small_coefficients(self):
         s = PauliSum(1, {"X": 1e-16, "Z": 1.0})
@@ -178,3 +132,28 @@ class TestRoundTripProperty:
         # each of the 4^q words may lose a pruned coefficient below PRUNE_TOL
         tol = 4**q * PRUNE_TOL + 64 * dim * self.EPS * (1.0 + np.abs(m).max())
         assert np.abs(decompose(m).to_dense() - m).max() <= tol
+
+
+def covers(basis: str, word: str) -> bool:
+    """Whether ``word`` acts only where ``basis`` does, with the same letter."""
+    return all(a == "I" or a == b for a, b in zip(word, basis))
+
+
+class TestQwcGroups:
+    """Greedy qubit-wise-commuting grouping maps each word to its basis."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), q=st.integers(1, 4))
+    def test_each_word_is_read_from_the_first_basis_that_covers_it(self, data, q):
+        words = data.draw(st.lists(st.text(LETTERS, min_size=q, max_size=q), max_size=20))
+        groups = qwc_groups(words)
+        assert list(groups) == list(dict.fromkeys(words))
+        bases = list(dict.fromkeys(groups.values()))
+        for word, basis in groups.items():
+            assert covers(basis, word)
+            assert next(b for b in bases if covers(b, word)) == basis
+        # members of one group commute qubit by qubit
+        for a in groups:
+            for b in groups:
+                if groups[a] == groups[b]:
+                    assert all("I" in (x, y) or x == y for x, y in zip(a, b))

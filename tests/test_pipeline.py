@@ -1,9 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from qdrive.circuits import build_ansatz
+from qdrive import estimator as estimator_module
+from qdrive.circuits import ansatz_parameter_count, build_ansatz
 from qdrive.config import build_plan, load_config
 from qdrive.estimator import Estimator
 from qdrive.model import (
@@ -31,6 +33,11 @@ BENCHMARK = PotentialModel(lam=0.1, j=0.8, x0=8.0)
 @pytest.fixture(scope="module")
 def grid():
     return Grid()
+
+
+@functools.cache
+def problem(parity: str, q: int):
+    return build_problem(BENCHMARK, Grid(), parity, q)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +74,44 @@ def make_record(index=1, run_id=0, sigma2=0.1, energy=(1.0, -0.01), params=None,
         converged=True,
         evaluations=10,
     )
+
+
+class TestBuildProblem:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_h_dag_h_is_the_dense_product(self, q, parity):
+        pair = problem(parity, q).pair
+        m = pair.h_h + 1j * pair.v_cap
+        h_dag_h = problem(parity, q).h_dag_h
+        tol = 1e-10 * np.linalg.norm(m, 2) ** 2
+        assert len(h_dag_h) == 4**q
+        assert max(abs(c.imag) for c in h_dag_h.terms.values()) <= tol
+        assert np.abs(h_dag_h.to_dense() - m.conj().T @ m).max() <= tol
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("q, n_groups, n_h_h_groups", [(2, 9, 5), (3, 27, 11), (4, 81, 23)])
+    def test_group_counts(self, q, parity, n_groups, n_h_h_groups):
+        # these counts pin the shot and noisy draws
+        channel = problem(parity, q)
+        words = set(channel.h_h.terms) | set(channel.v_cap.terms) | set(channel.h_dag_h.terms)
+        assert set(channel.groups) == words - {"I" * q}
+        assert len(set(channel.groups.values())) == n_groups
+        h_h_words = set(channel.h_h.terms) - {"I" * q}
+        assert len({channel.groups[w] for w in h_h_words}) == n_h_h_groups
+
+    def test_estimator_reads_every_word_from_the_problem_groups(self, monkeypatch):
+        channel = problem("even", 5)
+        assert (len(channel.h_dag_h), len(set(channel.groups.values()))) == (1024, 243)
+
+        def regroup(words):
+            raise AssertionError(f"regrouped {list(words)[:3]}")
+
+        monkeypatch.setattr(estimator_module, "qwc_groups", regroup)
+        est = Estimator(q=5, tier="shots", shots=100, seed=1, groups=channel.groups)
+        x = np.random.default_rng(2).uniform(-np.pi, np.pi, ansatz_parameter_count(5))
+        est.expectation(channel.h_dag_h, x)
+        assert est.groups == channel.groups
+        assert est.circuits_run == 243
 
 
 class TestHermitianStage:
@@ -125,7 +170,7 @@ class TestNonHermitianStage:
         theta = np.random.default_rng(82).uniform(-np.pi, np.pi, 16)
         record = run_nonhermitian_stage(1, theta, q2_even, plan, run_id=0)
         # ZNE on: one distribution per group and fold scale, for both figures
-        assert made[-1].circuits_run == len(q2_even.groups) * 3 == 27
+        assert made[-1].circuits_run == len(set(q2_even.groups.values())) * 3 == 27
         fresh = make(plan, "even", 0, "nonhermitian", 1 + 1000, shots=plan.final_shots,
                      groups=q2_even.groups)
         params = np.asarray(record.params)
