@@ -19,11 +19,11 @@ def real_coefficients(s: PauliSum) -> bool:
     return all(abs(c.imag) < 1e-12 for c in s.terms.values())
 
 
-def random_pauli_sum(q, rng, n_terms=5, complex_coeffs=True):
+def random_pauli_sum(q, rng, n_terms=5):
     words = ["".join(rng.choice(list("IXYZ"), size=q)) for _ in range(n_terms)]
     terms = {}
     for w in words:
-        c = rng.normal() + (1j * rng.normal() if complex_coeffs else 0.0)
+        c = rng.normal() + 1j * rng.normal()
         terms[w] = terms.get(w, 0.0) + c
     return PauliSum(q, terms)
 

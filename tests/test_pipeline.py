@@ -41,8 +41,8 @@ def problem(parity: str, q: int):
 
 
 @pytest.fixture(scope="module")
-def q2_even(grid):
-    return build_problem(BENCHMARK, grid, "even", 2)
+def q2_even():
+    return problem("even", 2)
 
 
 @pytest.fixture(scope="module")
