@@ -297,11 +297,22 @@ def cmd_diag(doc: dict) -> int:
     return 0
 
 
+def _execute_batch(doc: dict, root: Path):
+    """Run the batch DAG of ``doc`` with its artifacts under ``root``; returns
+    the trace, the sort winners, the failed or skipped nodes and the sort
+    nodes that wrote no artifact."""
+    _, _, dag = prepare_execution(doc, root)
+    trace = orchestrator.execute(dag, workers=doc["workers"])
+    winners, missing = collect_winners(dag, root)
+    failed = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
+    return trace, winners, failed, missing
+
+
 def cmd_run(doc: dict, single_task: str | None = None) -> int:
     out = resolve_output_dir(doc)
     _write_json(out / "config.frozen.json", doc)
-    plan, problems, dag = prepare_execution(doc, out)
     if single_task is not None:
+        _, _, dag = prepare_execution(doc, out)
         if single_task not in dag.nodes:
             raise ConfigError(f"unknown task id {single_task!r}")
         node = dag.nodes[single_task]
@@ -309,19 +320,20 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             p for p in dag.parents[node.id]
             if not (out / dag.nodes[p].output).exists()
         ]
-        node.payload(node, degraded)
+        status, error = orchestrator._run_payload(node, degraded)
+        if status == "failed":
+            print(f"task {single_task}: failed: {error}", file=sys.stderr)
+            return 3
         print(f"task {single_task}: wrote {node.output}")
         return 0
-    trace = orchestrator.execute(dag, workers=doc["workers"])
+    trace, winners, failed_nodes, missing_sorts = _execute_batch(doc, out)
     with open(out / "trace.jsonl", "w") as fh:
         for event in trace:
             fh.write(json.dumps(event) + "\n")
-    winners, missing_sorts = collect_winners(dag, out)
     write_winners_csv(out / "winners.csv", winners)
     by_key, oracle_labels = oracle_target_map(doc)
     matched = match_targets(winners, by_key)
     failures = write_table_csv(out / "table.csv", doc, matched, oracle_labels)
-    failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
     for label in TARGET_LABELS:
         record = matched.get(label)
         target = oracle_labels.get(label)
@@ -402,11 +414,7 @@ def cmd_sweep(doc: dict) -> int:
 
 
 def _run_point(point: dict, rows: list, reduction, longevity, repeat) -> int:
-    root = resolve_output_dir(point)
-    plan, problems, dag = prepare_execution(point, root)
-    trace = orchestrator.execute(dag, workers=point["workers"])
-    winners, missing = collect_winners(dag, root)
-    failed = [e for e in trace if e["status"] in ("failed", "skipped")]
+    _, winners, failed, missing = _execute_batch(point, resolve_output_dir(point))
     for w in winners:
         rows.append(
             {
@@ -442,7 +450,10 @@ def cmd_export_dag(doc: dict) -> int:
 
 
 def cmd_zne_demo(doc: dict, x1: float, x3: float, x5: float, shots: int, mode: str) -> int:
-    pts = ZnePoints(x1=x1, x3=x3, x5=x5, n=shots, mode=mode)
+    try:
+        pts = ZnePoints(x1=x1, x3=x3, x5=x5, n=shots, mode=mode)
+    except ValueError as exc:  # it names the value by its flag: x1, x3, x5 or shots
+        raise ConfigError(f"zne-demo flag --{exc}")
     result = zne_extrapolate(pts)
     print(json.dumps(result.telemetry(pts), indent=2))
     return 0

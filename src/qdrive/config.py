@@ -1,7 +1,11 @@
 """Run configuration: a JSON document with schema validation and defaults.
 
-Defaults reproduce the benchmark settings (lam = 0.1, j = 0.8, x0 = 8,
-x_max = 10, 2^12 grid points, batch of 8 runs, 10^5 shots, penalty 100).
+``_KEYS`` declares every config key once, as a dotted path with its default,
+the JSON type(s) it accepts and the check its value must pass; ``DEFAULTS``
+is the nested document of the defaults, in the same key order.  Defaults
+reproduce the benchmark settings (lam = 0.1, j = 0.8, x0 = 8, x_max = 10,
+2^12 grid points, batch of 8 runs, 10^5 shots, penalty 100).  A bad value
+fails at load with a message that names its key, before any task runs.
 Command-line flags override file keys; the resolved document is frozen into
 every run directory so a run can be reproduced byte-for-byte.
 """
@@ -28,154 +32,121 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-DEFAULTS: dict = {
-    "model": {"lam": 0.1, "j": 0.8, "x0": 8.0, "x_max": 10.0, "n_points": 4096},
-    "q": 3,
-    "parities": ["even", "odd"],
-    "n_states": {"even": 4, "odd": 2},
-    "batch_size": 8,
-    "tier": "statevector",
-    "shots": 100000,
-    "final_shots_factor": 10,
-    "seed": 20240601,
-    "noise_profile": None,
-    "gate_noise_reduction_factor": 1.0,
-    "qubit_longevity_factor": None,
-    "mitigation": {"readout": True, "zne": True},
-    "optimizer": {
-        "penalty_c": 100.0,
-        "hermitian_kind": None,
-        "hermitian_f_max": 2048,
-        "hermitian_max_iterations": 512,
-        "reset_interval": 32,
-        "nonhermitian_f_max": 1024,
-        "f_tol": 0.05,
-        "retries": 3,
-        "r_beg": 1.0,
-        "p_beg": 1.0,
-    },
-    "classifier": {
-        "cap_weight": 0.5,
-        "im_gain": 1e-3,
-        "sigma_max": 0.5,
-        "gamma_max": 0.05,
-    },
-    "dedup_overlap_tol": 0.5,
-    "workers": 4,
-    "output_dir": "out",
-    "sweep": {
-        "reduction_factors": [1.0, 10000.0],
-        "longevity_factors": [10.0, "inf"],
-        "repeats": 8,
-    },
-}
+_REAL = (int, float)
+_OPTIONAL_STR = (str, type(None))
 
-# key -> (expected type(s), optional allowed values)
-_SCALAR_SCHEMA: dict[str, tuple] = {
-    "model.lam": ((int, float), None),
-    "model.j": ((int, float), None),
-    "model.x0": ((int, float), None),
-    "model.x_max": ((int, float), None),
-    "model.n_points": (int, None),
-    "q": (int, None),
-    "parities": (list, None),
-    "n_states.even": (int, None),
-    "n_states.odd": (int, None),
-    "batch_size": (int, None),
-    "tier": (str, ("statevector", "shots", "noisy")),
-    "shots": (int, None),
-    "final_shots_factor": (int, None),
-    "seed": (int, None),
-    "noise_profile": ((str, type(None)), None),
-    "gate_noise_reduction_factor": ((int, float), None),
-    "qubit_longevity_factor": ((int, float, str, type(None)), None),
-    "mitigation.readout": (bool, None),
-    "mitigation.zne": (bool, None),
-    "optimizer.penalty_c": ((int, float), None),
-    "optimizer.hermitian_kind": ((str, type(None)), (None, "nft", "trust_region", "simplex")),
-    "optimizer.hermitian_f_max": (int, None),
-    "optimizer.hermitian_max_iterations": (int, None),
-    "optimizer.reset_interval": (int, None),
-    "optimizer.nonhermitian_f_max": (int, None),
-    "optimizer.f_tol": ((int, float), None),
-    "optimizer.retries": (int, None),
-    "optimizer.r_beg": ((int, float), None),
-    "optimizer.p_beg": ((int, float), None),
-    "classifier.cap_weight": ((int, float), None),
-    "classifier.im_gain": ((int, float), None),
-    "classifier.sigma_max": ((int, float), None),
-    "classifier.gamma_max": ((int, float), None),
-    "dedup_overlap_tol": ((int, float), None),
-    "workers": (int, None),
-    "output_dir": (str, None),
-    "sweep.reduction_factors": (list, None),
-    "sweep.longevity_factors": (list, None),
-    "sweep.repeats": (int, None),
+# A check is (test, what it asks for).  The test sees a value of the key's
+# type; None, where the type admits it, means unset and is not checked.
+
+
+def _positive(inf: bool = False):
+    """A positive number; with ``inf`` the string 'inf' or 'infinity' too."""
+    return (
+        lambda v: (isinstance(v, _REAL) and not isinstance(v, bool) and v > 0)
+        or (inf and isinstance(v, str) and v.lower() in ("inf", "infinity"))
+    ), "a positive number or 'inf'" if inf else "a positive number"
+
+
+def _finite(lo: float = -math.inf, hi: float = math.inf, strict: bool = False):
+    """A number in [lo, hi], or in (lo, hi] when ``strict``, that a float
+    holds finitely: not NaN, not infinite, no int beyond the float range."""
+    bounded = lo > -math.inf or hi < math.inf
+    return (
+        lambda v: (lo < v if strict else lo <= v) and v <= hi
+        and abs(v) <= sys.float_info.max
+    ), f"finite and in {'(' if strict else '['}{lo:g}, {hi:g}]" if bounded else "finite"
+
+
+def _one_of(*allowed):
+    return (lambda v: v in allowed), f"one of {allowed}"
+
+
+def _each(check):
+    test, wanted = check
+    return (lambda v: all(test(x) for x in v)), f"a list of entries each {wanted}"
+
+
+# dotted key -> (default, accepted type(s), check or None)
+_KEYS: dict[str, tuple] = {
+    "model.lam": (0.1, _REAL, _positive()),
+    "model.j": (0.8, _REAL, _finite()),
+    # Infinity puts the absorber beyond the grid: no CAP
+    "model.x0": (8.0, _REAL, ((lambda v: v > -math.inf), "a number or Infinity")),
+    "model.x_max": (10.0, _REAL, _finite()),
+    "model.n_points": (4096, int, None),
+    "q": (3, int, _positive()),
+    "parities": (["even", "odd"], list, _each(_one_of("even", "odd"))),
+    "n_states.even": (4, int, _positive()),
+    "n_states.odd": (2, int, _positive()),
+    "batch_size": (8, int, _positive()),
+    "tier": ("statevector", str, _one_of("statevector", "shots", "noisy")),
+    "shots": (100000, int, _positive()),
+    "final_shots_factor": (10, int, _positive()),
+    "seed": (20240601, int, ((lambda v: v >= 0), "nonnegative")),
+    "noise_profile": (None, _OPTIONAL_STR, None),
+    "gate_noise_reduction_factor": (1.0, _REAL, _positive()),
+    "qubit_longevity_factor": (None, (*_REAL, *_OPTIONAL_STR), _positive(inf=True)),
+    "mitigation.readout": (True, bool, None),
+    "mitigation.zne": (True, bool, None),
+    "optimizer.penalty_c": (100.0, _REAL, _finite(0)),
+    "optimizer.hermitian_kind": (None, _OPTIONAL_STR, _one_of("nft", "trust_region", "simplex")),
+    "optimizer.hermitian_f_max": (2048, int, _positive()),
+    "optimizer.hermitian_max_iterations": (512, int, _positive()),
+    "optimizer.reset_interval": (32, int, _positive()),
+    "optimizer.nonhermitian_f_max": (1024, int, _positive()),
+    "optimizer.f_tol": (0.05, _REAL, _finite(0)),
+    "optimizer.retries": (3, int, ((lambda v: v >= 0), "nonnegative")),
+    "optimizer.r_beg": (1.0, _REAL, _finite(0, strict=True)),
+    "optimizer.p_beg": (1.0, _REAL, _finite(0, strict=True)),
+    "classifier.cap_weight": (0.5, _REAL, _finite(0, 1)),
+    "classifier.im_gain": (1e-3, _REAL, _finite(0)),
+    "classifier.sigma_max": (0.5, _REAL, _finite(0)),
+    "classifier.gamma_max": (0.05, _REAL, _finite(0)),
+    "dedup_overlap_tol": (0.5, _REAL, _finite(0, 1)),
+    "workers": (4, int, _positive()),
+    "output_dir": ("out", str, None),
+    "sweep.reduction_factors": ([1.0, 10000.0], list, _each(_positive())),
+    "sweep.longevity_factors": ([10.0, "inf"], list, _each(_positive(inf=True))),
+    "sweep.repeats": (8, int, _positive()),
 }
 
 
-# counts and budgets that must be at least 1
-_POSITIVE = {
-    "q",
-    "shots",
-    "final_shots_factor",
-    "batch_size",
-    "workers",
-    "optimizer.hermitian_f_max",
-    "optimizer.nonhermitian_f_max",
-    "optimizer.hermitian_max_iterations",
-    "optimizer.reset_interval",
-    "sweep.repeats",
-}
+def _nest(table: dict) -> dict:
+    doc: dict = {}
+    for path, (default, _, _) in table.items():
+        *sections, key = path.split(".")
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = default
+    return doc
 
 
-# real-valued keys: the test a finite value must pass, and what it asks for
-_RANGES = {
-    "optimizer.r_beg": (lambda v: v > 0, "positive"),
-    "optimizer.p_beg": (lambda v: v > 0, "positive"),
-    "optimizer.f_tol": (lambda v: v >= 0, "nonnegative"),
-    "optimizer.penalty_c": (lambda v: v >= 0, "nonnegative"),
-    "dedup_overlap_tol": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "classifier.cap_weight": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "classifier.im_gain": (lambda v: v >= 0, "nonnegative"),
-    "classifier.sigma_max": (lambda v: v >= 0, "nonnegative"),
-    "classifier.gamma_max": (lambda v: v >= 0, "nonnegative"),
-}
+DEFAULTS: dict = _nest(_KEYS)
 
 
-def _walk(doc: dict, prefix: str = ""):
+def _walk(doc: dict, defaults: dict = DEFAULTS, prefix: str = ""):
     for key, value in doc.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if isinstance(value, dict) and path in ("model", "n_states", "mitigation", "optimizer", "classifier", "sweep"):
-            yield from _walk(value, path)
+        if isinstance(value, dict) and isinstance(defaults.get(key), dict):
+            yield from _walk(value, defaults[key], f"{prefix}{key}.")
         else:
-            yield path, value
+            yield f"{prefix}{key}", value
 
 
 def validate_config(doc: dict) -> None:
     for path, value in _walk(doc):
-        if path not in _SCALAR_SCHEMA:
+        if path not in _KEYS:
             raise ConfigError(f"unknown config key {path!r}")
-        expected, allowed = _SCALAR_SCHEMA[path]
-        if isinstance(expected, type):
-            expected = (expected,)
+        _, types, check = _KEYS[path]
         # bool is an int subclass: only a bool key takes true/false
-        if bool in expected:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {path!r} must be a boolean")
-        elif isinstance(value, bool) or not isinstance(value, tuple(expected)):
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+            names = (types,) if isinstance(types, type) else types
             raise ConfigError(
                 f"config key {path!r} has type {type(value).__name__}, "
-                f"expected {'/'.join(t.__name__ for t in expected)}"
+                f"expected {'/'.join(t.__name__ for t in names)}"
             )
-        if allowed is not None and value not in allowed:
-            raise ConfigError(f"config key {path!r} must be one of {allowed}")
-        if path in _POSITIVE and value <= 0:
-            raise ConfigError(f"config key {path!r} must be positive, got {value}")
-        if path in _RANGES:
-            test, wanted = _RANGES[path]
-            if not (math.isfinite(value) and test(value)):
-                raise ConfigError(f"config key {path!r} must be finite and {wanted}, got {value}")
+        if check is not None and value is not None and not check[0](value):
+            raise ConfigError(f"config key {path!r} must be {check[1]}, got {value!r}")
     if doc["workers"] > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError(
             "config key 'workers' must be 1 here: more workers run in forked "
@@ -187,9 +158,6 @@ def validate_config(doc: dict) -> None:
             "oracle takes at most 2**6 basis functions per channel"
         )
     parities = doc["parities"]
-    for parity in parities:
-        if parity not in ("even", "odd"):
-            raise ConfigError(f"config key 'parities' entries must be 'even' or 'odd'")
     if not parities or len(set(parities)) != len(parities):
         raise ConfigError(
             f"config key 'parities' must be nonempty and distinct, got {parities}"
@@ -197,28 +165,13 @@ def validate_config(doc: dict) -> None:
     try:
         n_points = build_grid(doc).n_points
         build_model(doc)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # float() of a huge int overflows
         raise ConfigError(f"config key 'model': {exc}")
     if 2 ** doc["q"] > n_points // 4:
         raise ConfigError(
             f"config key 'q' = {doc['q']}: 2**q basis functions alias on "
             f"model.n_points = {n_points} grid points; need 2**q <= n_points / 4"
         )
-    factors = [
-        ("gate_noise_reduction_factor", doc["gate_noise_reduction_factor"], False),
-        *(("sweep.reduction_factors", v, False) for v in doc["sweep"]["reduction_factors"]),
-        *(("sweep.longevity_factors", v, True) for v in doc["sweep"]["longevity_factors"]),
-    ]
-    if doc["qubit_longevity_factor"] is not None:
-        factors.append(("qubit_longevity_factor", doc["qubit_longevity_factor"], True))
-    for path, value, inf_ok in factors:
-        if isinstance(value, str):
-            valid = inf_ok and value.lower() in ("inf", "infinity")
-        else:
-            valid = isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
-        if not valid:
-            allowed = "a positive number or 'inf'" if inf_ok else "a positive number"
-            raise ConfigError(f"config key {path!r} must be {allowed}, got {value!r}")
     if doc.get("tier") == "noisy":
         # the noisy tier simulates the q qubits of the ansatz
         path = doc.get("noise_profile") or bundled_profile_path()

@@ -145,11 +145,11 @@ class ZnePoints:
         if self.mode not in ("probability", "expectation"):
             raise ValueError(f"bad mode {self.mode!r}")
         if self.n <= 0:
-            raise ValueError("shot count must be positive")
+            raise ValueError(f"shots = {self.n}: the shot count must be positive")
         lo = 0.0 if self.mode == "probability" else -1.0
-        for v in (self.x1, self.x3, self.x5):
+        for name, v in (("x1", self.x1), ("x3", self.x3), ("x5", self.x5)):
             if not lo - 1e-9 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"value {v} outside [{lo}, 1]")
+                raise ValueError(f"{name} = {v} is outside [{lo}, 1]")
 
     def proportions(self) -> tuple[float, float, float]:
         if self.mode == "probability":

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,14 @@ from qdrive.cli import (
     prepare_execution,
     write_winners_csv,
 )
-from qdrive.config import ConfigError, build_plan, bundled_profile_path, load_config, validate_config
+from qdrive.config import (
+    DEFAULTS,
+    ConfigError,
+    build_plan,
+    bundled_profile_path,
+    load_config,
+    validate_config,
+)
 from tests.test_orchestrator import execute_simulated
 
 FAST_RUN = {
@@ -25,6 +33,45 @@ FAST_RUN = {
     "optimizer": {"hermitian_f_max": 1024, "nonhermitian_f_max": 256},
     "seed": 414243,
 }
+
+
+# json.dumps(load_config(None)), byte for byte: a changed default or key order
+# would change every config.frozen.json
+DEFAULT_BYTES = (
+    '{"model": {"lam": 0.1, "j": 0.8, "x0": 8.0, "x_max": 10.0, "n_points": 4096}, '
+    '"q": 3, "parities": ["even", "odd"], "n_states": {"even": 4, "odd": 2}, '
+    '"batch_size": 8, "tier": "statevector", "shots": 100000, "final_shots_factor": 10, '
+    '"seed": 20240601, "noise_profile": null, "gate_noise_reduction_factor": 1.0, '
+    '"qubit_longevity_factor": null, "mitigation": {"readout": true, "zne": true}, '
+    '"optimizer": {"penalty_c": 100.0, "hermitian_kind": null, "hermitian_f_max": 2048, '
+    '"hermitian_max_iterations": 512, "reset_interval": 32, "nonhermitian_f_max": 1024, '
+    '"f_tol": 0.05, "retries": 3, "r_beg": 1.0, "p_beg": 1.0}, '
+    '"classifier": {"cap_weight": 0.5, "im_gain": 0.001, "sigma_max": 0.5, "gamma_max": 0.05}, '
+    '"dedup_overlap_tol": 0.5, "workers": 4, "output_dir": "out", '
+    '"sweep": {"reduction_factors": [1.0, 10000.0], "longevity_factors": [10.0, "inf"], '
+    '"repeats": 8}}'
+)
+
+
+def flatten(doc, prefix=""):
+    """(dotted key, value) of every leaf of a nested config document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from flatten(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def nested(key, value):
+    """The override document that sets one dotted key."""
+    *sections, leaf = key.split(".")
+    doc = {leaf: value}
+    for section in reversed(sections):
+        doc = {section: doc}
+    return doc
+
+
+KEYS = dict(flatten(DEFAULTS))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -49,6 +96,20 @@ class TestConfig:
         assert doc["model"] == {
             "lam": 0.1, "j": 0.8, "x0": 8.0, "x_max": 10.0, "n_points": 4096,
         }
+
+    def test_default_document_is_unchanged(self):
+        assert json.dumps(load_config(None)) == DEFAULT_BYTES
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_each_default_loads(self, key):
+        assert load_config(None, nested(key, KEYS[key])) == load_config(None)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_each_key_rejects_the_other_json_kind(self, key):
+        # a boolean is an int to Python: only bool keys take true, and they take no 1
+        bad = 1 if isinstance(KEYS[key], bool) else True
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            load_config(None, nested(key, bad))
 
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {"qubitz": 3})
@@ -93,6 +154,11 @@ class TestConfig:
         cases.append((["--set", 'sweep.longevity_factors=["never"]'], "sweep.longevity_factors"))
         cases.append((["--set", "gate_noise_reduction_factor=0"], "gate_noise_reduction_factor"))
         cases.append((["--set", "qubit_longevity_factor=0"], "qubit_longevity_factor"))
+        # state counts and the seed fail at load, not inside build_dag or SeedSequence
+        cases.append((["--set", "n_states.even=0"], "n_states.even"))
+        cases.append((["--set", "n_states.odd=-2"], "n_states.odd"))
+        cases.append((["--set", "seed=-1"], "'seed'"))
+        cases.append((["--set", "optimizer.retries=-1"], "optimizer.retries"))
         # a boolean is an int to Python, but no number key takes one
         cases.append((["--set", "model.lam=true"], "model.lam"))
         cases.append((["--set", "optimizer.f_tol=true"], "optimizer.f_tol"))
@@ -108,6 +174,8 @@ class TestConfig:
             ("classifier.im_gain", ("-5", "NaN")),
             ("classifier.sigma_max", ("-1", "Infinity")),
             ("classifier.gamma_max", ("-0.01", "NaN")),
+            ("model.j", ("NaN",)),
+            ("model.x_max", ("NaN",)),
         ]:
             cases.extend((["--set", f"{key}={value}"], key) for value in values)
         # a noise profile with a negative gate time or T1 fails at load too
@@ -125,6 +193,8 @@ class TestConfig:
             code = main(["--set", f"output_dir={out}", *args, "run"])
             assert code == 2, args
             assert key in capsys.readouterr().err
+        # an absorber at infinity is no absorber, not an error
+        assert load_config(None, {"model": {"x0": float("inf")}})["model"]["x0"] == float("inf")
         # more than one worker needs fork; one worker runs inline anywhere
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert main(["--set", f"output_dir={out}", "--set", "workers=2", "run"]) == 2
@@ -194,6 +264,17 @@ class TestZneDemo:
         record = json.loads(capsys.readouterr().out)
         assert record["branch"] == "exponential"
         assert record["x0"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--shots", "0"), ("--x1", "2.0"), ("--x3", "NaN"), ("--x5", "-0.5")],
+    )
+    def test_out_of_range_flag_is_a_config_error(self, flag, value, capsys):
+        argv = ["zne-demo", "--x1", "0.9", "--x3", "0.7", "--x5", "0.5", flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert flag in err
 
 
 class TestExportDag:
@@ -294,6 +375,16 @@ class TestRun:
         artifact = tmp_path / "out" / "runs" / "batch0" / "even" / "0" / "even_r0_h1.json"
         assert artifact.exists()
         assert main(["--config", path, "run", "--single-task", "even_r0_n1"]) == 0
+
+    def test_single_task_failure_exits_three(self, tmp_path, capsys):
+        doc = dict(FAST_RUN, batch_size=1, n_states={"even": 2, "odd": 1})
+        doc["output_dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, doc)
+        # even_r0_h2 reads the artifact that even_r0_h1 has not written yet
+        assert main(["--config", path, "run", "--single-task", "even_r0_h2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("task even_r0_h2: failed: FileNotFoundError")
+        assert "Traceback" not in err
 
     def test_unknown_single_task_rejected(self, tmp_path):
         doc = dict(FAST_RUN)
