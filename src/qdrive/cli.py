@@ -3,7 +3,8 @@
 All commands are batch-oriented: they read a JSON config (flags override
 file keys), write CSV/JSON artifacts under the output directory, and use
 the exit-code contract 0 = success, 2 = config error, 3 = partial pipeline
-failure.
+failure.  ``run`` executes one batch DAG; ``sweep`` builds one DAG over the
+batches of all its noise-factor points and executes it once.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ WINNERS_SCHEMA = "# qdrive-winners-v1"
 TABLE_SCHEMA = "# qdrive-table-v1"
 DIAG_SCHEMA = "# qdrive-diag-v1"
 SWEEP_SCHEMA = "# qdrive-sweep-v1"
+# the csv writers write a float as its repr and None as an empty field
 
 
 def resolve_output_dir(doc: dict) -> Path:
@@ -78,7 +80,7 @@ def _write_json(path: Path, doc) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def make_payload(plan, problems, root: Path, batch: str):
+def make_payload(plan, problems, root: Path):
     def payload(node, degraded):
         problem = problems[node.parity]
         out_path = root / node.output
@@ -105,7 +107,6 @@ def make_payload(plan, problems, root: Path, batch: str):
                 problem,
                 plan,
                 node.run,
-                batch_id=batch,
             )
             _write_json(out_path, record.to_dict())
         elif node.kind == "pool":
@@ -151,28 +152,38 @@ def make_payload(plan, problems, root: Path, batch: str):
     return payload
 
 
-def prepare_execution(doc: dict, root: Path, batch: str = "batch0"):
-    grid = build_grid(doc)
-    model = build_model(doc)
+def prepare_execution(
+    doc: dict, root: Path, problems: dict | None = None, prefix: str = "", dag=None
+):
+    """The plan, channel problems and DAG of ``doc``'s batch, its artifacts
+    under ``root``.  A sweep passes the problems of its first point and the
+    DAG to add each further point to, its node ids and paths under ``prefix``."""
     plan = build_plan(doc)
-    problems = {
-        parity: pipeline.build_problem(model, grid, parity, plan.q)
-        for parity in plan.parities
-    }
+    if problems is None:
+        grid, model = build_grid(doc), build_model(doc)
+        problems = {
+            parity: pipeline.build_problem(model, grid, parity, plan.q)
+            for parity in plan.parities
+        }
     dag = orchestrator.build_dag(
-        plan.n_states, plan.batch_size, plan.parities, batch=batch
+        plan.n_states, plan.batch_size, plan.parities, prefix=prefix, dag=dag
     )
-    payload = make_payload(plan, problems, root, batch)
+    payload = make_payload(plan, problems, root)
     for node in dag.nodes.values():
-        node.payload = payload
+        if node.payload is None:  # this batch's nodes
+            node.payload = payload
     return plan, problems, dag
 
 
-def collect_winners(dag, root: Path) -> tuple[list[ResonanceRecord], list[str]]:
+def collect_winners(
+    dag, root: Path, prefix: str = ""
+) -> tuple[list[ResonanceRecord], list[str]]:
+    """The winners of the sort nodes under ``prefix`` and the ids of those
+    that wrote no artifact."""
     winners: list[ResonanceRecord] = []
     missing: list[str] = []
     for node in dag.nodes.values():
-        if node.kind != "sort":
+        if node.kind != "sort" or not node.id.startswith(prefix):
             continue
         path = root / node.output
         if not path.exists():
@@ -183,21 +194,13 @@ def collect_winners(dag, root: Path) -> tuple[list[ResonanceRecord], list[str]]:
     return winners, missing
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_winners_csv(path: Path, winners: list[ResonanceRecord]) -> None:
     rows = sorted(winners, key=lambda w: (w.parity, w.index))
     with open(path, "w", newline="") as fh:
         fh.write(WINNERS_SCHEMA + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
+        writer = csv.DictWriter(
+            fh,
+            fieldnames=[
                 "parity",
                 "index",
                 "run_id",
@@ -207,22 +210,12 @@ def write_winners_csv(path: Path, winners: list[ResonanceRecord]) -> None:
                 "classification",
                 "fidelity_error",
                 "converged",
-            ]
+            ],
+            lineterminator="\n",
+            extrasaction="ignore",  # the record fields that are no column
         )
-        for w in rows:
-            writer.writerow(
-                [
-                    w.parity,
-                    w.index,
-                    w.run_id,
-                    _fmt(w.energy_re),
-                    _fmt(w.energy_im),
-                    _fmt(w.sigma2),
-                    w.classification,
-                    _fmt(w.fidelity_error),
-                    w.converged,
-                ]
-            )
+        writer.writeheader()
+        writer.writerows(w.to_dict() for w in rows)
 
 
 def write_table_csv(
@@ -244,7 +237,7 @@ def write_table_csv(
             values += ["", "", "", "absent"]
             continue
         err = abs(record.energy - target) / abs(target)
-        values += [_fmt(record.energy_re), _fmt(record.energy_im), _fmt(err), "ok"]
+        values += [record.energy_re, record.energy_im, err, "ok"]
     with open(path, "w", newline="") as fh:
         fh.write(TABLE_SCHEMA + "\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -292,27 +285,16 @@ def cmd_diag(doc: dict) -> int:
             for k, (e, label) in enumerate(
                 zip(spectrum.eigenvalues, spectrum.classifications), start=1
             ):
-                writer.writerow([k, _fmt(float(e.real)), _fmt(float(e.imag)), label])
+                writer.writerow([k, float(e.real), float(e.imag), label])
         print(f"{parity}: {len(spectrum.eigenvalues)} states -> diag_{parity}.csv")
     return 0
-
-
-def _execute_batch(doc: dict, root: Path):
-    """Run the batch DAG of ``doc`` with its artifacts under ``root``; returns
-    the trace, the sort winners, the failed or skipped nodes and the sort
-    nodes that wrote no artifact."""
-    _, _, dag = prepare_execution(doc, root)
-    trace = orchestrator.execute(dag, workers=doc["workers"])
-    winners, missing = collect_winners(dag, root)
-    failed = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
-    return trace, winners, failed, missing
 
 
 def cmd_run(doc: dict, single_task: str | None = None) -> int:
     out = resolve_output_dir(doc)
     _write_json(out / "config.frozen.json", doc)
+    _, _, dag = prepare_execution(doc, out)
     if single_task is not None:
-        _, _, dag = prepare_execution(doc, out)
         if single_task not in dag.nodes:
             raise ConfigError(f"unknown task id {single_task!r}")
         node = dag.nodes[single_task]
@@ -326,7 +308,9 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             return 3
         print(f"task {single_task}: wrote {node.output}")
         return 0
-    trace, winners, failed_nodes, missing_sorts = _execute_batch(doc, out)
+    trace = orchestrator.execute(dag, workers=doc["workers"])
+    failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
+    winners, missing_sorts = collect_winners(dag, out)
     with open(out / "trace.jsonl", "w") as fh:
         for event in trace:
             fh.write(json.dumps(event) + "\n")
@@ -357,36 +341,37 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
 
 
 def cmd_sweep(doc: dict) -> int:
+    """Every (reduction, longevity, repeat) point's batch as one DAG, run
+    by one :func:`orchestrator.execute` call; each point's artifacts lie
+    under its own directory and its winners become rows of ``sweep.csv``."""
     if doc["tier"] != "noisy":
         raise ConfigError("config key 'tier' must be 'noisy' for sweeps")
     out = resolve_output_dir(doc)
     sweep = doc["sweep"]
-    rows = []
-    status = 0
+    problems, dag = None, orchestrator.TaskDag()
+    points = {}
     for reduction in sweep["reduction_factors"]:
         for longevity in sweep["longevity_factors"]:
             for repeat in range(sweep["repeats"]):
-                point = json.loads(json.dumps(doc))
-                point["gate_noise_reduction_factor"] = float(reduction)
-                point["qubit_longevity_factor"] = longevity
-                point["seed"] = doc["seed"] + 7919 * repeat
-                point["output_dir"] = str(
-                    Path(doc["output_dir"])
-                    / f"sweep_r{reduction}_l{longevity}_{repeat}"
+                point = dict(
+                    doc,
+                    gate_noise_reduction_factor=float(reduction),
+                    qubit_longevity_factor=longevity,
+                    seed=doc["seed"] + 7919 * repeat,
                 )
-                try:
-                    code = _run_point(point, rows, reduction, longevity, repeat)
-                    status = max(status, code)
-                except Exception as exc:  # noqa: BLE001 - recorded per point
-                    rows.append(
-                        {
-                            "reduction": reduction,
-                            "longevity": longevity,
-                            "repeat": repeat,
-                            "status": f"error: {exc}",
-                        }
-                    )
-                    status = 3
+                prefix = f"sweep_r{reduction}_l{longevity}_{repeat}/"
+                _, problems, _ = prepare_execution(point, out, problems, prefix, dag)
+                points[prefix] = {
+                    "reduction": reduction, "longevity": longevity, "repeat": repeat
+                }
+    trace = orchestrator.execute(dag, workers=doc["workers"])
+    status = 3 if any(e["status"] in ("failed", "skipped") for e in trace) else 0
+    rows = []
+    for prefix, columns in points.items():
+        winners, missing = collect_winners(dag, out, prefix)
+        if missing:
+            status = 3
+        rows += [{**w.to_dict(), **columns, "status": "ok"} for w in winners]
     with open(out / "sweep.csv", "w", newline="") as fh:
         fh.write(SWEEP_SCHEMA + "\n")
         writer = csv.DictWriter(
@@ -405,33 +390,12 @@ def cmd_sweep(doc: dict) -> int:
                 "status",
             ],
             lineterminator="\n",
+            extrasaction="ignore",  # the record fields that are no column
         )
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"sweep: {len(rows)} rows -> sweep.csv")
     return status
-
-
-def _run_point(point: dict, rows: list, reduction, longevity, repeat) -> int:
-    _, winners, failed, missing = _execute_batch(point, resolve_output_dir(point))
-    for w in winners:
-        rows.append(
-            {
-                "reduction": reduction,
-                "longevity": longevity,
-                "repeat": repeat,
-                "parity": w.parity,
-                "index": w.index,
-                "sigma2": _fmt(w.sigma2),
-                "fidelity_error": _fmt(w.fidelity_error),
-                "energy_re": _fmt(w.energy_re),
-                "energy_im": _fmt(w.energy_im),
-                "classification": w.classification,
-                "status": "ok",
-            }
-        )
-    return 3 if (failed or missing) else 0
 
 
 def cmd_export_dag(doc: dict) -> int:
@@ -439,6 +403,7 @@ def cmd_export_dag(doc: dict) -> int:
     plan = build_plan(doc)
     dag = orchestrator.build_dag(plan.n_states, plan.batch_size, plan.parities)
     cli_args = "--config config.frozen.json"
+    _write_json(out / "config.frozen.json", doc)
     text, submits = orchestrator.export_dagman(dag, cli_args=cli_args)
     (out / "batch.dag").write_text(text)
     for rel_path, content in submits.items():
@@ -501,6 +466,8 @@ def _parse_overrides(pairs: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"override {key!r} nests under a key that has a value")
         target[parts[-1]] = value
     return overrides
 

@@ -40,9 +40,11 @@ _OPTIONAL_STR = (str, type(None))
 
 
 def _positive(inf: bool = False):
-    """A positive number; with ``inf`` the string 'inf' or 'infinity' too."""
+    """A positive number that a float holds, infinity included; with ``inf``
+    the string 'inf' or 'infinity' too."""
     return (
-        lambda v: (isinstance(v, _REAL) and not isinstance(v, bool) and v > 0)
+        lambda v: (isinstance(v, _REAL) and not isinstance(v, bool) and v > 0
+                   and (v == math.inf or v <= sys.float_info.max))
         or (inf and isinstance(v, str) and v.lower() in ("inf", "infinity"))
     ), "a positive number or 'inf'" if inf else "a positive number"
 
@@ -207,6 +209,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {path} holds a {type(doc).__name__}, not an object")
     merged = merge_defaults(overrides or {}, merge_defaults(doc))
     validate_config(merged)
     _warn_idle_trust_region(merged)

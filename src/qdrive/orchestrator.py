@@ -14,6 +14,10 @@ Pool and sort nodes are gather points: they run in degraded mode when at
 least one input artifact exists even if sibling branches failed, so one
 broken run never voids a batch.
 
+A sweep is one DAG: :func:`build_dag` adds each sweep point's batch to it
+with the point's directory as the prefix of every node id and artifact
+path, and one :func:`execute` call runs all points side by side.
+
 With more than one worker, :func:`execute` forks worker processes of its
 own, one pipe each, so stages that are pure-Python optimizer work run in
 parallel instead of taking turns on one interpreter lock.  The workers
@@ -101,58 +105,46 @@ def node_id(parity: str, run: int, kind: str, index: int = 0) -> str:
     return f"{parity}_sort"
 
 
-def artifact_path(batch: str, parity: str, run: int, task_id: str) -> str:
-    return f"runs/{batch}/{parity}/{run}/{task_id}.json"
-
-
 def build_dag(
     n_states: dict[str, int],
     batch_size: int,
     parities: tuple[str, ...] = ("even", "odd"),
-    batch: str = "batch0",
+    prefix: str = "",
+    dag: TaskDag | None = None,
 ) -> TaskDag:
     """Fig-of-merit graph: per run a Hermitian chain with non-Hermitian
-    branches into one pool node; one sort node per parity channel."""
-    dag = TaskDag()
+    branches into one pool node; one sort node per parity channel.
+
+    Every node id and artifact path starts with ``prefix``; the nodes go
+    into ``dag`` if given, so a sweep builds one graph over all its points.
+    """
+    dag = TaskDag() if dag is None else dag
+
+    def add(kind: str, parity: str, run: int, index: int, folder: str) -> str:
+        nid = node_id(parity, run, kind, index)
+        dag.add_node(
+            TaskNode(
+                id=prefix + nid, kind=kind, parity=parity, run=run, index=index,
+                gather=kind in ("pool", "sort"),
+                output=f"{prefix}runs/batch0/{folder}/{nid}.json",
+            )
+        )
+        return prefix + nid
+
     for parity in parities:
         n = n_states[parity]
         if n < 1 or batch_size < 1:
             raise ValueError("state count and batch size must be at least 1")
-        sort_id = node_id(parity, 0, "sort")
-        dag.add_node(
-            TaskNode(
-                id=sort_id, kind="sort", parity=parity, run=0, index=n + 1,
-                gather=True,
-                output=f"runs/{batch}/{parity}/{sort_id}.json",
-            )
-        )
+        sort_id = add("sort", parity, 0, n + 1, parity)
         for run in range(batch_size):
-            pool_id = node_id(parity, run, "pool")
-            dag.add_node(
-                TaskNode(
-                    id=pool_id, kind="pool", parity=parity, run=run, index=n,
-                    gather=True,
-                    output=artifact_path(batch, parity, run, pool_id),
-                )
-            )
+            folder = f"{parity}/{run}"
+            pool_id = add("pool", parity, run, n, folder)
             for i in range(1, n + 1):
-                h_id = node_id(parity, run, "hermitian", i)
-                n_id = node_id(parity, run, "nonhermitian", i)
-                dag.add_node(
-                    TaskNode(
-                        id=h_id, kind="hermitian", parity=parity, run=run, index=i,
-                        output=artifact_path(batch, parity, run, h_id),
-                    )
-                )
-                dag.add_node(
-                    TaskNode(
-                        id=n_id, kind="nonhermitian", parity=parity, run=run, index=i,
-                        output=artifact_path(batch, parity, run, n_id),
-                    )
-                )
+                h_id = add("hermitian", parity, run, i, folder)
+                n_id = add("nonhermitian", parity, run, i, folder)
                 dag.add_edge(h_id, n_id)
                 if i > 1:
-                    dag.add_edge(node_id(parity, run, "hermitian", i - 1), h_id)
+                    dag.add_edge(prefix + node_id(parity, run, "hermitian", i - 1), h_id)
                 dag.add_edge(n_id, pool_id)
             dag.add_edge(pool_id, sort_id)
     for child, parents in dag.parents.items():

@@ -28,16 +28,19 @@ _word_dense_cache: dict[str, np.ndarray] = {}
 
 
 def word_to_dense(word: str) -> np.ndarray:
-    """Dense matrix of a Pauli code word (cached for small qubit counts)."""
+    """Dense matrix of a Pauli code word.  Words of up to four letters are
+    cached; a longer word is the Kronecker product of its first four letters
+    and its rest.  Each entry is one product of 0, ±1 and ±i, so only the
+    sign of a zero entry can differ from the letter-by-letter product."""
+    if len(word) > 4:
+        return np.kron(word_to_dense(word[:4]), word_to_dense(word[4:]))
     cached = _word_dense_cache.get(word)
-    if cached is not None:
-        return cached
-    mat = PAULI_1Q[word[0]]
-    for letter in word[1:]:
-        mat = np.kron(mat, PAULI_1Q[letter])
-    if len(word) <= 4:
-        _word_dense_cache[word] = mat
-    return mat
+    if cached is None:
+        cached = PAULI_1Q[word[0]]
+        for letter in word[1:]:
+            cached = np.kron(cached, PAULI_1Q[letter])
+        _word_dense_cache[word] = cached
+    return cached
 
 
 class PauliSum:

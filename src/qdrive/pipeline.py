@@ -211,7 +211,6 @@ def run_nonhermitian_stage(
     problem: ChannelProblem,
     plan: RunPlan,
     run_id: int,
-    batch_id: str = "batch0",
     telemetry=None,
 ) -> ResonanceRecord:
     """Pseudovariance minimization warm-started at the Hermitian eigenstate."""
@@ -248,7 +247,7 @@ def run_nonhermitian_stage(
         parity=problem.parity,
         index=index,
         run_id=run_id,
-        batch_id=batch_id,
+        batch_id="batch0",
         params=[float(v) for v in result.params],
         energy_re=float(energy.real),
         energy_im=float(energy.imag),

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdrive import cli
+from qdrive import cli, orchestrator
 from qdrive.cli import (
     _write_json,
     collect_winners,
@@ -24,6 +24,7 @@ from qdrive.config import (
     load_config,
     validate_config,
 )
+from tests.test_golden import _TINY, CASES, GOLDEN
 from tests.test_orchestrator import execute_simulated
 
 FAST_RUN = {
@@ -111,6 +112,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(repr(key))):
             load_config(None, nested(key, bad))
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        path = write_config(tmp_path, [1])
+        assert main(["--config", path, "diag"]) == 2
+        assert f"config file {path} holds a list" in capsys.readouterr().err
+
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {"qubitz": 3})
         with pytest.raises(ConfigError, match="qubitz"):
@@ -154,6 +160,13 @@ class TestConfig:
         cases.append((["--set", 'sweep.longevity_factors=["never"]'], "sweep.longevity_factors"))
         cases.append((["--set", "gate_noise_reduction_factor=0"], "gate_noise_reduction_factor"))
         cases.append((["--set", "qubit_longevity_factor=0"], "qubit_longevity_factor"))
+        # a positive int beyond the float range fails at load, not in float()
+        big = "1" + "0" * 400
+        cases.append((["--set", f"gate_noise_reduction_factor={big}"], "gate_noise_reduction_factor"))
+        cases.append((["--set", f"sweep.reduction_factors=[{big}]"], "sweep.reduction_factors"))
+        cases.append((["--set", f"sweep.longevity_factors=[{big}]"], "sweep.longevity_factors"))
+        # a dotted override under a key that an earlier --set gave a value
+        cases.append((["--set", "q=2", "--set", "q.x=1"], "'q.x'"))
         # state counts and the seed fail at load, not inside build_dag or SeedSequence
         cases.append((["--set", "n_states.even=0"], "n_states.even"))
         cases.append((["--set", "n_states.odd=-2"], "n_states.odd"))
@@ -290,6 +303,16 @@ class TestExportDag:
         assert len(jobs) == 8  # two parity channels of 4 nodes each
         subs = list((tmp_path / "out" / "submit").glob("*.sub"))
         assert len(subs) == 8
+
+    def test_submitted_task_runs_from_the_frozen_config(self, tmp_path):
+        # every submit file runs `qdrive run --config config.frozen.json --single-task <id>`
+        doc = dict(FAST_RUN, batch_size=1, n_states={"even": 1, "odd": 1})
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, doc), "export-dag"]) == 0
+        frozen = tmp_path / "out" / "config.frozen.json"
+        sub = (tmp_path / "out" / "submit" / "even_r0_h1.sub").read_text()
+        assert "--config config.frozen.json --single-task even_r0_h1" in sub
+        assert main(["--config", str(frozen), "run", "--single-task", "even_r0_h1"]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -442,3 +465,56 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path):
         _write_json(path, {"value": 2, "broken": object()})
     assert json.loads(path.read_text()) == {"value": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+class TestSweep:
+    """A sweep runs the batches of all its points as one DAG."""
+
+    POINTS = ("sweep_r1.0_linf_0/", "sweep_r10000.0_linf_0/")
+
+    def config(self, tmp_path, **extra):
+        _, overrides, _ = CASES["noisy_sweep"]
+        doc = json.loads(json.dumps({**_TINY, **overrides, **extra}))
+        doc["output_dir"] = str(tmp_path / "out")
+        return write_config(tmp_path, doc)
+
+    def test_one_execute_call_over_every_point(self, tmp_path, monkeypatch):
+        calls = []
+        real = orchestrator.execute
+
+        def execute(dag, **kwargs):
+            calls.append(dag)
+            return real(dag, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "execute", execute)
+        assert main(["--config", self.config(tmp_path), "sweep"]) == 0
+        [dag] = calls
+        assert len(dag.nodes) == 8  # per point: odd h1, n1, pool and sort
+        for point in self.POINTS:
+            nodes = [n for n in dag.nodes.values() if n.id.startswith(point)]
+            assert len(nodes) == 4
+            for node in nodes:
+                assert node.output.startswith(point + "runs/batch0/odd/")
+                assert (tmp_path / "out" / node.output).exists()
+
+    def test_failed_point_leaves_the_other_rows(self, tmp_path, monkeypatch, capsys):
+        real = cli.make_payload
+
+        def make_payload(*args):
+            payload = real(*args)
+
+            def failing(node, degraded):
+                if node.id == "sweep_r10000.0_linf_0/odd_r0_h1":
+                    raise RuntimeError("injected")
+                payload(node, degraded)
+
+            return failing
+
+        monkeypatch.setattr(cli, "make_payload", make_payload)  # forked workers inherit it
+        assert main(["--config", self.config(tmp_path, workers=2), "sweep"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        golden = (GOLDEN / "noisy_sweep" / "sweep.csv").read_text().splitlines()
+        # the header and the clean point's row; the failed point has no sort artifact
+        assert lines == [line for line in golden if not line.startswith("10000.0,")]
+        assert not (tmp_path / "out" / "sweep_r10000.0_linf_0/runs/batch0/odd/odd_sort.json").exists()

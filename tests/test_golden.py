@@ -94,6 +94,13 @@ def test_noisy_outputs_do_not_depend_on_workers(tmp_path):
         assert (out / artifact).read_bytes() == (GOLDEN / "noisy" / artifact).read_bytes()
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_sweep_outputs_do_not_depend_on_workers(workers, tmp_path):
+    # the points of one sweep DAG share the workers and run side by side
+    out = run_case("noisy_sweep", tmp_path / "out", workers=workers)
+    assert (out / "sweep.csv").read_bytes() == (GOLDEN / "noisy_sweep" / "sweep.csv").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 

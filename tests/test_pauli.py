@@ -157,3 +157,16 @@ class TestQwcGroups:
             for b in groups:
                 if groups[a] == groups[b]:
                     assert all("I" in (x, y) or x == y for x, y in zip(a, b))
+
+
+@settings(deadline=None, max_examples=100)
+@given(word=st.text(LETTERS, min_size=5, max_size=6))
+def test_long_word_is_the_letter_by_letter_product(word):
+    """A word of more than four letters, built from two cached halves, is
+    the chain of one-letter Kronecker products bit for bit, but for the sign
+    of zero entries (adding +0.0 clears it), and is not cached."""
+    chain = pauli.PAULI_1Q[word[0]]
+    for letter in word[1:]:
+        chain = np.kron(chain, pauli.PAULI_1Q[letter])
+    assert (word_to_dense(word) + 0.0).tobytes() == (chain + 0.0).tobytes()
+    assert all(len(w) <= 4 for w in pauli._word_dense_cache)
