@@ -20,8 +20,9 @@ from importlib import resources
 from pathlib import Path
 
 from .circuits import ansatz_parameter_count
+from .mitigation import ConfusionMatrix
 from .model import ClassifierThresholds, Grid, PotentialModel
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, trust_region_start
 from .pipeline import RunPlan
 from .simulator import NoiseModel, load_noise_profile, scale_noise
 
@@ -178,14 +179,30 @@ def validate_config(doc: dict) -> None:
         # the noisy tier simulates the q qubits of the ansatz
         path = doc.get("noise_profile") or bundled_profile_path()
         try:
-            n_qubits = load_noise_profile(path).n_qubits
+            profile = load_noise_profile(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config key 'noise_profile': cannot load {path}: {exc}")
-        if doc["q"] > n_qubits:
+        if doc["q"] > profile.n_qubits:
             raise ConfigError(
                 f"config key 'q' = {doc['q']} needs {doc['q']} qubits on the "
-                f"noisy tier, but the noise profile covers {n_qubits}"
+                f"noisy tier, but the noise profile covers {profile.n_qubits}"
             )
+        if doc["mitigation"]["readout"]:  # inverts each measured qubit's confusion
+            for k in range(doc["q"]):
+                try:
+                    ConfusionMatrix.from_rows(profile.confusion(k))
+                except ValueError as exc:
+                    raise ConfigError(f"config key 'noise_profile': readout of qubit {k}: {exc}")
+        sweep = doc["sweep"]
+        scalings = [("gate_noise_reduction_factor", doc["gate_noise_reduction_factor"],
+                     doc["qubit_longevity_factor"])]
+        scalings += [("sweep.reduction_factors", r, lo)
+                     for r in sweep["reduction_factors"] for lo in sweep["longevity_factors"]]
+        for key, reduction, longevity in scalings:
+            try:
+                scale_noise(profile, float(reduction), _longevity(longevity))
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r} = {reduction}: {exc}")
 
 
 def merge_defaults(doc: dict, base: dict = DEFAULTS) -> dict:
@@ -220,12 +237,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 def _warn_idle_trust_region(doc: dict) -> None:
     """Warn on stderr when the pseudovariance stages cannot optimize.
 
-    Their trust-region optimizer needs 2m + 1 evaluations (m ansatz
-    parameters) to start; with a smaller ``optimizer.nonhermitian_f_max`` it
-    evaluates nothing and every stage keeps its Hermitian warm start.
+    Their trust-region optimizer needs ``trust_region_start`` evaluations to
+    start; with a smaller ``optimizer.nonhermitian_f_max`` it evaluates
+    nothing and every stage keeps its Hermitian warm start.
     """
     f_max = doc["optimizer"]["nonhermitian_f_max"]
-    needed = 2 * ansatz_parameter_count(doc["q"]) + 1
+    needed = trust_region_start(ansatz_parameter_count(doc["q"]))
     if f_max < needed:
         print(
             f"warning: config key 'optimizer.nonhermitian_f_max' = {f_max} is "

@@ -14,6 +14,12 @@ Three optimizer kinds are provided behind one entry point:
 * ``simplex``       linear-approximation fallback (scipy's COBYLA) with
                     initial variable change ``p_beg``.
 
+Every kind returns the ``OptResult`` that ``_Counted.result`` builds: the
+best evaluated point (the start if none was), its value and the evaluations
+spent.  ``exhausted`` flags a spent budget, never an exception; ``converged``
+means all NFT sweeps ran, the trust region reached ``f_tol``, or COBYLA
+stopped by itself.  A downgraded NFT run has kind ``"nft->trust_region"``.
+
 Angles are wrapped modulo 2*pi instead of clipped: every estimate here is
 bilinear in the prepared state, so a 2*pi shift of any rotation angle is
 exactly neutral.
@@ -30,6 +36,9 @@ import scipy.optimize
 from .estimator import Estimator
 from .pauli import PauliSum
 
+# relative sinusoid-fit residual above which NFT downgrades to trust_region
+RESIDUAL_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -41,7 +50,6 @@ class OptimizerConfig:
     r_beg: float = 1.0
     f_tol: float = 0.05
     p_beg: float = 1.0
-    residual_tol: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in ("nft", "trust_region", "simplex"):
@@ -58,11 +66,16 @@ class OptResult:
     converged: bool
     exhausted: bool = False
     kind: str = ""
-    message: str = ""
 
 
 def wrap_angles(x: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def trust_region_start(m: int) -> int:
+    """Evaluations the trust region spends before its first step on m
+    parameters: COBYQA's initial interpolation set of 2m + 1 points."""
+    return 2 * m + 1
 
 
 class _Counted:
@@ -98,6 +111,11 @@ class _Counted:
             )
         return value
 
+    def result(self, x, kind: str, converged: bool, exhausted: bool) -> OptResult:
+        """The best evaluated point, or ``x`` if none was evaluated."""
+        params = self.best_x if self.best_x is not None else x
+        return OptResult(params, self.best_val, self.nfev, converged, exhausted, kind)
+
 
 class _BudgetExhausted(Exception):
     pass
@@ -118,7 +136,7 @@ def nft_minimize(
 
     On the first parameter of the first sweep the fitted sinusoid is
     validated with an extra evaluation at the predicted minimizer; a
-    relative residual above max(residual_tol, 5*sigma_hint) downgrades the
+    relative residual above max(RESIDUAL_TOL, 5*sigma_hint) downgrades the
     whole run to the trust-region kind.  When fewer evaluations are left
     than trust_region needs to start, the downgraded run returns NFT's best
     evaluated point, flagged exhausted.
@@ -149,21 +167,13 @@ def nft_minimize(
                     actual = counted(x)
                     scale = max(1.0, abs(a) + r)
                     residual = abs(actual - predicted) / scale
-                    if residual > max(config.residual_tol, 5.0 * sigma_hint / scale):
+                    if residual > max(RESIDUAL_TOL, 5.0 * sigma_hint / scale):
                         remaining = config.f_max - counted.nfev
-                        if remaining < 2 * m + 1:  # too few for trust_region to start
-                            result = OptResult(
-                                params=counted.best_x, value=counted.best_val,
-                                nfev=0, converged=False, exhausted=True,
-                            )
-                        else:
-                            inner = replace(config, kind="trust_region", f_max=remaining)
-                            result = trust_region_minimize(fun, x, inner, telemetry)
+                        if remaining < trust_region_start(m):
+                            return counted.result(x, "nft->trust_region", False, True)
+                        inner = replace(config, kind="trust_region", f_max=remaining)
+                        result = trust_region_minimize(fun, x, inner, telemetry)
                         result.nfev += counted.nfev
-                        result.message = (
-                            f"sinusoid residual {residual:.2e} exceeded tolerance; "
-                            "downgraded to trust_region"
-                        )
                         result.kind = "nft->trust_region"
                         return result
                 # the prediction at x is exact for a sinusoidal objective
@@ -173,22 +183,8 @@ def nft_minimize(
                 if not first and updates % config.reset_interval == 0:
                     counted(x)
     except _BudgetExhausted:
-        return OptResult(
-            params=counted.best_x if counted.best_x is not None else x,
-            value=counted.best_val,
-            nfev=counted.nfev,
-            converged=False,
-            exhausted=True,
-            kind="nft",
-            message="evaluation budget exhausted",
-        )
-    return OptResult(
-        params=counted.best_x if counted.best_x is not None else x,
-        value=counted.best_val,
-        nfev=counted.nfev,
-        converged=True,
-        kind="nft",
-    )
+        return counted.result(x, "nft", converged=False, exhausted=True)
+    return counted.result(x, "nft", converged=True, exhausted=False)
 
 
 def trust_region_minimize(
@@ -199,13 +195,12 @@ def trust_region_minimize(
     counted = _Counted(fun, config.f_max, telemetry)
     bounds = scipy.optimize.Bounds(x - 2.0 * np.pi, x + 2.0 * np.pi)
     attempts = 0
-    message = ""
-    while True:
-        remaining = config.f_max - counted.nfev
-        if remaining < 2 * x.size + 1:
-            message = "evaluation budget exhausted"
-            break
-        try:
+    exhausted = False
+    try:
+        while True:
+            remaining = config.f_max - counted.nfev
+            if remaining < trust_region_start(x.size):
+                raise _BudgetExhausted
             scipy.optimize.minimize(
                 counted,
                 x,
@@ -218,28 +213,19 @@ def trust_region_minimize(
                     "final_tr_radius": 1e-8,
                 },
             )
-        except _BudgetExhausted:
-            message = "evaluation budget exhausted"
-            break
-        attempts += 1
-        if counted.best_val <= config.f_tol or attempts > config.retries:
-            break
-        x = counted.best_x.copy()
-    return OptResult(
-        params=counted.best_x if counted.best_x is not None else x,
-        value=counted.best_val,
-        nfev=counted.nfev,
-        converged=counted.best_val <= config.f_tol,
-        exhausted=message != "",
-        kind="trust_region",
-        message=message,
-    )
+            attempts += 1
+            if counted.best_val <= config.f_tol or attempts > config.retries:
+                break
+            x = counted.best_x.copy()
+    except _BudgetExhausted:
+        exhausted = True
+    return counted.result(x, "trust_region", counted.best_val <= config.f_tol, exhausted)
 
 
 def simplex_minimize(fun, x0, config: OptimizerConfig, telemetry=None) -> OptResult:
     x = wrap_angles(np.asarray(x0, dtype=float))
     counted = _Counted(fun, config.f_max, telemetry)
-    message = ""
+    exhausted = False
     try:
         scipy.optimize.minimize(
             counted,
@@ -254,26 +240,14 @@ def simplex_minimize(fun, x0, config: OptimizerConfig, telemetry=None) -> OptRes
             },
         )
     except _BudgetExhausted:
-        message = "evaluation budget exhausted"
-    return OptResult(
-        params=counted.best_x if counted.best_x is not None else x,
-        value=counted.best_val,
-        nfev=counted.nfev,
-        converged=message == "",
-        exhausted=message != "",
-        kind="simplex",
-        message=message,
-    )
+        exhausted = True
+    return counted.result(x, "simplex", converged=not exhausted, exhausted=exhausted)
 
 
 def minimize(
     fun, config: OptimizerConfig, x0, telemetry=None, sigma_hint: float = 0.0
 ) -> OptResult:
-    """Dispatch on the configured optimizer kind.
-
-    Budget exhaustion always returns the best point seen with a flag set,
-    never an exception.
-    """
+    """Dispatch on the configured optimizer kind."""
     if config.kind == "nft":
         return nft_minimize(fun, x0, config, telemetry, sigma_hint)
     if config.kind == "trust_region":
@@ -301,10 +275,10 @@ def vqd_objective(
 
 
 def pseudovariance_objective(
-    params, h_n: PauliSum, h_dag_h: PauliSum, est: Estimator
+    params, h_h: PauliSum, v_cap: PauliSum, h_dag_h: PauliSum, est: Estimator
 ) -> float:
-    """<H_N^dag H_N> - |<H_N>|^2 with <H_N> assembled as <H_H> + i <V_cap>."""
-    h_h, v_cap = h_n.hermitian_split()
+    """<H_N^dag H_N> - |<H_N>|^2 of H_N = H_H + i V_cap, with <H_N> assembled
+    as <H_H> + i <V_cap> from its two Hermitian parts."""
     energy = est.energy(params, h_h, v_cap)
     second_moment = est.expectation(h_dag_h, params).real
     return second_moment - abs(energy) ** 2

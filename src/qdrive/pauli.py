@@ -46,13 +46,12 @@ def word_to_dense(word: str) -> np.ndarray:
 class PauliSum:
     """Weighted sum of Pauli code words on a fixed number of qubits."""
 
-    __slots__ = ("n_qubits", "terms", "_dense", "_split")
+    __slots__ = ("n_qubits", "terms", "_dense")
 
     def __init__(self, n_qubits: int, terms: dict[str, complex] | None = None):
         self.n_qubits = int(n_qubits)
         self.terms: dict[str, complex] = {}
         self._dense = None
-        self._split = None
         if terms:
             for word, coeff in terms.items():
                 if len(word) != self.n_qubits:
@@ -91,18 +90,6 @@ class PauliSum:
 
     def scaled(self, factor: complex) -> "PauliSum":
         return PauliSum(self.n_qubits, {w: factor * c for w, c in self.terms.items()})
-
-    def hermitian_split(self) -> tuple["PauliSum", "PauliSum"]:
-        """Split into (A, B) with real coefficients such that self = A + i*B.
-
-        For a sum built from H + i*V with Hermitian H and V this recovers the
-        two Hermitian parts term-wise.
-        """
-        if self._split is None:
-            re = {w: complex(c.real) for w, c in self.terms.items()}
-            im = {w: complex(c.imag) for w, c in self.terms.items()}
-            self._split = (PauliSum(self.n_qubits, re), PauliSum(self.n_qubits, im))
-        return self._split
 
     def to_dense(self) -> np.ndarray:
         if self._dense is None:

@@ -8,7 +8,7 @@ state index keeps the record with the lowest pseudovariance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -25,13 +25,7 @@ from .model import (
     exact_diagonalize,
     project_hamiltonians,
 )
-from .optimize import (
-    OptimizerConfig,
-    OptResult,
-    minimize,
-    pseudovariance_objective,
-    vqd_objective,
-)
+from .optimize import OptimizerConfig, minimize, pseudovariance_objective, vqd_objective
 from .simulator import NoiseModel, statevector
 
 PARITY_CODE = {"even": 0, "odd": 1}
@@ -48,15 +42,15 @@ KIND_CODE = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3, "init": 4}
 class ChannelProblem:
     """Pauli-space operators of one parity channel and its projected pair.
 
-    ``groups`` maps every word of ``h_h``, ``v_cap`` and ``h_dag_h`` to the
-    basis of the qubit-wise-commuting group the estimators read it from.
+    H_N = H_H + i V_cap is held as its Hermitian parts ``h_h`` and ``v_cap``;
+    ``h_dag_h`` is H_N^dag H_N.  ``groups`` maps every word of the three to
+    the basis of the qubit-wise-commuting group the estimators read it from.
     """
 
     parity: str
     q: int
     h_h: pauli.PauliSum
     v_cap: pauli.PauliSum
-    h_n: pauli.PauliSum
     h_dag_h: pauli.PauliSum
     pair: HamiltonianPair
     groups: dict[str, str]
@@ -69,8 +63,7 @@ def build_problem(
     pair = project_hamiltonians(model, basis, grid)
     h_h = pauli.decompose(pair.h_h)
     v_cap = pauli.decompose(pair.v_cap)
-    h_n = h_h + v_cap.scaled(1j)
-    m = h_n.to_dense()
+    m = (h_h + v_cap.scaled(1j)).to_dense()
     h_dag_h = pauli.decompose(m.conj().T @ m)
     # the h_h words first: a VQD evaluation, which reads only them, then
     # measures as few groups as grouping them alone would give
@@ -82,7 +75,6 @@ def build_problem(
         q=q,
         h_h=h_h,
         v_cap=v_cap,
-        h_n=h_n,
         h_dag_h=h_dag_h,
         pair=pair,
         groups=pauli.qwc_groups(first + rest),
@@ -221,18 +213,14 @@ def run_nonhermitian_stage(
     cfg = plan.nonhermitian_cfg
 
     def objective(x):
-        return pseudovariance_objective(x, problem.h_n, problem.h_dag_h, est)
+        return pseudovariance_objective(x, problem.h_h, problem.v_cap, problem.h_dag_h, est)
 
     theta = np.asarray(theta, dtype=float)
     warm = float(objective(theta))
     result = minimize(objective, cfg, theta, telemetry=telemetry)
     if warm < result.value:
-        # the optimizer never reports a value above its warm start
-        result = OptResult(
-            params=theta, value=warm, nfev=result.nfev,
-            converged=warm <= cfg.f_tol, kind=result.kind,
-            message="warm start retained",
-        )
+        # the stage never reports a value above its warm start
+        result = replace(result, params=theta, value=warm, converged=warm <= cfg.f_tol)
     # final comparison estimates use an extra order of magnitude of shots;
     # the estimator keeps the word values of the last parameters, so the
     # energy and sigma2 come from the same draws
@@ -240,9 +228,10 @@ def run_nonhermitian_stage(
         problem.parity, run_id, "nonhermitian", index + 1000, shots=plan.final_shots,
         groups=problem.groups,
     )
-    h_h, v_cap = problem.h_n.hermitian_split()
-    energy = final_est.energy(result.params, h_h, v_cap)
-    sigma2 = pseudovariance_objective(result.params, problem.h_n, problem.h_dag_h, final_est)
+    energy = final_est.energy(result.params, problem.h_h, problem.v_cap)
+    sigma2 = pseudovariance_objective(
+        result.params, problem.h_h, problem.v_cap, problem.h_dag_h, final_est
+    )
     return ResonanceRecord(
         parity=problem.parity,
         index=index,

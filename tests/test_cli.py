@@ -165,6 +165,12 @@ class TestConfig:
         cases.append((["--set", f"gate_noise_reduction_factor={big}"], "gate_noise_reduction_factor"))
         cases.append((["--set", f"sweep.reduction_factors=[{big}]"], "sweep.reduction_factors"))
         cases.append((["--set", f"sweep.longevity_factors=[{big}]"], "sweep.longevity_factors"))
+        # a reduction factor below p2 = 0.003 pushes a depolarizing probability above 1
+        noisy = ["--set", "tier=noisy", "--set", "q=2"]
+        cases.append(([*noisy, "--set", "gate_noise_reduction_factor=0.001"],
+                      "gate_noise_reduction_factor"))
+        cases.append(([*noisy, "--set", "sweep.reduction_factors=[0.001]"],
+                      "sweep.reduction_factors"))
         # a dotted override under a key that an earlier --set gave a value
         cases.append((["--set", "q=2", "--set", "q.x=1"], "'q.x'"))
         # state counts and the seed fail at load, not inside build_dag or SeedSequence
@@ -201,11 +207,22 @@ class TestConfig:
             path = write_config(tmp_path, {**profile, **fields}, name=f"bad_profile_{i}.json")
             args = ["--set", "tier=noisy", "--set", f"noise_profile={path}"]
             cases.append((args, "'noise_profile'"))
+        # so does a readout confusion that readout mitigation cannot invert
+        singular = write_config(tmp_path, {
+            **profile, "readout": [[[0.5, 0.5], [0.5, 0.5]]] + profile["readout"][1:]
+        }, name="singular_readout.json")
+        cases.append(([*noisy, "--set", f"noise_profile={singular}"],
+                      "'noise_profile': readout of qubit 0"))
         out = str(tmp_path / "out")
         for args, key in cases:
             code = main(["--set", f"output_dir={out}", *args, "run"])
             assert code == 2, args
             assert key in capsys.readouterr().err
+        # the same values within range still load
+        load_config(None, {"tier": "noisy", "q": 2, "gate_noise_reduction_factor": 0.5,
+                           "sweep": {"reduction_factors": [0.5]}})
+        load_config(None, {"tier": "noisy", "q": 2, "noise_profile": singular,
+                           "mitigation": {"readout": False}})
         # an absorber at infinity is no absorber, not an error
         assert load_config(None, {"model": {"x0": float("inf")}})["model"]["x0"] == float("inf")
         # more than one worker needs fork; one worker runs inline anywhere

@@ -32,11 +32,11 @@ from tests.test_simulator import torino_like
 RNG = np.random.default_rng
 
 
-def random_observable(q, rng, hermitian=True):
+def random_observable(q, rng):
+    """A random Hermitian operator as a Pauli sum and a dense matrix."""
     dim = 2**q
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    if hermitian:
-        m = 0.5 * (m + m.conj().T)
+    m = 0.5 * (m + m.conj().T)
     return decompose(m), m
 
 
@@ -278,8 +278,10 @@ class TestSharedAnsatzState:
 
     @staticmethod
     def problem(rng):
-        h_n, m = random_observable(2, rng, hermitian=False)
-        return h_n, decompose(m.conj().T @ m)
+        """H_N = H_H + i V_cap from two random Hermitian sums, with H_N^dag H_N."""
+        (h_h, a), (v_cap, b) = random_observable(2, rng), random_observable(2, rng)
+        m = a + 1j * b
+        return h_h, v_cap, decompose(m.conj().T @ m)
 
     @staticmethod
     def count_statevectors(monkeypatch) -> tuple[list, list]:
@@ -301,11 +303,11 @@ class TestSharedAnsatzState:
 
     def test_pseudovariance_prepares_the_ansatz_once(self, monkeypatch):
         rng = RNG(50)
-        h_n, h_dag_h = self.problem(rng)
+        h_h, v_cap, h_dag_h = self.problem(rng)
         est = Estimator(q=2, tier="statevector")
         calls, gates = self.count_statevectors(monkeypatch)
         params = rng.uniform(-np.pi, np.pi, 16)
-        pseudovariance_objective(params, h_n, h_dag_h, est)
+        pseudovariance_objective(params, h_h, v_cap, h_dag_h, est)
         assert len(calls) == 1
         assert len(gates) == len(build_ansatz(params, 2).gates)
         (state,) = est._heads[1].values()
@@ -313,7 +315,7 @@ class TestSharedAnsatzState:
             state[0] = 0.0
         # a step in the last angle evolves the last gate only
         params[-1] += 0.5
-        pseudovariance_objective(params, h_n, h_dag_h, est)
+        pseudovariance_objective(params, h_h, v_cap, h_dag_h, est)
         assert len(calls) == 2
         assert len(gates) == len(build_ansatz(params, 2).gates) + 1
 
@@ -330,8 +332,7 @@ class TestSharedAnsatzState:
     @pytest.mark.parametrize("tier", ["statevector", "shots"])
     def test_sharing_leaves_every_estimate_unchanged(self, tier):
         rng = RNG(52)
-        h_n, h_dag_h = self.problem(rng)
-        h_h, _ = h_n.hermitian_split()
+        h_h, v_cap, h_dag_h = self.problem(rng)
         priors = [rng.uniform(-np.pi, np.pi, 16) for _ in range(2)]
         values = []
         for cls in (Estimator, PreparedAfresh):
@@ -341,7 +342,7 @@ class TestSharedAnsatzState:
                 objective(evals.uniform(-np.pi, np.pi, 16))
                 for _ in range(3)
                 for objective in (
-                    lambda x: pseudovariance_objective(x, h_n, h_dag_h, est),
+                    lambda x: pseudovariance_objective(x, h_h, v_cap, h_dag_h, est),
                     lambda x: vqd_objective(x, h_h, priors, 10.0, est),
                 )
             ])
@@ -382,11 +383,10 @@ class TestPauliGroups:
         assert len(set(problem.groups.values())) == 9
         x, *priors = (RNG(71).uniform(-np.pi, np.pi, (3, 16)))
         est = self.estimator()
-        sigma2 = pseudovariance_objective(x, problem.h_n, problem.h_dag_h, est)
+        sigma2 = pseudovariance_objective(x, problem.h_h, problem.v_cap, problem.h_dag_h, est)
         assert est.circuits_run == 27
         # the energy and the second moment came from those draws
-        h_h, v_cap = problem.h_n.hermitian_split()
-        energy = est.energy(x, h_h, v_cap)
+        energy = est.energy(x, problem.h_h, problem.v_cap)
         assert sigma2 == est.expectation(problem.h_dag_h, x).real - abs(energy) ** 2
         assert est.circuits_run == 27
         # the h_h words span 5 groups; each prior adds one overlap per scale

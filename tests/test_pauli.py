@@ -86,15 +86,6 @@ class TestPauliSum:
         s = PauliSum(1, {"X": 1e-16, "Z": 1.0})
         assert set(s.terms) == {"Z"}
 
-    def test_hermitian_split_reassembles(self):
-        rng = np.random.default_rng(9)
-        s = random_pauli_sum(2, rng)
-        re, im = s.hermitian_split()
-        assert real_coefficients(re) and real_coefficients(im)
-        back = re + im.scaled(1j)
-        for w in s.terms:
-            assert back.terms[w] == pytest.approx(s.terms[w], abs=1e-14)
-
     def test_rejects_bad_word_length(self):
         with pytest.raises(ValueError, match="length"):
             PauliSum(2, {"X": 1.0})

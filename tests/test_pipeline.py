@@ -174,8 +174,7 @@ class TestNonHermitianStage:
         fresh = make(plan, "even", 0, "nonhermitian", 1 + 1000, shots=plan.final_shots,
                      groups=q2_even.groups)
         params = np.asarray(record.params)
-        h_h, v_cap = q2_even.h_n.hermitian_split()
-        energy = fresh.energy(params, h_h, v_cap)
+        energy = fresh.energy(params, q2_even.h_h, q2_even.v_cap)
         second = fresh.expectation(q2_even.h_dag_h, params).real
         assert fresh.circuits_run == 27
         assert (record.energy_re, record.energy_im) == (energy.real, energy.imag)
