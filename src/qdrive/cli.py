@@ -222,28 +222,22 @@ def write_table_csv(
     path: Path,
     doc: dict,
     matched: dict[str, ResonanceRecord | None],
-    oracle: dict[str, complex],
-) -> list[str]:
-    """Benchmark-table layout: the three target states and relative errors."""
-    failures = []
+    errors: dict[str, float],
+) -> None:
+    """Benchmark-table layout: the three targets, absent unless in ``errors``."""
     fields = ["q", "tier"]
     values: list = [doc["q"], doc["tier"]]
     for label in TARGET_LABELS:
-        record = matched.get(label)
-        target = oracle.get(label)
         fields += [f"{label}_re", f"{label}_im", f"{label}_relative_error", f"{label}_status"]
-        if record is None or target is None:
-            failures.append(label)
+        if label in errors:
+            values += [matched[label].energy_re, matched[label].energy_im, errors[label], "ok"]
+        else:
             values += ["", "", "", "absent"]
-            continue
-        err = abs(record.energy - target) / abs(target)
-        values += [record.energy_re, record.energy_im, err, "ok"]
     with open(path, "w", newline="") as fh:
         fh.write(TABLE_SCHEMA + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         writer.writerow(values)
-    return failures
 
 
 def _spectra(doc: dict):
@@ -317,16 +311,20 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
     write_winners_csv(out / "winners.csv", winners)
     by_key, oracle_labels = oracle_target_map(doc)
     matched = match_targets(winners, by_key)
-    failures = write_table_csv(out / "table.csv", doc, matched, oracle_labels)
+    errors = {
+        label: abs(matched[label].energy - target) / abs(target)
+        for label, target in oracle_labels.items()
+        if matched.get(label) is not None
+    }
+    write_table_csv(out / "table.csv", doc, matched, errors)
+    failures = [label for label in TARGET_LABELS if label not in errors]
     for label in TARGET_LABELS:
-        record = matched.get(label)
-        target = oracle_labels.get(label)
-        if record is not None and target is not None:
-            err = abs(record.energy - target) / abs(target)
+        if label in errors:
+            record, target = matched[label], oracle_labels[label]
             print(
                 f"{label}: E = {record.energy_re:+.6f}{record.energy_im:+.3e}i "
                 f"(oracle {target.real:+.6f}{target.imag:+.3e}i, "
-                f"relative error {100 * err:.3f}%)"
+                f"relative error {100 * errors[label]:.3f}%)"
             )
         else:
             print(f"{label}: absent")

@@ -5,19 +5,20 @@ mitigation switches and the measurement groups of the words it reads.
 Every estimate goes through one pipeline:
 
 1. *prepare* (:meth:`Estimator._prepare`): the ansatz state, a statevector
-   on the exact and shot tiers or the density matrix of the ansatz folded
-   to a ZNE scale on the noisy tier.  The states of the last parameters are
-   kept for every estimate of one objective evaluation, and new parameters
-   resume from the longest unchanged prefix of gates, compared bit for bit
-   (:class:`~qdrive.simulator.Checkpoints`), so a step in one angle evolves
-   only the gates from that angle on;
+   on the exact and shot tiers or, on the noisy tier, the density matrix of
+   the ansatz at a ZNE fold scale, each gate one superoperator of that
+   scale (:func:`~qdrive.simulator.density_matrix`).  The states of the last
+   parameters are kept for every estimate of one objective evaluation, and
+   new parameters resume, per scale, from the longest unchanged prefix of
+   gates, compared bit for bit (:class:`~qdrive.simulator.Checkpoints`), so
+   a step in one angle evolves only the gates from that angle on;
 2. *measure, sample and mitigate* (:meth:`Estimator._distribution`): the
    distribution of the q qubits after a measured tail, sampled into a shot
    histogram and, with readout mitigation, taken through one Kronecker
    inverse of the confusion built per estimator.  The noisy tier reads each
-   probability as Tr(M_y rho) from the effective POVM M of the folded noisy
-   tail (:func:`~qdrive.simulator.effective_povm`), cached on the noise
-   model.  The tail is either
+   probability as Tr(M_y rho) from the effective POVM M of the noisy tail
+   at the same fold scale (:func:`~qdrive.simulator.effective_povm`),
+   cached on the noise model.  The tail is either
    * a Pauli group's rotation: the words fall into qubit-wise-commuting
      groups (:func:`~qdrive.pauli.qwc_groups`, decided once per channel by
      :func:`~qdrive.pipeline.build_problem`), the tail rotates each qubit
@@ -48,7 +49,6 @@ from .circuits import Circuit, Gate, build_ansatz
 from .mitigation import (
     ConfusionMatrix,
     ZnePoints,
-    fold_circuit,
     invert_distribution,
     readout_inverse,
     zne_extrapolate,
@@ -192,25 +192,21 @@ class Estimator:
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
     def _prepare(self, circuit: Circuit, lam: int = 1) -> np.ndarray:
-        """The circuit's output state on this tier, folded to scale lam if
+        """The circuit's output state on this tier, at fold scale lam if
         noisy; read-only.  It resumes from the longest prefix of gates that
         the last preparation at the same scale shares."""
-        checkpoints = self._checkpoints.get(lam)
-        if checkpoints is None:
-            checkpoints = self._checkpoints[lam] = Checkpoints(stride=lam)
+        checkpoints = self._checkpoints.setdefault(lam, Checkpoints())
         if self.tier == "noisy":
-            return density_matrix(fold_circuit(circuit, lam), self.noise, checkpoints)
+            return density_matrix(circuit, self.noise, checkpoints, lam)
         return statevector(circuit, checkpoints=checkpoints)
 
     def _probabilities(self, state: np.ndarray, tail: Circuit, lam: int) -> np.ndarray:
         """Outcome probabilities of the q qubits after ``tail`` acts on the
         prepared ``state``: run forward on a statevector, or read as
-        Tr(M_y rho) from the effective POVM of the tail folded to scale lam."""
+        Tr(M_y rho) from the effective POVM of the tail at fold scale lam."""
         if self.tier != "noisy":
             return outcome_probabilities(statevector(tail, state), self.q)
-        povm = self.noise.povm(
-            (tail, lam), lambda: effective_povm(fold_circuit(tail, lam), self.noise)
-        )
+        povm = self.noise.povm((tail, lam), lambda: effective_povm(tail, self.noise, lam))
         return np.einsum("yab,ba->y", povm, state).real
 
     def _group_probabilities(self, state: np.ndarray, basis: str, lam: int) -> np.ndarray:
@@ -224,7 +220,7 @@ class Estimator:
         for k, letter in enumerate(basis):
             tail = measurement_rotation(letter)
             factor = self.noise.povm((k, tail, lam), lambda: effective_povm(
-                fold_circuit(tail, lam), self.noise.restricted((k,))
+                tail, self.noise.restricted((k,)), lam
             ).transpose(0, 2, 1).reshape(2, 4))
             # contract the leading pair; the outcome axis goes last
             t = (factor @ t.reshape(4, -1)).T
@@ -297,7 +293,7 @@ class Estimator:
         """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag.
 
         U(a) prepares the state and U(b)^dag is the measured tail; folding
-        acts gate by gate, so the folded circuit splits the same way.  The
+        acts gate by gate, so each part is evolved at the same fold scale.  The
         states of the last ``params_a`` are kept, so overlaps of one state
         with several priors prepare it once, and each prior's tail is built
         once.

@@ -217,7 +217,8 @@ def zne_extrapolate(pts: ZnePoints) -> ZneResult:
 
 
 def fold_circuit(circuit: Circuit, lam: int) -> Circuit:
-    """Noise amplification: every gate G becomes G (G^dag G)^((lam-1)/2)."""
+    """Noise amplification: every gate G becomes G (G^dag G)^((lam-1)/2); the
+    reference for the simulator's evolutions at a fold scale, which build no such circuit."""
     if lam < 1 or lam % 2 == 0:
         raise ValueError(f"fold scale must be an odd positive integer, got {lam}")
     if lam == 1:

@@ -20,8 +20,11 @@ same kernel; the adjoint evolution applies S^dag.  The noise block N is
 relaxation on each of the gate's qubits (generalized amplitude damping
 composed with pure dephasing such that the total off-diagonal decay over the
 gate duration is exp(-t/T2)), then local depolarizing on the same qubits.
-The :class:`NoiseModel` caches N per qubit tuple and a fixed gate's whole S
-per kind and qubit tuple; a rotation's S is formed per gate from its angle.
+At the odd fold scale lam each gate G runs as if folded to
+G (G^dag G)^((lam-1)/2), still in one product, with
+S_lam = S (S' S)^((lam-1)/2) for S' the S of G^dag.  The :class:`NoiseModel`
+caches N per qubit tuple and a fixed gate's S_lam per kind, qubit tuple and
+scale; a rotation's is formed per gate from its angle.
 
 :func:`statevector` and :func:`density_matrix` can keep :class:`Checkpoints`:
 the gates they last evolved and the states on the way.  The next evolution
@@ -112,19 +115,15 @@ class Checkpoints:
     the way, for :func:`statevector` and :func:`density_matrix` to resume the
     next preparation from the longest unchanged prefix of its gates.
 
-    ``states[k]`` is the state after the first ``stride * (k + 1)`` gates:
-    one per whole block of ``stride`` gates.  A circuit folded to scale lam
-    has lam gates per gate of the unfolded one, and a changed angle changes
-    the first gate of its block, so ``stride=lam`` keeps every reuse at 1/lam
-    of the memory.  A statevector checkpoint takes 16 * 2^n bytes, a density
-    one 16 * 4^n bytes (64 KiB at n = 6, the widest ansatz).
+    ``states[k]`` is the state after the first k + 1 gates.  A statevector
+    checkpoint takes 16 * 2^n bytes, a density one 16 * 4^n bytes (64 KiB at
+    n = 6, the widest ansatz).
     """
 
-    stride: int = 1
     gates: tuple[Gate, ...] = ()
     states: list[np.ndarray] = field(default_factory=list)
-    # what the states are of: (qubits, tensor rank) and the noise model
-    layout: tuple[int, int] = (0, 0)
+    # what the states are of: (qubits, tensor rank, fold scale) and the noise model
+    layout: tuple[int, int, int] = (0, 0, 0)
     noise: "NoiseModel | None" = None
 
 
@@ -135,11 +134,11 @@ def _same_gate(a: Gate, b: Gate) -> bool:
     )
 
 
-def _evolve(circuit: Circuit, state, step, checkpoints: Checkpoints | None, noise=None):
+def _evolve(circuit: Circuit, state, step, checkpoints: Checkpoints | None, noise=None, lam=1):
     """``state`` taken through ``step(state, gate)`` for each gate of the circuit.
 
-    With ``checkpoints`` recorded for the same kind of state, width and
-    noise model, the evolution starts from the last stored block before the
+    With ``checkpoints`` recorded for the same kind of state, width, fold
+    scale and noise model, the evolution starts from the state before the
     first gate that differs from the recorded ones, and the record is
     rewritten from there.
     """
@@ -148,22 +147,20 @@ def _evolve(circuit: Circuit, state, step, checkpoints: Checkpoints | None, nois
         for gate in gates:
             state = step(state, gate)
         return state
-    stride, kept = checkpoints.stride, 0
-    layout = (circuit.n_qubits, state.ndim)
+    kept = 0
+    layout = (circuit.n_qubits, state.ndim, lam)
     if checkpoints.layout == layout and checkpoints.noise is noise:
         for old, new in zip(checkpoints.gates, gates):
             if not _same_gate(old, new):
                 break
             kept += 1
-    kept //= stride
     states = checkpoints.states
     del states[kept:]
     if kept:
         state = states[-1]
-    for i in range(kept * stride, len(gates)):
-        state = step(state, gates[i])
-        if (i + 1) % stride == 0:
-            states.append(state)
+    for gate in gates[kept:]:
+        state = step(state, gate)
+        states.append(state)
     checkpoints.gates, checkpoints.layout, checkpoints.noise = gates, layout, noise
     return state
 
@@ -261,7 +258,7 @@ class NoiseModel:
     p2: float
     readout: np.ndarray  # (n, 2, 2)
     name: str = "custom"
-    # N per qubit tuple and a fixed gate's S per (kind, qubits); effective POVMs.
+    # N per qubit tuple, a fixed gate's S_lam per (kind, qubits, lam); effective POVMs.
     # Not init fields, so every new model (scale_noise's too) starts empty.
     _superop_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _povm_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -469,22 +466,28 @@ def apply_gate_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
     return _depolarize(rho, gate.qubits, noise.p2, n)
 
 
-def _gate_superop(gate: Gate, noise: NoiseModel | None) -> np.ndarray:
-    """S = N (U (x) U*): the gate, then its noise block N (none without a
-    model), as one 4^k x 4^k matrix on the gate's ket axes, then its bra axes."""
-    key = (gate.kind, gate.qubits)
+def _gate_superop(gate: Gate, noise: NoiseModel | None, lam: int = 1) -> np.ndarray:
+    """S_lam = S (S' S)^((lam-1)/2), the gate folded to scale lam, as one 4^k x 4^k
+    matrix on the gate's ket axes, then its bra axes: S = N (U (x) U*) is the gate,
+    then its noise block N (none without a model), and S' the S of its inverse."""
+    key = (gate.kind, gate.qubits, lam)
     sop = None if noise is None else noise._superop_cache.get(key)
     if sop is None:
         u = gate_matrix(gate)
         sop = (u[:, None, :, None] * u.conj()[:, None, :]).reshape(len(u) ** 2, -1)
         if noise is not None:
             sop = noise._noise_block(gate.qubits) @ sop
-            if gate.kind in _FIXED:
-                noise._superop_cache[key] = sop
+        if lam > 1:
+            pair = _gate_superop(gate.inverse(), noise) @ sop
+            sop = sop @ np.linalg.matrix_power(pair, (lam - 1) // 2)
+        if noise is not None and gate.kind in _FIXED:
+            noise._superop_cache[key] = sop
     return sop
 
 
-def _check_profile(circuit: Circuit, noise: NoiseModel | None) -> None:
+def _check_evolution(circuit: Circuit, noise: NoiseModel | None, lam: int) -> None:
+    if lam < 1 or lam % 2 == 0:
+        raise ValueError(f"fold scale must be an odd positive integer, got {lam}")
     if noise is not None and noise.n_qubits < circuit.n_qubits:
         raise ValueError(
             f"noise profile covers {noise.n_qubits} qubits, "
@@ -496,50 +499,51 @@ def density_matrix(
     circuit: Circuit,
     noise: NoiseModel | None = None,
     checkpoints: Checkpoints | None = None,
+    lam: int = 1,
 ) -> np.ndarray:
-    """Evolve |0..0><0..0| through the circuit; flat (2^n x 2^n) output.
+    """Evolve |0..0><0..0| through the circuit at fold scale lam; flat (2^n x 2^n).
 
-    Each gate, with a noise model followed by its noise block, is one
-    product with its superoperator S = N (U (x) U*); the profile must cover
-    at least the circuit's qubit count.  With ``checkpoints`` it resumes
-    from them and returns a read-only state.
+    Each gate is one product with its S_lam; the noise profile, if any, must
+    cover the circuit's qubits.  With ``checkpoints`` it resumes from them and
+    returns a read-only state.
     """
-    _check_profile(circuit, noise)
+    _check_evolution(circuit, noise, lam)
     n = circuit.n_qubits
     rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho[(0,) * (2 * n)] = 1.0
 
     def step(rho: np.ndarray, gate: Gate) -> np.ndarray:
         axes = gate.qubits + tuple(n + q for q in gate.qubits)
-        return _apply_matrix(rho, _gate_superop(gate, noise), axes)
+        return _apply_matrix(rho, _gate_superop(gate, noise, lam), axes)
 
-    rho = _evolve(circuit, rho, step, checkpoints, noise)
+    rho = _evolve(circuit, rho, step, checkpoints, noise, lam)
     return _flat(rho, (2**n, 2**n), checkpoints)
 
 
 def adjoint_density_matrix(
-    circuit: Circuit, operator: np.ndarray, noise: NoiseModel | None = None
+    circuit: Circuit, operator: np.ndarray, noise: NoiseModel | None = None, lam: int = 1
 ) -> np.ndarray:
     """Heisenberg picture of :func:`density_matrix`: E^dag(O) for the circuit's
-    channel E, so that Tr(O E(rho)) = Tr(E^dag(O) rho) for every rho.
+    channel E at fold scale lam, so that Tr(O E(rho)) = Tr(E^dag(O) rho) for all rho.
 
-    Walks the gates in reverse, applying each gate's S^dag.  ``operator`` is
+    Walks the gates in reverse, applying each gate's S_lam^dag.  ``operator`` is
     flat (2^n x 2^n), or a stack of such operators (k, 2^n, 2^n) taken back
     together; the output has its shape.
     """
-    _check_profile(circuit, noise)
+    _check_evolution(circuit, noise, lam)
     n = circuit.n_qubits
     shape = np.shape(operator)
     op = np.asarray(operator, dtype=complex).reshape((-1,) + (2,) * (2 * n))
     op = np.moveaxis(op, 0, -1)
     for gate in reversed(circuit.gates):
         axes = gate.qubits + tuple(n + q for q in gate.qubits)
-        op = _apply_matrix(op, _gate_superop(gate, noise).conj().T, axes)
+        op = _apply_matrix(op, _gate_superop(gate, noise, lam).conj().T, axes)
     return np.moveaxis(op, -1, 0).reshape(shape)
 
 
-def effective_povm(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Operators M[y] with P(y) = Tr(M[y] rho) for the noisy circuit run on rho.
+def effective_povm(circuit: Circuit, noise: NoiseModel, lam: int = 1) -> np.ndarray:
+    """Operators M[y] with P(y) = Tr(M[y] rho) for the noisy circuit, folded
+    to scale lam, run on rho.
 
     y runs over the big-endian outcomes of all qubits, seen through the
     readout confusion: M[y] is the adjoint of the circuit's channel applied
@@ -551,7 +555,7 @@ def effective_povm(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
         [outcome_probabilities(basis, n, readout=noise) for basis in np.eye(2**n)]
     )
     projectors = np.array([np.diag(w) for w in weights.T])
-    return adjoint_density_matrix(circuit, projectors, noise)
+    return adjoint_density_matrix(circuit, projectors, noise, lam)
 
 
 # ---------------------------------------------------------------------------

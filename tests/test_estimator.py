@@ -220,12 +220,12 @@ class TestNoisyTier:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimator_module, "density_matrix", counted)
-        gates = count_gate_noise(monkeypatch)
+        applied = count_gate_applications(monkeypatch)
         est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
         assert [est.overlap_lowdepth(a, b) for b in (b1, b2)] == expected
         assert len(evolved) == 3
-        # every gate of the three folded ansatz circuits, once
-        assert len(gates) == sum(ZNE_SCALES) * len(build_ansatz(a, 2).gates)
+        # every ansatz gate, once per scale: a fold scale costs no extra product
+        assert len(applied) == len(ZNE_SCALES) * len(build_ansatz(a, 2).gates)
 
     def test_energy_assembly_matches_split_paths(self):
         grid_rng = RNG(20)
@@ -241,19 +241,19 @@ class TestNoisyTier:
         assert got == pytest.approx(expected, abs=1e-10)
 
 
-def count_gate_noise(monkeypatch) -> list:
-    """The gates that noisy evolutions apply from now on, one entry each: the
-    calls for their fused superoperators (the adjoint evolutions that build
-    effective POVMs make them too)."""
-    gates = []
-    real = simulator._gate_superop
+def count_gate_applications(monkeypatch) -> list:
+    """The gate superoperators that noisy evolutions apply from now on, one
+    entry each: the axes of each product (the adjoint evolutions that build
+    effective POVMs apply them too)."""
+    applied = []
+    real = simulator._apply_matrix
 
-    def counted(gate, *args):
-        gates.append(gate)
-        return real(gate, *args)
+    def counted(t, mat, axes):
+        applied.append(axes)
+        return real(t, mat, axes)
 
-    monkeypatch.setattr(simulator, "_gate_superop", counted)
-    return gates
+    monkeypatch.setattr(simulator, "_apply_matrix", counted)
+    return applied
 
 
 class PreparedAfresh(Estimator):
@@ -563,7 +563,7 @@ class TestResumedPreparation:
             circuit = Circuit(q, gates)
             got = est._prepare(circuit, lam)
             if tier == "noisy":
-                fresh = density_matrix(fold_circuit(circuit, lam), self.NOISE)
+                fresh = density_matrix(circuit, self.NOISE, lam=lam)
             else:
                 fresh = statevector(circuit)
             assert np.array_equal(got, fresh)
@@ -587,7 +587,7 @@ class TestResumedPreparation:
         est = Estimator(q=2, tier="noisy", noise=self.NOISE)
         params = RNG(60).uniform(-np.pi, np.pi, 16)
         est._prepare(build_ansatz(params, 2), lam)
-        gates = count_gate_noise(monkeypatch)
+        applied = count_gate_applications(monkeypatch)
         params[-3] = -0.0 if params[-3] == 0.0 else 0.0  # the third-last gate
         est._prepare(build_ansatz(params, 2), lam)
-        assert len(gates) == 3 * lam
+        assert len(applied) == 3

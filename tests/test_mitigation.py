@@ -18,7 +18,13 @@ from qdrive.mitigation import (
     z_score,
     zne_extrapolate,
 )
-from qdrive.simulator import statevector
+from qdrive.simulator import (
+    NoiseModel,
+    adjoint_density_matrix,
+    density_matrix,
+    effective_povm,
+    statevector,
+)
 
 N = 10**5
 
@@ -206,8 +212,17 @@ class TestFoldCircuit:
         assert len(fold_circuit(circuit, 3).gates) == 3
 
     def test_even_scale_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            fold_circuit(Circuit(1, (Gate("h", (0,)),)), 2)
+        # non-positive ones too, and by the evolutions at a fold scale as well
+        circuit = Circuit(1, (Gate("h", (0,)),))
+        for lam in (2, 4, 0, -1):
+            for fold in (
+                lambda: fold_circuit(circuit, lam),
+                lambda: density_matrix(circuit, lam=lam),
+                lambda: adjoint_density_matrix(circuit, np.eye(2), lam=lam),
+                lambda: effective_povm(circuit, NoiseModel.noiseless(1), lam),
+            ):
+                with pytest.raises(ValueError, match="odd"):
+                    fold()
 
     @pytest.mark.parametrize("lam", [3, 5])
     def test_unitary_equivalence(self, lam):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qdrive import simulator
 from qdrive.circuits import Circuit, Gate
 from qdrive.config import bundled_profile_path
+from qdrive.mitigation import fold_circuit
 from qdrive.simulator import (
     Measurement,
     NoiseModel,
@@ -352,6 +353,25 @@ class TestAdjointChannel:
         back = adjoint_density_matrix(Circuit(2, (gate,)), m, noise)
         assert abs(np.trace(forward) - 1.0) < 1e-12
         assert abs(np.trace(m @ forward) - np.trace(back @ rho)) < 1e-12
+
+
+class TestFoldScale:
+    """An evolution at fold scale lam, each gate one product with S_lam, is
+    the evolution of the circuit folded to lam."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        circuit=circuits(),
+        lam=st.sampled_from([1, 3, 5]),
+        model=st.sampled_from(["profile", "scaled", "none"]),
+    )
+    def test_equals_the_folded_circuit(self, circuit, lam, model):
+        noise = None if model == "none" else noise_models()[model]
+        folded = fold_circuit(circuit, lam)
+        got, expected = density_matrix(circuit, noise, lam=lam), density_matrix(folded, noise)
+        assert np.max(np.abs(got - expected)) < 1e-14
+        got, expected = effective_povm(circuit, noise, lam), effective_povm(folded, noise)
+        assert np.max(np.abs(got - expected)) < 1e-14
 
 
 def gate_then_noise(t: np.ndarray, gate: Gate, noise: NoiseModel | None, n: int) -> np.ndarray:
