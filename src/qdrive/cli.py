@@ -4,12 +4,15 @@ All commands are batch-oriented: they read a JSON config (flags override
 file keys), write CSV/JSON artifacts under the output directory, and use
 the exit-code contract 0 = success, 2 = config error, 3 = partial pipeline
 failure.  ``run`` executes one batch DAG; ``sweep`` builds one DAG over the
-batches of all its noise-factor points and executes it once.
+batches of all its noise-factor points and executes it once.  Every artifact,
+task JSON and report file alike, goes through one atomic writer,
+:func:`_write_text`, so a killed process leaves the previous file or none.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -41,10 +44,21 @@ from .pipeline import (
 )
 
 WINNERS_SCHEMA = "# qdrive-winners-v1"
+WINNERS_FIELDS = [
+    "parity", "index", "run_id", "energy_re", "energy_im", "sigma2",
+    "classification", "fidelity_error", "converged",
+]
 TABLE_SCHEMA = "# qdrive-table-v1"
+TABLE_FIELDS = ["q", "tier"] + [
+    f"{label}_{col}" for label in TARGET_LABELS for col in ("re", "im", "relative_error", "status")
+]
 DIAG_SCHEMA = "# qdrive-diag-v1"
+DIAG_FIELDS = ["index", "energy_re", "energy_im", "classification"]
 SWEEP_SCHEMA = "# qdrive-sweep-v1"
-# the csv writers write a float as its repr and None as an empty field
+SWEEP_FIELDS = [
+    "reduction", "longevity", "repeat", "parity", "index", "sigma2",
+    "fidelity_error", "energy_re", "energy_im", "classification", "status",
+]
 
 
 def resolve_output_dir(doc: dict) -> Path:
@@ -66,18 +80,33 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
-def _write_json(path: Path, doc) -> None:
-    """Write ``doc`` atomically: a crash leaves the old file or none, never a
-    truncated one that a downstream task would read.  Each artifact has one
-    writing task, so the process id makes the temporary name unique."""
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` atomically: a crash leaves the old file or none, never a
+    truncated one that a reader would take as complete.  Each artifact has one
+    writing process, so the process id makes the temporary name unique."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        tmp.write_text(text, newline="")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, doc) -> None:
+    _write_text(path, json.dumps(doc, indent=2))
+
+
+def _write_csv(path: Path, schema: str, fields: list[str], rows) -> None:
+    """The schema line, the header and one line per row dict.  A float is
+    written as its repr, None or a missing column as an empty field, and a
+    key that is no column not at all."""
+    buf = io.StringIO()
+    buf.write(schema + "\n")
+    writer = csv.DictWriter(buf, fields, lineterminator="\n", extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def make_payload(plan, problems, root: Path):
@@ -196,48 +225,21 @@ def collect_winners(
 
 def write_winners_csv(path: Path, winners: list[ResonanceRecord]) -> None:
     rows = sorted(winners, key=lambda w: (w.parity, w.index))
-    with open(path, "w", newline="") as fh:
-        fh.write(WINNERS_SCHEMA + "\n")
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "parity",
-                "index",
-                "run_id",
-                "energy_re",
-                "energy_im",
-                "sigma2",
-                "classification",
-                "fidelity_error",
-                "converged",
-            ],
-            lineterminator="\n",
-            extrasaction="ignore",  # the record fields that are no column
-        )
-        writer.writeheader()
-        writer.writerows(w.to_dict() for w in rows)
+    _write_csv(path, WINNERS_SCHEMA, WINNERS_FIELDS, (w.to_dict() for w in rows))
 
 
-def write_table_csv(
-    path: Path,
-    doc: dict,
-    matched: dict[str, ResonanceRecord | None],
-    errors: dict[str, float],
-) -> None:
-    """Benchmark-table layout: the three targets, absent unless in ``errors``."""
-    fields = ["q", "tier"]
-    values: list = [doc["q"], doc["tier"]]
+def table_row(doc: dict, matched: dict, errors: dict[str, float]) -> dict:
+    """The ``table.csv`` row of ``matched``'s records: the three targets,
+    absent unless in ``errors``."""
+    row = {"q": doc["q"], "tier": doc["tier"]}
     for label in TARGET_LABELS:
-        fields += [f"{label}_re", f"{label}_im", f"{label}_relative_error", f"{label}_status"]
         if label in errors:
-            values += [matched[label].energy_re, matched[label].energy_im, errors[label], "ok"]
-        else:
-            values += ["", "", "", "absent"]
-    with open(path, "w", newline="") as fh:
-        fh.write(TABLE_SCHEMA + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerow(values)
+            record = matched[label]
+            row[f"{label}_re"] = record.energy_re
+            row[f"{label}_im"] = record.energy_im
+            row[f"{label}_relative_error"] = errors[label]
+        row[f"{label}_status"] = "ok" if label in errors else "absent"
+    return row
 
 
 def _spectra(doc: dict):
@@ -271,15 +273,12 @@ def oracle_target_map(doc: dict) -> tuple[dict, dict]:
 def cmd_diag(doc: dict) -> int:
     out = resolve_output_dir(doc)
     for parity, spectrum in _spectra(doc):
-        (out / f"diag_{parity}.json").write_text(spectrum.to_json())
-        with open(out / f"diag_{parity}.csv", "w", newline="") as fh:
-            fh.write(DIAG_SCHEMA + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "energy_re", "energy_im", "classification"])
-            for k, (e, label) in enumerate(
-                zip(spectrum.eigenvalues, spectrum.classifications), start=1
-            ):
-                writer.writerow([k, float(e.real), float(e.imag), label])
+        _write_text(out / f"diag_{parity}.json", spectrum.to_json())
+        rows = (
+            dict(zip(DIAG_FIELDS, (k, float(e.real), float(e.imag), label)))
+            for k, (e, label) in enumerate(zip(spectrum.eigenvalues, spectrum.classifications), 1)
+        )
+        _write_csv(out / f"diag_{parity}.csv", DIAG_SCHEMA, DIAG_FIELDS, rows)
         print(f"{parity}: {len(spectrum.eigenvalues)} states -> diag_{parity}.csv")
     return 0
 
@@ -303,11 +302,9 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
         print(f"task {single_task}: wrote {node.output}")
         return 0
     trace = orchestrator.execute(dag, workers=doc["workers"])
+    _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
     failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
     winners, missing_sorts = collect_winners(dag, out)
-    with open(out / "trace.jsonl", "w") as fh:
-        for event in trace:
-            fh.write(json.dumps(event) + "\n")
     write_winners_csv(out / "winners.csv", winners)
     by_key, oracle_labels = oracle_target_map(doc)
     matched = match_targets(winners, by_key)
@@ -316,7 +313,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
         for label, target in oracle_labels.items()
         if matched.get(label) is not None
     }
-    write_table_csv(out / "table.csv", doc, matched, errors)
+    _write_csv(out / "table.csv", TABLE_SCHEMA, TABLE_FIELDS, [table_row(doc, matched, errors)])
     failures = [label for label in TARGET_LABELS if label not in errors]
     for label in TARGET_LABELS:
         if label in errors:
@@ -345,6 +342,7 @@ def cmd_sweep(doc: dict) -> int:
     if doc["tier"] != "noisy":
         raise ConfigError("config key 'tier' must be 'noisy' for sweeps")
     out = resolve_output_dir(doc)
+    _write_json(out / "config.frozen.json", doc)
     sweep = doc["sweep"]
     problems, dag = None, orchestrator.TaskDag()
     points = {}
@@ -363,6 +361,7 @@ def cmd_sweep(doc: dict) -> int:
                     "reduction": reduction, "longevity": longevity, "repeat": repeat
                 }
     trace = orchestrator.execute(dag, workers=doc["workers"])
+    _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
     status = 3 if any(e["status"] in ("failed", "skipped") for e in trace) else 0
     rows = []
     for prefix, columns in points.items():
@@ -370,28 +369,7 @@ def cmd_sweep(doc: dict) -> int:
         if missing:
             status = 3
         rows += [{**w.to_dict(), **columns, "status": "ok"} for w in winners]
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        fh.write(SWEEP_SCHEMA + "\n")
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "reduction",
-                "longevity",
-                "repeat",
-                "parity",
-                "index",
-                "sigma2",
-                "fidelity_error",
-                "energy_re",
-                "energy_im",
-                "classification",
-                "status",
-            ],
-            lineterminator="\n",
-            extrasaction="ignore",  # the record fields that are no column
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", SWEEP_SCHEMA, SWEEP_FIELDS, rows)
     print(f"sweep: {len(rows)} rows -> sweep.csv")
     return status
 
@@ -403,11 +381,8 @@ def cmd_export_dag(doc: dict) -> int:
     cli_args = "--config config.frozen.json"
     _write_json(out / "config.frozen.json", doc)
     text, submits = orchestrator.export_dagman(dag, cli_args=cli_args)
-    (out / "batch.dag").write_text(text)
-    for rel_path, content in submits.items():
-        sub = out / rel_path
-        sub.parent.mkdir(parents=True, exist_ok=True)
-        sub.write_text(content)
+    for rel_path, content in {"batch.dag": text, **submits}.items():
+        _write_text(out / rel_path, content)
     print(f"exported {len(dag.nodes)} jobs -> batch.dag")
     return 0
 

@@ -225,7 +225,6 @@ def trust_region_minimize(
 def simplex_minimize(fun, x0, config: OptimizerConfig, telemetry=None) -> OptResult:
     x = wrap_angles(np.asarray(x0, dtype=float))
     counted = _Counted(fun, config.f_max, telemetry)
-    exhausted = False
     try:
         scipy.optimize.minimize(
             counted,
@@ -240,7 +239,9 @@ def simplex_minimize(fun, x0, config: OptimizerConfig, telemetry=None) -> OptRes
             },
         )
     except _BudgetExhausted:
-        exhausted = True
+        pass
+    # COBYLA may also stop by itself at maxiter = f_max, having spent it all
+    exhausted = counted.nfev >= config.f_max
     return counted.result(x, "simplex", converged=not exhausted, exhausted=exhausted)
 
 

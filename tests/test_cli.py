@@ -477,11 +477,35 @@ class TestOutputRootEnv:
 def test_failed_write_keeps_the_previous_artifact(tmp_path):
     path = tmp_path / "artifact.json"
     _write_json(path, {"value": 1})
-    # json.dump has written part of the document when it reaches the object
+    # json.dumps fails on the object before any file is opened
     with pytest.raises(TypeError):
         _write_json(path, {"value": 2, "broken": object()})
     assert json.loads(path.read_text()) == {"value": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def test_failed_report_write_keeps_the_previous_report(tmp_path, monkeypatch):
+    _, overrides, _ = CASES["statevector"]
+    doc = json.loads(json.dumps({**_TINY, **overrides}))
+    doc["output_dir"] = str(tmp_path / "out")
+    main(["--config", write_config(tmp_path, doc), "run"])  # 3: a target is absent
+    winners = tmp_path / "out" / "winners.csv"
+    first = winners.read_bytes()
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "winners.csv":
+            raise OSError("disk gone")
+        real(src, dst)
+
+    # cli's os is the os module: every os.replace onto a winners.csv fails
+    monkeypatch.setattr(cli.os, "replace", replace)
+    # another seed gives other winners, which an in-place write would leave
+    doc["seed"] += 1
+    with pytest.raises(OSError, match="disk gone"):
+        main(["--config", write_config(tmp_path, doc), "run"])
+    assert winners.read_bytes() == first
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestSweep:
@@ -513,6 +537,19 @@ class TestSweep:
             for node in nodes:
                 assert node.output.startswith(point + "runs/batch0/odd/")
                 assert (tmp_path / "out" / node.output).exists()
+
+    def test_leaves_the_provenance_of_run(self, tmp_path):
+        path = self.config(tmp_path)
+        assert main(["--config", path, "sweep"]) == 0
+        out = tmp_path / "out"
+        frozen = json.loads((out / "config.frozen.json").read_text())
+        assert frozen == load_config(path, {})
+        trace = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        dag = orchestrator.TaskDag()
+        for point in self.POINTS:
+            orchestrator.build_dag({"odd": 1}, 1, ["odd"], prefix=point, dag=dag)
+        assert sorted(e["node"] for e in trace) == sorted(dag.nodes)
+        assert {e["status"] for e in trace} == {"done"}
 
     def test_failed_point_leaves_the_other_rows(self, tmp_path, monkeypatch, capsys):
         real = cli.make_payload

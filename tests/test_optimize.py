@@ -181,14 +181,8 @@ CONTRACT_CASES = {
     "simplex-left": (OptimizerConfig(kind="simplex", f_max=500), bowl, False),
     # below the m + 2 evaluations COBYLA needs to start
     "simplex-spent": (OptimizerConfig(kind="simplex", f_max=3), bowl, True),
-    "simplex-spent-at-cobyla-cap": pytest.param(
-        OptimizerConfig(kind="simplex", f_max=10), bowl, True,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="COBYLA stops by itself at maxiter = f_max, so the spent budget "
-                   "is not flagged",
-        ),
-    ),
+    # COBYLA stops by itself at maxiter = f_max, having spent the budget
+    "simplex-spent-at-cobyla-cap": (OptimizerConfig(kind="simplex", f_max=10), bowl, True),
 }
 
 
@@ -212,8 +206,8 @@ class TestResultContract:
         assert result.exhausted == exhausted
         if result.kind in ("trust_region", "nft->trust_region"):
             assert result.converged == (result.value <= cfg.f_tol)
-        # NFT converges when every sweep ran and COBYLA when it stopped by
-        # itself; each trust-region case here with budget left reaches f_tol
+        # NFT converges when every sweep ran and COBYLA when it stopped with
+        # budget left; each trust-region case here with budget left reaches f_tol
         assert result.converged == (not exhausted)
         assert result.nfev == len(evaluated) <= cfg.f_max
         if cfg.kind != "nft":
