@@ -5,20 +5,10 @@ pseudovariance minimizations against a CAP-augmented non-Hermitian
 Hamiltonian, executed as a parallel asynchronous task graph over a built-in
 noisy circuit simulator with readout-inversion and zero-noise-extrapolation
 mitigation, and validated against an exact-diagonalization oracle.
-"""
 
-from . import (
-    circuits,
-    config,
-    estimator,
-    mitigation,
-    model,
-    optimize,
-    orchestrator,
-    pauli,
-    pipeline,
-    simulator,
-)
+A submodule is imported only when it is named, so ``import qdrive.model``
+loads neither the optimizers nor scipy.
+"""
 
 __version__ = "0.1.0"
 

@@ -3,10 +3,11 @@
 All commands are batch-oriented: they read a JSON config (flags override
 file keys), write CSV/JSON artifacts under the output directory, and use
 the exit-code contract 0 = success, 2 = config error, 3 = partial pipeline
-failure.  ``run`` executes one batch DAG; ``sweep`` builds one DAG over the
-batches of all its noise-factor points and executes it once.  Every artifact,
-task JSON and report file alike, goes through one atomic writer,
-:func:`_write_text`, so a killed process leaves the previous file or none.
+failure or a file that could not be written.  ``run`` executes one batch
+DAG; ``sweep`` builds one DAG over the batches of all its noise-factor
+points and executes it once.  Every artifact, task JSON and report file
+alike, goes through one atomic writer, :func:`_write_text`, so a killed
+process leaves the previous file or none.
 """
 from __future__ import annotations
 
@@ -284,8 +285,10 @@ def cmd_diag(doc: dict) -> int:
 
 
 def cmd_run(doc: dict, single_task: str | None = None) -> int:
+    """Execute the batch DAG, or with ``single_task`` one node of it.  A
+    single task writes its own artifact only: its ``config.frozen.json`` is
+    the one ``export-dag`` wrote, which concurrent jobs share."""
     out = resolve_output_dir(doc)
-    _write_json(out / "config.frozen.json", doc)
     _, _, dag = prepare_execution(doc, out)
     if single_task is not None:
         if single_task not in dag.nodes:
@@ -301,6 +304,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             return 3
         print(f"task {single_task}: wrote {node.output}")
         return 0
+    _write_json(out / "config.frozen.json", doc)
     trace = orchestrator.execute(dag, workers=doc["workers"])
     _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
     failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
@@ -463,6 +467,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an artifact or report could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 EIGEN_RESIDUAL_TOL = 1e-8
 
@@ -238,8 +237,8 @@ def exact_diagonalize(
         raise ValueError(f"oracle limited to dimension 64, got {pair.dim}")
     h_n = pair.h_n
     try:
-        eigenvalues, eigenvectors = scipy.linalg.eig(h_n)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        eigenvalues, eigenvectors = np.linalg.eig(h_n)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(eigenvalues.real)
     eigenvalues = eigenvalues[order]

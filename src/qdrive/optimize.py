@@ -1,24 +1,32 @@
 """Derivative-free minimization of circuit-parameter objectives.
 
-Three optimizer kinds are provided behind one entry point:
+``minimize`` is the one entry point.  Each call wraps the objective in one
+``_Counted``, which every phase of the run spends its evaluations from and
+which holds the run's best point, and runs the configured kind:
 
 * ``nft``           sequential per-parameter sinusoidal updates; each
                     rotation angle's restriction of the objective is
                     a + b*cos(theta - theta0), so three evaluations at
                     shifts {+pi/2, -pi/2, +pi} place the minimizer exactly.
                     The full objective is re-evaluated every
-                    ``reset_interval`` parameter updates.
+                    ``reset_interval`` parameter updates.  A failed fit on
+                    the first update downgrades the run: the trust-region
+                    phase continues on NFT's counter, and the run has kind
+                    ``"nft->trust_region"``.
 * ``trust_region``  bound-constrained quadratic-model minimization
                     (scipy's COBYQA) with up to ``retries`` full restarts
-                    until the value reaches ``f_tol``.
+                    from the run's best point until the value reaches
+                    ``f_tol``.
 * ``simplex``       linear-approximation fallback (scipy's COBYLA) with
                     initial variable change ``p_beg``.
 
-Every kind returns the ``OptResult`` that ``_Counted.result`` builds: the
-best evaluated point (the start if none was), its value and the evaluations
-spent.  ``exhausted`` flags a spent budget, never an exception; ``converged``
-means all NFT sweeps ran, the trust region reached ``f_tol``, or COBYLA
-stopped by itself.  A downgraded NFT run has kind ``"nft->trust_region"``.
+The result is the run's best evaluated point (the start if none was), its
+value and the evaluations spent, so a downgraded run reports the best of
+NFT's evaluations and the trust region's together.  ``exhausted`` is read
+from the counter alone: it refused an evaluation, or the budget is spent;
+it is a flag, never an exception.  ``converged`` means the best value
+reached ``f_tol`` for the trust-region kinds, and otherwise that the run
+stopped by itself with budget left: every NFT sweep ran, or COBYLA stopped.
 
 Angles are wrapped modulo 2*pi instead of clipped: every estimate here is
 bilinear in the prepared state, so a 2*pi shift of any rotation angle is
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -79,20 +87,26 @@ def trust_region_start(m: int) -> int:
 
 
 class _Counted:
-    """Objective wrapper: counts evaluations, tracks the best point, streams
-    per-iteration telemetry, and enforces the evaluation budget."""
+    """Objective wrapper for one run: counts evaluations, tracks the best
+    point, streams per-iteration telemetry, and enforces the budget."""
 
     def __init__(self, fun, f_max: int, telemetry=None):
         self.fun = fun
         self.f_max = f_max
         self.telemetry = telemetry
         self.nfev = 0
+        self.refused = False
         self.best_x: np.ndarray | None = None
         self.best_val = math.inf
 
-    def __call__(self, x) -> float:
-        if self.nfev >= self.f_max:
+    def require(self, n: int) -> None:
+        """Refuse, by raising _BudgetExhausted, unless n more evaluations fit."""
+        if self.nfev + n > self.f_max:
+            self.refused = True
             raise _BudgetExhausted
+
+    def __call__(self, x) -> float:
+        self.require(1)
         x = wrap_angles(x)
         self.nfev += 1
         value = float(self.fun(x))
@@ -111,11 +125,6 @@ class _Counted:
             )
         return value
 
-    def result(self, x, kind: str, converged: bool, exhausted: bool) -> OptResult:
-        """The best evaluated point, or ``x`` if none was evaluated."""
-        params = self.best_x if self.best_x is not None else x
-        return OptResult(params, self.best_val, self.nfev, converged, exhausted, kind)
-
 
 class _BudgetExhausted(Exception):
     pass
@@ -129,131 +138,113 @@ def _fit_sinusoid(z_plus: float, z_minus: float, z_pi: float):
     return a, alpha, beta
 
 
-def nft_minimize(
-    fun, x0, config: OptimizerConfig, telemetry=None, sigma_hint: float = 0.0
-) -> OptResult:
-    """Sequential sinusoidal coordinate minimization.
+def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
+    """Sequential sinusoidal coordinate minimization from ``x``.  Returns
+    None once every sweep has run, or the point at which the fit failed.
 
     On the first parameter of the first sweep the fitted sinusoid is
-    validated with an extra evaluation at the predicted minimizer; a
-    relative residual above max(RESIDUAL_TOL, 5*sigma_hint) downgrades the
-    whole run to the trust-region kind.  When fewer evaluations are left
-    than trust_region needs to start, the downgraded run returns NFT's best
-    evaluated point, flagged exhausted.
+    validated with an extra evaluation at the predicted minimizer; the fit
+    fails when the relative residual exceeds max(RESIDUAL_TOL, 5*sigma_hint).
     """
-    x = wrap_angles(np.asarray(x0, dtype=float))
+    x = x.copy()
     m = x.size
-    counted = _Counted(fun, config.f_max, telemetry)
     updates = 0
-    try:
-        for sweep in range(config.max_iterations):
-            for k in range(m):
-                if counted.nfev + 3 > config.f_max:
-                    raise _BudgetExhausted
-                shift = np.zeros(m)
-                shift[k] = 0.5 * math.pi
-                z_plus = counted(x + shift)
-                z_minus = counted(x - shift)
-                shift[k] = math.pi
-                z_pi = counted(x + shift)
-                a, alpha, beta = _fit_sinusoid(z_plus, z_minus, z_pi)
-                r = math.hypot(alpha, beta)
-                phi = math.atan2(beta, alpha)
-                x[k] = wrap_angles(np.array([x[k] + phi + math.pi]))[0]
-                predicted = a - r
-                updates += 1
-                first = sweep == 0 and k == 0
-                if first:
-                    actual = counted(x)
-                    scale = max(1.0, abs(a) + r)
-                    residual = abs(actual - predicted) / scale
-                    if residual > max(RESIDUAL_TOL, 5.0 * sigma_hint / scale):
-                        remaining = config.f_max - counted.nfev
-                        if remaining < trust_region_start(m):
-                            return counted.result(x, "nft->trust_region", False, True)
-                        inner = replace(config, kind="trust_region", f_max=remaining)
-                        result = trust_region_minimize(fun, x, inner, telemetry)
-                        result.nfev += counted.nfev
-                        result.kind = "nft->trust_region"
-                        return result
-                # the prediction at x is exact for a sinusoidal objective
-                if predicted < counted.best_val:
-                    counted.best_val = predicted
-                    counted.best_x = x.copy()
-                if not first and updates % config.reset_interval == 0:
-                    counted(x)
-    except _BudgetExhausted:
-        return counted.result(x, "nft", converged=False, exhausted=True)
-    return counted.result(x, "nft", converged=True, exhausted=False)
+    for sweep in range(config.max_iterations):
+        for k in range(m):
+            counted.require(3)
+            shift = np.zeros(m)
+            shift[k] = 0.5 * math.pi
+            z_plus = counted(x + shift)
+            z_minus = counted(x - shift)
+            shift[k] = math.pi
+            z_pi = counted(x + shift)
+            a, alpha, beta = _fit_sinusoid(z_plus, z_minus, z_pi)
+            r = math.hypot(alpha, beta)
+            phi = math.atan2(beta, alpha)
+            x[k] = wrap_angles(np.array([x[k] + phi + math.pi]))[0]
+            predicted = a - r
+            updates += 1
+            first = sweep == 0 and k == 0
+            if first:
+                actual = counted(x)
+                scale = max(1.0, abs(a) + r)
+                residual = abs(actual - predicted) / scale
+                if residual > max(RESIDUAL_TOL, 5.0 * sigma_hint / scale):
+                    return x
+            # the prediction at x is exact for a sinusoidal objective
+            if predicted < counted.best_val:
+                counted.best_val = predicted
+                counted.best_x = x.copy()
+            if not first and updates % config.reset_interval == 0:
+                counted(x)
+    return None
 
 
-def trust_region_minimize(
-    fun, x0, config: OptimizerConfig, telemetry=None
-) -> OptResult:
-    """COBYQA with a retry loop: restart from the best point until f_tol."""
-    x = wrap_angles(np.asarray(x0, dtype=float))
-    counted = _Counted(fun, config.f_max, telemetry)
+def _trust_region(counted: _Counted, x, config: OptimizerConfig) -> None:
+    """COBYQA from ``x`` with a retry loop: restart from the run's best point
+    until its value reaches f_tol or the retries are spent."""
     bounds = scipy.optimize.Bounds(x - 2.0 * np.pi, x + 2.0 * np.pi)
-    attempts = 0
-    exhausted = False
-    try:
-        while True:
-            remaining = config.f_max - counted.nfev
-            if remaining < trust_region_start(x.size):
-                raise _BudgetExhausted
-            scipy.optimize.minimize(
-                counted,
-                x,
-                method="cobyqa",
-                bounds=bounds,
-                options={
-                    "maxfev": remaining,
-                    "maxiter": 10 * remaining,
-                    "initial_tr_radius": config.r_beg,
-                    "final_tr_radius": 1e-8,
-                },
-            )
-            attempts += 1
-            if counted.best_val <= config.f_tol or attempts > config.retries:
-                break
-            x = counted.best_x.copy()
-    except _BudgetExhausted:
-        exhausted = True
-    return counted.result(x, "trust_region", counted.best_val <= config.f_tol, exhausted)
-
-
-def simplex_minimize(fun, x0, config: OptimizerConfig, telemetry=None) -> OptResult:
-    x = wrap_angles(np.asarray(x0, dtype=float))
-    counted = _Counted(fun, config.f_max, telemetry)
-    try:
+    for _ in range(config.retries + 1):
+        counted.require(trust_region_start(x.size))
+        remaining = counted.f_max - counted.nfev
         scipy.optimize.minimize(
             counted,
             x,
-            method="COBYLA",
+            method="cobyqa",
+            bounds=bounds,
             options={
-                "rhobeg": config.p_beg,
-                # COBYLA needs m + 2 evaluations to start; _Counted
-                # enforces f_max
-                "maxiter": max(x.size + 2, min(config.max_iterations, config.f_max)),
-                "tol": 1e-10,
+                "maxfev": remaining,
+                "maxiter": 10 * remaining,
+                "initial_tr_radius": config.r_beg,
+                "final_tr_radius": 1e-8,
             },
         )
-    except _BudgetExhausted:
-        pass
-    # COBYLA may also stop by itself at maxiter = f_max, having spent it all
-    exhausted = counted.nfev >= config.f_max
-    return counted.result(x, "simplex", converged=not exhausted, exhausted=exhausted)
+        if counted.best_val <= config.f_tol:
+            return
+        x = counted.best_x.copy()
+
+
+def _simplex(counted: _Counted, x, config: OptimizerConfig) -> None:
+    scipy.optimize.minimize(
+        counted,
+        x,
+        method="COBYLA",
+        options={
+            "rhobeg": config.p_beg,
+            # COBYLA needs m + 2 evaluations to start; _Counted enforces f_max
+            "maxiter": max(x.size + 2, min(config.max_iterations, config.f_max)),
+            "tol": 1e-10,
+        },
+    )
 
 
 def minimize(
     fun, config: OptimizerConfig, x0, telemetry=None, sigma_hint: float = 0.0
 ) -> OptResult:
-    """Dispatch on the configured optimizer kind."""
-    if config.kind == "nft":
-        return nft_minimize(fun, x0, config, telemetry, sigma_hint)
-    if config.kind == "trust_region":
-        return trust_region_minimize(fun, x0, config, telemetry)
-    return simplex_minimize(fun, x0, config, telemetry)
+    """Minimize ``fun`` from ``x0`` with the configured kind, every phase
+    spending from and reporting through one counter."""
+    x = wrap_angles(np.asarray(x0, dtype=float))
+    counted = _Counted(fun, config.f_max, telemetry)
+    kind = config.kind
+    try:
+        if kind == "nft":
+            failed_at = _nft(counted, x, config, sigma_hint)
+            if failed_at is not None:
+                kind = "nft->trust_region"
+                _trust_region(counted, failed_at, config)
+        elif kind == "trust_region":
+            _trust_region(counted, x, config)
+        else:
+            _simplex(counted, x, config)
+    except _BudgetExhausted:
+        pass
+    exhausted = counted.refused or counted.nfev >= config.f_max
+    if kind in ("trust_region", "nft->trust_region"):
+        converged = counted.best_val <= config.f_tol
+    else:
+        converged = not exhausted
+    params = counted.best_x if counted.best_x is not None else x
+    return OptResult(params, counted.best_val, counted.nfev, converged, exhausted, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,35 @@ class TestExportDag:
         assert "--config config.frozen.json --single-task even_r0_h1" in sub
         assert main(["--config", str(frozen), "run", "--single-task", "even_r0_h1"]) == 0
 
+    def test_replayed_jobs_match_run(self, tmp_path):
+        # every JOB of batch.dag in file order, each writing its own artifact
+        # only, gives the runs/ tree of `run`
+        _, overrides, _ = CASES["shots"]
+        doc = json.loads(json.dumps({**_TINY, **overrides, "batch_size": 2}))
+        doc["optimizer"] = {"hermitian_f_max": 16, "nonhermitian_f_max": 8}
+        doc["output_dir"] = str(tmp_path / "htc")
+        assert main(["--config", write_config(tmp_path, doc), "export-dag"]) == 0
+        frozen = tmp_path / "htc" / "config.frozen.json"
+        inode = frozen.stat().st_ino
+        dag_text = (tmp_path / "htc" / "batch.dag").read_text()
+        jobs = [line.split()[1] for line in dag_text.splitlines() if line.startswith("JOB")]
+        assert len(jobs) == 18
+        for job in jobs:
+            assert main(["--config", str(frozen), "run", "--single-task", job]) == 0
+        assert frozen.stat().st_ino == inode  # never replaced
+
+        doc["output_dir"] = str(tmp_path / "run")
+        main(["--config", write_config(tmp_path, doc, "run.json"), "run"])
+
+        def tree(root):
+            return {
+                p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()
+            }
+
+        replayed = tree(tmp_path / "htc" / "runs")
+        assert len(replayed) == 18
+        assert replayed == tree(tmp_path / "run" / "runs")
+
 
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
@@ -484,7 +513,7 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
-def test_failed_report_write_keeps_the_previous_report(tmp_path, monkeypatch):
+def test_failed_report_write_keeps_the_previous_report(tmp_path, monkeypatch, capsys):
     _, overrides, _ = CASES["statevector"]
     doc = json.loads(json.dumps({**_TINY, **overrides}))
     doc["output_dir"] = str(tmp_path / "out")
@@ -502,8 +531,11 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "replace", replace)
     # another seed gives other winners, which an in-place write would leave
     doc["seed"] += 1
-    with pytest.raises(OSError, match="disk gone"):
-        main(["--config", write_config(tmp_path, doc), "run"])
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, doc), "run"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: disk gone"
+    assert "Traceback" not in err
     assert winners.read_bytes() == first
     assert not [p for p in (tmp_path / "out").rglob("*") if p.name.endswith(".tmp")]
 

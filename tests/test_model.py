@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +218,17 @@ class TestExactDiagonalization:
         rows = json.loads(spectrum.to_json())
         assert len(rows) == 4
         assert {"re", "im", "classification"} <= set(rows[0])
+
+    def test_oracle_imports_no_scipy(self):
+        # a job that only needs the oracle skips scipy's import time
+        code = (
+            "import sys, qdrive.model; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
