@@ -6,8 +6,8 @@ Hamiltonian, executed as a parallel asynchronous task graph over a built-in
 noisy circuit simulator with readout-inversion and zero-noise-extrapolation
 mitigation, and validated against an exact-diagonalization oracle.
 
-A submodule is imported only when it is named, so ``import qdrive.model``
-loads neither the optimizers nor scipy.
+A submodule is imported only when it is named, and scipy only when a
+trust-region or simplex phase starts: ``import qdrive.cli`` loads no scipy.
 """
 
 __version__ = "0.1.0"

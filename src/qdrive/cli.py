@@ -305,6 +305,8 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
         print(f"task {single_task}: wrote {node.output}")
         return 0
     _write_json(out / "config.frozen.json", doc)
+    if doc["workers"] > 1:  # forked workers inherit it, so none imports it again
+        import scipy.optimize  # noqa: F401
     trace = orchestrator.execute(dag, workers=doc["workers"])
     _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
     failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
@@ -364,6 +366,8 @@ def cmd_sweep(doc: dict) -> int:
                 points[prefix] = {
                     "reduction": reduction, "longevity": longevity, "repeat": repeat
                 }
+    if doc["workers"] > 1:  # as in cmd_run
+        import scipy.optimize  # noqa: F401
     trace = orchestrator.execute(dag, workers=doc["workers"])
     _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
     status = 3 if any(e["status"] in ("failed", "skipped") for e in trace) else 0

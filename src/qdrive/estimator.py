@@ -129,6 +129,7 @@ class Estimator:
         noisy = tier == "noisy"
         self.mitigate_readout = noisy and mitigate_readout
         self.mitigate_zne = noisy and mitigate_zne
+        self._zne_gain = math.sqrt(10.0) / 2.0 if self.mitigate_zne else 1.0
         self._inverse = (
             readout_inverse(
                 [ConfusionMatrix.from_rows(noise.confusion(k)) for k in range(q)]
@@ -186,8 +187,16 @@ class Estimator:
                 signs = self._inverse.T @ signs
             bound = abs(observable.terms[word]) * np.max(np.abs(signs))
             per_group[self.groups[word]] = per_group.get(self.groups[word], 0.0) + bound
-        zne = math.sqrt(10.0) / 2.0 if self.mitigate_zne else 1.0
-        return zne * math.sqrt(sum(s * s for s in per_group.values()) / self.shots)
+        return self._zne_gain * math.sqrt(sum(s * s for s in per_group.values()) / self.shots)
+
+    def overlap_sigma(self) -> float:
+        """Upper bound on the shot-noise s.d. of one overlap estimate: the shot
+        mean of w = inverse.T @ e_0 (e_0 without readout mitigation), so at
+        most (max w - min w) / 2 / sqrt(shots) (Popoviciu), times ZNE's gain."""
+        if self.tier == "statevector":
+            return 0.0
+        spread = 1.0 if self._inverse is None else np.ptp(self._inverse[0])
+        return self._zne_gain * spread / 2.0 / math.sqrt(self.shots)
 
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 

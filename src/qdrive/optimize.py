@@ -20,6 +20,8 @@ which holds the run's best point, and runs the configured kind:
 * ``simplex``       linear-approximation fallback (scipy's COBYLA) with
                     initial variable change ``p_beg``.
 
+scipy loads when the first trust-region or simplex phase starts.
+
 The result is the run's best evaluated point (the start if none was), its
 value and the evaluations spent, so a downgraded run reports the best of
 NFT's evaluations and the trust region's together.  ``exhausted`` is read
@@ -39,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .estimator import Estimator
 from .pauli import PauliSum
@@ -130,21 +131,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _fit_sinusoid(z_plus: float, z_minus: float, z_pi: float):
-    """Recover f(t + d) = a + alpha*cos(d) + beta*sin(d) from the three shifts."""
-    a = 0.5 * (z_plus + z_minus)
-    beta = 0.5 * (z_plus - z_minus)
-    alpha = a - z_pi
-    return a, alpha, beta
-
-
 def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
     """Sequential sinusoidal coordinate minimization from ``x``.  Returns
     None once every sweep has run, or the point at which the fit failed.
 
     On the first parameter of the first sweep the fitted sinusoid is
     validated with an extra evaluation at the predicted minimizer; the fit
-    fails when the relative residual exceeds max(RESIDUAL_TOL, 5*sigma_hint).
+    fails when the residual, relative to scale = max(1, |a| + r), exceeds
+    max(RESIDUAL_TOL, 5*sigma_hint/scale).
     """
     x = x.copy()
     m = x.size
@@ -158,7 +152,9 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
             z_minus = counted(x - shift)
             shift[k] = math.pi
             z_pi = counted(x + shift)
-            a, alpha, beta = _fit_sinusoid(z_plus, z_minus, z_pi)
+            # f(t + d) = a + alpha*cos(d) + beta*sin(d) through the three shifts
+            a, beta = 0.5 * (z_plus + z_minus), 0.5 * (z_plus - z_minus)
+            alpha = a - z_pi
             r = math.hypot(alpha, beta)
             phi = math.atan2(beta, alpha)
             x[k] = wrap_angles(np.array([x[k] + phi + math.pi]))[0]
@@ -183,15 +179,16 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
 def _trust_region(counted: _Counted, x, config: OptimizerConfig) -> None:
     """COBYQA from ``x`` with a retry loop: restart from the run's best point
     until its value reaches f_tol or the retries are spent."""
-    bounds = scipy.optimize.Bounds(x - 2.0 * np.pi, x + 2.0 * np.pi)
+    start = x
     for _ in range(config.retries + 1):
         counted.require(trust_region_start(x.size))
+        import scipy.optimize  # only once the phase can start
         remaining = counted.f_max - counted.nfev
         scipy.optimize.minimize(
             counted,
             x,
             method="cobyqa",
-            bounds=bounds,
+            bounds=scipy.optimize.Bounds(start - 2.0 * np.pi, start + 2.0 * np.pi),
             options={
                 "maxfev": remaining,
                 "maxiter": 10 * remaining,
@@ -205,6 +202,7 @@ def _trust_region(counted: _Counted, x, config: OptimizerConfig) -> None:
 
 
 def _simplex(counted: _Counted, x, config: OptimizerConfig) -> None:
+    import scipy.optimize
     scipy.optimize.minimize(
         counted,
         x,
@@ -222,7 +220,9 @@ def minimize(
     fun, config: OptimizerConfig, x0, telemetry=None, sigma_hint: float = 0.0
 ) -> OptResult:
     """Minimize ``fun`` from ``x0`` with the configured kind, every phase
-    spending from and reporting through one counter."""
+    spending from and reporting through one counter.  ``sigma_hint`` must
+    bound the shot-noise s.d. of ``fun`` as a whole: NFT's fit check
+    allows residuals up to 5 of it."""
     x = wrap_angles(np.asarray(x0, dtype=float))
     counted = _Counted(fun, config.f_max, telemetry)
     kind = config.kind
@@ -264,6 +264,13 @@ def vqd_objective(
     for prior in prior_states:
         value += penalty * est.overlap_lowdepth(params, prior)
     return value
+
+
+def vqd_sigma(h_h: PauliSum, n_priors: int, penalty: float, est: Estimator) -> float:
+    """Shot-noise s.d. bound of one ``vqd_objective`` value: the energy's
+    and each penalized overlap's, drawn independently, in quadrature."""
+    overlap = penalty * est.overlap_sigma()
+    return math.sqrt(est.statistical_sigma(h_h) ** 2 + n_priors * overlap**2)
 
 
 def pseudovariance_objective(

@@ -25,7 +25,7 @@ from .model import (
     exact_diagonalize,
     project_hamiltonians,
 )
-from .optimize import OptimizerConfig, minimize, pseudovariance_objective, vqd_objective
+from .optimize import OptimizerConfig, minimize, pseudovariance_objective, vqd_objective, vqd_sigma
 from .simulator import NoiseModel, statevector
 
 PARITY_CODE = {"even": 0, "odd": 1}
@@ -181,7 +181,7 @@ def run_hermitian_stage(
     def objective(x):
         return vqd_objective(x, problem.h_h, priors, plan.penalty, est)
 
-    sigma = est.statistical_sigma(problem.h_h)
+    sigma = vqd_sigma(problem.h_h, len(priors), plan.penalty, est)
     result = minimize(objective, cfg, x0, telemetry=telemetry, sigma_hint=sigma)
     energy = est.expectation(problem.h_h, result.params).real
     overlaps = [est.overlap_lowdepth(result.params, prior) for prior in priors]

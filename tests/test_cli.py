@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -604,3 +606,70 @@ class TestSweep:
         # the header and the clean point's row; the failed point has no sort artifact
         assert lines == [line for line in golden if not line.startswith("10000.0,")]
         assert not (tmp_path / "out" / "sweep_r10000.0_linf_0/runs/batch0/odd/odd_sort.json").exists()
+
+
+class TestStartUp:
+    """Each HTC job is a fresh interpreter: a job that runs no trust-region
+    or simplex phase loads no scipy, and a multi-worker run imports
+    ``scipy.optimize`` once, before it forks the workers."""
+
+    REPO = Path(__file__).resolve().parent.parent
+    SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+    def python(self, code: str) -> list[str]:
+        """The stdout lines of ``code`` run in a fresh interpreter."""
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, cwd=self.REPO,
+        )
+        return out.stdout.splitlines()
+
+    @pytest.fixture(scope="class")
+    def noisy_run(self, tmp_path_factory):
+        # the golden noisy case: NFT stages and a pseudovariance budget too
+        # small for the trust region to start
+        out = tmp_path_factory.mktemp("noisy") / "out"
+        lines = self.python(
+            "import sys; from pathlib import Path; from tests.test_golden import run_case; "
+            f"run_case('noisy', Path({str(out)!r})); print({self.SCIPY})"
+        )
+        return out, lines[-1]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert self.python(f"import sys, qdrive.cli; print({self.SCIPY})") == ["[]"]
+
+    def test_one_worker_noisy_run_loads_no_scipy(self, noisy_run):
+        out, modules = noisy_run
+        assert (out / "winners.csv").exists()
+        assert modules == "[]"
+
+    def test_sort_job_loads_no_scipy(self, noisy_run):
+        out, _ = noisy_run
+        config = str(out / "config.frozen.json")
+        lines = self.python(
+            "import sys; from qdrive.cli import main; "
+            f"code = main(['--config', {config!r}, 'run', '--single-task', 'even_sort']); "
+            f"print(code, {self.SCIPY})"
+        )
+        assert lines[-1] == "0 []"
+
+    @pytest.mark.parametrize("case", ["run", "noisy_sweep"])
+    def test_workers_inherit_scipy_from_the_parent(self, case, tmp_path):
+        if case == "run":
+            doc = {"q": 2, "parities": ["even"], "n_states": {"even": 1},
+                   "batch_size": 1, "workers": 2, "tier": "statevector",
+                   "optimizer": {"hermitian_f_max": 8, "nonhermitian_f_max": 4},
+                   "output_dir": str(tmp_path / "out")}
+            command = f"main(['--config', {write_config(tmp_path, doc)!r}, 'run'])"
+        else:
+            command = f"run_case('noisy_sweep', Path({str(tmp_path / 'out')!r}), workers=2)"
+        lines = self.python(
+            "import sys; from pathlib import Path; from qdrive import orchestrator; "
+            "from qdrive.cli import main; from tests.test_golden import run_case\n"
+            "execute = orchestrator.execute\n"
+            "def spy(*args, **kwargs):\n"
+            "    print('entered execute with scipy.optimize', 'scipy.optimize' in sys.modules)\n"
+            "    return execute(*args, **kwargs)\n"
+            f"orchestrator.execute = spy\n{command}\n"
+        )
+        assert "entered execute with scipy.optimize True" in lines

@@ -418,6 +418,20 @@ class TestPauliGroups:
             ]
             assert np.std(values, ddof=1) <= self.estimator(tier).statistical_sigma(obs)
 
+    @pytest.mark.parametrize("tier", ["shots", "noisy"])
+    def test_overlap_sigma_bounds_the_spread(self, tier):
+        # an overlap near 0.4, where the binomial spread is close to its
+        # largest; the noisy estimator inverts the readout and extrapolates
+        x, prior = RNG(11).uniform(-np.pi, np.pi, (2, 16))
+        values = [
+            self.estimator(tier, seed=seed).overlap_lowdepth(x, prior)
+            for seed in range(200)
+        ]
+        assert np.std(values, ddof=1) <= self.estimator(tier).overlap_sigma()
+
+    def test_overlap_sigma_is_zero_on_the_statevector_tier(self):
+        assert self.estimator("statevector").overlap_sigma() == 0.0
+
     def test_words_outside_the_groups_form_new_groups(self):
         est = Estimator(q=2, tier="shots", seed=74)
         est.expectation(PauliSum(2, {"XX": 0.5, "XI": 0.2, "IZ": -0.3, "YI": 0.1}), np.zeros(16))

@@ -131,6 +131,20 @@ class TestHermitianStage:
         assert stage["overlaps"] == []
         assert stage["converged"]
 
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_deflated_noisy_stage_keeps_nft(self, q2_even, seed):
+        # the NFT fit check allows for the shot noise of the penalized
+        # overlap, not of <H_H> alone (sizes of the noisy_chain benchmark)
+        plan = build_plan(load_config(None, {
+            "q": 2, "parities": ["even"], "n_states": {"even": 2}, "batch_size": 1,
+            "tier": "noisy", "seed": seed, "shots": 10000,
+            "mitigation": {"readout": True, "zne": True},
+            "optimizer": {"hermitian_f_max": 40},
+        }))
+        first = run_hermitian_stage(1, [], q2_even, plan, run_id=0)
+        second = run_hermitian_stage(2, [np.asarray(first["theta"])], q2_even, plan, run_id=0)
+        assert second["optimizer"] == "nft"
+
 
 class TestNonHermitianStage:
     def test_capless_problem_keeps_warm_start(self, grid):
