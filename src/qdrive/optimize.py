@@ -135,10 +135,9 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
     """Sequential sinusoidal coordinate minimization from ``x``.  Returns
     None once every sweep has run, or the point at which the fit failed.
 
-    On the first parameter of the first sweep the fitted sinusoid is
-    validated with an extra evaluation at the predicted minimizer; the fit
-    fails when the residual, relative to scale = max(1, |a| + r), exceeds
-    max(RESIDUAL_TOL, 5*sigma_hint/scale).
+    On the first parameter of the first sweep the fitted sinusoid is checked
+    by an evaluation at the predicted minimizer; the fit fails when the residual
+    over scale = max(1, |a| + r) exceeds max(RESIDUAL_TOL, 5*sigma_hint/scale).
     """
     x = x.copy()
     m = x.size
@@ -153,7 +152,8 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
             shift[k] = math.pi
             z_pi = counted(x + shift)
             # f(t + d) = a + alpha*cos(d) + beta*sin(d) through the three shifts
-            a, beta = 0.5 * (z_plus + z_minus), 0.5 * (z_plus - z_minus)
+            a = 0.5 * (z_plus + z_minus)
+            beta = 0.5 * (z_plus - z_minus)
             alpha = a - z_pi
             r = math.hypot(alpha, beta)
             phi = math.atan2(beta, alpha)
@@ -221,8 +221,7 @@ def minimize(
 ) -> OptResult:
     """Minimize ``fun`` from ``x0`` with the configured kind, every phase
     spending from and reporting through one counter.  ``sigma_hint`` must
-    bound the shot-noise s.d. of ``fun`` as a whole: NFT's fit check
-    allows residuals up to 5 of it."""
+    bound the shot-noise s.d. of the whole of ``fun``: NFT's fit check uses it."""
     x = wrap_angles(np.asarray(x0, dtype=float))
     counted = _Counted(fun, config.f_max, telemetry)
     kind = config.kind
