@@ -28,6 +28,7 @@ from .config import (
     build_grid,
     build_model,
     build_plan,
+    idle_trust_region,
     load_config,
 )
 from .mitigation import ZnePoints, zne_extrapolate
@@ -205,6 +206,16 @@ def prepare_execution(
     return plan, problems, dag
 
 
+def _import_scipy_before_fork(doc: dict) -> None:
+    """With several workers, import scipy once when a stage can start a
+    trust-region or simplex phase, so the forked workers inherit it.  Before
+    the problems are built it costs about 40 ms less (``sv_run`` setup_s)."""
+    if doc["workers"] > 1 and (
+        build_plan(doc).hermitian_cfg.kind != "nft" or not idle_trust_region(doc)
+    ):
+        import scipy.optimize  # noqa: F401
+
+
 def collect_winners(
     dag, root: Path, prefix: str = ""
 ) -> tuple[list[ResonanceRecord], list[str]]:
@@ -289,6 +300,8 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
     single task writes its own artifact only: its ``config.frozen.json`` is
     the one ``export-dag`` wrote, which concurrent jobs share."""
     out = resolve_output_dir(doc)
+    if single_task is None:
+        _import_scipy_before_fork(doc)
     _, _, dag = prepare_execution(doc, out)
     if single_task is not None:
         if single_task not in dag.nodes:
@@ -305,8 +318,6 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
         print(f"task {single_task}: wrote {node.output}")
         return 0
     _write_json(out / "config.frozen.json", doc)
-    if doc["workers"] > 1:  # forked workers inherit it, so none imports it again
-        import scipy.optimize  # noqa: F401
     trace = orchestrator.execute(dag, workers=doc["workers"])
     _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
     failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
@@ -349,6 +360,7 @@ def cmd_sweep(doc: dict) -> int:
         raise ConfigError("config key 'tier' must be 'noisy' for sweeps")
     out = resolve_output_dir(doc)
     _write_json(out / "config.frozen.json", doc)
+    _import_scipy_before_fork(doc)  # its points differ in noise and seed only
     sweep = doc["sweep"]
     problems, dag = None, orchestrator.TaskDag()
     points = {}
@@ -366,8 +378,6 @@ def cmd_sweep(doc: dict) -> int:
                 points[prefix] = {
                     "reduction": reduction, "longevity": longevity, "repeat": repeat
                 }
-    if doc["workers"] > 1:  # as in cmd_run
-        import scipy.optimize  # noqa: F401
     trace = orchestrator.execute(dag, workers=doc["workers"])
     _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
     status = 3 if any(e["status"] in ("failed", "skipped") for e in trace) else 0

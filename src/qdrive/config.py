@@ -230,27 +230,27 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config file {path} holds a {type(doc).__name__}, not an object")
     merged = merge_defaults(overrides or {}, merge_defaults(doc))
     validate_config(merged)
-    _warn_idle_trust_region(merged)
+    if idle_trust_region(merged):
+        print(
+            "warning: config key 'optimizer.nonhermitian_f_max' = "
+            f"{merged['optimizer']['nonhermitian_f_max']} is below the "
+            f"{trust_region_start(ansatz_parameter_count(merged['q']))} evaluations "
+            f"the trust-region optimizer needs to start at q = {merged['q']}; the "
+            "pseudovariance stages will keep their Hermitian warm starts",
+            file=sys.stderr,
+        )
     return merged
 
 
-def _warn_idle_trust_region(doc: dict) -> None:
-    """Warn on stderr when the pseudovariance stages cannot optimize.
+def idle_trust_region(doc: dict) -> bool:
+    """Whether the pseudovariance stages cannot optimize.
 
     Their trust-region optimizer needs ``trust_region_start`` evaluations to
     start; with a smaller ``optimizer.nonhermitian_f_max`` it evaluates
     nothing and every stage keeps its Hermitian warm start.
     """
-    f_max = doc["optimizer"]["nonhermitian_f_max"]
     needed = trust_region_start(ansatz_parameter_count(doc["q"]))
-    if f_max < needed:
-        print(
-            f"warning: config key 'optimizer.nonhermitian_f_max' = {f_max} is "
-            f"below the {needed} evaluations the trust-region optimizer needs "
-            f"to start at q = {doc['q']}; the pseudovariance stages will keep "
-            "their Hermitian warm starts",
-            file=sys.stderr,
-        )
+    return doc["optimizer"]["nonhermitian_f_max"] < needed
 
 
 def _longevity(value) -> float | None:

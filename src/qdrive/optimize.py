@@ -131,6 +131,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _fit_sinusoid(z_plus: float, z_minus: float, z_pi: float):
+    """Recover f(t + d) = a + alpha*cos(d) + beta*sin(d) from the three shifts."""
+    a = 0.5 * (z_plus + z_minus)
+    beta = 0.5 * (z_plus - z_minus)
+    alpha = a - z_pi
+    return a, alpha, beta
+
+
 def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
     """Sequential sinusoidal coordinate minimization from ``x``.  Returns
     None once every sweep has run, or the point at which the fit failed.
@@ -151,10 +159,7 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
             z_minus = counted(x - shift)
             shift[k] = math.pi
             z_pi = counted(x + shift)
-            # f(t + d) = a + alpha*cos(d) + beta*sin(d) through the three shifts
-            a = 0.5 * (z_plus + z_minus)
-            beta = 0.5 * (z_plus - z_minus)
-            alpha = a - z_pi
+            a, alpha, beta = _fit_sinusoid(z_plus, z_minus, z_pi)
             r = math.hypot(alpha, beta)
             phi = math.atan2(beta, alpha)
             x[k] = wrap_angles(np.array([x[k] + phi + math.pi]))[0]

@@ -653,8 +653,17 @@ class TestStartUp:
         )
         assert lines[-1] == "0 []"
 
-    @pytest.mark.parametrize("case", ["run", "noisy_sweep"])
-    def test_workers_inherit_scipy_from_the_parent(self, case, tmp_path):
+    @pytest.mark.parametrize(
+        "case, loaded",
+        [
+            ("run", True),  # statevector: simplex Hermitian stages
+            ("noisy_sweep", True),  # simplex Hermitian stages
+            # NFT Hermitian stages and a pseudovariance budget too small for
+            # the trust region to start: no phase of the plan uses scipy
+            ("nft_sweep", False),
+        ],
+    )
+    def test_workers_inherit_scipy_from_the_parent(self, case, loaded, tmp_path):
         if case == "run":
             doc = {"q": 2, "parities": ["even"], "n_states": {"even": 1},
                    "batch_size": 1, "workers": 2, "tier": "statevector",
@@ -662,7 +671,11 @@ class TestStartUp:
                    "output_dir": str(tmp_path / "out")}
             command = f"main(['--config', {write_config(tmp_path, doc)!r}, 'run'])"
         else:
-            command = f"run_case('noisy_sweep', Path({str(tmp_path / 'out')!r}), workers=2)"
+            extra = ", optimizer={'hermitian_f_max': 6, 'nonhermitian_f_max': 4}"
+            command = (
+                f"run_case('noisy_sweep', Path({str(tmp_path / 'out')!r}), workers=2"
+                f"{extra if case == 'nft_sweep' else ''})"
+            )
         lines = self.python(
             "import sys; from pathlib import Path; from qdrive import orchestrator; "
             "from qdrive.cli import main; from tests.test_golden import run_case\n"
@@ -672,4 +685,4 @@ class TestStartUp:
             "    return execute(*args, **kwargs)\n"
             f"orchestrator.execute = spy\n{command}\n"
         )
-        assert "entered execute with scipy.optimize True" in lines
+        assert f"entered execute with scipy.optimize {loaded}" in lines
