@@ -401,6 +401,7 @@ def cmd_export_dag(doc: dict) -> int:
     text, submits = orchestrator.export_dagman(dag, cli_args=cli_args)
     for rel_path, content in {"batch.dag": text, **submits}.items():
         _write_text(out / rel_path, content)
+    (out / "logs").mkdir(exist_ok=True)  # every submit file's output, error and log
     print(f"exported {len(dag.nodes)} jobs -> batch.dag")
     return 0
 

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .circuits import ansatz_parameter_count
-from .mitigation import ConfusionMatrix
+from .mitigation import readout_inverse
 from .model import ClassifierThresholds, Grid, PotentialModel
 from .optimize import OptimizerConfig, trust_region_start
 from .pipeline import RunPlan
@@ -150,6 +150,10 @@ def validate_config(doc: dict) -> None:
             )
         if check is not None and value is not None and not check[0](value):
             raise ConfigError(f"config key {path!r} must be {check[1]}, got {value!r}")
+    for key in ("reduction_factors", "longevity_factors"):  # one sweep point per factor
+        factors = doc["sweep"][key]
+        if len({_longevity(v) for v in factors}) < len(factors):
+            raise ConfigError(f"config key 'sweep.{key}' must hold distinct values, got {factors}")
     if doc["workers"] > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError(
             "config key 'workers' must be 1 here: more workers run in forked "
@@ -188,11 +192,10 @@ def validate_config(doc: dict) -> None:
                 f"noisy tier, but the noise profile covers {profile.n_qubits}"
             )
         if doc["mitigation"]["readout"]:  # inverts each measured qubit's confusion
-            for k in range(doc["q"]):
-                try:
-                    ConfusionMatrix.from_rows(profile.confusion(k))
-                except ValueError as exc:
-                    raise ConfigError(f"config key 'noise_profile': readout of qubit {k}: {exc}")
+            try:
+                readout_inverse(profile.readout[: doc["q"]])
+            except ValueError as exc:
+                raise ConfigError(f"config key 'noise_profile': {exc}")
         sweep = doc["sweep"]
         scalings = [("gate_noise_reduction_factor", doc["gate_noise_reduction_factor"],
                      doc["qubit_longevity_factor"])]

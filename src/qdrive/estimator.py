@@ -47,7 +47,6 @@ import numpy as np
 
 from .circuits import Circuit, Gate, build_ansatz
 from .mitigation import (
-    ConfusionMatrix,
     ZnePoints,
     invert_distribution,
     readout_inverse,
@@ -130,13 +129,7 @@ class Estimator:
         self.mitigate_readout = noisy and mitigate_readout
         self.mitigate_zne = noisy and mitigate_zne
         self._zne_gain = math.sqrt(10.0) / 2.0 if self.mitigate_zne else 1.0
-        self._inverse = (
-            readout_inverse(
-                [ConfusionMatrix.from_rows(noise.confusion(k)) for k in range(q)]
-            )
-            if self.mitigate_readout
-            else None
-        )
+        self._inverse = readout_inverse(noise.readout[:q]) if self.mitigate_readout else None
         self.telemetry = telemetry
         self.circuits_run = 0
         self.groups = dict(groups or {})

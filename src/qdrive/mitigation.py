@@ -1,7 +1,8 @@
 """Measurement post-processing: readout inversion and hybrid exp-linear ZNE.
 
 Readout errors are undone by the inverse of the joint confusion, the
-Kronecker product of the per-qubit 2x2 inverses.  Gate errors are
+Kronecker product of the per-qubit 2x2 inverses of the noise model's
+confusion rows (``NoiseModel.readout``).  Gate errors are
 extrapolated away from circuit results at fold scales 1, 3, 5: an
 exponential fit where the three points decay monotonically and
 significantly, with linear and outlier fallbacks in the statistically
@@ -29,47 +30,17 @@ BRANCHES = (
 )
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Row-stochastic readout confusion: row = true state, column = measured."""
-
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def __post_init__(self):
-        for v in (self.p00, self.p01, self.p10, self.p11):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("confusion entries must be probabilities")
-        if abs(self.p00 + self.p01 - 1.0) > 1e-9 or abs(self.p10 + self.p11 - 1.0) > 1e-9:
-            raise ValueError("confusion rows must sum to 1")
-        if self.p00 - self.p10 < 1e-9:
-            raise ValueError("degenerate confusion matrix: p00 must exceed p10")
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "ConfusionMatrix":
-        return cls(
-            p00=float(rows[0, 0]),
-            p01=float(rows[0, 1]),
-            p10=float(rows[1, 0]),
-            p11=float(rows[1, 1]),
-        )
-
-    def forward(self, t0: float) -> float:
-        """Noisy P(measure 0) for a true P(0) of t0."""
-        return t0 * self.p00 + (1.0 - t0) * self.p10
-
-
-def readout_invert(n0: float, matrix: ConfusionMatrix) -> tuple[float, float, bool]:
-    """Infer the true (T0, T1) from the noisy P(measure 0).
+def readout_invert(n0: float, rows: np.ndarray) -> tuple[float, float, bool]:
+    """Infer one qubit's true (T0, T1) from its noisy P(measure 0) and its
+    2x2 confusion ``rows``, one qubit's entry of ``NoiseModel.readout``.
 
     Solutions outside [0, 1] are clamped and flagged rather than rejected so
     optimization loops stay alive under heavy noise.
     """
+    (p00, p01), (p10, p11) = rows
     n1 = 1.0 - n0
-    t0 = (n0 - matrix.p10) / (matrix.p00 - matrix.p10)
-    t1 = (n1 - matrix.p01) / (matrix.p11 - matrix.p01)
+    t0 = (n0 - p10) / (p00 - p10)
+    t1 = (n1 - p01) / (p11 - p01)
     clamped = False
     if t0 < 0.0:
         t0, clamped = 0.0, True
@@ -80,18 +51,22 @@ def readout_invert(n0: float, matrix: ConfusionMatrix) -> tuple[float, float, bo
     return t0, t1, clamped
 
 
-def readout_inverse(matrices: list[ConfusionMatrix]) -> np.ndarray:
+def readout_inverse(readout: np.ndarray) -> np.ndarray:
     """The matrix that undoes independent per-qubit confusions on a
     big-endian outcome distribution.
 
-    The joint confusion is the tensor product of the single-qubit matrices,
-    so its inverse is the Kronecker product of theirs; probabilities
-    transform with the transpose of the true->measured map.
+    ``readout`` holds the (k, 2, 2) confusion rows of the k measured qubits,
+    as ``NoiseModel.readout`` does.  The joint confusion is their tensor
+    product, so its inverse is the Kronecker product of theirs; probabilities
+    transform with the transpose of the true->measured map.  A qubit with
+    p00 - p10 < 1e-9 raises ``ValueError``: its confusion has no usable inverse.
     """
     inverse = np.ones((1, 1))
-    for cm in matrices:
-        fwd = np.array([[cm.p00, cm.p01], [cm.p10, cm.p11]])
-        inverse = np.kron(inverse, np.linalg.inv(fwd).T)
+    for k, rows in enumerate(readout):
+        if rows[0, 0] - rows[1, 0] < 1e-9:
+            msg = "degenerate confusion matrix: p00 must exceed p10"
+            raise ValueError(f"readout of qubit {k}: {msg}")
+        inverse = np.kron(inverse, np.linalg.inv(rows).T)
     return inverse
 
 

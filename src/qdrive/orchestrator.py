@@ -345,9 +345,11 @@ def export_dagman(
 
     Returns (dag file text, {submit path: submit text}).  One JOB line per
     node and one PARENT line per node with children reproduce the edge set
-    exactly.
+    exactly.  Each job runs ``qdrive <cli_args> run --single-task <id>`` from
+    the dag file's directory and logs to ``logs/`` there.
     """
     order = dag.topological_order()
+    command = " ".join(["qdrive", *cli_args.split(), "run", "--single-task"])
     lines = []
     submits: dict[str, str] = {}
     for nid in order:
@@ -356,7 +358,7 @@ def export_dagman(
         submits[sub_path] = (
             "universe = vanilla\n"
             "executable = /usr/bin/env\n"
-            f'arguments = "qdrive run {cli_args} --single-task {nid}"\n'
+            f'arguments = "{command} {nid}"\n'
             f"output = logs/{nid}.out\n"
             f"error = logs/{nid}.err\n"
             "log = logs/batch.log\n"

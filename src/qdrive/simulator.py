@@ -246,7 +246,9 @@ def _depolarizing_superop_1q(p: float) -> np.ndarray:
 class NoiseModel:
     """Per-qubit relaxation, depolarizing gate errors, and readout confusion.
 
-    ``readout[q]`` rows are (true state -> measured state) probabilities.
+    ``readout[q]`` rows are (true state -> measured state) probabilities, each
+    row summing to 1 within 1e-9: the one form of the readout confusion, which
+    the simulator applies and readout mitigation inverts.
     """
 
     t1_us: np.ndarray
@@ -284,7 +286,7 @@ class NoiseModel:
         ]:
             if np.any(arr < 0) or np.any(arr > 1):
                 raise ValueError(f"{label} outside [0, 1]")
-        if not np.allclose(self.readout.sum(axis=2), 1.0, atol=1e-9):
+        if not np.all(np.abs(self.readout.sum(axis=2) - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError("readout confusion rows must sum to 1")
 
     @property
@@ -346,9 +348,6 @@ class NoiseModel:
         return replace(self, t1_us=self.t1_us[sub], t2_us=self.t2_us[sub],
                        excited_population=self.excited_population[sub],
                        readout=self.readout[sub])
-
-    def confusion(self, qubit: int) -> np.ndarray:
-        return self.readout[qubit]
 
     def povm(self, key, build) -> np.ndarray:
         """Effective POVM operators under ``key``, from ``build()`` on first use.
@@ -541,7 +540,7 @@ def adjoint_density_matrix(
     return np.moveaxis(op, -1, 0).reshape(shape)
 
 
-def effective_povm(circuit: Circuit, noise: NoiseModel, lam: int = 1) -> np.ndarray:
+def effective_povm(circuit: Circuit, noise: NoiseModel | None, lam: int = 1) -> np.ndarray:
     """Operators M[y] with P(y) = Tr(M[y] rho) for the noisy circuit, folded
     to scale lam, run on rho.
 
@@ -551,9 +550,8 @@ def effective_povm(circuit: Circuit, noise: NoiseModel, lam: int = 1) -> np.ndar
     of each basis state.  Shape (2^n, 2^n, 2^n).
     """
     n = circuit.n_qubits
-    weights = np.array(
-        [outcome_probabilities(basis, n, readout=noise) for basis in np.eye(2**n)]
-    )
+    readout = None if noise is None else noise.readout
+    weights = np.array([outcome_probabilities(basis, n, readout) for basis in np.eye(2**n)])
     projectors = np.array([np.diag(w) for w in weights.T])
     return adjoint_density_matrix(circuit, projectors, noise, lam)
 
@@ -580,12 +578,12 @@ class Measurement:
 
 
 def outcome_probabilities(
-    state: np.ndarray, n_qubits: int, readout: NoiseModel | None = None
+    state: np.ndarray, n_qubits: int, readout: np.ndarray | None = None
 ) -> np.ndarray:
     """Outcome distribution over all qubits, big-endian.
 
-    ``state`` is a flat statevector or a flat density matrix; with a noise
-    model the per-qubit readout confusion is applied.
+    ``state`` is a flat statevector or a flat density matrix; ``readout``,
+    confusion rows per qubit as in :attr:`NoiseModel.readout`, is applied.
     """
     if state.ndim == 1:
         probs = np.abs(state) ** 2
@@ -595,7 +593,7 @@ def outcome_probabilities(
     if readout is not None:
         for q in range(n_qubits):
             probs = np.moveaxis(
-                np.tensordot(probs, readout.confusion(q), axes=([q], [0])), -1, q
+                np.tensordot(probs, readout[q], axes=([q], [0])), -1, q
             )
     return np.clip(probs.reshape(-1), 0.0, None)
 

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,11 @@ class TestConfig:
         cases.append((["--set", "sweep.reduction_factors=[0]"], "sweep.reduction_factors"))
         cases.append((["--set", "sweep.longevity_factors=[-1]"], "sweep.longevity_factors"))
         cases.append((["--set", 'sweep.longevity_factors=["never"]'], "sweep.longevity_factors"))
+        # each factor is one sweep point: equal floats, 'inf' and 'infinity' included, repeat one
+        cases.append((["--set", "sweep.reduction_factors=[1.0,1.0]"], "sweep.reduction_factors"))
+        cases.append((["--set", "sweep.reduction_factors=[2,2.0]"], "sweep.reduction_factors"))
+        cases.append((["--set", 'sweep.longevity_factors=[10,"inf","Infinity"]'],
+                      "sweep.longevity_factors"))
         cases.append((["--set", "gate_noise_reduction_factor=0"], "gate_noise_reduction_factor"))
         cases.append((["--set", "qubit_longevity_factor=0"], "qubit_longevity_factor"))
         # a positive int beyond the float range fails at load, not in float()
@@ -209,6 +215,12 @@ class TestConfig:
             path = write_config(tmp_path, {**profile, **fields}, name=f"bad_profile_{i}.json")
             args = ["--set", "tier=noisy", "--set", f"noise_profile={path}"]
             cases.append((args, "'noise_profile'"))
+        # so does one whose readout rows sum to 1 + 1e-7, with or without readout mitigation
+        readout = json.loads(bundled_profile_path().read_text())["readout"]
+        readout[0][0][0] += 1e-7
+        off_sum = write_config(tmp_path, {**profile, "readout": readout}, name="off_sum.json")
+        cases.append(([*noisy, "--set", "mitigation.readout=false",
+                       "--set", f"noise_profile={off_sum}"], "'noise_profile'"))
         # so does a readout confusion that readout mitigation cannot invert
         singular = write_config(tmp_path, {
             **profile, "readout": [[[0.5, 0.5], [0.5, 0.5]]] + profile["readout"][1:]
@@ -309,6 +321,15 @@ class TestZneDemo:
         assert flag in err
 
 
+def submitted_argv(export_dir: Path, job: str) -> list[str]:
+    """A job's command line as its submit file gives it: the quoted
+    ``arguments`` split as a shell would, less the ``qdrive`` console script."""
+    sub = (export_dir / "submit" / f"{job}.sub").read_text()
+    program, *argv = shlex.split(re.search(r'^arguments = "(.*)"$', sub, re.M).group(1))
+    assert program == "qdrive"
+    return argv
+
+
 class TestExportDag:
     def test_files_written(self, tmp_path):
         path = write_config(
@@ -323,17 +344,17 @@ class TestExportDag:
         subs = list((tmp_path / "out" / "submit").glob("*.sub"))
         assert len(subs) == 8
 
-    def test_submitted_task_runs_from_the_frozen_config(self, tmp_path):
-        # every submit file runs `qdrive run --config config.frozen.json --single-task <id>`
+    def test_submitted_task_runs_from_the_frozen_config(self, tmp_path, monkeypatch):
+        # every submit file runs `qdrive --config config.frozen.json run --single-task <id>`
         doc = dict(FAST_RUN, batch_size=1, n_states={"even": 1, "odd": 1})
         doc["output_dir"] = str(tmp_path / "out")
         assert main(["--config", write_config(tmp_path, doc), "export-dag"]) == 0
-        frozen = tmp_path / "out" / "config.frozen.json"
-        sub = (tmp_path / "out" / "submit" / "even_r0_h1.sub").read_text()
-        assert "--config config.frozen.json --single-task even_r0_h1" in sub
-        assert main(["--config", str(frozen), "run", "--single-task", "even_r0_h1"]) == 0
+        assert (tmp_path / "out" / "logs").is_dir()  # the submit files' output, error and log
+        monkeypatch.chdir(tmp_path / "out")  # DAGMan runs each job from the dag file's directory
+        assert main(submitted_argv(tmp_path / "out", "even_r0_h1")) == 0
+        assert (tmp_path / "out" / "runs/batch0/even/0/even_r0_h1.json").exists()
 
-    def test_replayed_jobs_match_run(self, tmp_path):
+    def test_replayed_jobs_match_run(self, tmp_path, monkeypatch):
         # every JOB of batch.dag in file order, each writing its own artifact
         # only, gives the runs/ tree of `run`
         _, overrides, _ = CASES["shots"]
@@ -346,8 +367,9 @@ class TestExportDag:
         dag_text = (tmp_path / "htc" / "batch.dag").read_text()
         jobs = [line.split()[1] for line in dag_text.splitlines() if line.startswith("JOB")]
         assert len(jobs) == 18
+        monkeypatch.chdir(tmp_path / "htc")
         for job in jobs:
-            assert main(["--config", str(frozen), "run", "--single-task", job]) == 0
+            assert main(submitted_argv(tmp_path / "htc", job)) == 0
         assert frozen.stat().st_ino == inode  # never replaced
 
         doc["output_dir"] = str(tmp_path / "run")

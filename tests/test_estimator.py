@@ -375,7 +375,8 @@ class TestPauliGroups:
             for lam in ZNE_SCALES:
                 got = est._group_probabilities(est._prepare(ansatz, lam), basis, lam)
                 circuit = fold_circuit(Circuit(q, ansatz.gates + rotation), lam)
-                expected = outcome_probabilities(density_matrix(circuit, noise), q, readout=noise)
+                rho = density_matrix(circuit, noise)
+                expected = outcome_probabilities(rho, q, readout=noise.readout)
                 assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_one_distribution_per_group_and_scale(self):

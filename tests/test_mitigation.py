@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qdrive.circuits import Circuit, Gate, build_ansatz
 from qdrive.mitigation import (
     BRANCHES,
-    ConfusionMatrix,
     ZnePoints,
     fold_circuit,
     invert_distribution,
@@ -39,41 +38,48 @@ WORKED_TRIPLES = [
 ]
 
 
+def rows(p00: float, p01: float, p10: float, p11: float) -> np.ndarray:
+    """One qubit's confusion rows, true state -> measured state."""
+    return np.array([[p00, p01], [p10, p11]])
+
+
 class TestReadoutInvert:
     def test_identity_matrix_passthrough(self):
-        t0, t1, clamped = readout_invert(0.6, ConfusionMatrix(1.0, 0.0, 0.0, 1.0))
+        t0, t1, clamped = readout_invert(0.6, np.eye(2))
         assert t0 == pytest.approx(0.6)
         assert t1 == pytest.approx(0.4)
         assert not clamped
 
     def test_worked_example(self):
-        cm = ConfusionMatrix(p00=0.98, p01=0.02, p10=0.03, p11=0.97)
+        cm = rows(p00=0.98, p01=0.02, p10=0.03, p11=0.97)
         t0, t1, clamped = readout_invert(0.6, cm)
         assert t0 == pytest.approx(0.6)
         assert not clamped
 
     def test_clamping_fires_below_floor(self):
-        cm = ConfusionMatrix(p00=0.98, p01=0.02, p10=0.03, p11=0.97)
+        cm = rows(p00=0.98, p01=0.02, p10=0.03, p11=0.97)
         t0, t1, clamped = readout_invert(0.02, cm)
         assert t0 == 0.0
         assert t1 == 1.0
         assert clamped
 
     def test_roundtrip_of_forward_model(self):
-        cm = ConfusionMatrix(p00=0.97, p01=0.03, p10=0.05, p11=0.95)
+        cm = rows(p00=0.97, p01=0.03, p10=0.05, p11=0.95)
         for t in np.linspace(0.0, 1.0, 101):
-            n0 = cm.forward(t)
+            n0 = t * cm[0, 0] + (1.0 - t) * cm[1, 0]  # noisy P(measure 0)
             t0, t1, clamped = readout_invert(n0, cm)
             assert abs(t0 - t) < 1e-12
             assert abs(t0 + t1 - 1.0) < 1e-12
             assert not clamped
 
     def test_degenerate_matrix_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            ConfusionMatrix(p00=0.5, p01=0.5, p10=0.5, p11=0.5)
+        # the inverse of every measured qubit is checked, and the qubit named
+        degenerate = rows(p00=0.5, p01=0.5, p10=0.5, p11=0.5)
+        with pytest.raises(ValueError, match="readout of qubit 1: degenerate"):
+            readout_inverse(np.array([np.eye(2), degenerate]))
 
     def test_normalization_is_exact_without_clamping(self):
-        cm = ConfusionMatrix(p00=0.9, p01=0.1, p10=0.2, p11=0.8)
+        cm = rows(p00=0.9, p01=0.1, p10=0.2, p11=0.8)
         t0, t1, _ = readout_invert(0.47, cm)
         assert t0 + t1 == pytest.approx(1.0, abs=1e-14)
 
@@ -81,41 +87,40 @@ class TestReadoutInvert:
 class TestInvertDistribution:
     def test_two_qubit_roundtrip(self):
         rng = np.random.default_rng(0)
-        cms = [
-            ConfusionMatrix(p00=0.98, p01=0.02, p10=0.03, p11=0.97),
-            ConfusionMatrix(p00=0.95, p01=0.05, p10=0.04, p11=0.96),
-        ]
+        readout = np.array([
+            rows(p00=0.98, p01=0.02, p10=0.03, p11=0.97),
+            rows(p00=0.95, p01=0.05, p10=0.04, p11=0.96),
+        ])
         p_true = rng.dirichlet(np.ones(4))
         fwd = np.kron(
             np.array([[0.98, 0.02], [0.03, 0.97]]),
             np.array([[0.95, 0.05], [0.04, 0.96]]),
         )
         noisy = p_true @ fwd
-        recovered, clamped = invert_distribution(noisy, readout_inverse(cms))
+        recovered, clamped = invert_distribution(noisy, readout_inverse(readout))
         assert np.max(np.abs(recovered - p_true)) < 1e-12
         assert not clamped
 
     def test_identity_matrices_noop(self):
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        out, clamped = invert_distribution(p, readout_inverse([ConfusionMatrix(1.0, 0.0, 0.0, 1.0)] * 2))
+        out, clamped = invert_distribution(p, readout_inverse(np.array([np.eye(2)] * 2)))
         assert np.allclose(out, p)
         assert not clamped
 
 
 # well-conditioned single-qubit confusion: P(read correctly) in [0.6, 1]
 _fidelity = st.floats(0.6, 1.0)
-confusions = st.builds(
-    lambda p00, p11: ConfusionMatrix(p00, 1.0 - p00, 1.0 - p11, p11), _fidelity, _fidelity
-)
+confusions = st.builds(lambda p00, p11: rows(p00, 1.0 - p00, 1.0 - p11, p11), _fidelity, _fidelity)
 
 
 class TestInversionProperties:
     @settings(deadline=None)
     @given(cm=confusions, t=st.floats(0.0, 1.0))
     def test_one_qubit_inversions_agree(self, cm, t):
-        n0 = cm.forward(t)
+        n0 = t * cm[0, 0] + (1.0 - t) * cm[1, 0]
         t0, _, clamped = readout_invert(n0, cm)
-        dist, clamped_dist = invert_distribution(np.array([n0, 1.0 - n0]), readout_inverse([cm]))
+        inverse = readout_inverse(cm[None])
+        dist, clamped_dist = invert_distribution(np.array([n0, 1.0 - n0]), inverse)
         assume(not clamped and not clamped_dist)
         assert abs(t0 - dist[0]) <= 1e-12
 
@@ -123,16 +128,16 @@ class TestInversionProperties:
     @given(data=st.data())
     def test_undoes_forward_confusion(self, data):
         m = data.draw(st.integers(1, 3), label="qubits")
-        cms = data.draw(st.lists(confusions, min_size=m, max_size=m), label="confusions")
+        readout = np.array(
+            data.draw(st.lists(confusions, min_size=m, max_size=m), label="confusions")
+        )
         weights = data.draw(
             st.lists(st.floats(0.0, 1.0), min_size=2**m, max_size=2**m), label="weights"
         )
         assume(sum(weights) > 1e-3)
         p_true = np.array(weights) / sum(weights)
-        forward = functools.reduce(
-            np.kron, [np.array([[c.p00, c.p01], [c.p10, c.p11]]) for c in cms]
-        )
-        recovered, _ = invert_distribution(p_true @ forward, readout_inverse(cms))
+        forward_map = functools.reduce(np.kron, readout)
+        recovered, _ = invert_distribution(p_true @ forward_map, readout_inverse(readout))
         assert np.max(np.abs(recovered - p_true)) < 1e-9
 
 

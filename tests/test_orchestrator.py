@@ -408,6 +408,9 @@ class TestDagmanExport:
     def test_submit_stubs_invoke_single_task_mode(self):
         dag = build_dag({"even": 1}, 1, parities=("even",))
         _, submits = export_dagman(dag, cli_args="--config config.frozen.json")
-        sample = next(iter(submits.values()))
-        assert "--single-task" in sample
-        assert "qdrive run" in sample
+        # the global --config precedes the subcommand, or argparse rejects it
+        command = "qdrive --config config.frozen.json run --single-task even_r0_h1"
+        assert f'arguments = "{command}"' in submits["submit/even_r0_h1.sub"]
+        _, submits = export_dagman(dag)
+        command = "qdrive run --single-task even_r0_h1"
+        assert f'arguments = "{command}"' in submits["submit/even_r0_h1.sub"]

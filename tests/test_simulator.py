@@ -209,6 +209,9 @@ class TestNoiseChannels:
             ({"gate_time_1q_us": -0.05}, "gate times"),
             ({"gate_time_2q_us": math.inf}, "gate times"),
             ({"gate_time_2q_us": math.nan}, "gate times"),
+            # a row sum is checked to 1e-9 absolute, not np.allclose's relative 1e-5
+            ({"readout": np.array([[[0.98 + 1e-7, 0.02], [0.03, 0.97]]])}, "sum to 1"),
+            ({"readout": np.array([[[math.nan, 0.02], [0.03, 0.97]]])}, "sum to 1"),
         ],
     )
     def test_bad_times_rejected(self, overrides, match):
@@ -313,7 +316,7 @@ class TestAdjointChannel:
         noise, n = noise_models()[model], circuit.n_qubits
         prep = random_circuit(n, RNG(data.draw(st.integers(0, 2**32 - 1))), depth=6)
         evolved = density_matrix(Circuit(n, prep.gates + circuit.gates), noise)
-        forward = outcome_probabilities(evolved, n, readout=noise)
+        forward = outcome_probabilities(evolved, n, readout=noise.readout)
         povm = effective_povm(circuit, noise)
         assert povm.shape == (2**n, 2**n, 2**n)
         backward = np.einsum("yab,ba->y", povm, density_matrix(prep, noise)).real
@@ -503,7 +506,7 @@ class TestReadoutApplication:
     def test_confusion_mixes_probabilities(self):
         noise = torino_like(1)
         psi = np.array([1.0, 0.0], dtype=complex)
-        probs = outcome_probabilities(psi, 1, readout=noise)
+        probs = outcome_probabilities(psi, 1, readout=noise.readout)
         assert probs[0] == pytest.approx(0.98)
         assert probs[1] == pytest.approx(0.02)
 
@@ -514,7 +517,7 @@ class TestReadoutApplication:
         assert probs[2] == pytest.approx(1.0)
         # readout confusion on qubit 1 only moves weight to |11>
         noise = torino_like(2, readout=np.array([np.eye(2), [[0.9, 0.1], [0.2, 0.8]]]))
-        probs = outcome_probabilities(statevector(circuit), 2, readout=noise)
+        probs = outcome_probabilities(statevector(circuit), 2, readout=noise.readout)
         assert probs == pytest.approx([0.0, 0.0, 0.9, 0.1])
 
     def test_marginalization_selects_qubit(self):
