@@ -393,11 +393,13 @@ def cmd_sweep(doc: dict) -> int:
 
 
 def cmd_export_dag(doc: dict) -> int:
+    """Write the DAGMan description.  Each job runs from the output directory
+    with the frozen config, so that config names the directory absolutely."""
     out = resolve_output_dir(doc)
     plan = build_plan(doc)
     dag = orchestrator.build_dag(plan.n_states, plan.batch_size, plan.parities)
     cli_args = "--config config.frozen.json"
-    _write_json(out / "config.frozen.json", doc)
+    _write_json(out / "config.frozen.json", dict(doc, output_dir=str(out.resolve())))
     text, submits = orchestrator.export_dagman(dag, cli_args=cli_args)
     for rel_path, content in {"batch.dag": text, **submits}.items():
         _write_text(out / rel_path, content)

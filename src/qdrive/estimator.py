@@ -11,14 +11,19 @@ Every estimate goes through one pipeline:
    parameters are kept for every estimate of one objective evaluation, and
    new parameters resume, per scale, from the longest unchanged prefix of
    gates, compared bit for bit (:class:`~qdrive.simulator.Checkpoints`), so
-   a step in one angle evolves only the gates from that angle on;
-2. *measure, sample and mitigate* (:meth:`Estimator._distribution`): the
+   a step in one angle evolves only the gates from that angle on, and forms
+   the superoperator of its own gate alone;
+2. *measure, sample and mitigate* (:meth:`Estimator._sample`): the
    distribution of the q qubits after a measured tail, sampled into a shot
    histogram and, with readout mitigation, taken through one Kronecker
-   inverse of the confusion built per estimator.  The noisy tier reads each
-   probability as Tr(M_y rho) from the effective POVM M of the noisy tail
-   at the same fold scale (:func:`~qdrive.simulator.effective_povm`),
-   cached on the noise model.  The tail is either
+   inverse of the confusion built per estimator.  An estimate draws the
+   histograms it newly needs by one multinomial over their stacked rows:
+   each group its words need, in the order of the first word in term order
+   that needs it, at scales 1, 3, 5 each; or an overlap's scales.  The
+   noisy tier reads each probability as
+   Tr(M_y rho) from the effective POVM M of the noisy tail at the same fold
+   scale (:func:`~qdrive.simulator.effective_povm`), cached on the noise
+   model.  The tail is either
    * a Pauli group's rotation: the words fall into qubit-wise-commuting
      groups (:func:`~qdrive.pauli.qwc_groups`, decided once per channel by
      :func:`~qdrive.pipeline.build_problem`), the tail rotates each qubit
@@ -137,7 +142,7 @@ class Estimator:
         self._heads: tuple[bytes, dict[int, np.ndarray]] | None = None
         # the last parameters' bytes, their groups' distributions per scale
         # and the word values read from them
-        self._reads: tuple[bytes, dict[str, list], dict[str, float]] = (b"", {}, {})
+        self._reads: tuple[bytes, dict[str, np.ndarray], dict[str, float]] = (b"", {}, {})
         # per scale, the gates last evolved and the states on the way
         self._checkpoints: dict[int, Checkpoints] = {}
         # per prior's parameter bytes, its inverted ansatz: an overlap's tail
@@ -228,18 +233,24 @@ class Estimator:
             t = (factor @ t.reshape(4, -1)).T
         return t.real.reshape(-1)
 
-    def _distribution(self, probs: np.ndarray, lam: int, purpose: str, **log) -> np.ndarray:
-        """The outcome distribution of ``probs``: themselves on the
-        statevector tier, otherwise a shot histogram, with the readout
-        confusion inverted when readout mitigation is on."""
+    def _sample(self, rows: list[tuple[np.ndarray, dict]]) -> np.ndarray:
+        """The outcome distributions of a batch of (probabilities, log record)
+        rows, in row order: the probabilities themselves on the statevector
+        tier, otherwise shot histograms drawn by one multinomial over the
+        stack, with the readout confusion inverted row by row when readout
+        mitigation is on."""
+        probs = np.array([p for p, _ in rows])
         if self.tier == "statevector":
             return probs
         probs = np.clip(probs, 0.0, None)
-        dist = sample_shots(probs / probs.sum(), self.shots, self.rng).empirical()
-        self._log(purpose, lam=lam, **log)
+        dists = sample_shots(
+            probs / probs.sum(axis=1, keepdims=True), self.shots, self.rng
+        ).empirical()
+        for _, log in rows:
+            self._log(**log)
         if self._inverse is None:
-            return dist
-        return invert_distribution(dist, self._inverse)[0]
+            return dists
+        return invert_distribution(dists, self._inverse)[0]
 
     def _maybe_extrapolate(self, xs: list[float], mode: str) -> float:
         """Zero-noise estimate from the values at the fold scales."""
@@ -267,27 +278,28 @@ class Estimator:
 
     def _read(self, params, words: list[str]) -> list[float]:
         """<word> on the ansatz state of ``params`` for each word, each read
-        once per parameters: its group's distributions are sampled on the
-        first word that needs them."""
+        once per parameters: the groups the words newly need are sampled in
+        one batch, in the order of the first word that needs each, every
+        group at each fold scale."""
         key = np.asarray(params, dtype=float).tobytes()
         if self._reads[0] != key:
             self._reads = (key, {}, {})
         _, dists, values = self._reads
         missing = [w for w in words if w not in values]
         self._group(missing)
+        new = [b for b in dict.fromkeys(self.groups[w] for w in missing) if b not in dists]
+        if new:
+            states = self._ansatz_states(params)
+            drawn = self._sample([
+                (self._group_probabilities(state, basis, lam),
+                 {"purpose": "pauli-group", "lam": lam, "basis": basis})
+                for basis in new for lam, state in states.items()
+            ])
+            dists.update(zip(new, drawn.reshape(len(new), len(states), -1)))
         for word in missing:
-            basis = self.groups[word]
-            if basis not in dists:
-                dists[basis] = [
-                    self._distribution(
-                        self._group_probabilities(state, basis, lam),
-                        lam, "pauli-group", basis=basis,
-                    )
-                    for lam, state in self._ansatz_states(params).items()
-                ]
             signs = _parity_signs(word)
             values[word] = self._maybe_extrapolate(
-                [float(d @ signs) for d in dists[basis]], mode="expectation"
+                [float(d @ signs) for d in dists[self.groups[word]]], mode="expectation"
             )
         return [values[w] for w in words]
 
@@ -295,21 +307,21 @@ class Estimator:
         """|<psi(b)|psi(a)>|^2 as the all-zeros probability of U(a) U(b)^dag.
 
         U(a) prepares the state and U(b)^dag is the measured tail; folding
-        acts gate by gate, so each part is evolved at the same fold scale.  The
-        states of the last ``params_a`` are kept, so overlaps of one state
-        with several priors prepare it once, and each prior's tail is built
-        once.
+        acts gate by gate, so each part is evolved at the same fold scale, and
+        the scales are sampled in one batch.  The states of the last
+        ``params_a`` are kept, so overlaps of one state with several priors
+        prepare it once, and each prior's tail is built once.
         """
         heads = self._ansatz_states(params_a)
         key = np.asarray(params_b, dtype=float).tobytes()
         tail = self._tails.get(key)
         if tail is None:
             tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
-        xs = []
-        for lam, head in heads.items():
-            dist = self._distribution(self._probabilities(head, tail, lam), lam, "overlap")
-            xs.append(float(dist[0]))
-        return self._maybe_extrapolate(xs, mode="probability")
+        dists = self._sample([
+            (self._probabilities(head, tail, lam), {"purpose": "overlap", "lam": lam})
+            for lam, head in heads.items()
+        ])
+        return self._maybe_extrapolate([float(d[0]) for d in dists], mode="probability")
 
     # -- assembled estimates ---------------------------------------------------
 

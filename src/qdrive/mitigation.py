@@ -71,22 +71,19 @@ def readout_inverse(readout: np.ndarray) -> np.ndarray:
 
 
 def invert_distribution(probs: np.ndarray, inverse: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Confusion inversion of a multi-qubit outcome distribution with the
-    ``inverse`` of :func:`readout_inverse`.
+    """Confusion inversion of a multi-qubit outcome distribution, or of each
+    row of a stack of them, with the ``inverse`` of :func:`readout_inverse`.
 
-    Negative entries from sampling noise are clamped to zero and the
-    distribution renormalized (flagged).
+    Each row is one product ``inverse @ row``: a product with the whole stack
+    can round differently.  Negative entries from sampling noise are clamped
+    to zero and each distribution renormalized (flagged, for any row).
     """
-    flat = inverse @ np.asarray(probs, dtype=float)
+    flat = np.apply_along_axis(lambda row: inverse @ row, -1, np.asarray(probs, dtype=float))
     clamped = bool(np.any(flat < -1e-12))
     flat = np.clip(flat, 0.0, None)
-    total = flat.sum()
-    if total <= 0:
-        flat = np.full_like(flat, 1.0 / flat.size)
-        clamped = True
-    else:
-        flat = flat / total
-    return flat, clamped
+    empty = flat.sum(axis=-1, keepdims=True) <= 0
+    flat = np.where(empty, 1.0, flat)  # a row clamped away entirely becomes uniform
+    return flat / flat.sum(axis=-1, keepdims=True), clamped or bool(np.any(empty))
 
 
 def z_score(x3: float, x5: float, n: int) -> float:

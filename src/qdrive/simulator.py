@@ -24,14 +24,16 @@ At the odd fold scale lam each gate G runs as if folded to
 G (G^dag G)^((lam-1)/2), still in one product, with
 S_lam = S (S' S)^((lam-1)/2) for S' the S of G^dag.  The :class:`NoiseModel`
 caches N per qubit tuple and a fixed gate's S_lam per kind, qubit tuple and
-scale; a rotation's is formed per gate from its angle.
+scale; a rotation's is formed per gate from its angle, and
+:class:`Checkpoints` keep it for as long as the gate stays.
 
 :func:`statevector` and :func:`density_matrix` can keep :class:`Checkpoints`:
-the gates they last evolved and the states on the way.  The next evolution
-then starts after the longest unchanged prefix of its gates, which is most
-of the circuit when an optimizer moves one or two angles at a time.  The
-same kernels run on the same arrays, so the output is bitwise the one of a
-fresh evolution.
+the gates they last evolved, each gate's matrix and the states on the way.
+The next evolution then starts after the longest unchanged prefix of its
+gates, which is most of the circuit when an optimizer moves one or two
+angles at a time, and each later gate left unchanged at its position reuses
+its matrix, so a one-angle step forms one new matrix.  The same kernels run
+on the same arrays, so the output is bitwise the one of a fresh evolution.
 
 Density matrices stay small by design: at most a six-qubit ansatz is ever
 simulated, i.e. a 64 x 64 matrix (32 x 32 under the bundled five-qubit
@@ -111,17 +113,23 @@ def _apply_matrix(t: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.n
 
 @dataclass(eq=False)
 class Checkpoints:
-    """The gates one preparation last evolved from |0..0> and the states on
-    the way, for :func:`statevector` and :func:`density_matrix` to resume the
-    next preparation from the longest unchanged prefix of its gates.
+    """The gates one preparation last evolved from |0..0>, their matrices and
+    the states on the way, for :func:`statevector` and :func:`density_matrix`
+    to resume the next preparation from the longest unchanged prefix of its
+    gates and to reuse the matrix of every later gate left unchanged.
 
-    ``states[k]`` is the state after the first k + 1 gates.  A statevector
+    ``states[k]`` is the state after the first k + 1 gates and
+    ``matrices[k]`` the matrix of gate k: its unitary on a statevector, its
+    superoperator S_lam on a density matrix.  So each holds one entry per
+    gate position, whatever the number of preparations.  A statevector
     checkpoint takes 16 * 2^n bytes, a density one 16 * 4^n bytes (64 KiB at
-    n = 6, the widest ansatz).
+    n = 6, the widest ansatz); a matrix takes 16 * 4^k bytes for a k-qubit
+    gate, or 16 * 16^k for a superoperator.
     """
 
     gates: tuple[Gate, ...] = ()
     states: list[np.ndarray] = field(default_factory=list)
+    matrices: list[np.ndarray] = field(default_factory=list)
     # what the states are of: (qubits, tensor rank, fold scale) and the noise model
     layout: tuple[int, int, int] = (0, 0, 0)
     noise: "NoiseModel | None" = None
@@ -134,34 +142,39 @@ def _same_gate(a: Gate, b: Gate) -> bool:
     )
 
 
-def _evolve(circuit: Circuit, state, step, checkpoints: Checkpoints | None, noise=None, lam=1):
-    """``state`` taken through ``step(state, gate)`` for each gate of the circuit.
+def _evolve(circuit: Circuit, state, matrix, axes, checkpoints: Checkpoints | None,
+            noise=None, lam=1):
+    """``state`` taken through each gate's ``matrix(gate)`` on ``axes(gate)``.
 
     With ``checkpoints`` recorded for the same kind of state, width, fold
     scale and noise model, the evolution starts from the state before the
-    first gate that differs from the recorded ones, and the record is
-    rewritten from there.
+    first gate that differs from the recorded ones, each gate that is the
+    one recorded at its position reuses the recorded matrix, and the record
+    is rewritten from there.
     """
     gates = circuit.gates
     if checkpoints is None:
         for gate in gates:
-            state = step(state, gate)
+            state = _apply_matrix(state, matrix(gate), axes(gate))
         return state
-    kept = 0
     layout = (circuit.n_qubits, state.ndim, lam)
-    if checkpoints.layout == layout and checkpoints.noise is noise:
-        for old, new in zip(checkpoints.gates, gates):
-            if not _same_gate(old, new):
-                break
-            kept += 1
+    same_kind = checkpoints.layout == layout and checkpoints.noise is noise
+    old = checkpoints.gates if same_kind else ()
+    same = [k < len(old) and _same_gate(old[k], gate) for k, gate in enumerate(gates)]
+    kept = (same + [False]).index(False)
+    matrices = [
+        checkpoints.matrices[k] if reuse else matrix(gate)
+        for k, (gate, reuse) in enumerate(zip(gates, same))
+    ]
     states = checkpoints.states
     del states[kept:]
     if kept:
         state = states[-1]
-    for gate in gates[kept:]:
-        state = step(state, gate)
+    for gate, mat in zip(gates[kept:], matrices[kept:]):
+        state = _apply_matrix(state, mat, axes(gate))
         states.append(state)
-    checkpoints.gates, checkpoints.layout, checkpoints.noise = gates, layout, noise
+    checkpoints.gates, checkpoints.matrices = gates, matrices
+    checkpoints.layout, checkpoints.noise = layout, noise
     return state
 
 
@@ -183,10 +196,7 @@ def statevector(
         raise ValueError("checkpoints resume evolutions from |0..0> only")
     else:
         psi = np.asarray(initial).reshape((2,) * circuit.n_qubits)
-    psi = _evolve(
-        circuit, psi, lambda t, gate: _apply_matrix(t, gate_matrix(gate), gate.qubits),
-        checkpoints,
-    )
+    psi = _evolve(circuit, psi, gate_matrix, lambda gate: gate.qubits, checkpoints)
     return _flat(psi, (-1,), checkpoints)
 
 
@@ -511,11 +521,10 @@ def density_matrix(
     rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho[(0,) * (2 * n)] = 1.0
 
-    def step(rho: np.ndarray, gate: Gate) -> np.ndarray:
-        axes = gate.qubits + tuple(n + q for q in gate.qubits)
-        return _apply_matrix(rho, _gate_superop(gate, noise, lam), axes)
-
-    rho = _evolve(circuit, rho, step, checkpoints, noise, lam)
+    rho = _evolve(
+        circuit, rho, lambda gate: _gate_superop(gate, noise, lam),
+        lambda gate: gate.qubits + tuple(n + q for q in gate.qubits), checkpoints, noise, lam,
+    )
     return _flat(rho, (2**n, 2**n), checkpoints)
 
 
@@ -563,14 +572,15 @@ def effective_povm(circuit: Circuit, noise: NoiseModel | None, lam: int = 1) -> 
 
 @dataclass
 class Measurement:
-    """Shot histogram over big-endian outcomes of the measured qubits."""
+    """Shot histogram over big-endian outcomes of the measured qubits, or a
+    stack of them, one per row, each of ``shots`` shots."""
 
     shots: int
     counts: np.ndarray
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if int(self.counts.sum()) != self.shots:
+        if np.any(self.counts.sum(axis=-1) != self.shots):
             raise ValueError("histogram total must equal the shot count")
 
     def empirical(self) -> np.ndarray:
@@ -599,14 +609,20 @@ def outcome_probabilities(
 
 
 def sample_shots(probabilities: np.ndarray, n: int, rng) -> Measurement:
-    """Multinomial draw of n shots; reproducible for a fixed generator state."""
+    """Multinomial draw of n shots from a distribution, or from each row of a
+    stack of them; reproducible for a fixed generator state.
+
+    A stack is drawn by one ``rng.multinomial``, row after row, so its counts
+    and the generator's state after it are those of one draw per row in order.
+    """
     probabilities = np.asarray(probabilities, dtype=float)
     if np.any(probabilities < -1e-12):
         raise ValueError("negative probabilities")
     probabilities = np.clip(probabilities, 0.0, None)
-    total = probabilities.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total:.12f}, expected 1")
+    total = probabilities.sum(axis=-1, keepdims=True)
+    off = total[np.abs(total - 1.0) > 1e-9]
+    if off.size:
+        raise ValueError(f"probabilities sum to {off[0]:.12f}, expected 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     counts = rng.multinomial(n, probabilities / total)

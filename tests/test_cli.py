@@ -21,6 +21,7 @@ from qdrive.cli import (
 )
 from qdrive.config import (
     DEFAULTS,
+    OUTPUT_ROOT_ENV,
     ConfigError,
     build_plan,
     bundled_profile_path,
@@ -383,6 +384,44 @@ class TestExportDag:
         replayed = tree(tmp_path / "htc" / "runs")
         assert len(replayed) == 18
         assert replayed == tree(tmp_path / "run" / "runs")
+
+    def test_default_output_dir_replays_as_run(self, tmp_path, monkeypatch):
+        # the default output_dir `out` is relative: export-dag and run resolve
+        # it against their working directories, and each job, one fresh
+        # interpreter as DAGMan starts it, runs from the export directory
+        monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
+        _, overrides, _ = CASES["shots"]
+        doc = json.loads(json.dumps({**_TINY, **overrides}))
+        doc.update(n_states={"even": 1, "odd": 1},
+                   optimizer={"hermitian_f_max": 16, "nonhermitian_f_max": 8})
+        assert "output_dir" not in doc
+        config = write_config(tmp_path, doc)
+        for cwd, command in (("htc", "export-dag"), ("run", "run")):
+            (tmp_path / cwd).mkdir()
+            monkeypatch.chdir(tmp_path / cwd)
+            main(["--config", config, command])
+        export = tmp_path / "htc" / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ))
+        dag_text = (export / "batch.dag").read_text()
+        jobs = [line.split()[1] for line in dag_text.splitlines() if line.startswith("JOB")]
+        assert len(jobs) == 8
+        for job in jobs:
+            subprocess.run(
+                [sys.executable, "-m", "qdrive.cli", *submitted_argv(export, job)],
+                cwd=export, env=env, check=True, capture_output=True,
+            )
+
+        def tree(root):
+            return {
+                p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()
+            }
+
+        replayed = tree(export / "runs")
+        assert len(replayed) == 8
+        assert replayed == tree(tmp_path / "run" / "out" / "runs")
+        assert not (export / "out").exists()
 
 
 @pytest.fixture(scope="module")

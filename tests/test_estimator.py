@@ -16,7 +16,7 @@ from qdrive.estimator import TIERS, ZNE_SCALES, Estimator, measurement_rotation
 from qdrive.mitigation import fold_circuit
 from qdrive.optimize import pseudovariance_objective, vqd_objective
 from qdrive.model import Grid, PotentialModel
-from qdrive.pauli import PauliSum, decompose
+from qdrive.pauli import PauliSum, decompose, qwc_groups
 from qdrive.pipeline import build_problem
 from qdrive.simulator import (
     NoiseModel,
@@ -442,6 +442,112 @@ class TestPauliGroups:
         assert est.circuits_run == 3
 
 
+class PerHistogram(Estimator):
+    """The reference for the batched draws: the estimator as it sampled one
+    histogram per call, in the order the estimates needed them.  Its
+    ``_distribution`` spells out ``sample_shots`` and ``invert_distribution``
+    as they were for one distribution."""
+
+    def _distribution(self, probs, lam, purpose, **log):
+        if self.tier == "statevector":
+            return probs
+        probs = np.clip(probs, 0.0, None)
+        probs = np.clip(probs / probs.sum(), 0.0, None)  # then sample_shots's own
+        dist = self.rng.multinomial(self.shots, probs / probs.sum()) / self.shots
+        self._log(purpose, lam=lam, **log)
+        if self._inverse is None:
+            return dist
+        flat = np.clip(self._inverse @ dist, 0.0, None)
+        total = flat.sum()
+        return np.full_like(flat, 1.0 / flat.size) if total <= 0 else flat / total
+
+    def _read(self, params, words):
+        key = np.asarray(params, dtype=float).tobytes()
+        if self._reads[0] != key:
+            self._reads = (key, {}, {})
+        _, dists, values = self._reads
+        missing = [w for w in words if w not in values]
+        self._group(missing)
+        for word in missing:
+            basis = self.groups[word]
+            if basis not in dists:
+                dists[basis] = [
+                    self._distribution(
+                        self._group_probabilities(state, basis, lam),
+                        lam, "pauli-group", basis=basis,
+                    )
+                    for lam, state in self._ansatz_states(params).items()
+                ]
+            signs = estimator_module._parity_signs(word)
+            values[word] = self._maybe_extrapolate(
+                [float(d @ signs) for d in dists[basis]], mode="expectation"
+            )
+        return [values[w] for w in words]
+
+    def overlap_lowdepth(self, params_a, params_b):
+        heads = self._ansatz_states(params_a)
+        key = np.asarray(params_b, dtype=float).tobytes()
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
+        xs = [
+            float(self._distribution(self._probabilities(head, tail, lam), lam, "overlap")[0])
+            for lam, head in heads.items()
+        ]
+        return self._maybe_extrapolate(xs, mode="probability")
+
+
+def words_on(q: int):
+    letters = st.text("IXYZ", min_size=q, max_size=q).filter(lambda w: w != "I" * q)
+    return st.lists(letters, min_size=1, max_size=8, unique=True)
+
+
+class TestBatchedSampling:
+    """One evaluation's histograms, drawn in one batch, are bitwise the ones
+    drawn one at a time: the same rows in the same order from the same
+    generator, each clipped, normalized and inverted as it was."""
+
+    NOISE = torino_like(4, readout=np.array([[[0.97, 0.03], [0.06, 0.94]]] * 4))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(),
+        tier=st.sampled_from(["shots", "noisy"]),
+        readout=st.booleans(),
+        zne=st.booleans(),
+        q=st.integers(1, 3),
+    )
+    def test_batched_draws_equal_one_draw_per_histogram(self, data, tier, readout, zne, q):
+        words = data.draw(words_on(q), label="words")
+        # the groups open in one order and the terms reach them in another
+        grouped = data.draw(st.permutations(words), label="group order")
+        first, second = (
+            PauliSum(q, {w: 1.0 + 0.25 * k for k, w in enumerate(order)})
+            for order in (words, data.draw(st.permutations(words), label="term order"))
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        runs = []
+        for cls in (Estimator, PerHistogram):
+            telemetry = []
+            est = cls(q=q, tier=tier, noise=self.NOISE, shots=997, seed=seed,
+                      mitigate_readout=readout, mitigate_zne=zne, telemetry=telemetry,
+                      groups=qwc_groups(grouped))
+            rng = RNG(seed)
+            x, prior = rng.uniform(-np.pi, np.pi, (2, ansatz_parameter_count(q)))
+            values = []
+            for step in range(3):
+                x[step] += 0.5  # an optimizer's coordinate step
+                values += [est.expectation(first, x), est.expectation(second, x),
+                           est.overlap_lowdepth(x, prior), est.overlap_lowdepth(x, x)]
+            # the batch logs its histograms before the extrapolations that read them
+            records = [
+                [r for r in telemetry if r["purpose"] == "zne"],
+                [r for r in telemetry if r["purpose"] != "zne"],
+            ]
+            runs.append((values, est.circuits_run, records, est.rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+
 class TestTierConsistency:
     """Noiseless noisy tier, mitigation off, against the statevector tier."""
 
@@ -606,3 +712,54 @@ class TestResumedPreparation:
         params[-3] = -0.0 if params[-3] == 0.0 else 0.0  # the third-last gate
         est._prepare(build_ansatz(params, 2), lam)
         assert len(applied) == 3
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        data=st.data(),
+        lam=st.sampled_from(ZNE_SCALES),
+        q=st.integers(1, 3),
+        steps=st.integers(1, 12),
+    )
+    def test_reused_superoperators_give_the_fresh_state(self, data, lam, q, steps):
+        # one-angle steps, as an optimizer takes them: each builds S_lam for
+        # the gate it changes only, and reuses every other gate's
+        params = RNG(q).uniform(-np.pi, np.pi, ansatz_parameter_count(q))
+        est = Estimator(q=q, tier="noisy", noise=self.NOISE)
+        circuit = build_ansatz(params, q)
+        est._prepare(circuit, lam)
+        built = []
+        real = simulator._gate_superop
+
+        def counted(gate, *args):
+            built.append(gate)
+            return real(gate, *args)
+
+        for _ in range(steps):
+            k = data.draw(st.integers(0, len(params) - 1), label="angle")
+            params[k] = data.draw(ANGLES | st.sampled_from(list(params)), label="value")
+            last, circuit = circuit, build_ansatz(params, q)
+            built.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulator, "_gate_superop", counted)
+                got = est._prepare(circuit, lam)
+            assert np.array_equal(got, density_matrix(circuit, self.NOISE, lam=lam))
+            assert got.tobytes() == density_matrix(circuit, self.NOISE, lam=lam).tobytes()
+            changed = [
+                new for old, new in zip(last.gates, circuit.gates)
+                if not simulator._same_gate(old, new)
+            ]
+            assert len(changed) <= 1
+            # above scale 1, S_lam is formed from the S of the gate and of its inverse
+            pairs = [(gate,) if lam == 1 else (gate, gate.inverse()) for gate in changed]
+            assert built == [g for pair in pairs for g in pair]
+
+    def test_the_reused_superoperators_stay_one_per_gate(self):
+        est = Estimator(q=2, tier="noisy", noise=self.NOISE)
+        rng = RNG(61)
+        params = rng.uniform(-np.pi, np.pi, 16)
+        for _ in range(2000):
+            params[rng.integers(16)] = rng.uniform(-np.pi, np.pi)
+            est._ansatz_states(params)
+        n_gates = len(build_ansatz(params, 2).gates)
+        for checkpoints in est._checkpoints.values():
+            assert len(checkpoints.matrices) == n_gates

@@ -107,6 +107,19 @@ class TestInvertDistribution:
         assert np.allclose(out, p)
         assert not clamped
 
+    def test_a_stack_inverts_row_by_row(self):
+        rng = np.random.default_rng(1)
+        inverse = readout_inverse(np.array([rows(0.9, 0.1, 0.3, 0.7)] * 2))
+        stack = rng.dirichlet(np.full(4, 0.3), size=6)
+        stack[2] = [0.0, 0.0, 0.0, 1.0]  # clamped: its inverse has negative entries
+        out, clamped = invert_distribution(stack, inverse)
+        singles = [invert_distribution(row, inverse) for row in stack]
+        assert out.tobytes() == np.array([dist for dist, _ in singles]).tobytes()
+        assert clamped and singles[2][1]
+        # a row that clamps to nothing becomes uniform, on its own
+        out, clamped = invert_distribution(stack[:2], -np.eye(4))
+        assert clamped and np.array_equal(out, np.full((2, 4), 0.25))
+
 
 # well-conditioned single-qubit confusion: P(read correctly) in [0.6, 1]
 _fidelity = st.floats(0.6, 1.0)
