@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import multiprocessing
 import sys
 from importlib import resources
 from pathlib import Path
@@ -154,11 +153,13 @@ def validate_config(doc: dict) -> None:
         factors = doc["sweep"][key]
         if len({_longevity(v) for v in factors}) < len(factors):
             raise ConfigError(f"config key 'sweep.{key}' must hold distinct values, got {factors}")
-    if doc["workers"] > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ConfigError(
-            "config key 'workers' must be 1 here: more workers run in forked "
-            "processes, and this platform cannot fork"
-        )
+    if doc["workers"] > 1:
+        import multiprocessing  # only a run that forks loads it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError(
+                "config key 'workers' must be 1 here: more workers run in forked "
+                "processes, and this platform cannot fork"
+            )
     if doc["q"] > 6:
         raise ConfigError(
             f"config key 'q' = {doc['q']} is above 6: the exact-diagonalization "

@@ -4,15 +4,16 @@ An :class:`Estimator` bundles the tier, shot budget, RNG stream, noise model,
 mitigation switches and the measurement groups of the words it reads.
 Every estimate goes through one pipeline:
 
-1. *prepare* (:meth:`Estimator._prepare`): the ansatz state, a statevector
-   on the exact and shot tiers or, on the noisy tier, the density matrix of
-   the ansatz at a ZNE fold scale, each gate one superoperator of that
-   scale (:func:`~qdrive.simulator.density_matrix`).  The states of the last
+1. *prepare* (:meth:`Estimator._prepare`): the ansatz states as a stack,
+   one statevector on the exact and shot tiers or, on the noisy tier, the
+   density matrix at each ZNE fold scale, evolved together, each gate one
+   product with its stack of superoperators
+   (:func:`~qdrive.simulator.density_matrix`).  The states of the last
    parameters are kept for every estimate of one objective evaluation, and
-   new parameters resume, per scale, from the longest unchanged prefix of
-   gates, compared bit for bit (:class:`~qdrive.simulator.Checkpoints`), so
-   a step in one angle evolves only the gates from that angle on, and forms
-   the superoperator of its own gate alone;
+   new parameters resume from the longest unchanged prefix of gates,
+   compared bit for bit (:class:`~qdrive.simulator.Checkpoints`), so a step
+   in one angle evolves only the gates from that angle on, and forms the
+   superoperators of its own gate alone;
 2. *measure, sample and mitigate* (:meth:`Estimator._sample`): the
    distribution of the q qubits after a measured tail, sampled into a shot
    histogram and, with readout mitigation, taken through one Kronecker
@@ -23,7 +24,7 @@ Every estimate goes through one pipeline:
    noisy tier reads each probability as
    Tr(M_y rho) from the effective POVM M of the noisy tail at the same fold
    scale (:func:`~qdrive.simulator.effective_povm`), cached on the noise
-   model.  The tail is either
+   model, all the rows of a draw in one contraction.  The tail is either
    * a Pauli group's rotation: the words fall into qubit-wise-commuting
      groups (:func:`~qdrive.pauli.qwc_groups`, decided once per channel by
      :func:`~qdrive.pipeline.build_problem`), the tail rotates each qubit
@@ -138,13 +139,13 @@ class Estimator:
         self.telemetry = telemetry
         self.circuits_run = 0
         self.groups = dict(groups or {})
-        # the last parameters' bytes and their states per scale
-        self._heads: tuple[bytes, dict[int, np.ndarray]] | None = None
+        # the last parameters' bytes and their states, one per scale
+        self._heads: tuple[bytes, np.ndarray] | None = None
         # the last parameters' bytes, their groups' distributions per scale
         # and the word values read from them
         self._reads: tuple[bytes, dict[str, np.ndarray], dict[str, float]] = (b"", {}, {})
-        # per scale, the gates last evolved and the states on the way
-        self._checkpoints: dict[int, Checkpoints] = {}
+        # the gates last evolved and the stacked states on the way
+        self._checkpoints = Checkpoints()
         # per prior's parameter bytes, its inverted ansatz: an overlap's tail
         self._tails: dict[bytes, Circuit] = {}
 
@@ -198,14 +199,13 @@ class Estimator:
 
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
-    def _prepare(self, circuit: Circuit, lam: int = 1) -> np.ndarray:
-        """The circuit's output state on this tier, at fold scale lam if
-        noisy; read-only.  It resumes from the longest prefix of gates that
-        the last preparation at the same scale shares."""
-        checkpoints = self._checkpoints.setdefault(lam, Checkpoints())
+    def _prepare(self, circuit: Circuit) -> np.ndarray:
+        """The circuit's output states on this tier, one per fold scale, as a
+        read-only stack.  It resumes from the longest prefix of gates that
+        the last preparation shares."""
         if self.tier == "noisy":
-            return density_matrix(circuit, self.noise, checkpoints, lam)
-        return statevector(circuit, checkpoints=checkpoints)
+            return density_matrix(circuit, self.noise, self._checkpoints, self._scales())
+        return statevector(circuit, checkpoints=self._checkpoints)[None]
 
     def _probabilities(self, state: np.ndarray, tail: Circuit, lam: int) -> np.ndarray:
         """Outcome probabilities of the q qubits after ``tail`` acts on the
@@ -216,37 +216,48 @@ class Estimator:
         povm = self.noise.povm((tail, lam), lambda: effective_povm(tail, self.noise, lam))
         return np.einsum("yab,ba->y", povm, state).real
 
-    def _group_probabilities(self, state: np.ndarray, basis: str, lam: int) -> np.ndarray:
-        """Outcome probabilities after the group's rotation; on the noisy
-        tier each qubit's POVM M^k[y, c, r] for its letter, read as a 2 x 4
-        matrix on the qubit's (row, column) pair, is applied in turn."""
-        if self.tier != "noisy":
-            return self._probabilities(state, measurement_rotation(basis), lam)
-        pairs = [i for k in range(self.q) for i in (k, self.q + k)]
-        t = state.reshape((2,) * (2 * self.q)).transpose(pairs)
-        for k, letter in enumerate(basis):
-            tail = measurement_rotation(letter)
-            factor = self.noise.povm((k, tail, lam), lambda: effective_povm(
+    def _factors(self, basis: str, lam: int) -> np.ndarray:
+        """Per qubit, its letter's POVM M^k[y, c, r] at fold scale lam, read as
+        a 2 x 4 matrix on the qubit's (row, column) pair: shape (q, 2, 4)."""
+        return self.noise.povm((basis, lam), lambda: np.array([
+            self.noise.povm((k, tail, lam), lambda: effective_povm(
                 tail, self.noise.restricted((k,)), lam
             ).transpose(0, 2, 1).reshape(2, 4))
-            # contract the leading pair; the outcome axis goes last
-            t = (factor @ t.reshape(4, -1)).T
-        return t.real.reshape(-1)
+            for k, tail in enumerate(map(measurement_rotation, basis))
+        ]))
 
-    def _sample(self, rows: list[tuple[np.ndarray, dict]]) -> np.ndarray:
-        """The outcome distributions of a batch of (probabilities, log record)
-        rows, in row order: the probabilities themselves on the statevector
-        tier, otherwise shot histograms drawn by one multinomial over the
-        stack, with the readout confusion inverted row by row when readout
-        mitigation is on."""
-        probs = np.array([p for p, _ in rows])
+    def _group_reads(self, states: np.ndarray, bases: list[str]) -> np.ndarray:
+        """Outcome probabilities after each group's rotation, one row per basis
+        and fold scale, in that order; on the noisy tier each qubit's factors
+        of all the rows are applied to their states by one ``np.matmul``."""
+        scales = self._scales()
+        if self.tier != "noisy":
+            return np.array([
+                self._probabilities(state, measurement_rotation(basis), lam)
+                for basis in bases for lam, state in zip(scales, states)
+            ])
+        q = self.q
+        pairs = [0, 1] + [2 + i for k in range(q) for i in (k, q + k)]
+        t = states.reshape((1, len(scales)) + (2,) * (2 * q)).transpose(pairs)
+        factors = np.array([[self._factors(basis, lam) for lam in scales] for basis in bases])
+        for k in range(q):
+            # contract the leading pair; the outcome axis goes last
+            t = np.matmul(factors[:, :, k], t.reshape(t.shape[:2] + (4, -1))).swapaxes(-1, -2)
+        return t.real.reshape(-1, 2**q)
+
+    def _sample(self, probs: np.ndarray, logs: list[dict]) -> np.ndarray:
+        """The outcome distributions of a stack of probability rows, logged
+        with ``logs``, in row order: the probabilities themselves on the
+        statevector tier, otherwise shot histograms drawn by one multinomial
+        over the stack, with the readout confusion inverted row by row when
+        readout mitigation is on."""
         if self.tier == "statevector":
             return probs
         probs = np.clip(probs, 0.0, None)
         dists = sample_shots(
             probs / probs.sum(axis=1, keepdims=True), self.shots, self.rng
         ).empirical()
-        for _, log in rows:
+        for log in logs:
             self._log(**log)
         if self._inverse is None:
             return dists
@@ -266,21 +277,19 @@ class Estimator:
 
     # -- primitives -----------------------------------------------------------
 
-    def _ansatz_states(self, params) -> dict[int, np.ndarray]:
-        """Per fold scale, the read-only ansatz state of ``params``, kept for
-        the last parameters and shared by every estimate."""
+    def _ansatz_states(self, params) -> np.ndarray:
+        """The read-only ansatz states of ``params``, one per fold scale,
+        kept for the last parameters and shared by every estimate."""
         key = np.asarray(params, dtype=float).tobytes()
         if self._heads is None or self._heads[0] != key:
-            circuit = build_ansatz(params, self.q)
-            states = {lam: self._prepare(circuit, lam) for lam in self._scales()}
-            self._heads = (key, states)
+            self._heads = (key, self._prepare(build_ansatz(params, self.q)))
         return self._heads[1]
 
     def _read(self, params, words: list[str]) -> list[float]:
         """<word> on the ansatz state of ``params`` for each word, each read
-        once per parameters: the groups the words newly need are sampled in
-        one batch, in the order of the first word that needs each, every
-        group at each fold scale."""
+        once per parameters: the groups the words newly need are read and
+        sampled in one batch, in the order of the first word that needs
+        each, every group at each fold scale."""
         key = np.asarray(params, dtype=float).tobytes()
         if self._reads[0] != key:
             self._reads = (key, {}, {})
@@ -289,13 +298,12 @@ class Estimator:
         self._group(missing)
         new = [b for b in dict.fromkeys(self.groups[w] for w in missing) if b not in dists]
         if new:
-            states = self._ansatz_states(params)
-            drawn = self._sample([
-                (self._group_probabilities(state, basis, lam),
-                 {"purpose": "pauli-group", "lam": lam, "basis": basis})
-                for basis in new for lam, state in states.items()
-            ])
-            dists.update(zip(new, drawn.reshape(len(new), len(states), -1)))
+            drawn = self._sample(
+                self._group_reads(self._ansatz_states(params), new),
+                [{"purpose": "pauli-group", "lam": lam, "basis": basis}
+                 for basis in new for lam in self._scales()],
+            )
+            dists.update(zip(new, drawn.reshape(len(new), -1, drawn.shape[-1])))
         for word in missing:
             signs = _parity_signs(word)
             values[word] = self._maybe_extrapolate(
@@ -317,10 +325,10 @@ class Estimator:
         tail = self._tails.get(key)
         if tail is None:
             tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
-        dists = self._sample([
-            (self._probabilities(head, tail, lam), {"purpose": "overlap", "lam": lam})
-            for lam, head in heads.items()
-        ])
+        dists = self._sample(
+            np.array([self._probabilities(h, tail, lam) for lam, h in zip(self._scales(), heads)]),
+            [{"purpose": "overlap", "lam": lam} for lam in self._scales()],
+        )
         return self._maybe_extrapolate([float(d[0]) for d in dists], mode="probability")
 
     # -- assembled estimates ---------------------------------------------------
@@ -334,7 +342,7 @@ class Estimator:
         identity = observable.identity_word
         acc = complex(observable.terms.get(identity, 0.0))
         if self.tier == "statevector":
-            psi = self._ansatz_states(params)[1]
+            psi = self._ansatz_states(params)[0]
             traceless = observable.to_dense() - acc * np.eye(2**self.q)
             return acc + np.vdot(psi, traceless @ psi)
         words = [w for w in observable.terms if w != identity]

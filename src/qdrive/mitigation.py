@@ -78,7 +78,7 @@ def invert_distribution(probs: np.ndarray, inverse: np.ndarray) -> tuple[np.ndar
     can round differently.  Negative entries from sampling noise are clamped
     to zero and each distribution renormalized (flagged, for any row).
     """
-    flat = np.apply_along_axis(lambda row: inverse @ row, -1, np.asarray(probs, dtype=float))
+    flat = np.array([inverse @ row for row in np.atleast_2d(probs)]).reshape(np.shape(probs))
     clamped = bool(np.any(flat < -1e-12))
     flat = np.clip(flat, 0.0, None)
     empty = flat.sum(axis=-1, keepdims=True) <= 0

@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait
 
 KIND_RANK = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3}
 
@@ -226,28 +224,29 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     return trace
 
 
-def _run_node(dag: TaskDag, node_id: str, degraded: list[str]) -> dict:
-    """Run one node's payload in this process; returns its trace event."""
+def _run_node(dag: TaskDag, node_id: str, degraded: list[str], worker="MainProcess") -> dict:
+    """Run one node's payload in this process, ``worker``; returns its trace event."""
     node = dag.nodes[node_id]
     begin = time.monotonic()
     status, error = _run_payload(node, degraded)
     return {
         "node": node_id, "status": status, "error": error,
         "start": begin, "finish": time.monotonic(),
-        "worker": multiprocessing.current_process().name, "degraded_inputs": degraded,
+        "worker": worker, "degraded_inputs": degraded,
     }
 
 
-def _serve(dag: TaskDag, conn: Connection) -> None:
-    """Worker loop: run each (node id, degraded inputs) received until None."""
+def _serve(dag: TaskDag, conn) -> None:
+    """Worker loop: run each (node id, degraded inputs, name) received until None."""
     for request in iter(conn.recv, None):
         conn.send(_run_node(dag, *request))
 
 
-def _fork_worker(dag: TaskDag) -> tuple[Connection, multiprocessing.Process]:
+def _fork_worker(dag: TaskDag) -> tuple:
     """Fork a worker that inherits ``dag``; returns this end of its pipe and
     the process.  Only the worker keeps the other end, so its death reads as
     EOF here."""
+    import multiprocessing  # only a run that forks loads it
     conn, child_end = multiprocessing.Pipe()
     proc = multiprocessing.get_context("fork").Process(target=_serve, args=(dag, child_end))
     proc.start()
@@ -255,7 +254,7 @@ def _fork_worker(dag: TaskDag) -> tuple[Connection, multiprocessing.Process]:
     return conn, proc
 
 
-def _stop(conn: Connection, proc: multiprocessing.Process) -> None:
+def _stop(conn, proc) -> None:
     """Tell a worker to stop, wait for it to exit and close its pipe."""
     with contextlib.suppress(ConnectionError):  # it may have died already
         conn.send(None)
@@ -268,10 +267,10 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
     execution trace with monotonic-clock start/finish times.
 
     More than one worker forks ``min(workers, len(dag.nodes))`` workers
-    once.  Each gets a node id and its degraded inputs down its pipe, runs
-    the payload and sends back the trace event, whose ``worker`` is its
-    process name; this process waits on the pipes of the busy workers.  One
-    worker, or a DAG of one node, runs the payloads inline.
+    once.  Each gets a node id, its degraded inputs and its own process name
+    down its pipe, runs the payload and sends back the trace event; this
+    process waits on the pipes of the busy workers.  One worker, or a DAG of
+    one node, runs the payloads inline and loads no ``multiprocessing``.
 
     A worker that dies (a crash, ``os._exit``, the OOM killer) reads as EOF
     on its pipe.  Only its node fails, with an error that names the worker,
@@ -288,8 +287,9 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
             lambda: [events.pop()], time.monotonic,
         )
 
-    procs: dict[Connection, multiprocessing.Process] = {}
-    idle: list[Connection] = []
+    from multiprocessing.connection import wait
+    procs: dict = {}  # connection -> its worker process
+    idle: list = []
     busy: dict = {}  # connection -> (node id, degraded inputs, start time)
 
     def fork() -> None:
@@ -300,7 +300,7 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
     def start(node: TaskNode, degraded: list[str]) -> None:
         conn = idle.pop()
         with contextlib.suppress(ConnectionError):  # died idle: finished() reads EOF
-            conn.send((node.id, degraded))
+            conn.send((node.id, degraded, procs[conn].name))
         busy[conn] = (node.id, degraded, time.monotonic())
 
     def finished() -> list[dict]:

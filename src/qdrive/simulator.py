@@ -22,18 +22,18 @@ composed with pure dephasing such that the total off-diagonal decay over the
 gate duration is exp(-t/T2)), then local depolarizing on the same qubits.
 At the odd fold scale lam each gate G runs as if folded to
 G (G^dag G)^((lam-1)/2), still in one product, with
-S_lam = S (S' S)^((lam-1)/2) for S' the S of G^dag.  The :class:`NoiseModel`
-caches N per qubit tuple and a fixed gate's S_lam per kind, qubit tuple and
-scale; a rotation's is formed per gate from its angle, and
-:class:`Checkpoints` keep it for as long as the gate stays.
+S_lam = S (S' S)^((lam-1)/2) for S' the S of G^dag.  :func:`density_matrix`
+evolves several fold scales as one stack of states, each gate one product
+with its stack of S_lam.  The :class:`NoiseModel` caches N per qubit tuple
+and a fixed gate's stack per kind, qubit tuple and scales.
 
 :func:`statevector` and :func:`density_matrix` can keep :class:`Checkpoints`:
 the gates they last evolved, each gate's matrix and the states on the way.
 The next evolution then starts after the longest unchanged prefix of its
 gates, which is most of the circuit when an optimizer moves one or two
 angles at a time, and each later gate left unchanged at its position reuses
-its matrix, so a one-angle step forms one new matrix.  The same kernels run
-on the same arrays, so the output is bitwise the one of a fresh evolution.
+its matrix, so a one-angle step forms one new matrix (or stack).  The same
+kernels run on the same arrays, so the output is bitwise a fresh evolution's.
 
 Density matrices stay small by design: at most a six-qubit ansatz is ever
 simulated, i.e. a 64 x 64 matrix (32 x 32 under the bundled five-qubit
@@ -87,28 +87,31 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _contraction(ndim: int, axes: tuple[int, ...]) -> tuple[tuple, tuple]:
+def _contraction(ndim: int, axes: tuple[int, ...], lead: int) -> tuple[tuple, tuple]:
     """Permutations (front, back) around a matrix acting on ``axes``.
 
-    ``front`` brings ``axes`` to the front, in their order, and keeps the
-    other axes in theirs; ``back`` is its inverse.
+    ``front`` keeps the ``lead`` leading axes first, then brings ``axes``
+    (counted after them) in their order, and keeps the other axes in theirs;
+    ``back`` is its inverse.
     """
+    axes = tuple(range(lead)) + tuple(a + lead for a in axes)
     front = axes + tuple(i for i in range(ndim) if i not in axes)
     back = tuple(sorted(range(ndim), key=front.__getitem__))
     return front, back
 
 
 def _apply_matrix(t: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """``mat`` (2^k x 2^k, big-endian over ``axes``) applied to the k axes of t.
+    """``mat`` (2^k x 2^k, big-endian over ``axes``) applied to the k axes of t,
+    or a stack of S such matrices, the s-th to ``t[s]`` (``axes`` then count
+    from t's second axis).
 
-    Every axis of t has size 2 except possibly a trailing stack axis, which
-    is carried along.  This is one matrix product on the permuted tensor,
-    the product ``np.tensordot`` forms, so the result is bitwise the one of
-    ``tensordot`` followed by ``moveaxis``.
+    Every other axis of t has size 2 except possibly a trailing stack axis,
+    which is carried along.  This is one product on the permuted tensor (one
+    ``np.matmul`` for a stack), bitwise ``np.tensordot``'s, then ``moveaxis``.
     """
-    front, back = _contraction(t.ndim, axes)
-    flat = t.transpose(front).reshape(mat.shape[0], -1)
-    return np.dot(mat, flat).reshape(t.shape).transpose(back)
+    front, back = _contraction(t.ndim, axes, mat.ndim - 2)
+    flat = t.transpose(front).reshape(mat.shape[:-1] + (-1,))
+    return (np.matmul if mat.ndim > 2 else np.dot)(mat, flat).reshape(t.shape).transpose(back)
 
 
 @dataclass(eq=False)
@@ -120,18 +123,18 @@ class Checkpoints:
 
     ``states[k]`` is the state after the first k + 1 gates and
     ``matrices[k]`` the matrix of gate k: its unitary on a statevector, its
-    superoperator S_lam on a density matrix.  So each holds one entry per
-    gate position, whatever the number of preparations.  A statevector
-    checkpoint takes 16 * 2^n bytes, a density one 16 * 4^n bytes (64 KiB at
-    n = 6, the widest ansatz); a matrix takes 16 * 4^k bytes for a k-qubit
-    gate, or 16 * 16^k for a superoperator.
+    stack of S_lam at the layout's fold scales on stacked density matrices.
+    So each holds one entry per gate position, whatever the number of
+    preparations.  A statevector checkpoint takes 16 * 2^n bytes, a density
+    one 16 * 4^n bytes per scale (64 KiB at n = 6); a matrix 16 * 4^k bytes
+    for a k-qubit gate, or 16 * 16^k per scale for a superoperator.
     """
 
     gates: tuple[Gate, ...] = ()
     states: list[np.ndarray] = field(default_factory=list)
     matrices: list[np.ndarray] = field(default_factory=list)
-    # what the states are of: (qubits, tensor rank, fold scale) and the noise model
-    layout: tuple[int, int, int] = (0, 0, 0)
+    # what the states are of: (qubits, tensor rank, fold scales) and the noise model
+    layout: tuple[int, int, tuple[int, ...]] = (0, 0, ())
     noise: "NoiseModel | None" = None
 
 
@@ -143,11 +146,11 @@ def _same_gate(a: Gate, b: Gate) -> bool:
 
 
 def _evolve(circuit: Circuit, state, matrix, axes, checkpoints: Checkpoints | None,
-            noise=None, lam=1):
+            noise=None, scales=(1,)):
     """``state`` taken through each gate's ``matrix(gate)`` on ``axes(gate)``.
 
     With ``checkpoints`` recorded for the same kind of state, width, fold
-    scale and noise model, the evolution starts from the state before the
+    scales and noise model, the evolution starts from the state before the
     first gate that differs from the recorded ones, each gate that is the
     one recorded at its position reuses the recorded matrix, and the record
     is rewritten from there.
@@ -157,7 +160,7 @@ def _evolve(circuit: Circuit, state, matrix, axes, checkpoints: Checkpoints | No
         for gate in gates:
             state = _apply_matrix(state, matrix(gate), axes(gate))
         return state
-    layout = (circuit.n_qubits, state.ndim, lam)
+    layout = (circuit.n_qubits, state.ndim, scales)
     same_kind = checkpoints.layout == layout and checkpoints.noise is noise
     old = checkpoints.gates if same_kind else ()
     same = [k < len(old) and _same_gate(old[k], gate) for k, gate in enumerate(gates)]
@@ -270,7 +273,7 @@ class NoiseModel:
     p2: float
     readout: np.ndarray  # (n, 2, 2)
     name: str = "custom"
-    # N per qubit tuple, a fixed gate's S_lam per (kind, qubits, lam); effective POVMs.
+    # N per qubit tuple, a fixed gate's S_lam stack per (kind, qubits, scales); POVMs.
     # Not init fields, so every new model (scale_noise's too) starts empty.
     _superop_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _povm_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -475,28 +478,33 @@ def apply_gate_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
     return _depolarize(rho, gate.qubits, noise.p2, n)
 
 
-def _gate_superop(gate: Gate, noise: NoiseModel | None, lam: int = 1) -> np.ndarray:
-    """S_lam = S (S' S)^((lam-1)/2), the gate folded to scale lam, as one 4^k x 4^k
-    matrix on the gate's ket axes, then its bra axes: S = N (U (x) U*) is the gate,
-    then its noise block N (none without a model), and S' the S of its inverse."""
-    key = (gate.kind, gate.qubits, lam)
-    sop = None if noise is None else noise._superop_cache.get(key)
-    if sop is None:
+def _gate_superops(gate: Gate, noise: NoiseModel | None, scales: tuple[int, ...]) -> np.ndarray:
+    """The stack of S_lam = S (S' S)^((lam-1)/2), the gate folded to each scale
+    lam in ``scales``, as 4^k x 4^k matrices on the gate's ket axes, then its bra
+    axes: S = N (U (x) U*) is the gate, then its noise block N (none without a
+    model), and S' the S of its inverse.  S, S' and S' S are formed once."""
+    key = (gate.kind, gate.qubits, scales)
+    stack = None if noise is None else noise._superop_cache.get(key)
+    if stack is None:
         u = gate_matrix(gate)
         sop = (u[:, None, :, None] * u.conj()[:, None, :]).reshape(len(u) ** 2, -1)
         if noise is not None:
             sop = noise._noise_block(gate.qubits) @ sop
-        if lam > 1:
-            pair = _gate_superop(gate.inverse(), noise) @ sop
-            sop = sop @ np.linalg.matrix_power(pair, (lam - 1) // 2)
+        if max(scales) > 1:
+            pair = _gate_superops(gate.inverse(), noise, (1,))[0] @ sop
+        stack = np.array([
+            sop if lam == 1 else sop @ np.linalg.matrix_power(pair, (lam - 1) // 2)
+            for lam in scales
+        ])
         if noise is not None and gate.kind in _FIXED:
-            noise._superop_cache[key] = sop
-    return sop
+            noise._superop_cache[key] = stack
+    return stack
 
 
-def _check_evolution(circuit: Circuit, noise: NoiseModel | None, lam: int) -> None:
-    if lam < 1 or lam % 2 == 0:
-        raise ValueError(f"fold scale must be an odd positive integer, got {lam}")
+def _check_evolution(circuit: Circuit, noise: NoiseModel | None, scales: tuple) -> None:
+    for lam in scales:
+        if lam < 1 or lam % 2 == 0:
+            raise ValueError(f"fold scale must be an odd positive integer, got {lam}")
     if noise is not None and noise.n_qubits < circuit.n_qubits:
         raise ValueError(
             f"noise profile covers {noise.n_qubits} qubits, "
@@ -508,24 +516,27 @@ def density_matrix(
     circuit: Circuit,
     noise: NoiseModel | None = None,
     checkpoints: Checkpoints | None = None,
-    lam: int = 1,
+    lam: int | tuple[int, ...] = 1,
 ) -> np.ndarray:
-    """Evolve |0..0><0..0| through the circuit at fold scale lam; flat (2^n x 2^n).
+    """Evolve |0..0><0..0| through the circuit at fold scale lam; flat (2^n x 2^n),
+    or one such per scale of a tuple lam, as one stack (len(lam), 2^n, 2^n).
 
-    Each gate is one product with its S_lam; the noise profile, if any, must
-    cover the circuit's qubits.  With ``checkpoints`` it resumes from them and
-    returns a read-only state.
+    Each gate is one product with its S_lam (its stack); the noise profile,
+    if any, must cover the circuit's qubits.  With ``checkpoints`` it resumes
+    from them and returns a read-only state.
     """
-    _check_evolution(circuit, noise, lam)
+    stacked = isinstance(lam, tuple)
+    scales = lam if stacked else (lam,)
+    _check_evolution(circuit, noise, scales)
     n = circuit.n_qubits
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
+    rho = np.zeros((len(scales),) + (2,) * (2 * n), dtype=complex)
+    rho[(slice(None),) + (0,) * (2 * n)] = 1.0
 
     rho = _evolve(
-        circuit, rho, lambda gate: _gate_superop(gate, noise, lam),
-        lambda gate: gate.qubits + tuple(n + q for q in gate.qubits), checkpoints, noise, lam,
+        circuit, rho, lambda gate: _gate_superops(gate, noise, scales),
+        lambda gate: gate.qubits + tuple(n + q for q in gate.qubits), checkpoints, noise, scales,
     )
-    return _flat(rho, (2**n, 2**n), checkpoints)
+    return _flat(rho, (-1, 2**n, 2**n) if stacked else (2**n, 2**n), checkpoints)
 
 
 def adjoint_density_matrix(
@@ -538,14 +549,14 @@ def adjoint_density_matrix(
     flat (2^n x 2^n), or a stack of such operators (k, 2^n, 2^n) taken back
     together; the output has its shape.
     """
-    _check_evolution(circuit, noise, lam)
+    _check_evolution(circuit, noise, (lam,))
     n = circuit.n_qubits
     shape = np.shape(operator)
     op = np.asarray(operator, dtype=complex).reshape((-1,) + (2,) * (2 * n))
     op = np.moveaxis(op, 0, -1)
     for gate in reversed(circuit.gates):
         axes = gate.qubits + tuple(n + q for q in gate.qubits)
-        op = _apply_matrix(op, _gate_superop(gate, noise, lam).conj().T, axes)
+        op = _apply_matrix(op, _gate_superops(gate, noise, (lam,))[0].conj().T, axes)
     return np.moveaxis(op, -1, 0).reshape(shape)
 
 

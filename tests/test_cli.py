@@ -671,11 +671,13 @@ class TestSweep:
 
 class TestStartUp:
     """Each HTC job is a fresh interpreter: a job that runs no trust-region
-    or simplex phase loads no scipy, and a multi-worker run imports
+    or simplex phase loads no scipy, a job or run that forks no worker loads
+    no ``multiprocessing``, and a multi-worker run imports
     ``scipy.optimize`` once, before it forks the workers."""
 
     REPO = Path(__file__).resolve().parent.parent
     SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    MULTIPROCESSING = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')"
 
     def python(self, code: str) -> list[str]:
         """The stdout lines of ``code`` run in a fresh interpreter."""
@@ -711,6 +713,28 @@ class TestStartUp:
             "import sys; from qdrive.cli import main; "
             f"code = main(['--config', {config!r}, 'run', '--single-task', 'even_sort']); "
             f"print(code, {self.SCIPY})"
+        )
+        assert lines[-1] == "0 []"
+
+    def test_one_worker_noisy_run_loads_no_multiprocessing(self, noisy_run, tmp_path):
+        # the payloads run inline: nothing forks, so nothing loads the machinery
+        out, _ = noisy_run
+        config = str(out / "config.frozen.json")
+        lines = self.python(
+            "import sys; from qdrive.cli import main; "
+            f"code = main(['--config', {config!r}, '--set', 'output_dir={tmp_path}', 'run']); "
+            f"print(code, {self.MULTIPROCESSING})"
+        )
+        assert (tmp_path / "winners.csv").read_bytes() == (out / "winners.csv").read_bytes()
+        assert lines[-1].endswith(" []")
+
+    def test_single_task_job_loads_no_multiprocessing(self, noisy_run):
+        out, _ = noisy_run
+        config = str(out / "config.frozen.json")
+        lines = self.python(
+            "import sys; from qdrive.cli import main; "
+            f"code = main(['--config', {config!r}, 'run', '--single-task', 'even_r0_h1']); "
+            f"print(code, {self.MULTIPROCESSING})"
         )
         assert lines[-1] == "0 []"
 

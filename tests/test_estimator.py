@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -19,6 +20,7 @@ from qdrive.model import Grid, PotentialModel
 from qdrive.pauli import PauliSum, decompose, qwc_groups
 from qdrive.pipeline import build_problem
 from qdrive.simulator import (
+    Checkpoints,
     NoiseModel,
     density_matrix,
     effective_povm,
@@ -95,7 +97,7 @@ class TestHadamardTest:
             params = rng.uniform(-np.pi, np.pi, 16)
             psi = statevector(build_ansatz(params, est.q))
             expected = np.vdot(psi, word_to_dense(word) @ psi).real
-            got = est._group_probabilities(psi, word, 1) @ signs
+            got = est._group_reads(psi[None], [word])[0] @ signs
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_shots_within_binomial_bound(self):
@@ -205,7 +207,8 @@ class TestNoisyTier:
         assert 0.0 <= value <= 1.0
 
     def test_overlaps_with_one_state_prepare_it_once(self, monkeypatch):
-        # a VQD evaluation with k priors evolves its state at 3 scales, not 3k
+        # a VQD evaluation with k priors evolves its states once, the 3 scales
+        # as one stack, not 3k times
         rng = RNG(21)
         a, b1, b2 = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
         # one model, whose tails' effective POVMs the reference builds
@@ -223,9 +226,10 @@ class TestNoisyTier:
         applied = count_gate_applications(monkeypatch)
         est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
         assert [est.overlap_lowdepth(a, b) for b in (b1, b2)] == expected
-        assert len(evolved) == 3
-        # every ansatz gate, once per scale: a fold scale costs no extra product
-        assert len(applied) == len(ZNE_SCALES) * len(build_ansatz(a, 2).gates)
+        assert len(evolved) == 1
+        # every ansatz gate once, one product for all scales: a fold scale
+        # costs no extra product
+        assert len(applied) == len(build_ansatz(a, 2).gates)
 
     def test_energy_assembly_matches_split_paths(self):
         grid_rng = RNG(20)
@@ -262,7 +266,7 @@ class PreparedAfresh(Estimator):
 
     def _forget(self):
         self._heads = None
-        self._checkpoints.clear()
+        self._checkpoints = Checkpoints()
 
     def expectation(self, *args):
         self._forget()
@@ -310,7 +314,7 @@ class TestSharedAnsatzState:
         pseudovariance_objective(params, h_h, v_cap, h_dag_h, est)
         assert len(calls) == 1
         assert len(gates) == len(build_ansatz(params, 2).gates)
-        (state,) = est._heads[1].values()
+        (state,) = est._heads[1]
         with pytest.raises(ValueError, match="read-only"):
             state[0] = 0.0
         # a step in the last angle evolves the last gate only
@@ -370,10 +374,11 @@ class TestPauliGroups:
         noise = torino_like(q, readout=np.array([[[0.97, 0.03], [0.05, 0.95]]] * q))
         est = Estimator(q=q, tier="noisy", noise=noise)
         ansatz = build_ansatz(rng.uniform(-np.pi, np.pi, ansatz_parameter_count(q)), q)
-        for basis in ("".join(rng.choice(list("IXYZ"), q)) for _ in range(6)):
+        bases = ["".join(rng.choice(list("IXYZ"), q)) for _ in range(6)]
+        rows = est._group_reads(est._prepare(ansatz), bases).reshape(6, len(ZNE_SCALES), -1)
+        for basis, per_scale in zip(bases, rows):
             rotation = measurement_rotation(basis).gates
-            for lam in ZNE_SCALES:
-                got = est._group_probabilities(est._prepare(ansatz, lam), basis, lam)
+            for lam, got in zip(ZNE_SCALES, per_scale):
                 circuit = fold_circuit(Circuit(q, ansatz.gates + rotation), lam)
                 rho = density_matrix(circuit, noise)
                 expected = outcome_probabilities(rho, q, readout=noise.readout)
@@ -442,11 +447,30 @@ class TestPauliGroups:
         assert est.circuits_run == 3
 
 
+def group_probabilities(est: Estimator, state, basis: str, lam: int) -> np.ndarray:
+    """The reference for the batched group read: one (basis, scale) row on its
+    own, on the noisy tier contracted one qubit at a time with each qubit's
+    2 x 4 POVM factor, as the estimator read each row before."""
+    if est.tier != "noisy":
+        return est._probabilities(state, measurement_rotation(basis), lam)
+    pairs = [i for k in range(est.q) for i in (k, est.q + k)]
+    t = state.reshape((2,) * (2 * est.q)).transpose(pairs)
+    for k, letter in enumerate(basis):
+        tail = measurement_rotation(letter)
+        factor = est.noise.povm((k, tail, lam), lambda: effective_povm(
+            tail, est.noise.restricted((k,)), lam
+        ).transpose(0, 2, 1).reshape(2, 4))
+        # contract the leading pair; the outcome axis goes last
+        t = (factor @ t.reshape(4, -1)).T
+    return t.real.reshape(-1)
+
+
 class PerHistogram(Estimator):
     """The reference for the batched draws: the estimator as it sampled one
-    histogram per call, in the order the estimates needed them.  Its
-    ``_distribution`` spells out ``sample_shots`` and ``invert_distribution``
-    as they were for one distribution."""
+    histogram per call, in the order the estimates needed them, each read
+    by :func:`group_probabilities`.  Its ``_distribution`` spells out
+    ``sample_shots`` and ``invert_distribution`` as they were for one
+    distribution."""
 
     def _distribution(self, probs, lam, purpose, **log):
         if self.tier == "statevector":
@@ -473,10 +497,10 @@ class PerHistogram(Estimator):
             if basis not in dists:
                 dists[basis] = [
                     self._distribution(
-                        self._group_probabilities(state, basis, lam),
+                        group_probabilities(self, state, basis, lam),
                         lam, "pauli-group", basis=basis,
                     )
-                    for lam, state in self._ansatz_states(params).items()
+                    for lam, state in zip(self._scales(), self._ansatz_states(params))
                 ]
             signs = estimator_module._parity_signs(word)
             values[word] = self._maybe_extrapolate(
@@ -492,7 +516,7 @@ class PerHistogram(Estimator):
             tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
         xs = [
             float(self._distribution(self._probabilities(head, tail, lam), lam, "overlap")[0])
-            for lam, head in heads.items()
+            for lam, head in zip(self._scales(), heads)
         ]
         return self._maybe_extrapolate(xs, mode="probability")
 
@@ -666,11 +690,11 @@ class TestResumedPreparation:
     @given(
         data=st.data(),
         tier=st.sampled_from(TIERS),
-        lam=st.sampled_from(ZNE_SCALES),
+        zne=st.booleans(),
         q=st.integers(1, 3),
     )
-    def test_resumed_state_is_the_fresh_one(self, data, tier, lam, q):
-        est = Estimator(q=q, tier=tier, noise=self.NOISE)
+    def test_resumed_state_is_the_fresh_one(self, data, tier, zne, q):
+        est = Estimator(q=q, tier=tier, noise=self.NOISE, mitigate_zne=zne)
         gates: tuple = ()
         for _ in range(data.draw(st.integers(1, 5), label="preparations")):
             keep = data.draw(st.integers(0, len(gates)), label="shared prefix")
@@ -682,16 +706,19 @@ class TestResumedPreparation:
             else:
                 gates = gates[:keep] + tuple(data.draw(st.lists(gates_on(q), max_size=6)))
             circuit = Circuit(q, gates)
-            got = est._prepare(circuit, lam)
-            if tier == "noisy":
-                fresh = density_matrix(circuit, self.NOISE, lam=lam)
-            else:
-                fresh = statevector(circuit)
-            assert np.array_equal(got, fresh)
-            assert got.tobytes() == fresh.tobytes()  # signed zeros too
-            assert not got.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                got.flat[0] = 0.0
+            stack = est._prepare(circuit)
+            assert len(stack) == len(est._scales())
+            for lam, got in zip(est._scales(), stack):
+                # each scale's slice is the state evolved at that scale alone
+                if tier == "noisy":
+                    fresh = density_matrix(circuit, self.NOISE, lam=lam)
+                else:
+                    fresh = statevector(circuit)
+                assert np.array_equal(got, fresh)
+                assert got.tobytes() == fresh.tobytes()  # signed zeros too
+                assert not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got.flat[0] = 0.0
 
     def test_signed_zero_angles_are_different_gates(self):
         # the sign of a zero angle can reach the state's signed zeros
@@ -705,30 +732,34 @@ class TestResumedPreparation:
 
     @pytest.mark.parametrize("lam", ZNE_SCALES)
     def test_a_coordinate_step_evolves_from_its_gate_on(self, lam, monkeypatch):
-        est = Estimator(q=2, tier="noisy", noise=self.NOISE)
+        # the scales up to lam, evolved as one stack: one product per gate
+        # whatever the number of scales
+        scales = tuple(s for s in ZNE_SCALES if s <= lam)
+        checkpoints = Checkpoints()
         params = RNG(60).uniform(-np.pi, np.pi, 16)
-        est._prepare(build_ansatz(params, 2), lam)
+        density_matrix(build_ansatz(params, 2), self.NOISE, checkpoints, scales)
         applied = count_gate_applications(monkeypatch)
         params[-3] = -0.0 if params[-3] == 0.0 else 0.0  # the third-last gate
-        est._prepare(build_ansatz(params, 2), lam)
+        stack = density_matrix(build_ansatz(params, 2), self.NOISE, checkpoints, scales)
         assert len(applied) == 3
+        assert stack.shape == (len(scales), 4, 4)
 
     @settings(deadline=None, max_examples=40)
     @given(
         data=st.data(),
-        lam=st.sampled_from(ZNE_SCALES),
+        zne=st.booleans(),
         q=st.integers(1, 3),
         steps=st.integers(1, 12),
     )
-    def test_reused_superoperators_give_the_fresh_state(self, data, lam, q, steps):
-        # one-angle steps, as an optimizer takes them: each builds S_lam for
-        # the gate it changes only, and reuses every other gate's
+    def test_reused_superoperators_give_the_fresh_state(self, data, zne, q, steps):
+        # one-angle steps, as an optimizer takes them: each builds the stack
+        # of S_lam for the gate it changes only, and reuses every other gate's
         params = RNG(q).uniform(-np.pi, np.pi, ansatz_parameter_count(q))
-        est = Estimator(q=q, tier="noisy", noise=self.NOISE)
+        est = Estimator(q=q, tier="noisy", noise=self.NOISE, mitigate_zne=zne)
         circuit = build_ansatz(params, q)
-        est._prepare(circuit, lam)
+        est._prepare(circuit)
         built = []
-        real = simulator._gate_superop
+        real = simulator._gate_superops
 
         def counted(gate, *args):
             built.append(gate)
@@ -740,17 +771,20 @@ class TestResumedPreparation:
             last, circuit = circuit, build_ansatz(params, q)
             built.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(simulator, "_gate_superop", counted)
-                got = est._prepare(circuit, lam)
-            assert np.array_equal(got, density_matrix(circuit, self.NOISE, lam=lam))
-            assert got.tobytes() == density_matrix(circuit, self.NOISE, lam=lam).tobytes()
+                patch.setattr(simulator, "_gate_superops", counted)
+                stack = est._prepare(circuit)
+            for lam, got in zip(est._scales(), stack):
+                fresh = density_matrix(circuit, self.NOISE, lam=lam)
+                assert np.array_equal(got, fresh)
+                assert got.tobytes() == fresh.tobytes()
             changed = [
                 new for old, new in zip(last.gates, circuit.gates)
                 if not simulator._same_gate(old, new)
             ]
             assert len(changed) <= 1
-            # above scale 1, S_lam is formed from the S of the gate and of its inverse
-            pairs = [(gate,) if lam == 1 else (gate, gate.inverse()) for gate in changed]
+            # S and, above scale 1, the S' of the gate's inverse are formed
+            # once for all the scales, not once per scale
+            pairs = [(gate, gate.inverse()) if zne else (gate,) for gate in changed]
             assert built == [g for pair in pairs for g in pair]
 
     def test_the_reused_superoperators_stay_one_per_gate(self):
@@ -761,5 +795,36 @@ class TestResumedPreparation:
             params[rng.integers(16)] = rng.uniform(-np.pi, np.pi)
             est._ansatz_states(params)
         n_gates = len(build_ansatz(params, 2).gates)
-        for checkpoints in est._checkpoints.values():
-            assert len(checkpoints.matrices) == n_gates
+        assert len(est._checkpoints.matrices) == n_gates
+        assert len(est._checkpoints.states) == n_gates
+        # one stack per gate, one S_lam per scale
+        assert {m.shape[0] for m in est._checkpoints.matrices} == {len(ZNE_SCALES)}
+
+
+class TestBatchedRead:
+    """The rows of one read, every (group, scale) pair contracted together,
+    are bitwise the rows read one at a time."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        data=st.data(),
+        tier=st.sampled_from(["shots", "noisy"]),
+        zne=st.booleans(),
+        q=st.integers(1, 3),
+    )
+    def test_batched_read_equals_the_row_by_row_read(self, data, tier, zne, q):
+        noise = torino_like(q, readout=np.array([[[0.96, 0.04], [0.07, 0.93]]] * q))
+        est = Estimator(q=q, tier=tier, noise=noise, mitigate_zne=zne)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        states = est._ansatz_states(RNG(seed).uniform(-np.pi, np.pi, ansatz_parameter_count(q)))
+        # every basis, in a drawn order, and a drawn few on their own
+        every = ["".join(letters) for letters in itertools.product("IXYZ", repeat=q)]
+        few = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))
+        for bases in (data.draw(st.permutations(every), label="order"), few):
+            got = est._group_reads(states, bases)
+            expected = np.array([
+                group_probabilities(est, state, basis, lam)
+                for basis in bases for lam, state in zip(est._scales(), states)
+            ])
+            assert got.shape == expected.shape == (len(bases) * len(est._scales()), 2**q)
+            assert got.tobytes() == expected.tobytes()

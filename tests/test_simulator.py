@@ -154,7 +154,7 @@ def apply_superop(rho: np.ndarray, gate: Gate, noise: NoiseModel | None) -> np.n
     """The gate and its noise block, fused into S, on a flat density matrix."""
     n = rho.shape[0].bit_length() - 1
     axes = gate.qubits + tuple(n + q for q in gate.qubits)
-    sop = simulator._gate_superop(gate, noise)
+    sop = simulator._gate_superops(gate, noise, (1,))[0]
     return simulator._apply_matrix(rho.reshape((2,) * (2 * n)), sop, axes).reshape(rho.shape)
 
 
@@ -411,7 +411,7 @@ class TestFusedGate:
         shape = (2,) * (2 * n) + stack
         t = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
         axes = qubits + tuple(n + q for q in qubits)
-        fused = simulator._apply_matrix(t, simulator._gate_superop(gate, noise), axes)
+        fused = simulator._apply_matrix(t, simulator._gate_superops(gate, noise, (1,))[0], axes)
         assert np.max(np.abs(fused - gate_then_noise(t, gate, noise, n))) < 1e-14
         # the reference channel as a 4^n x 4^n matrix: its adjoint is C^dag
         dim = 4**n
