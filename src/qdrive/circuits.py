@@ -5,6 +5,7 @@ most significant bit).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ ANSATZ_LAYERS = 3
 _SELF_INVERSE = {"h", "x", "cx", "cy", "cz"}
 _KINDS_1Q = {"ry", "rz", "h", "x", "s", "sdg"}
 _KINDS_2Q = {"cx", "cy", "cz"}
+_KINDS = _KINDS_1Q | _KINDS_2Q
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class Circuit:
 
     def __post_init__(self):
         for gate in self.gates:
-            if gate.kind not in _KINDS_1Q | _KINDS_2Q:
+            if gate.kind not in _KINDS:
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
             if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
                 raise ValueError(
@@ -64,8 +66,11 @@ def random_initial_params(q: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-np.pi, np.pi, size=ansatz_parameter_count(q))
 
 
-def build_ansatz(params: np.ndarray, q: int) -> Circuit:
-    """Hardware-efficient SU(2) ansatz: RY+RZ columns with a linear CX chain.
+@functools.lru_cache(maxsize=None)
+def ansatz_layout(q: int) -> tuple[tuple[str, tuple[int, ...], int | None], ...]:
+    """The hardware-efficient SU(2) ansatz on q qubits, one entry per gate in
+    order: its kind, its qubits and the index of its angle in the parameter
+    vector (None for a CX).
 
     Layout: an initial column of per-qubit RY then RZ rotations, followed by
     ANSATZ_LAYERS repetitions of [CX chain 0->1->...->q-1, RY column,
@@ -73,26 +78,31 @@ def build_ansatz(params: np.ndarray, q: int) -> Circuit:
     columns ordered (RY_0, RZ_0, RY_1, RZ_1, ...): params[2*q*c + k] is the
     RY angle of qubit k in block c and params[2*q*c + q + k] the RZ angle.
     """
+    layout = []
+    for block in range(ANSATZ_LAYERS + 1):
+        if block:
+            layout += [("cx", (k, k + 1), None) for k in range(q - 1)]
+        base = 2 * q * block
+        layout += [("ry", (k,), base + k) for k in range(q)]
+        layout += [("rz", (k,), base + q + k) for k in range(q)]
+    return tuple(layout)
+
+
+def ansatz_angles(params, q: int) -> np.ndarray:
+    """``params`` as a float vector, checked to hold the ansatz's finite angles."""
     params = np.asarray(params, dtype=float)
     expected = ansatz_parameter_count(q)
     if params.shape != (expected,):
-        raise ValueError(
-            f"ansatz on {q} qubits needs {expected} parameters, got {params.shape}"
-        )
-    if not np.all(np.isfinite(params)):
+        raise ValueError(f"ansatz on {q} qubits needs {expected} parameters, got {params.shape}")
+    if not np.isfinite(params).all():
         raise ValueError("ansatz parameters must be finite")
-    gates: list[Gate] = []
+    return params
 
-    def rotation_block(block: int):
-        base = 2 * q * block
-        for k in range(q):
-            gates.append(Gate("ry", (k,), float(params[base + k])))
-        for k in range(q):
-            gates.append(Gate("rz", (k,), float(params[base + q + k])))
 
-    rotation_block(0)
-    for layer in range(1, ANSATZ_LAYERS + 1):
-        for k in range(q - 1):
-            gates.append(Gate("cx", (k, k + 1)))
-        rotation_block(layer)
-    return Circuit(q, tuple(gates))
+def build_ansatz(params: np.ndarray, q: int) -> Circuit:
+    """The ansatz of :func:`ansatz_layout` at the angles ``params``."""
+    params = ansatz_angles(params, q)
+    return Circuit(q, tuple(
+        Gate(kind, qubits, None if k is None else float(params[k]))
+        for kind, qubits, k in ansatz_layout(q)
+    ))

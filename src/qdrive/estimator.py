@@ -4,16 +4,16 @@ An :class:`Estimator` bundles the tier, shot budget, RNG stream, noise model,
 mitigation switches and the measurement groups of the words it reads.
 Every estimate goes through one pipeline:
 
-1. *prepare* (:meth:`Estimator._prepare`): the ansatz states as a stack,
-   one statevector on the exact and shot tiers or, on the noisy tier, the
-   density matrix at each ZNE fold scale, evolved together, each gate one
-   product with its stack of superoperators
+1. *prepare* (:meth:`Estimator._prepare`): the ansatz states of an angle
+   vector as a stack, one statevector on the exact and shot tiers or, on the
+   noisy tier, the density matrix at each ZNE fold scale, evolved together,
+   each gate one product with its stack of superoperators
    (:func:`~qdrive.simulator.density_matrix`).  The states of the last
    parameters are kept for every estimate of one objective evaluation, and
-   new parameters resume from the longest unchanged prefix of gates,
-   compared bit for bit (:class:`~qdrive.simulator.Checkpoints`), so a step
-   in one angle evolves only the gates from that angle on, and forms the
-   superoperators of its own gate alone;
+   new parameters resume at the first gate whose angle changed, compared bit
+   for bit (:class:`~qdrive.simulator.Checkpoints`), so a step in one angle
+   evolves only the gates from that angle on, and forms the matrix (or
+   stack of superoperators) of its own gate alone;
 2. *measure, sample and mitigate* (:meth:`Estimator._sample`): the
    distribution of the q qubits after a measured tail, sampled into a shot
    histogram and, with readout mitigation, taken through one Kronecker
@@ -32,12 +32,13 @@ Every estimate goes through one pipeline:
      one distribution gives every word of the group as the mean of its
      parity signs.  The tail, its noise and the readout act on each qubit
      alone, so M is a product of one-qubit POVMs; or
-   * an overlap's inverted ansatz U(b)^dag, whose value is P(all zeros);
+   * an overlap's inverted ansatz U(b)^dag, whose value is P(all zeros),
+     compiled once per prior on the exact and shot tiers;
 3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, each
    word's or overlap's values at fold scales 1, 3, 5 become one estimate.
 
 For an expectation the statevector tier replaces step 2 with one exact
-contraction of the observable's cached dense operator D,
+contraction of the observable's cached traceless operator D - c_I,
 c_I + psi^dag (D - c_I) psi.  On the other tiers the word values of the
 last parameters are kept, so the observables of one evaluation share their
 draws and a group is measured at most once per parameters.  On every tier
@@ -61,7 +62,9 @@ from .mitigation import (
 from .pauli import PauliSum, qwc_groups
 from .simulator import (
     Checkpoints,
+    Compiled,
     NoiseModel,
+    compile_circuit,
     density_matrix,
     effective_povm,
     outcome_probabilities,
@@ -144,10 +147,11 @@ class Estimator:
         # the last parameters' bytes, their groups' distributions per scale
         # and the word values read from them
         self._reads: tuple[bytes, dict[str, np.ndarray], dict[str, float]] = (b"", {}, {})
-        # the gates last evolved and the stacked states on the way
-        self._checkpoints = Checkpoints()
-        # per prior's parameter bytes, its inverted ansatz: an overlap's tail
-        self._tails: dict[bytes, Circuit] = {}
+        # the angles last prepared, each gate's matrix and the states on the way
+        self._checkpoints = Checkpoints(q)
+        # per prior's parameter bytes, its inverted ansatz: an overlap's tail,
+        # compiled with its matrices on the statevector and shot tiers
+        self._tails: dict[bytes, Circuit | Compiled] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -199,15 +203,15 @@ class Estimator:
 
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
-    def _prepare(self, circuit: Circuit) -> np.ndarray:
-        """The circuit's output states on this tier, one per fold scale, as a
-        read-only stack.  It resumes from the longest prefix of gates that
-        the last preparation shares."""
+    def _prepare(self, params) -> np.ndarray:
+        """The ansatz states of ``params`` on this tier, one per fold scale, as
+        a read-only stack, resumed from the last preparation at the first
+        gate whose angle changed."""
         if self.tier == "noisy":
-            return density_matrix(circuit, self.noise, self._checkpoints, self._scales())
-        return statevector(circuit, checkpoints=self._checkpoints)[None]
+            return density_matrix(params, self.noise, self._checkpoints, self._scales())
+        return statevector(params, checkpoints=self._checkpoints)[None]
 
-    def _probabilities(self, state: np.ndarray, tail: Circuit, lam: int) -> np.ndarray:
+    def _probabilities(self, state: np.ndarray, tail: Circuit | Compiled, lam: int) -> np.ndarray:
         """Outcome probabilities of the q qubits after ``tail`` acts on the
         prepared ``state``: run forward on a statevector, or read as
         Tr(M_y rho) from the effective POVM of the tail at fold scale lam."""
@@ -282,7 +286,7 @@ class Estimator:
         kept for the last parameters and shared by every estimate."""
         key = np.asarray(params, dtype=float).tobytes()
         if self._heads is None or self._heads[0] != key:
-            self._heads = (key, self._prepare(build_ansatz(params, self.q)))
+            self._heads = (key, self._prepare(params))
         return self._heads[1]
 
     def _read(self, params, words: list[str]) -> list[float]:
@@ -318,13 +322,15 @@ class Estimator:
         acts gate by gate, so each part is evolved at the same fold scale, and
         the scales are sampled in one batch.  The states of the last
         ``params_a`` are kept, so overlaps of one state with several priors
-        prepare it once, and each prior's tail is built once.
+        prepare it once, and each prior's tail is built once, with its
+        matrices on the statevector and shot tiers.
         """
         heads = self._ansatz_states(params_a)
         key = np.asarray(params_b, dtype=float).tobytes()
         tail = self._tails.get(key)
         if tail is None:
-            tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
+            tail = build_ansatz(params_b, self.q).inverse()
+            tail = self._tails[key] = tail if self.tier == "noisy" else compile_circuit(tail)
         dists = self._sample(
             np.array([self._probabilities(h, tail, lam) for lam, h in zip(self._scales(), heads)]),
             [{"purpose": "overlap", "lam": lam} for lam in self._scales()],
@@ -343,8 +349,7 @@ class Estimator:
         acc = complex(observable.terms.get(identity, 0.0))
         if self.tier == "statevector":
             psi = self._ansatz_states(params)[0]
-            traceless = observable.to_dense() - acc * np.eye(2**self.q)
-            return acc + np.vdot(psi, traceless @ psi)
+            return acc + np.vdot(psi, observable.traceless_dense() @ psi)
         words = [w for w in observable.terms if w != identity]
         for word, value in zip(words, self._read(params, words)):
             acc += observable.terms[word] * value

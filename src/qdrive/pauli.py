@@ -46,12 +46,12 @@ def word_to_dense(word: str) -> np.ndarray:
 class PauliSum:
     """Weighted sum of Pauli code words on a fixed number of qubits."""
 
-    __slots__ = ("n_qubits", "terms", "_dense")
+    __slots__ = ("n_qubits", "terms", "_dense", "_traceless")
 
     def __init__(self, n_qubits: int, terms: dict[str, complex] | None = None):
         self.n_qubits = int(n_qubits)
         self.terms: dict[str, complex] = {}
-        self._dense = None
+        self._dense = self._traceless = None
         if terms:
             for word, coeff in terms.items():
                 if len(word) != self.n_qubits:
@@ -99,6 +99,13 @@ class PauliSum:
                 mat += coeff * word_to_dense(word)
             self._dense = mat
         return self._dense
+
+    def traceless_dense(self) -> np.ndarray:
+        """The dense operator less its identity term, D - c_I I."""
+        if self._traceless is None:
+            c_i = complex(self.terms.get(self.identity_word, 0.0))
+            self._traceless = self.to_dense() - c_i * np.eye(2**self.n_qubits)
+        return self._traceless
 
 
 def decompose(matrix: np.ndarray) -> PauliSum:

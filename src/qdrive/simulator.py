@@ -27,13 +27,13 @@ evolves several fold scales as one stack of states, each gate one product
 with its stack of S_lam.  The :class:`NoiseModel` caches N per qubit tuple
 and a fixed gate's stack per kind, qubit tuple and scales.
 
-:func:`statevector` and :func:`density_matrix` can keep :class:`Checkpoints`:
-the gates they last evolved, each gate's matrix and the states on the way.
-The next evolution then starts after the longest unchanged prefix of its
-gates, which is most of the circuit when an optimizer moves one or two
-angles at a time, and each later gate left unchanged at its position reuses
-its matrix, so a one-angle step forms one new matrix (or stack).  The same
-kernels run on the same arrays, so the output is bitwise a fresh evolution's.
+:func:`statevector` and :func:`density_matrix` apply each gate's (matrix,
+permutations) pair in one loop.  With :class:`Checkpoints` they take the
+ansatz's angles instead of a circuit, form the matrix of each angle that
+changed since the last preparation alone and resume at its gate, so a
+one-angle step forms one new matrix (or stack); :func:`compile_circuit` keeps
+a fixed circuit's pairs.  The same products run on the same arrays in the
+same order, so the output is bitwise a fresh evolution's.
 
 Density matrices stay small by design: at most a six-qubit ansatz is ever
 simulated, i.e. a 64 x 64 matrix (32 x 32 under the bundled five-qubit
@@ -45,10 +45,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, ansatz_angles, ansatz_layout
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -103,103 +104,108 @@ def _contraction(ndim: int, axes: tuple[int, ...], lead: int) -> tuple[tuple, tu
 def _apply_matrix(t: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """``mat`` (2^k x 2^k, big-endian over ``axes``) applied to the k axes of t,
     or a stack of S such matrices, the s-th to ``t[s]`` (``axes`` then count
-    from t's second axis).
+    from t's second axis)."""
+    return _evolve(t, ((mat, _contraction(t.ndim, axes, mat.ndim - 2)),))
 
-    Every other axis of t has size 2 except possibly a trailing stack axis,
-    which is carried along.  This is one product on the permuted tensor (one
-    ``np.matmul`` for a stack), bitwise ``np.tensordot``'s, then ``moveaxis``.
-    """
-    front, back = _contraction(t.ndim, axes, mat.ndim - 2)
-    flat = t.transpose(front).reshape(mat.shape[:-1] + (-1,))
-    return (np.matmul if mat.ndim > 2 else np.dot)(mat, flat).reshape(t.shape).transpose(back)
+
+def _evolve(state: np.ndarray, steps, states: list | None = None) -> np.ndarray:
+    """``state`` through each (matrix, permutations) pair of ``steps``, each
+    state on the way appended to ``states`` if given.  A step is one product
+    on the permuted tensor (one ``np.matmul`` for a stack), bitwise
+    ``np.tensordot``'s, then ``moveaxis``; a trailing stack axis of the
+    state, beside its axes of size 2, is carried along."""
+    for mat, (front, back) in steps:
+        flat = state.transpose(front).reshape(mat.shape[:-1] + (-1,))
+        product = np.matmul if mat.ndim > 2 else np.dot
+        state = product(mat, flat).reshape(state.shape).transpose(back)
+        if states is not None:
+            states.append(state)
+    return state
+
+
+class Compiled(NamedTuple):
+    """A circuit compiled for statevectors: each gate's (matrix, permutations)."""
+
+    n_qubits: int
+    steps: tuple
+
+
+def compile_circuit(circuit: Circuit) -> Compiled:
+    n = circuit.n_qubits
+    return Compiled(n, tuple((gate_matrix(g), _contraction(n, g.qubits, 0)) for g in circuit.gates))
 
 
 @dataclass(eq=False)
 class Checkpoints:
-    """The gates one preparation last evolved from |0..0>, their matrices and
-    the states on the way, for :func:`statevector` and :func:`density_matrix`
-    to resume the next preparation from the longest unchanged prefix of its
-    gates and to reuse the matrix of every later gate left unchanged.
-
-    ``states[k]`` is the state after the first k + 1 gates and
-    ``matrices[k]`` the matrix of gate k: its unitary on a statevector, its
-    stack of S_lam at the layout's fold scales on stacked density matrices.
-    So each holds one entry per gate position, whatever the number of
+    """The last preparation of the ansatz on ``q`` qubits from |0..0>: its
+    angles' ``bits``, ``steps[k]`` the (matrix, permutations) pair of gate k
+    (its unitary on a statevector, its stack of S_lam on stacked density
+    matrices) and ``states[k]`` the state after the first k + 1 gates.  So
+    each list holds one entry per gate position, whatever the number of
     preparations.  A statevector checkpoint takes 16 * 2^n bytes, a density
     one 16 * 4^n bytes per scale (64 KiB at n = 6); a matrix 16 * 4^k bytes
     for a k-qubit gate, or 16 * 16^k per scale for a superoperator.
     """
 
-    gates: tuple[Gate, ...] = ()
-    states: list[np.ndarray] = field(default_factory=list)
-    matrices: list[np.ndarray] = field(default_factory=list)
-    # what the states are of: (qubits, tensor rank, fold scales) and the noise model
-    layout: tuple[int, int, tuple[int, ...]] = (0, 0, ())
+    q: int
+    bits: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
+    states: list = field(default_factory=list)
+    # what the states are of: (tensor rank, fold scales) and the noise model
+    kind: tuple = ()
     noise: "NoiseModel | None" = None
 
 
-def _same_gate(a: Gate, b: Gate) -> bool:
-    """Equal kinds and qubits and bitwise-equal angles (so -0.0 != 0.0)."""
-    return a is b or (
-        a == b and (a.param != 0.0 or math.copysign(1.0, a.param) == math.copysign(1.0, b.param))
-    )
+def _run(circuit, state, matrix, perm, checkpoints: Checkpoints | None, noise=None, scales=(1,)):
+    """``state`` taken through each gate's ``matrix(gate)`` around ``perm(qubits)``.
 
-
-def _evolve(circuit: Circuit, state, matrix, axes, checkpoints: Checkpoints | None,
-            noise=None, scales=(1,)):
-    """``state`` taken through each gate's ``matrix(gate)`` on ``axes(gate)``.
-
-    With ``checkpoints`` recorded for the same kind of state, width, fold
-    scales and noise model, the evolution starts from the state before the
-    first gate that differs from the recorded ones, each gate that is the
-    one recorded at its position reuses the recorded matrix, and the record
-    is rewritten from there.
+    With ``checkpoints``, ``circuit`` is the ansatz's angles.  Against a record
+    of the same kind of state, fold scales and noise model, only the gates
+    whose angle changed bit for bit (so -0.0 != 0.0) form their matrix, and
+    the evolution resumes at the first of them; otherwise all start afresh.
     """
-    gates = circuit.gates
     if checkpoints is None:
-        for gate in gates:
-            state = _apply_matrix(state, matrix(gate), axes(gate))
-        return state
-    layout = (circuit.n_qubits, state.ndim, scales)
-    same_kind = checkpoints.layout == layout and checkpoints.noise is noise
-    old = checkpoints.gates if same_kind else ()
-    same = [k < len(old) and _same_gate(old[k], gate) for k, gate in enumerate(gates)]
-    kept = (same + [False]).index(False)
-    matrices = [
-        checkpoints.matrices[k] if reuse else matrix(gate)
-        for k, (gate, reuse) in enumerate(zip(gates, same))
-    ]
-    states = checkpoints.states
-    del states[kept:]
-    if kept:
+        return _evolve(state, [(matrix(g), perm(g.qubits)) for g in circuit.gates])
+    params = ansatz_angles(circuit, checkpoints.q)
+    bits, layout = params.view(np.int64).tolist(), ansatz_layout(checkpoints.q)
+    steps, states, old = checkpoints.steps, checkpoints.states, checkpoints.bits
+    if checkpoints.kind != (state.ndim, scales) or checkpoints.noise is not noise:
+        steps[:], old = [None] * len(layout), None
+    start = len(layout)
+    for k, (kind, qubits, a) in enumerate(layout):
+        if old is None or a is not None and bits[a] != old[a]:
+            angle = None if a is None else float(params[a])
+            steps[k], start = (matrix(Gate(kind, qubits, angle)), perm(qubits)), min(start, k)
+    del states[start:]
+    if start:
         state = states[-1]
-    for gate, mat in zip(gates[kept:], matrices[kept:]):
-        state = _apply_matrix(state, mat, axes(gate))
-        states.append(state)
-    checkpoints.gates, checkpoints.matrices = gates, matrices
-    checkpoints.layout, checkpoints.noise = layout, noise
-    return state
+    checkpoints.bits, checkpoints.kind, checkpoints.noise = bits, (state.ndim, scales), noise
+    return _evolve(state, steps[start:], states)
 
 
 def statevector(
-    circuit: Circuit,
+    circuit: Circuit | Compiled | np.ndarray,
     initial: np.ndarray | None = None,
     checkpoints: Checkpoints | None = None,
 ) -> np.ndarray:
     """Exact amplitudes of the circuit output, big-endian flat vector.
 
     The circuit acts on |0..0>, or on the flat state ``initial`` if given.
-    With ``checkpoints`` it resumes from them (only from |0..0>) and returns
-    a read-only state.
+    With ``checkpoints``, ``circuit`` is the ansatz's angle vector, prepared
+    from |0..0> by resuming the record, and the state returned is read-only.
     """
+    n = circuit.n_qubits if checkpoints is None else checkpoints.q
     if initial is None:
-        psi = np.zeros((2,) * circuit.n_qubits, dtype=complex)
-        psi[(0,) * circuit.n_qubits] = 1.0
+        psi = np.zeros((2,) * n, dtype=complex)
+        psi[(0,) * n] = 1.0
     elif checkpoints is not None:
         raise ValueError("checkpoints resume evolutions from |0..0> only")
     else:
-        psi = np.asarray(initial).reshape((2,) * circuit.n_qubits)
-    psi = _evolve(circuit, psi, gate_matrix, lambda gate: gate.qubits, checkpoints)
+        psi = np.asarray(initial).reshape((2,) * n)
+    if isinstance(circuit, Compiled):
+        psi = _evolve(psi, circuit.steps)
+    else:
+        psi = _run(circuit, psi, gate_matrix, lambda qubits: _contraction(n, qubits, 0), checkpoints)
     return _flat(psi, (-1,), checkpoints)
 
 
@@ -501,19 +507,18 @@ def _gate_superops(gate: Gate, noise: NoiseModel | None, scales: tuple[int, ...]
     return stack
 
 
-def _check_evolution(circuit: Circuit, noise: NoiseModel | None, scales: tuple) -> None:
+def _check_evolution(n: int, noise: NoiseModel | None, scales: tuple) -> None:
     for lam in scales:
         if lam < 1 or lam % 2 == 0:
             raise ValueError(f"fold scale must be an odd positive integer, got {lam}")
-    if noise is not None and noise.n_qubits < circuit.n_qubits:
+    if noise is not None and noise.n_qubits < n:
         raise ValueError(
-            f"noise profile covers {noise.n_qubits} qubits, "
-            f"circuit needs {circuit.n_qubits}"
+            f"noise profile covers {noise.n_qubits} qubits, circuit needs {n}"
         )
 
 
 def density_matrix(
-    circuit: Circuit,
+    circuit: Circuit | np.ndarray,
     noise: NoiseModel | None = None,
     checkpoints: Checkpoints | None = None,
     lam: int | tuple[int, ...] = 1,
@@ -522,19 +527,20 @@ def density_matrix(
     or one such per scale of a tuple lam, as one stack (len(lam), 2^n, 2^n).
 
     Each gate is one product with its S_lam (its stack); the noise profile,
-    if any, must cover the circuit's qubits.  With ``checkpoints`` it resumes
-    from them and returns a read-only state.
+    if any, must cover the circuit's qubits.  With ``checkpoints``,
+    ``circuit`` is the ansatz's angle vector, prepared by resuming the
+    record, and the state returned is read-only.
     """
     stacked = isinstance(lam, tuple)
     scales = lam if stacked else (lam,)
-    _check_evolution(circuit, noise, scales)
-    n = circuit.n_qubits
+    n = circuit.n_qubits if checkpoints is None else checkpoints.q
+    _check_evolution(n, noise, scales)
     rho = np.zeros((len(scales),) + (2,) * (2 * n), dtype=complex)
     rho[(slice(None),) + (0,) * (2 * n)] = 1.0
-
-    rho = _evolve(
+    rho = _run(
         circuit, rho, lambda gate: _gate_superops(gate, noise, scales),
-        lambda gate: gate.qubits + tuple(n + q for q in gate.qubits), checkpoints, noise, scales,
+        lambda qubits: _contraction(2 * n + 1, qubits + tuple(n + q for q in qubits), 1),
+        checkpoints, noise, scales,
     )
     return _flat(rho, (-1, 2**n, 2**n) if stacked else (2**n, 2**n), checkpoints)
 
@@ -549,8 +555,8 @@ def adjoint_density_matrix(
     flat (2^n x 2^n), or a stack of such operators (k, 2^n, 2^n) taken back
     together; the output has its shape.
     """
-    _check_evolution(circuit, noise, (lam,))
     n = circuit.n_qubits
+    _check_evolution(n, noise, (lam,))
     shape = np.shape(operator)
     op = np.asarray(operator, dtype=complex).reshape((-1,) + (2,) * (2 * n))
     op = np.moveaxis(op, 0, -1)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qdrive import estimator as estimator_module
 from qdrive import simulator
-from qdrive.circuits import Circuit, Gate, ansatz_parameter_count, build_ansatz
+from qdrive.circuits import Circuit, Gate, ansatz_layout, ansatz_parameter_count, build_ansatz
 from qdrive.config import bundled_profile_path
 from qdrive.estimator import TIERS, ZNE_SCALES, Estimator, measurement_rotation
 from qdrive.mitigation import fold_circuit
@@ -247,16 +247,17 @@ class TestNoisyTier:
 
 def count_gate_applications(monkeypatch) -> list:
     """The gate superoperators that noisy evolutions apply from now on, one
-    entry each: the axes of each product (the adjoint evolutions that build
-    effective POVMs apply them too)."""
+    entry each: the permutations of each product (the adjoint evolutions that
+    build effective POVMs apply them too)."""
     applied = []
-    real = simulator._apply_matrix
+    real = simulator._evolve
 
-    def counted(t, mat, axes):
-        applied.append(axes)
-        return real(t, mat, axes)
+    def counted(state, steps, states=None):
+        steps = list(steps)
+        applied.extend(perm for _, perm in steps)
+        return real(state, steps, states)
 
-    monkeypatch.setattr(simulator, "_apply_matrix", counted)
+    monkeypatch.setattr(simulator, "_evolve", counted)
     return applied
 
 
@@ -266,7 +267,7 @@ class PreparedAfresh(Estimator):
 
     def _forget(self):
         self._heads = None
-        self._checkpoints = Checkpoints()
+        self._checkpoints = Checkpoints(self.q)
 
     def expectation(self, *args):
         self._forget()
@@ -332,6 +333,12 @@ class TestSharedAnsatzState:
         vqd_objective(params, h_h, priors, 10.0, est)
         assert len(calls) == 1 + 2
         assert len(gates) == (1 + 2) * len(build_ansatz(params, 2).gates)
+        # a step in one angle forms that gate's matrix alone: each prior's
+        # tail keeps its matrices, and is evolved once per evaluation
+        params[3] += 0.5
+        vqd_objective(params, h_h, priors, 10.0, est)
+        assert len(calls) == 2 * (1 + 2)
+        assert len(gates) == (1 + 2) * len(build_ansatz(params, 2).gates) + 1
 
     @pytest.mark.parametrize("tier", ["statevector", "shots"])
     def test_sharing_leaves_every_estimate_unchanged(self, tier):
@@ -373,9 +380,10 @@ class TestPauliGroups:
         rng = RNG(70 + q)
         noise = torino_like(q, readout=np.array([[[0.97, 0.03], [0.05, 0.95]]] * q))
         est = Estimator(q=q, tier="noisy", noise=noise)
-        ansatz = build_ansatz(rng.uniform(-np.pi, np.pi, ansatz_parameter_count(q)), q)
+        params = rng.uniform(-np.pi, np.pi, ansatz_parameter_count(q))
+        ansatz = build_ansatz(params, q)
         bases = ["".join(rng.choice(list("IXYZ"), q)) for _ in range(6)]
-        rows = est._group_reads(est._prepare(ansatz), bases).reshape(6, len(ZNE_SCALES), -1)
+        rows = est._group_reads(est._prepare(params), bases).reshape(6, len(ZNE_SCALES), -1)
         for basis, per_scale in zip(bases, rows):
             rotation = measurement_rotation(basis).gates
             for lam, got in zip(ZNE_SCALES, per_scale):
@@ -666,23 +674,33 @@ class TestPovmCache:
         assert results == [expected] * 4
 
 
-ANGLES = st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-math.pi, math.pi)
+ANGLES = st.sampled_from([0.0, -0.0, math.pi, -math.pi]) | st.floats(-math.pi, math.pi)
 
 
-def gates_on(q: int):
-    qubit = st.integers(0, q - 1).map(lambda k: (k,))
-    options = [
-        st.builds(Gate, st.sampled_from(["ry", "rz"]), qubit, ANGLES),
-        st.builds(Gate, st.sampled_from(["h", "s", "x"]), qubit),
-    ]
-    if q > 1:
-        options.append(st.permutations(range(q)).map(lambda p: Gate("cx", (p[0], p[1]))))
-    return st.one_of(options)
+def angle_vectors(q: int):
+    m = ansatz_parameter_count(q)
+    return st.lists(ANGLES, min_size=m, max_size=m).map(np.array)
+
+
+def fresh_steps(params, q: int, est: Estimator) -> list[bytes]:
+    """Each gate's matrix on ``est``'s tier at ``params``, formed afresh."""
+    gates = build_ansatz(params, q).gates
+    if est.tier != "noisy":
+        return [simulator.gate_matrix(g).tobytes() for g in gates]
+    return [simulator._gate_superops(g, est.noise, est._scales()).tobytes() for g in gates]
+
+
+def circuit_overlap(params_a, params_b, q: int) -> np.ndarray:
+    """The outcome distribution of the prior's inverted ansatz run on the
+    state: the circuit path that each overlap reads P(all zeros) from."""
+    psi_a = statevector(build_ansatz(params_a, q))
+    return outcome_probabilities(statevector(build_ansatz(params_b, q).inverse(), psi_a), q)
 
 
 class TestResumedPreparation:
     """A preparation that resumes from the last one's checkpoints gives,
-    read-only, bitwise the state evolved from |0..0>."""
+    read-only, bitwise the state evolved from |0..0>, and each overlap tail
+    kept as its matrices gives bitwise the circuit's distribution."""
 
     NOISE = torino_like(4)
 
@@ -691,56 +709,73 @@ class TestResumedPreparation:
         data=st.data(),
         tier=st.sampled_from(TIERS),
         zne=st.booleans(),
-        q=st.integers(1, 3),
+        q=st.integers(1, 4),
     )
     def test_resumed_state_is_the_fresh_one(self, data, tier, zne, q):
         est = Estimator(q=q, tier=tier, noise=self.NOISE, mitigate_zne=zne)
-        gates: tuple = ()
-        for _ in range(data.draw(st.integers(1, 5), label="preparations")):
-            keep = data.draw(st.integers(0, len(gates)), label="shared prefix")
-            if keep < len(gates) and data.draw(st.booleans(), label="coordinate step"):
-                # one angle moves, or only its sign bit flips (0.0 -> -0.0)
-                old = gates[keep]
-                angle = None if old.param is None else -old.param
-                gates = gates[:keep] + (Gate(old.kind, old.qubits, angle),) + gates[keep + 1 :]
-            else:
-                gates = gates[:keep] + tuple(data.draw(st.lists(gates_on(q), max_size=6)))
-            circuit = Circuit(q, gates)
-            stack = est._prepare(circuit)
+        params = data.draw(angle_vectors(q), label="start")
+        priors = data.draw(st.lists(angle_vectors(q), max_size=2), label="priors")
+        for _ in range(data.draw(st.integers(1, 6), label="preparations")):
+            move = data.draw(st.sampled_from(["point", "step", "sign", "repeat"]), label="move")
+            k = data.draw(st.integers(0, len(params) - 1), label="angle")
+            if move == "point":
+                params = data.draw(angle_vectors(q), label="point")
+            elif move == "step":
+                params[k] = data.draw(ANGLES, label="value")
+            elif move == "sign":  # flips the sign bit of a zero too
+                params[k] = -params[k]
+            stack = est._prepare(params)
             assert len(stack) == len(est._scales())
             for lam, got in zip(est._scales(), stack):
                 # each scale's slice is the state evolved at that scale alone
                 if tier == "noisy":
-                    fresh = density_matrix(circuit, self.NOISE, lam=lam)
+                    fresh = density_matrix(build_ansatz(params, q), self.NOISE, lam=lam)
                 else:
-                    fresh = statevector(circuit)
+                    fresh = statevector(build_ansatz(params, q))
                 assert np.array_equal(got, fresh)
                 assert got.tobytes() == fresh.tobytes()  # signed zeros too
                 assert not got.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     got.flat[0] = 0.0
+            # every kept matrix is the one its gate forms now
+            kept = [m.tobytes() for m, _ in est._checkpoints.steps]
+            assert kept == fresh_steps(params, q, est)
+            if tier == "noisy":
+                continue
+            for prior in priors:
+                value = est.overlap_lowdepth(params, prior)
+                tail = est._tails[prior.tobytes()]
+                expected = circuit_overlap(params, prior, q)
+                assert est._probabilities(stack[0], tail, 1).tobytes() == expected.tobytes()
+                if tier == "statevector":
+                    assert value == expected[0]
 
     def test_signed_zero_angles_are_different_gates(self):
-        # the sign of a zero angle can reach the state's signed zeros
+        # the sign of a zero angle reaches its gate's matrix
         est = Estimator(q=2, tier="statevector")
-        states = []
-        for second in (0.0, -0.0):
-            circuit = Circuit(2, (Gate("ry", (1,), -0.0), Gate("ry", (1,), second)))
-            states.append(est._prepare(circuit).tobytes())
-            assert states[-1] == statevector(circuit).tobytes()
-        assert states[0] != states[1]
+        params = np.zeros(16)
+        position, (kind, qubits, _) = next(
+            (k, entry) for k, entry in enumerate(ansatz_layout(2)) if entry[2] == 5
+        )
+        kept = []
+        for zero in (0.0, -0.0):
+            params[5] = zero
+            est._prepare(params)
+            kept.append(est._checkpoints.steps[position][0].tobytes())
+            assert kept[-1] == simulator.gate_matrix(Gate(kind, qubits, zero)).tobytes()
+        assert kept[0] != kept[1]
 
     @pytest.mark.parametrize("lam", ZNE_SCALES)
     def test_a_coordinate_step_evolves_from_its_gate_on(self, lam, monkeypatch):
         # the scales up to lam, evolved as one stack: one product per gate
         # whatever the number of scales
         scales = tuple(s for s in ZNE_SCALES if s <= lam)
-        checkpoints = Checkpoints()
+        checkpoints = Checkpoints(2)
         params = RNG(60).uniform(-np.pi, np.pi, 16)
-        density_matrix(build_ansatz(params, 2), self.NOISE, checkpoints, scales)
+        density_matrix(params, self.NOISE, checkpoints, scales)
         applied = count_gate_applications(monkeypatch)
         params[-3] = -0.0 if params[-3] == 0.0 else 0.0  # the third-last gate
-        stack = density_matrix(build_ansatz(params, 2), self.NOISE, checkpoints, scales)
+        stack = density_matrix(params, self.NOISE, checkpoints, scales)
         assert len(applied) == 3
         assert stack.shape == (len(scales), 4, 4)
 
@@ -756,8 +791,7 @@ class TestResumedPreparation:
         # of S_lam for the gate it changes only, and reuses every other gate's
         params = RNG(q).uniform(-np.pi, np.pi, ansatz_parameter_count(q))
         est = Estimator(q=q, tier="noisy", noise=self.NOISE, mitigate_zne=zne)
-        circuit = build_ansatz(params, q)
-        est._prepare(circuit)
+        est._prepare(params)
         built = []
         real = simulator._gate_superops
 
@@ -767,19 +801,19 @@ class TestResumedPreparation:
 
         for _ in range(steps):
             k = data.draw(st.integers(0, len(params) - 1), label="angle")
+            last, params = params, params.copy()
             params[k] = data.draw(ANGLES | st.sampled_from(list(params)), label="value")
-            last, circuit = circuit, build_ansatz(params, q)
             built.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(simulator, "_gate_superops", counted)
-                stack = est._prepare(circuit)
+                stack = est._prepare(params)
             for lam, got in zip(est._scales(), stack):
-                fresh = density_matrix(circuit, self.NOISE, lam=lam)
+                fresh = density_matrix(build_ansatz(params, q), self.NOISE, lam=lam)
                 assert np.array_equal(got, fresh)
                 assert got.tobytes() == fresh.tobytes()
             changed = [
-                new for old, new in zip(last.gates, circuit.gates)
-                if not simulator._same_gate(old, new)
+                Gate(kind, qubits, float(params[a])) for kind, qubits, a in ansatz_layout(q)
+                if a is not None and last[a].tobytes() != params[a].tobytes()
             ]
             assert len(changed) <= 1
             # S and, above scale 1, the S' of the gate's inverse are formed
@@ -795,10 +829,10 @@ class TestResumedPreparation:
             params[rng.integers(16)] = rng.uniform(-np.pi, np.pi)
             est._ansatz_states(params)
         n_gates = len(build_ansatz(params, 2).gates)
-        assert len(est._checkpoints.matrices) == n_gates
+        assert len(est._checkpoints.steps) == n_gates
         assert len(est._checkpoints.states) == n_gates
         # one stack per gate, one S_lam per scale
-        assert {m.shape[0] for m in est._checkpoints.matrices} == {len(ZNE_SCALES)}
+        assert {m.shape[0] for m, _ in est._checkpoints.steps} == {len(ZNE_SCALES)}
 
 
 class TestBatchedRead:

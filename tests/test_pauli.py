@@ -94,6 +94,13 @@ class TestPauliSum:
         xz = word_to_dense("XZ")
         assert np.allclose(xz, np.kron(pauli.PAULI_1Q["X"], pauli.PAULI_1Q["Z"]))
 
+    def test_traceless_dense_is_formed_once(self):
+        s = PauliSum(2, {"II": 0.75 - 0.5j, "XZ": 1.5, "YY": -0.25})
+        traceless = s.traceless_dense()
+        expected = s.to_dense() - complex(0.75 - 0.5j) * np.eye(4)
+        assert traceless.tobytes() == expected.tobytes()
+        assert s.traceless_dense() is traceless
+
 
 class TestRoundTripProperty:
     """decompose and to_dense invert each other up to rounding at q = 1-4."""
