@@ -5,15 +5,16 @@ mitigation switches and the measurement groups of the words it reads.
 Every estimate goes through one pipeline:
 
 1. *prepare* (:meth:`Estimator._prepare`): the ansatz states of an angle
-   vector as a stack, one statevector on the exact and shot tiers or, on the
+   vector as a stack, one statevector on the exact and shot tiers, each
+   block of the ansatz one product with its 2^q x 2^q matrix, or, on the
    noisy tier, the density matrix at each ZNE fold scale, evolved together,
    each gate one product with its stack of superoperators
    (:func:`~qdrive.simulator.density_matrix`).  The states of the last
    parameters are kept for every estimate of one objective evaluation, and
-   new parameters resume at the first gate whose angle changed, compared bit
-   for bit (:class:`~qdrive.simulator.Checkpoints`), so a step in one angle
-   evolves only the gates from that angle on, and forms the matrix (or
-   stack of superoperators) of its own gate alone;
+   new parameters resume at the first block (gate) whose angles changed,
+   compared bit for bit (:class:`~qdrive.simulator.Checkpoints`), so a step
+   in one angle forms the matrix (or stack of superoperators) of its own
+   block (gate) alone and evolves from there on;
 2. *measure, sample and mitigate* (:meth:`Estimator._sample`): the
    distribution of the q qubits after a measured tail, sampled into a shot
    histogram and, with readout mitigation, taken through one Kronecker
@@ -32,8 +33,9 @@ Every estimate goes through one pipeline:
      one distribution gives every word of the group as the mean of its
      parity signs.  The tail, its noise and the readout act on each qubit
      alone, so M is a product of one-qubit POVMs; or
-   * an overlap's inverted ansatz U(b)^dag, whose value is P(all zeros),
-     compiled once per prior on the exact and shot tiers;
+   * an overlap's inverted ansatz U(b)^dag, whose value is P(all zeros): on
+     the exact and shot tiers a dense matrix, the conjugate transpose of the
+     product of the prior's block matrices, formed once per prior;
 3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, each
    word's or overlap's values at fold scales 1, 3, 5 become one estimate.
 
@@ -62,9 +64,8 @@ from .mitigation import (
 from .pauli import PauliSum, qwc_groups
 from .simulator import (
     Checkpoints,
-    Compiled,
     NoiseModel,
-    compile_circuit,
+    ansatz_unitary,
     density_matrix,
     effective_povm,
     outcome_probabilities,
@@ -150,8 +151,8 @@ class Estimator:
         # the angles last prepared, each gate's matrix and the states on the way
         self._checkpoints = Checkpoints(q)
         # per prior's parameter bytes, its inverted ansatz: an overlap's tail,
-        # compiled with its matrices on the statevector and shot tiers
-        self._tails: dict[bytes, Circuit | Compiled] = {}
+        # the dense U(b)^dag on the statevector and shot tiers
+        self._tails: dict[bytes, Circuit | np.ndarray] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -211,12 +212,13 @@ class Estimator:
             return density_matrix(params, self.noise, self._checkpoints, self._scales())
         return statevector(params, checkpoints=self._checkpoints)[None]
 
-    def _probabilities(self, state: np.ndarray, tail: Circuit | Compiled, lam: int) -> np.ndarray:
-        """Outcome probabilities of the q qubits after ``tail`` acts on the
-        prepared ``state``: run forward on a statevector, or read as
-        Tr(M_y rho) from the effective POVM of the tail at fold scale lam."""
+    def _probabilities(self, state: np.ndarray, tail: Circuit | np.ndarray, lam: int) -> np.ndarray:
+        """Outcome probabilities of the q qubits after ``tail`` (a circuit or a
+        dense unitary) acts on the prepared ``state``: run forward on a vector,
+        or read as Tr(M_y rho) from the effective POVM of the tail at scale lam."""
         if self.tier != "noisy":
-            return outcome_probabilities(statevector(tail, state), self.q)
+            psi = tail @ state if isinstance(tail, np.ndarray) else statevector(tail, state)
+            return outcome_probabilities(psi, self.q)
         povm = self.noise.povm((tail, lam), lambda: effective_povm(tail, self.noise, lam))
         return np.einsum("yab,ba->y", povm, state).real
 
@@ -322,15 +324,17 @@ class Estimator:
         acts gate by gate, so each part is evolved at the same fold scale, and
         the scales are sampled in one batch.  The states of the last
         ``params_a`` are kept, so overlaps of one state with several priors
-        prepare it once, and each prior's tail is built once, with its
-        matrices on the statevector and shot tiers.
+        prepare it once, and each prior's tail is built once: as one dense
+        unitary on the statevector and shot tiers.
         """
         heads = self._ansatz_states(params_a)
         key = np.asarray(params_b, dtype=float).tobytes()
         tail = self._tails.get(key)
         if tail is None:
-            tail = build_ansatz(params_b, self.q).inverse()
-            tail = self._tails[key] = tail if self.tier == "noisy" else compile_circuit(tail)
+            tail = self._tails[key] = (
+                build_ansatz(params_b, self.q).inverse() if self.tier == "noisy"
+                else ansatz_unitary(params_b, self.q).conj().T
+            )
         dists = self._sample(
             np.array([self._probabilities(h, tail, lam) for lam, h in zip(self._scales(), heads)]),
             [{"purpose": "overlap", "lam": lam} for lam in self._scales()],

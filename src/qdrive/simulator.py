@@ -10,30 +10,34 @@
 A gate is one matrix product: the tensor's axes are permuted so that the
 gate's qubits come first (the permutation and its inverse are cached per
 tensor rank and qubit tuple), flattened to a 2^k-row matrix, multiplied,
-and permuted back.
+and permuted back.  Generic circuits (measurement rotations, final states)
+run gate by gate.  On the exact and shot tiers the ansatz runs by blocks:
+block b of :func:`~qdrive.circuits.ansatz_layout` (its CX chain, RY column
+and RZ column) is one 2^q x 2^q matrix M_b = D_z (RY (x) ... (x) RY) P_cx,
+so a preparation is one matrix-vector product per block.
 
-On a density matrix a k-qubit gate and the noise block after it are one
-superoperator S = N (U (x) U*), a 4^k x 4^k matrix on the gate's ket axes
-and then its bra axes (the Liouville form of the channel), applied by the
-same kernel; the adjoint evolution applies S^dag.  The noise block N is
-:func:`apply_gate_noise` run once on the gate's own k-qubit basis: thermal
-relaxation on each of the gate's qubits (generalized amplitude damping
-composed with pure dephasing such that the total off-diagonal decay over the
-gate duration is exp(-t/T2)), then local depolarizing on the same qubits.
-At the odd fold scale lam each gate G runs as if folded to
-G (G^dag G)^((lam-1)/2), still in one product, with
+On the noisy tier's density matrices a k-qubit gate and the noise block
+after it are one superoperator S = N (U (x) U*), a 4^k x 4^k matrix on the
+gate's ket axes and then its bra axes (the Liouville form of the channel),
+applied by the gate kernel; the adjoint evolution applies S^dag.  The noise
+block N is thermal relaxation on each of the gate's qubits (generalized
+amplitude damping composed with pure dephasing such that the total
+off-diagonal decay over the gate duration is exp(-t/T2)), then local
+depolarizing on the same qubits.  At the odd fold scale lam each gate G runs
+as if folded to G (G^dag G)^((lam-1)/2), still in one product, with
 S_lam = S (S' S)^((lam-1)/2) for S' the S of G^dag.  :func:`density_matrix`
 evolves several fold scales as one stack of states, each gate one product
 with its stack of S_lam.  The :class:`NoiseModel` caches N per qubit tuple
 and a fixed gate's stack per kind, qubit tuple and scales.
 
-:func:`statevector` and :func:`density_matrix` apply each gate's (matrix,
-permutations) pair in one loop.  With :class:`Checkpoints` they take the
-ansatz's angles instead of a circuit, form the matrix of each angle that
-changed since the last preparation alone and resume at its gate, so a
-one-angle step forms one new matrix (or stack); :func:`compile_circuit` keeps
-a fixed circuit's pairs.  The same products run on the same arrays in the
-same order, so the output is bitwise a fresh evolution's.
+:func:`statevector` and :func:`density_matrix` apply each position's
+(matrix, permutations) pair in one loop.  With :class:`Checkpoints` they
+take the ansatz's angles instead of a circuit, form the matrix of each
+position (a block on a statevector, a gate on a density matrix) whose
+angles changed since the last preparation alone and resume at the first of
+them, so a one-angle step forms one new matrix (or stack).  The same
+products run on the same arrays in the same order, so the output is
+bitwise a fresh preparation's.
 
 Density matrices stay small by design: at most a six-qubit ansatz is ever
 simulated, i.e. a 64 x 64 matrix (32 x 32 under the bundled five-qubit
@@ -45,7 +49,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,37 +117,66 @@ def _evolve(state: np.ndarray, steps, states: list | None = None) -> np.ndarray:
     on the permuted tensor (one ``np.matmul`` for a stack), bitwise
     ``np.tensordot``'s, then ``moveaxis``; a trailing stack axis of the
     state, beside its axes of size 2, is carried along."""
-    for mat, (front, back) in steps:
-        flat = state.transpose(front).reshape(mat.shape[:-1] + (-1,))
-        product = np.matmul if mat.ndim > 2 else np.dot
-        state = product(mat, flat).reshape(state.shape).transpose(back)
+    for mat, perms in steps:
+        if perms is None:  # a matrix on the whole of a flat state
+            state = np.dot(mat, state)
+        else:
+            flat = state.transpose(perms[0]).reshape(mat.shape[:-1] + (-1,))
+            product = np.matmul if mat.ndim > 2 else np.dot
+            state = product(mat, flat).reshape(state.shape).transpose(perms[1])
         if states is not None:
             states.append(state)
     return state
 
 
-class Compiled(NamedTuple):
-    """A circuit compiled for statevectors: each gate's (matrix, permutations)."""
+@functools.lru_cache(maxsize=None)
+def _blocks(q: int) -> tuple:
+    """Per block of the ansatz: the range (lo, hi) of its angles, each entry
+    of its RY column's Kronecker product, columns permuted by its CX chain, as
+    flat indices into the rotations' (c, -s, s, c), and the +-1 sign of each
+    RZ angle in each basis state's phase."""
+    bits = (np.arange(2**q)[:, None] >> np.arange(q - 1, -1, -1)) & 1
+    cols, blocks = bits.copy(), []
+    for kind, qubits, a in ansatz_layout(q):
+        if kind == "cx":  # the basis state |j> the chain sends to column j
+            cols[:, qubits[1]] ^= cols[:, qubits[0]]
+        elif a % (2 * q) == 2 * q - 1:  # the block's last angle
+            index = (2 * bits[:, None] + cols) * q + np.arange(q)
+            blocks.append(((a + 1 - 2 * q, a + 1), index, 1.0 - 2 * bits))
+            cols = bits.copy()
+    return tuple(blocks)
 
-    n_qubits: int
-    steps: tuple
+
+def _block_matrix(q: int, b: int, angles: np.ndarray) -> np.ndarray:
+    """M_b = D_z (RY_0 (x) ... (x) RY_{q-1}) P_cx, block b of the ansatz at
+    its ``angles`` (RY then RZ) as one 2^q x 2^q matrix."""
+    _, index, signs = _blocks(q)[b]
+    half = 0.5 * angles
+    c, s = np.cos(half[:q]), np.sin(half[:q])
+    ry = np.concatenate([c, -s, s, c])[index].prod(axis=-1)
+    return np.exp(-1j * (signs @ half[q:]))[:, None] * ry
 
 
-def compile_circuit(circuit: Circuit) -> Compiled:
-    n = circuit.n_qubits
-    return Compiled(n, tuple((gate_matrix(g), _contraction(n, g.qubits, 0)) for g in circuit.gates))
+def ansatz_unitary(params, q: int) -> np.ndarray:
+    """U(params), the ansatz on q qubits as one 2^q x 2^q matrix: the product
+    of its block matrices."""
+    params, u = ansatz_angles(params, q), np.eye(2**q)
+    for b, ((lo, hi), _, _) in enumerate(_blocks(q)):
+        u = _block_matrix(q, b, params[lo:hi]) @ u
+    return u
 
 
 @dataclass(eq=False)
 class Checkpoints:
     """The last preparation of the ansatz on ``q`` qubits from |0..0>: its
-    angles' ``bits``, ``steps[k]`` the (matrix, permutations) pair of gate k
-    (its unitary on a statevector, its stack of S_lam on stacked density
-    matrices) and ``states[k]`` the state after the first k + 1 gates.  So
-    each list holds one entry per gate position, whatever the number of
-    preparations.  A statevector checkpoint takes 16 * 2^n bytes, a density
-    one 16 * 4^n bytes per scale (64 KiB at n = 6); a matrix 16 * 4^k bytes
-    for a k-qubit gate, or 16 * 16^k per scale for a superoperator.
+    angles' ``bits``, ``steps[k]`` the (matrix, permutations) pair of
+    position k and ``states[k]`` the state after the first k + 1 positions.
+    A position is a block of the ansatz on a statevector (its 2^q x 2^q
+    matrix, 16 * 4^q bytes, 64 KiB at q = 6, with no permutations) and a
+    gate on stacked density matrices (its stack of S_lam, 16 * 16^k bytes
+    per scale for a k-qubit gate).  So each list holds one entry per
+    position, whatever the number of preparations.  A statevector
+    checkpoint takes 16 * 2^q bytes, a density one 16 * 4^q bytes per scale.
     """
 
     q: int
@@ -156,26 +188,25 @@ class Checkpoints:
     noise: "NoiseModel | None" = None
 
 
-def _run(circuit, state, matrix, perm, checkpoints: Checkpoints | None, noise=None, scales=(1,)):
-    """``state`` taken through each gate's ``matrix(gate)`` around ``perm(qubits)``.
+def _run(params, state, positions, step, checkpoints: Checkpoints, noise=None, scales=(1,)):
+    """``state`` taken through ``step(k, params[lo:hi])``, the (matrix,
+    permutations) pair of each position k at its angles, resuming ``checkpoints``.
 
-    With ``checkpoints``, ``circuit`` is the ansatz's angles.  Against a record
-    of the same kind of state, fold scales and noise model, only the gates
-    whose angle changed bit for bit (so -0.0 != 0.0) form their matrix, and
-    the evolution resumes at the first of them; otherwise all start afresh.
+    ``positions[k]`` is the range (lo, hi) of the angles that position k
+    reads.  Against a record of the same kind of state, fold scales and noise
+    model, only the positions whose angles changed bit for bit (so
+    -0.0 != 0.0) form their step, and the evolution resumes at the first of
+    them; otherwise all start afresh.
     """
-    if checkpoints is None:
-        return _evolve(state, [(matrix(g), perm(g.qubits)) for g in circuit.gates])
-    params = ansatz_angles(circuit, checkpoints.q)
-    bits, layout = params.view(np.int64).tolist(), ansatz_layout(checkpoints.q)
+    params = ansatz_angles(params, checkpoints.q)
+    bits = params.view(np.int64).tolist()
     steps, states, old = checkpoints.steps, checkpoints.states, checkpoints.bits
     if checkpoints.kind != (state.ndim, scales) or checkpoints.noise is not noise:
-        steps[:], old = [None] * len(layout), None
-    start = len(layout)
-    for k, (kind, qubits, a) in enumerate(layout):
-        if old is None or a is not None and bits[a] != old[a]:
-            angle = None if a is None else float(params[a])
-            steps[k], start = (matrix(Gate(kind, qubits, angle)), perm(qubits)), min(start, k)
+        steps[:], old = [None] * len(positions), None
+    start = len(positions)
+    for k, (lo, hi) in enumerate(positions):
+        if old is None or bits[lo:hi] != old[lo:hi]:
+            steps[k], start = step(k, params[lo:hi]), min(start, k)
     del states[start:]
     if start:
         state = states[-1]
@@ -184,7 +215,7 @@ def _run(circuit, state, matrix, perm, checkpoints: Checkpoints | None, noise=No
 
 
 def statevector(
-    circuit: Circuit | Compiled | np.ndarray,
+    circuit: Circuit | np.ndarray,
     initial: np.ndarray | None = None,
     checkpoints: Checkpoints | None = None,
 ) -> np.ndarray:
@@ -192,20 +223,23 @@ def statevector(
 
     The circuit acts on |0..0>, or on the flat state ``initial`` if given.
     With ``checkpoints``, ``circuit`` is the ansatz's angle vector, prepared
-    from |0..0> by resuming the record, and the state returned is read-only.
+    from |0..0> one block matrix at a time by resuming the record, and the
+    state returned is read-only.
     """
     n = circuit.n_qubits if checkpoints is None else checkpoints.q
     if initial is None:
-        psi = np.zeros((2,) * n, dtype=complex)
-        psi[(0,) * n] = 1.0
+        psi = np.zeros(2**n, dtype=complex)
+        psi[0] = 1.0
     elif checkpoints is not None:
         raise ValueError("checkpoints resume evolutions from |0..0> only")
     else:
-        psi = np.asarray(initial).reshape((2,) * n)
-    if isinstance(circuit, Compiled):
-        psi = _evolve(psi, circuit.steps)
+        psi = np.asarray(initial)
+    if checkpoints is None:
+        steps = [(gate_matrix(g), _contraction(n, g.qubits, 0)) for g in circuit.gates]
+        psi = _evolve(psi.reshape((2,) * n), steps)
     else:
-        psi = _run(circuit, psi, gate_matrix, lambda qubits: _contraction(n, qubits, 0), checkpoints)
+        psi = _run(circuit, psi, [r for r, _, _ in _blocks(n)],
+                   lambda b, angles: (_block_matrix(n, b, angles), None), checkpoints)
     return _flat(psi, (-1,), checkpoints)
 
 
@@ -351,14 +385,20 @@ class NoiseModel:
 
     def _noise_block(self, qubits: tuple[int, ...]) -> np.ndarray:
         """N, the noise block after a gate on ``qubits``, as a 4^k x 4^k matrix
-        on their ket axes, then their bra axes: :func:`apply_gate_noise` run
-        once on the gate's own k-qubit basis."""
+        on their ket axes, then their bra axes: each qubit's relaxation (with
+        depolarizing p1 on one qubit), then, on two, R -> (1 - p2) R +
+        p2 (I/4 (x) Tr) R for their joint relaxation R."""
         block = self._superop_cache.get(qubits)
         if block is None:
-            k = len(qubits)
-            basis = np.eye(4**k, dtype=complex).reshape((2,) * (2 * k) + (4**k,))
-            block = apply_gate_noise(basis, Gate("", tuple(range(k))), self.restricted(qubits), k)
-            block = self._superop_cache[qubits] = block.reshape(4**k, 4**k)
+            if len(qubits) == 1:
+                block = self.relaxation_superop(qubits[0], self.gate_time_1q_us, self.p1)
+            else:
+                r0, r1 = (self.relaxation_superop(q, self.gate_time_2q_us, 0.0) for q in qubits)
+                block = np.einsum("ABCD,abcd->AaBbCcDd", r0, r1).reshape(16, 16)
+                if self.p2 > 0:
+                    mixed = np.eye(4).reshape(16, 1) * block[::5].sum(axis=0) / 4.0
+                    block = (1.0 - self.p2) * block + self.p2 * mixed
+            block = self._superop_cache[qubits] = block.reshape(4 ** len(qubits), -1)
         return block
 
     def restricted(self, qubits: tuple[int, ...]) -> "NoiseModel":
@@ -446,42 +486,10 @@ def load_noise_profile(path) -> NoiseModel:
 # followed by any number of stack axes that they carry along unchanged.
 
 
-def _apply_superop_1q(rho: np.ndarray, sop: np.ndarray, qubit: int, n: int):
-    in_idx = list(range(2 * n))
-    in_idx[qubit] = 2 * n
-    in_idx[n + qubit] = 2 * n + 1
-    return np.einsum(
-        sop, [qubit, n + qubit, 2 * n, 2 * n + 1],
-        rho, in_idx + [...], list(range(2 * n)) + [...],
-    )
-
-
-def _depolarize(rho: np.ndarray, qubits, p: float, n: int):
-    """Local depolarizing: rho -> (1-p) rho + p * (I/2^d) (x) Tr_d[rho]."""
-    if p <= 0:
-        return rho
-    d = len(qubits)
-    in_idx = list(range(2 * n))
-    for q in qubits:
-        in_idx[n + q] = in_idx[q]
-    rest = [i for i in range(2 * n) if i not in [q for q in qubits] + [n + q for q in qubits]]
-    traced = np.einsum(rho, in_idx + [...], rest + [...])
-    eyes = []
-    for q in qubits:
-        eyes.extend([np.eye(2), [q, n + q]])
-    mixed = np.einsum(*eyes, traced, rest + [...], list(range(2 * n)) + [...]) / 2.0**d
-    return (1.0 - p) * rho + p * mixed
-
-
 def apply_gate_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
-    """Noise block after one gate: per-qubit relaxation, then depolarizing."""
-    if len(gate.qubits) == 1:
-        sop = noise.relaxation_superop(gate.qubits[0], noise.gate_time_1q_us, noise.p1)
-        return _apply_superop_1q(rho, sop, gate.qubits[0], n)
-    for q in gate.qubits:
-        sop = noise.relaxation_superop(q, noise.gate_time_2q_us, 0.0)
-        rho = _apply_superop_1q(rho, sop, q, n)
-    return _depolarize(rho, gate.qubits, noise.p2, n)
+    """The noise block N after one gate, on a density tensor of n qubits."""
+    axes = gate.qubits + tuple(n + q for q in gate.qubits)
+    return _apply_matrix(rho, noise._noise_block(gate.qubits), axes)
 
 
 def _gate_superops(gate: Gate, noise: NoiseModel | None, scales: tuple[int, ...]) -> np.ndarray:
@@ -537,11 +545,18 @@ def density_matrix(
     _check_evolution(n, noise, scales)
     rho = np.zeros((len(scales),) + (2,) * (2 * n), dtype=complex)
     rho[(slice(None),) + (0,) * (2 * n)] = 1.0
-    rho = _run(
-        circuit, rho, lambda gate: _gate_superops(gate, noise, scales),
-        lambda qubits: _contraction(2 * n + 1, qubits + tuple(n + q for q in qubits), 1),
-        checkpoints, noise, scales,
-    )
+
+    def step(gate: Gate):
+        axes = gate.qubits + tuple(n + q for q in gate.qubits)
+        return _gate_superops(gate, noise, scales), _contraction(2 * n + 1, axes, 1)
+
+    if checkpoints is None:
+        rho = _evolve(rho, [step(g) for g in circuit.gates])
+    else:
+        layout = ansatz_layout(n)
+        ranges = [(0, 0) if a is None else (a, a + 1) for _, _, a in layout]
+        rho = _run(circuit, rho, ranges, lambda k, angles: step(Gate(*layout[k][:2], *angles)),
+                   checkpoints, noise, scales)
     return _flat(rho, (-1, 2**n, 2**n) if stacked else (2**n, 2**n), checkpoints)
 
 

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from qdrive import estimator as estimator_module
 from qdrive import simulator
-from qdrive.circuits import Circuit, Gate, ansatz_layout, ansatz_parameter_count, build_ansatz
+from qdrive.circuits import (
+    ANSATZ_LAYERS,
+    Circuit,
+    Gate,
+    ansatz_layout,
+    ansatz_parameter_count,
+    build_ansatz,
+)
 from qdrive.config import bundled_profile_path
 from qdrive.estimator import TIERS, ZNE_SCALES, Estimator, measurement_rotation
 from qdrive.mitigation import fold_circuit
@@ -32,6 +39,8 @@ from qdrive.simulator import (
 from tests.test_simulator import torino_like
 
 RNG = np.random.default_rng
+# the ansatz's blocks: a rotation column, then each layer's CX chain and columns
+BLOCKS = ANSATZ_LAYERS + 1
 
 
 def random_observable(q, rng):
@@ -246,9 +255,9 @@ class TestNoisyTier:
 
 
 def count_gate_applications(monkeypatch) -> list:
-    """The gate superoperators that noisy evolutions apply from now on, one
-    entry each: the permutations of each product (the adjoint evolutions that
-    build effective POVMs apply them too)."""
+    """The products that evolutions apply from now on, one entry each: the
+    permutations of each gate's product, None for a block's (the adjoint
+    evolutions that build effective POVMs apply them too)."""
     applied = []
     real = simulator._evolve
 
@@ -289,56 +298,72 @@ class TestSharedAnsatzState:
         return h_h, v_cap, decompose(m.conj().T @ m)
 
     @staticmethod
-    def count_statevectors(monkeypatch) -> tuple[list, list]:
-        """The circuits handed to ``statevector`` and the gates it applies."""
-        calls, gates = [], []
-        real, real_matrix = estimator_module.statevector, simulator.gate_matrix
+    def count_statevectors(monkeypatch) -> tuple[list, list, list]:
+        """The angle vectors handed to ``statevector``, the blocks whose
+        matrices are formed and the gates whose matrices are formed."""
+        calls, blocks, gates = [], [], []
+        real, real_block = estimator_module.statevector, simulator._block_matrix
+        real_matrix = simulator.gate_matrix
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
+
+        def counted_block(q, b, angles):
+            blocks.append(b)
+            return real_block(q, b, angles)
 
         def counted_matrix(gate):
             gates.append(gate)
             return real_matrix(gate)
 
         monkeypatch.setattr(estimator_module, "statevector", counted)
+        monkeypatch.setattr(simulator, "_block_matrix", counted_block)
         monkeypatch.setattr(simulator, "gate_matrix", counted_matrix)
-        return calls, gates
+        return calls, blocks, gates
 
     def test_pseudovariance_prepares_the_ansatz_once(self, monkeypatch):
         rng = RNG(50)
         h_h, v_cap, h_dag_h = self.problem(rng)
         est = Estimator(q=2, tier="statevector")
-        calls, gates = self.count_statevectors(monkeypatch)
+        calls, blocks, gates = self.count_statevectors(monkeypatch)
         params = rng.uniform(-np.pi, np.pi, 16)
+        applied = count_gate_applications(monkeypatch)
         pseudovariance_objective(params, h_h, v_cap, h_dag_h, est)
         assert len(calls) == 1
-        assert len(gates) == len(build_ansatz(params, 2).gates)
+        # one matrix and one product per block, no gate by gate
+        assert blocks == list(range(BLOCKS)) and len(applied) == BLOCKS
+        assert gates == []
         (state,) = est._heads[1]
         with pytest.raises(ValueError, match="read-only"):
             state[0] = 0.0
-        # a step in the last angle evolves the last gate only
+        # a step in the last angle forms and applies the last block only
         params[-1] += 0.5
         pseudovariance_objective(params, h_h, v_cap, h_dag_h, est)
         assert len(calls) == 2
-        assert len(gates) == len(build_ansatz(params, 2).gates) + 1
+        assert blocks == list(range(BLOCKS)) + [BLOCKS - 1]
+        assert len(applied) == BLOCKS + 1
 
     def test_vqd_prepares_one_head_and_one_tail_per_prior(self, monkeypatch):
         rng = RNG(51)
         h_h, _ = random_observable(2, rng)
         params, *priors = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
         est = Estimator(q=2, tier="statevector")
-        calls, gates = self.count_statevectors(monkeypatch)
+        calls, blocks, gates = self.count_statevectors(monkeypatch)
         vqd_objective(params, h_h, priors, 10.0, est)
-        assert len(calls) == 1 + 2
-        assert len(gates) == (1 + 2) * len(build_ansatz(params, 2).gates)
-        # a step in one angle forms that gate's matrix alone: each prior's
-        # tail keeps its matrices, and is evolved once per evaluation
+        # the head is prepared; each prior's tail is its dense U^dag, formed
+        # from its block matrices once
+        assert len(calls) == 1
+        assert blocks == list(range(BLOCKS)) * (1 + 2)
+        assert gates == []
+        assert len(est._tails) == 2
+        # a step in one angle forms its block's matrix alone: each prior's
+        # tail is kept, and applied once per evaluation
         params[3] += 0.5
         vqd_objective(params, h_h, priors, 10.0, est)
-        assert len(calls) == 2 * (1 + 2)
-        assert len(gates) == (1 + 2) * len(build_ansatz(params, 2).gates) + 1
+        assert len(calls) == 2
+        assert blocks == list(range(BLOCKS)) * (1 + 2) + [0]
+        assert gates == []
 
     @pytest.mark.parametrize("tier", ["statevector", "shots"])
     def test_sharing_leaves_every_estimate_unchanged(self, tier):
@@ -683,11 +708,18 @@ def angle_vectors(q: int):
 
 
 def fresh_steps(params, q: int, est: Estimator) -> list[bytes]:
-    """Each gate's matrix on ``est``'s tier at ``params``, formed afresh."""
-    gates = build_ansatz(params, q).gates
+    """Each position's matrix on ``est``'s tier at ``params``, formed afresh:
+    a block's on a statevector, a gate's stack of S_lam on the noisy tier."""
     if est.tier != "noisy":
-        return [simulator.gate_matrix(g).tobytes() for g in gates]
+        blocks = enumerate(simulator._blocks(q))
+        return [simulator._block_matrix(q, b, params[lo:hi]).tobytes() for b, ((lo, hi), *_) in blocks]
+    gates = build_ansatz(params, q).gates
     return [simulator._gate_superops(g, est.noise, est._scales()).tobytes() for g in gates]
+
+
+def fresh_blocks(params, q: int) -> np.ndarray:
+    """The ansatz state of ``params`` prepared by blocks from |0..0>."""
+    return statevector(params, checkpoints=Checkpoints(q))
 
 
 def circuit_overlap(params_a, params_b, q: int) -> np.ndarray:
@@ -699,19 +731,16 @@ def circuit_overlap(params_a, params_b, q: int) -> np.ndarray:
 
 class TestResumedPreparation:
     """A preparation that resumes from the last one's checkpoints gives,
-    read-only, bitwise the state evolved from |0..0>, and each overlap tail
-    kept as its matrices gives bitwise the circuit's distribution."""
+    read-only, bitwise the state prepared from |0..0> (by blocks on a
+    statevector, by gates on the noisy tier), and each prior's dense overlap
+    tail gives the circuit's distribution."""
 
     NOISE = torino_like(4)
 
     @settings(deadline=None, max_examples=80)
-    @given(
-        data=st.data(),
-        tier=st.sampled_from(TIERS),
-        zne=st.booleans(),
-        q=st.integers(1, 4),
-    )
-    def test_resumed_state_is_the_fresh_one(self, data, tier, zne, q):
+    @given(data=st.data(), tier=st.sampled_from(TIERS), zne=st.booleans())
+    def test_resumed_state_is_the_fresh_one(self, data, tier, zne):
+        q = data.draw(st.integers(1, 4 if tier == "noisy" else 6), label="qubits")
         est = Estimator(q=q, tier=tier, noise=self.NOISE, mitigate_zne=zne)
         params = data.draw(angle_vectors(q), label="start")
         priors = data.draw(st.lists(angle_vectors(q), max_size=2), label="priors")
@@ -731,7 +760,10 @@ class TestResumedPreparation:
                 if tier == "noisy":
                     fresh = density_matrix(build_ansatz(params, q), self.NOISE, lam=lam)
                 else:
-                    fresh = statevector(build_ansatz(params, q))
+                    fresh = fresh_blocks(params, q)
+                    gate_by_gate = statevector(build_ansatz(params, q))
+                    assert np.max(np.abs(got - gate_by_gate)) < 1e-12
+                    assert abs(np.linalg.norm(got) - 1.0) < 1e-12
                 assert np.array_equal(got, fresh)
                 assert got.tobytes() == fresh.tobytes()  # signed zeros too
                 assert not got.flags.writeable
@@ -746,24 +778,53 @@ class TestResumedPreparation:
                 value = est.overlap_lowdepth(params, prior)
                 tail = est._tails[prior.tobytes()]
                 expected = circuit_overlap(params, prior, q)
-                assert est._probabilities(stack[0], tail, 1).tobytes() == expected.tobytes()
+                assert np.max(np.abs(est._probabilities(stack[0], tail, 1) - expected)) < 1e-12
                 if tier == "statevector":
-                    assert value == expected[0]
+                    phi_a, phi_b = (statevector(build_ansatz(x, q)) for x in (params, prior))
+                    assert abs(value - abs(np.vdot(phi_b, phi_a)) ** 2) < 1e-12
 
     def test_signed_zero_angles_are_different_gates(self):
-        # the sign of a zero angle reaches its gate's matrix
+        # the sign of a zero RY angle reaches its block's matrix; angle 5 is
+        # in block 1, after the first block's four
         est = Estimator(q=2, tier="statevector")
-        params = np.zeros(16)
-        position, (kind, qubits, _) = next(
-            (k, entry) for k, entry in enumerate(ansatz_layout(2)) if entry[2] == 5
-        )
+        params = RNG(1).uniform(-np.pi, np.pi, 16)
         kept = []
         for zero in (0.0, -0.0):
             params[5] = zero
             est._prepare(params)
-            kept.append(est._checkpoints.steps[position][0].tobytes())
-            assert kept[-1] == simulator.gate_matrix(Gate(kind, qubits, zero)).tobytes()
+            kept.append(est._checkpoints.steps[1][0].tobytes())
+            assert kept[-1] == simulator._block_matrix(2, 1, params[4:8]).tobytes()
         assert kept[0] != kept[1]
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), q=st.integers(1, 6), steps=st.integers(1, 8))
+    def test_a_one_angle_step_forms_one_block_matrix(self, data, q, steps):
+        # one-angle steps, as an optimizer takes them: a changed angle forms
+        # the matrix of its block alone, and the state evolves from it on
+        params = data.draw(angle_vectors(q), label="start")
+        checkpoints = Checkpoints(q)
+        statevector(params, checkpoints=checkpoints)
+        formed = []
+        real = simulator._block_matrix
+
+        def counted(q, b, angles):
+            formed.append(b)
+            return real(q, b, angles)
+
+        for _ in range(steps):
+            k = data.draw(st.integers(0, len(params) - 1), label="angle")
+            last, params = params, params.copy()
+            params[k] = data.draw(ANGLES | st.sampled_from(list(params)), label="value")
+            formed.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulator, "_block_matrix", counted)
+                applied = count_gate_applications(patch)
+                got = statevector(params, checkpoints=checkpoints)
+            b = k // (2 * q)
+            changed = last[k].tobytes() != params[k].tobytes()
+            assert formed == ([b] if changed else [])
+            assert len(applied) == (BLOCKS - b if changed else 0)
+            assert got.tobytes() == fresh_blocks(params, q).tobytes()
 
     @pytest.mark.parametrize("lam", ZNE_SCALES)
     def test_a_coordinate_step_evolves_from_its_gate_on(self, lam, monkeypatch):

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrive import simulator
-from qdrive.circuits import Circuit, Gate
+from qdrive.circuits import Circuit, Gate, ansatz_parameter_count, build_ansatz
 from qdrive.config import bundled_profile_path
 from qdrive.mitigation import fold_circuit
 from qdrive.simulator import (
+    Checkpoints,
     Measurement,
     NoiseModel,
     adjoint_density_matrix,
+    ansatz_unitary,
     apply_gate_noise,
     density_matrix,
     effective_povm,
@@ -117,6 +119,26 @@ class TestStatevector:
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestBlocks:
+    """The ansatz prepared one block matrix at a time is the gate-by-gate
+    state up to rounding."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), q=st.integers(1, 6))
+    def test_block_preparation_is_the_gate_by_gate_state(self, data, q):
+        angle = st.sampled_from([0.0, -0.0, math.pi, -math.pi]) | st.floats(-math.pi, math.pi)
+        m = ansatz_parameter_count(q)
+        params = np.array(data.draw(st.lists(angle, min_size=m, max_size=m), label="angles"))
+        got = statevector(params, checkpoints=Checkpoints(q))
+        expected = statevector(build_ansatz(params, q))
+        assert np.max(np.abs(got - expected)) < 1e-12
+        assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+        # the dense unitary: the same state in its first column, and unitary
+        u = ansatz_unitary(params, q)
+        assert np.max(np.abs(u[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2**q))) < 1e-12
+
+
 def tensordot_kernel(t, mat, axes):
     """Reference gate kernel: ``np.tensordot`` on the axes, then ``moveaxis``."""
     k = len(axes)
@@ -142,6 +164,59 @@ class TestGateKernel:
         got = simulator._apply_matrix(t, mat, axes)
         assert got.shape == shape
         assert np.array_equal(got, tensordot_kernel(t, mat, axes))
+
+
+def _apply_superop_1q(rho: np.ndarray, sop: np.ndarray, qubit: int, n: int):
+    in_idx = list(range(2 * n))
+    in_idx[qubit] = 2 * n
+    in_idx[n + qubit] = 2 * n + 1
+    return np.einsum(
+        sop, [qubit, n + qubit, 2 * n, 2 * n + 1],
+        rho, in_idx + [...], list(range(2 * n)) + [...],
+    )
+
+
+def _depolarize(rho: np.ndarray, qubits, p: float, n: int):
+    """Local depolarizing: rho -> (1-p) rho + p * (I/2^d) (x) Tr_d[rho]."""
+    if p <= 0:
+        return rho
+    d = len(qubits)
+    in_idx = list(range(2 * n))
+    for q in qubits:
+        in_idx[n + q] = in_idx[q]
+    rest = [i for i in range(2 * n) if i not in [q for q in qubits] + [n + q for q in qubits]]
+    traced = np.einsum(rho, in_idx + [...], rest + [...])
+    eyes = []
+    for q in qubits:
+        eyes.extend([np.eye(2), [q, n + q]])
+    mixed = np.einsum(*eyes, traced, rest + [...], list(range(2 * n)) + [...]) / 2.0**d
+    return (1.0 - p) * rho + p * mixed
+
+
+def reference_gate_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel, n: int):
+    """Reference noise block after one gate, qubit by qubit on a density
+    tensor: per-qubit relaxation, then depolarizing."""
+    if len(gate.qubits) == 1:
+        sop = noise.relaxation_superop(gate.qubits[0], noise.gate_time_1q_us, noise.p1)
+        return _apply_superop_1q(rho, sop, gate.qubits[0], n)
+    for q in gate.qubits:
+        sop = noise.relaxation_superop(q, noise.gate_time_2q_us, 0.0)
+        rho = _apply_superop_1q(rho, sop, q, n)
+    return _depolarize(rho, gate.qubits, noise.p2, n)
+
+
+class TestNoiseBlock:
+    @pytest.mark.parametrize("reduction", [1.0, 3.0, 1e4])
+    @pytest.mark.parametrize("qubits", [(0,), (1,), (2,), (0, 1), (1, 2), (2, 3), (3, 4)])
+    def test_block_is_the_reference_run_on_its_basis(self, reduction, qubits):
+        # N, built directly, is bitwise the reference run on the gate's own
+        # k-qubit basis, on the bundled profile
+        noise = scale_noise(noise_models()["profile"], reduction=reduction)
+        k = len(qubits)
+        basis = np.eye(4**k, dtype=complex).reshape((2,) * (2 * k) + (4**k,))
+        gate, alone = Gate("", tuple(range(k))), noise.restricted(qubits)
+        expected = reference_gate_noise(basis, gate, alone, k)
+        assert noise._noise_block(qubits).tobytes() == expected.reshape(4**k, 4**k).tobytes()
 
 
 def apply_noise(rho: np.ndarray, gate: Gate, noise: NoiseModel) -> np.ndarray:
@@ -378,12 +453,12 @@ class TestFoldScale:
 
 
 def gate_then_noise(t: np.ndarray, gate: Gate, noise: NoiseModel | None, n: int) -> np.ndarray:
-    """U t U^dag by the reference kernel, then :func:`apply_gate_noise`, on a
-    density tensor of n qubits with any trailing stack axes."""
+    """U t U^dag by the reference kernel, then the reference noise block, on
+    a density tensor of n qubits with any trailing stack axes."""
     u = simulator.gate_matrix(gate)
     t = tensordot_kernel(t, u, gate.qubits)
     t = tensordot_kernel(t, u.conj(), tuple(n + q for q in gate.qubits))
-    return t if noise is None else apply_gate_noise(t, gate, noise, n)
+    return t if noise is None else reference_gate_noise(t, gate, noise, n)
 
 
 class TestFusedGate:
