@@ -36,6 +36,13 @@ CASES = {
          "optimizer": {"hermitian_f_max": 64, "nonhermitian_f_max": 32}},
         ("winners.csv", "table.csv"),
     ),
+    # q = 3 with three even states: deflated stages with several priors
+    "statevector_q3": (
+        "run",
+        {"q": 3, "tier": "statevector", "n_states": {"even": 3, "odd": 1},
+         "optimizer": {"hermitian_f_max": 160, "nonhermitian_f_max": 64}},
+        ("winners.csv", "table.csv"),
+    ),
     "shots": (
         "run",
         {"tier": "shots", "n_states": {"even": 2, "odd": 1},
