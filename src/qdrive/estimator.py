@@ -148,7 +148,7 @@ class Estimator:
         # the last parameters' bytes, their groups' distributions per scale
         # and the word values read from them
         self._reads: tuple[bytes, dict[str, np.ndarray], dict[str, float]] = (b"", {}, {})
-        # the angles last prepared, each gate's matrix and the states on the way
+        # the angles last prepared, each block's (gate's) matrix and the states
         self._checkpoints = Checkpoints(q)
         # per prior's parameter bytes, its inverted ansatz: an overlap's tail,
         # the dense U(b)^dag on the statevector and shot tiers
@@ -207,7 +207,7 @@ class Estimator:
     def _prepare(self, params) -> np.ndarray:
         """The ansatz states of ``params`` on this tier, one per fold scale, as
         a read-only stack, resumed from the last preparation at the first
-        gate whose angle changed."""
+        block (gate, on the noisy tier) whose angles changed."""
         if self.tier == "noisy":
             return density_matrix(params, self.noise, self._checkpoints, self._scales())
         return statevector(params, checkpoints=self._checkpoints)[None]
