@@ -3,11 +3,12 @@
 All commands are batch-oriented: they read a JSON config (flags override
 file keys), write CSV/JSON artifacts under the output directory, and use
 the exit-code contract 0 = success, 2 = config error, 3 = partial pipeline
-failure or a file that could not be written.  ``run`` executes one batch
-DAG; ``sweep`` builds one DAG over the batches of all its noise-factor
-points and executes it once.  Every artifact, task JSON and report file
-alike, goes through one atomic writer, :func:`_write_text`, so a killed
-process leaves the previous file or none.
+failure or a file that could not be written.  ``run`` builds one batch
+DAG and ``sweep`` one DAG over the batches of all its noise-factor points;
+both execute it through :func:`execute_dag`.  Every artifact, task JSON and
+report file alike, goes through one atomic writer, :func:`_write_text`, so a
+killed process leaves the previous file or none; the gather steps read the
+artifacts that exist through one reader, :func:`_read_existing`.
 """
 from __future__ import annotations
 
@@ -82,6 +83,12 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
+def _read_existing(root: Path, paths) -> dict:
+    """The JSON of each artifact in ``paths`` under ``root`` that exists,
+    keyed by path in the order of ``paths``."""
+    return {p: _read_json(root / p) for p in paths if (root / p).exists()}
+
+
 def _write_text(path: Path, text: str) -> None:
     """Write ``text`` atomically: a crash leaves the old file or none, never a
     truncated one that a reader would take as complete.  Each artifact has one
@@ -141,11 +148,8 @@ def make_payload(plan, problems, root: Path):
             )
             _write_json(out_path, record.to_dict())
         elif node.kind == "pool":
-            records = []
-            for path in node.inputs:
-                full = root / path
-                if full.exists():
-                    records.append(ResonanceRecord.from_dict(_read_json(full)))
+            docs = _read_existing(root, node.inputs).values()
+            records = [ResonanceRecord.from_dict(d) for d in docs]
             est = plan.make_estimator(node.parity, node.run, "pool")
             survivors = deduplicate(records, est, plan.overlap_tol)
             _write_json(
@@ -156,17 +160,10 @@ def make_payload(plan, problems, root: Path):
                 },
             )
         elif node.kind == "sort":
-            records = []
-            degraded_runs = []
-            for path in node.inputs:
-                full = root / path
-                if full.exists():
-                    doc = _read_json(full)
-                    records.extend(
-                        ResonanceRecord.from_dict(d) for d in doc["records"]
-                    )
-                    if doc["degraded_inputs"]:
-                        degraded_runs.append(path)
+            # node ids only: the pools that wrote nothing, the stages each pool ran without
+            docs = _read_existing(root, node.inputs).values()
+            records = [ResonanceRecord.from_dict(d) for doc in docs for d in doc["records"]]
+            degraded = degraded + [nid for doc in docs for nid in doc["degraded_inputs"]]
             winners = pool_batches(records)
             filter_spurious(winners, problem, plan.thresholds)
             attach_fidelity(winners, problem)
@@ -174,7 +171,7 @@ def make_payload(plan, problems, root: Path):
                 out_path,
                 {
                     "winners": [w.to_dict() for w in winners],
-                    "degraded_inputs": degraded + degraded_runs,
+                    "degraded_inputs": degraded,
                 },
             )
         else:  # pragma: no cover - build_dag emits only the four kinds
@@ -216,42 +213,27 @@ def _import_scipy_before_fork(doc: dict) -> None:
         import scipy.optimize  # noqa: F401
 
 
-def collect_winners(
-    dag, root: Path, prefix: str = ""
-) -> tuple[list[ResonanceRecord], list[str]]:
+def execute_dag(doc: dict, out: Path, dag) -> list[str]:
+    """Freeze ``doc`` beside the artifacts, execute ``dag`` and write its
+    ``trace.jsonl``: the ids of the nodes that failed or were skipped."""
+    _write_json(out / "config.frozen.json", doc)
+    trace = orchestrator.execute(dag, workers=doc["workers"])
+    _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
+    return [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
+
+
+def collect_winners(dag, root: Path, prefix: str = "") -> tuple[list[ResonanceRecord], list[str]]:
     """The winners of the sort nodes under ``prefix`` and the ids of those
     that wrote no artifact."""
-    winners: list[ResonanceRecord] = []
-    missing: list[str] = []
-    for node in dag.nodes.values():
-        if node.kind != "sort" or not node.id.startswith(prefix):
-            continue
-        path = root / node.output
-        if not path.exists():
-            missing.append(node.id)
-            continue
-        doc = _read_json(path)
-        winners.extend(ResonanceRecord.from_dict(d) for d in doc["winners"])
-    return winners, missing
+    sorts = [n for n in dag.nodes.values() if n.kind == "sort" and n.id.startswith(prefix)]
+    docs = _read_existing(root, [n.output for n in sorts])
+    winners = [ResonanceRecord.from_dict(d) for doc in docs.values() for d in doc["winners"]]
+    return winners, [n.id for n in sorts if n.output not in docs]
 
 
 def write_winners_csv(path: Path, winners: list[ResonanceRecord]) -> None:
     rows = sorted(winners, key=lambda w: (w.parity, w.index))
     _write_csv(path, WINNERS_SCHEMA, WINNERS_FIELDS, (w.to_dict() for w in rows))
-
-
-def table_row(doc: dict, matched: dict, errors: dict[str, float]) -> dict:
-    """The ``table.csv`` row of ``matched``'s records: the three targets,
-    absent unless in ``errors``."""
-    row = {"q": doc["q"], "tier": doc["tier"]}
-    for label in TARGET_LABELS:
-        if label in errors:
-            record = matched[label]
-            row[f"{label}_re"] = record.energy_re
-            row[f"{label}_im"] = record.energy_im
-            row[f"{label}_relative_error"] = errors[label]
-        row[f"{label}_status"] = "ok" if label in errors else "absent"
-    return row
 
 
 def _spectra(doc: dict):
@@ -275,6 +257,29 @@ def oracle_target_map(doc: dict) -> tuple[dict, dict]:
         label: by_key[key] for label, key in TARGET_LABELS.items() if key in by_key
     }
     return by_key, labels
+
+
+def report_targets(doc: dict, winners: list[ResonanceRecord]) -> tuple[dict, list[str]]:
+    """Match ``winners`` to the oracle's targets in one pass: print each
+    target's console line, and return the ``table.csv`` row and the labels
+    left absent."""
+    by_key, _ = oracle_target_map(doc)
+    matched = match_targets(winners, by_key)  # a record only for targets the oracle has
+    row, absent = {"q": doc["q"], "tier": doc["tier"]}, []
+    for label, key in TARGET_LABELS.items():
+        record = matched[label]
+        if record is None:
+            row[f"{label}_status"] = "absent"
+            absent.append(label)
+            print(f"{label}: absent")
+            continue
+        target = by_key[key]
+        error = abs(record.energy - target) / abs(target)
+        row.update({f"{label}_re": record.energy_re, f"{label}_im": record.energy_im,
+                    f"{label}_relative_error": error, f"{label}_status": "ok"})
+        print(f"{label}: E = {record.energy_re:+.6f}{record.energy_im:+.3e}i (oracle "
+              f"{target.real:+.6f}{target.imag:+.3e}i, relative error {100 * error:.3f}%)")
+    return row, absent
 
 
 # ---------------------------------------------------------------------------
@@ -317,49 +322,25 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             return 3
         print(f"task {single_task}: wrote {node.output}")
         return 0
-    _write_json(out / "config.frozen.json", doc)
-    trace = orchestrator.execute(dag, workers=doc["workers"])
-    _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
-    failed_nodes = [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
+    failed_nodes = execute_dag(doc, out, dag)
     winners, missing_sorts = collect_winners(dag, out)
     write_winners_csv(out / "winners.csv", winners)
-    by_key, oracle_labels = oracle_target_map(doc)
-    matched = match_targets(winners, by_key)
-    errors = {
-        label: abs(matched[label].energy - target) / abs(target)
-        for label, target in oracle_labels.items()
-        if matched.get(label) is not None
-    }
-    _write_csv(out / "table.csv", TABLE_SCHEMA, TABLE_FIELDS, [table_row(doc, matched, errors)])
-    failures = [label for label in TARGET_LABELS if label not in errors]
-    for label in TARGET_LABELS:
-        if label in errors:
-            record, target = matched[label], oracle_labels[label]
-            print(
-                f"{label}: E = {record.energy_re:+.6f}{record.energy_im:+.3e}i "
-                f"(oracle {target.real:+.6f}{target.imag:+.3e}i, "
-                f"relative error {100 * errors[label]:.3f}%)"
-            )
-        else:
-            print(f"{label}: absent")
+    row, failures = report_targets(doc, winners)
+    _write_csv(out / "table.csv", TABLE_SCHEMA, TABLE_FIELDS, [row])
     if failed_nodes or failures or missing_sorts:
-        print(
-            f"partial failure: nodes={failed_nodes} targets={failures} "
-            f"missing={missing_sorts}",
-            file=sys.stderr,
-        )
+        print(f"partial failure: nodes={failed_nodes} targets={failures} "
+              f"missing={missing_sorts}", file=sys.stderr)
         return 3
     return 0
 
 
 def cmd_sweep(doc: dict) -> int:
-    """Every (reduction, longevity, repeat) point's batch as one DAG, run
-    by one :func:`orchestrator.execute` call; each point's artifacts lie
-    under its own directory and its winners become rows of ``sweep.csv``."""
+    """Every (reduction, longevity, repeat) point's batch as one DAG, run by
+    one :func:`execute_dag` call; each point's artifacts lie under its own
+    directory and its winners become rows of ``sweep.csv``."""
     if doc["tier"] != "noisy":
         raise ConfigError("config key 'tier' must be 'noisy' for sweeps")
     out = resolve_output_dir(doc)
-    _write_json(out / "config.frozen.json", doc)
     _import_scipy_before_fork(doc)  # its points differ in noise and seed only
     sweep = doc["sweep"]
     problems, dag = None, orchestrator.TaskDag()
@@ -378,18 +359,18 @@ def cmd_sweep(doc: dict) -> int:
                 points[prefix] = {
                     "reduction": reduction, "longevity": longevity, "repeat": repeat
                 }
-    trace = orchestrator.execute(dag, workers=doc["workers"])
-    _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
-    status = 3 if any(e["status"] in ("failed", "skipped") for e in trace) else 0
-    rows = []
+    failed_nodes = execute_dag(doc, out, dag)
+    rows, missing_sorts = [], []
     for prefix, columns in points.items():
         winners, missing = collect_winners(dag, out, prefix)
-        if missing:
-            status = 3
+        missing_sorts += missing
         rows += [{**w.to_dict(), **columns, "status": "ok"} for w in winners]
     _write_csv(out / "sweep.csv", SWEEP_SCHEMA, SWEEP_FIELDS, rows)
     print(f"sweep: {len(rows)} rows -> sweep.csv")
-    return status
+    if failed_nodes or missing_sorts:
+        print(f"partial failure: nodes={failed_nodes} missing={missing_sorts}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_export_dag(doc: dict) -> int:

@@ -556,6 +556,77 @@ def test_dead_worker_gives_exit_three(tmp_path, monkeypatch, capsys):
         assert trace[nid]["status"] == "done"
 
 
+def inject_failure(monkeypatch, failing_id: str) -> None:
+    """Make the payload of node ``failing_id`` raise; forked workers inherit it."""
+    real = cli.make_payload
+
+    def make_payload(*args):
+        payload = real(*args)
+
+        def failing(node, degraded):
+            if node.id == failing_id:
+                raise RuntimeError("injected")
+            payload(node, degraded)
+
+        return failing
+
+    monkeypatch.setattr(cli, "make_payload", make_payload)
+
+
+def golden_run_config(tmp_path, name, **extra):
+    """The statevector golden case's config with ``extra`` keys, writing under ``name``."""
+    _, overrides, _ = CASES["statevector"]
+    doc = json.loads(json.dumps({**_TINY, **overrides, **extra}))
+    doc["output_dir"] = str(tmp_path / name)
+    return write_config(tmp_path, doc, f"{name}.json")
+
+
+def test_degraded_inputs_are_node_ids(tmp_path, monkeypatch, capsys):
+    # two runs of the even channel; the second run's second stage fails
+    path = golden_run_config(tmp_path, "out", parities=["even"], batch_size=2)
+    inject_failure(monkeypatch, "even_r1_n2")
+    assert main(["--config", path, "run"]) == 3
+    assert "nodes=['even_r1_n2']" in capsys.readouterr().err
+    out = tmp_path / "out"
+    pool = json.loads((out / "runs/batch0/even/1/even_r1_pool.json").read_text())
+    sort = json.loads((out / "runs/batch0/even/even_sort.json").read_text())
+    assert pool["degraded_inputs"] == ["even_r1_n2"]
+    assert sort["degraded_inputs"] == ["even_r1_n2"]
+    # the surviving stages' winners, index 2 from the first run alone
+    rows = read_csv(out / "winners.csv")
+    assert [(r["index"], r["run_id"], float(r["energy_re"])) for r in rows] == [
+        (str(w["index"]), str(w["run_id"]), w["energy_re"]) for w in sort["winners"]
+    ]
+    assert [r["index"] for r in rows] == ["1", "2"]
+    assert rows[1]["run_id"] == "0"
+
+
+def test_failed_sort_is_missing_from_the_report(tmp_path, monkeypatch, capsys):
+    # two odd states, so that resonance_1 is found when odd_sort runs
+    extra = {"n_states": {"even": 2, "odd": 2}}
+    assert main(["--config", golden_run_config(tmp_path, "clean", **extra), "run"]) == 0
+    clean = tmp_path / "clean"
+    assert read_csv(clean / "table.csv")[0]["resonance_1_status"] == "ok"
+    inject_failure(monkeypatch, "odd_sort")
+    capsys.readouterr()
+    assert main(["--config", golden_run_config(tmp_path, "out", **extra), "run"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "partial failure: nodes=['odd_sort'] targets=['resonance_1'] missing=['odd_sort']"
+    )
+    [row], [clean_row] = read_csv(tmp_path / "out" / "table.csv"), read_csv(clean / "table.csv")
+    assert row["resonance_1_status"] == "absent"
+    assert row["resonance_1_re"] == row["resonance_1_relative_error"] == ""
+    for label in ("bound", "resonance_2"):
+        for col in ("re", "im", "relative_error", "status"):
+            assert row[f"{label}_{col}"] == clean_row[f"{label}_{col}"]
+    # the even winners, byte for byte, and no odd one
+    lines = (tmp_path / "out" / "winners.csv").read_text().splitlines()
+    assert lines == [
+        line for line in (clean / "winners.csv").read_text().splitlines()
+        if not line.startswith("odd,")
+    ]
+
+
 class TestOutputRootEnv:
     def test_env_var_prefixes_relative_dirs(self, tmp_path, monkeypatch):
         from qdrive.config import OUTPUT_ROOT_ENV
@@ -647,21 +718,17 @@ class TestSweep:
         assert {e["status"] for e in trace} == {"done"}
 
     def test_failed_point_leaves_the_other_rows(self, tmp_path, monkeypatch, capsys):
-        real = cli.make_payload
-
-        def make_payload(*args):
-            payload = real(*args)
-
-            def failing(node, degraded):
-                if node.id == "sweep_r10000.0_linf_0/odd_r0_h1":
-                    raise RuntimeError("injected")
-                payload(node, degraded)
-
-            return failing
-
-        monkeypatch.setattr(cli, "make_payload", make_payload)  # forked workers inherit it
+        failed = self.POINTS[1]
+        inject_failure(monkeypatch, failed + "odd_r0_h1")
         assert main(["--config", self.config(tmp_path, workers=2), "sweep"]) == 3
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # the failed stage and the three nodes skipped after it; the sort wrote nothing
+        nodes = [failed + nid for nid in ("odd_r0_h1", "odd_r0_n1", "odd_r0_pool", "odd_sort")]
+        last = err.splitlines()[-1]
+        assert last.startswith("partial failure: nodes=")
+        assert last.endswith(f" missing={[failed + 'odd_sort']}")
+        assert sorted(re.findall(r"'([^']+)'", last.split(" missing=")[0])) == sorted(nodes)
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         golden = (GOLDEN / "noisy_sweep" / "sweep.csv").read_text().splitlines()
         # the header and the clean point's row; the failed point has no sort artifact

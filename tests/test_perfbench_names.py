@@ -5,12 +5,16 @@ it names as a string, and its scheduling metrics from the fields of the
 events that ``orchestrator.execute`` returns.  A deleted or renamed function
 or field would not fail the benchmark: its metric would silently read 0.
 These tests resolve every such function name, check that the tracer would
-wrap it, and feed a real multi-worker trace to the scheduling metrics.
+wrap it, and feed a real multi-worker trace to the scheduling metrics.  The
+sweep workload's oracle errors come from ``child.sweep_relative_errors``,
+which imports ``cli.oracle_target_map``; a test runs it on the seeded sweep.
 """
+import csv
 import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 import sys
 import time
@@ -19,7 +23,10 @@ from pathlib import Path
 import pytest
 
 import qdrive
+from qdrive.cli import oracle_target_map
+from qdrive.config import load_config
 from qdrive.orchestrator import build_dag, execute
+from tests.test_golden import _TINY, CASES, GOLDEN
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,6 +41,7 @@ def load(filename: str, name: str):
 
 bench = load("run.py", "perfbench_run_names")
 tracer = load("tracer.py", "perfbench_tracer_names")
+child = load("child.py", "perfbench_child_names")
 
 NAMES = sorted(
     {
@@ -85,3 +93,18 @@ def test_orchestrator_metrics_read_a_real_trace():
     assert 0 < metrics["orchestrator.critical_path_s"] <= metrics["orchestrator.execute_s"]
     assert metrics["orchestrator.node_busy_s"] >= 0.01 * len(dag.nodes)
     assert metrics["orchestrator.dispatch_wait_s"] >= 0
+
+
+def test_sweep_errors_read_the_seeded_sweep(tmp_path):
+    _, overrides, _ = CASES["noisy_sweep"]
+    config = tmp_path / "noisy_sweep.json"
+    config.write_text(json.dumps({**_TINY, **overrides}))
+    lines = (GOLDEN / "noisy_sweep" / "sweep.csv").read_text().splitlines()
+    rows = list(csv.DictReader(lines[1:]))
+    errors = child.sweep_relative_errors(str(config), rows)
+    _, labels = oracle_target_map(load_config(str(config)))
+    sweep = overrides["sweep"]
+    points = len(sweep["reduction_factors"]) * len(sweep["longevity_factors"]) * sweep["repeats"]
+    assert list(labels) == ["resonance_1"]  # the sweep runs the odd channel only
+    assert len(errors) == points * len(labels)
+    assert all(0.0 <= e <= 1.0 for e in errors)
