@@ -4,17 +4,17 @@ An :class:`Estimator` bundles the tier, shot budget, RNG stream, noise model,
 mitigation switches and the measurement groups of the words it reads.
 Every estimate goes through one pipeline:
 
-1. *prepare* (:meth:`Estimator._prepare`): the ansatz states of an angle
-   vector as a stack, one statevector on the exact and shot tiers, each
-   block of the ansatz one product with its 2^q x 2^q matrix, or, on the
-   noisy tier, the density matrix at each ZNE fold scale, evolved together,
-   each gate one product with its stack of superoperators
-   (:func:`~qdrive.simulator.density_matrix`).  The states of the last
-   parameters are kept for every estimate of one objective evaluation, and
-   new parameters resume at the first block (gate) whose angles changed,
-   compared bit for bit (:class:`~qdrive.simulator.Checkpoints`), so a step
-   in one angle forms the matrix (or stack of superoperators) of its own
-   block (gate) alone and evolves from there on;
+1. *prepare* (:meth:`~qdrive.simulator.Checkpoints.prepare`): the ansatz
+   states of an angle vector as a stack, one statevector on the exact and
+   shot tiers, each block of the ansatz one product with its 2^q x 2^q
+   matrix, or, on the noisy tier, the density matrix at each ZNE fold
+   scale, evolved together, each gate one product with its stack of
+   superoperators.  New parameters resume at the first block (gate) whose
+   angles changed, compared bit for bit, so a step in one angle forms the
+   matrix (or stack of superoperators) of its own block (gate) alone and
+   evolves from there on.  One record of the last parameters keeps their
+   states, group distributions and word values for every estimate of one
+   objective evaluation;
 2. *measure, sample and mitigate* (:meth:`Estimator._sample`): the
    distribution of the q qubits after a measured tail, sampled into a shot
    histogram and, with readout mitigation, taken through one Kronecker
@@ -41,11 +41,10 @@ Every estimate goes through one pipeline:
 
 For an expectation the statevector tier replaces step 2 with one exact
 contraction of the observable's cached traceless operator D - c_I,
-c_I + psi^dag (D - c_I) psi.  On the other tiers the word values of the
-last parameters are kept, so the observables of one evaluation share their
-draws and a group is measured at most once per parameters.  On every tier
-the identity word is never estimated: its coefficient c_I is added
-analytically.
+c_I + psi^dag (D - c_I) psi.  On the other tiers the observables of one
+evaluation share the record's draws, so a group is measured at most once per
+parameters.  On every tier the identity word is never estimated: its
+coefficient c_I is added analytically.
 """
 from __future__ import annotations
 
@@ -66,7 +65,6 @@ from .simulator import (
     Checkpoints,
     NoiseModel,
     ansatz_unitary,
-    density_matrix,
     effective_povm,
     outcome_probabilities,
     sample_shots,
@@ -139,17 +137,15 @@ class Estimator:
         self.mitigate_readout = noisy and mitigate_readout
         self.mitigate_zne = noisy and mitigate_zne
         self._zne_gain = math.sqrt(10.0) / 2.0 if self.mitigate_zne else 1.0
+        # the ansatz's preparation, built first: it rejects a profile short of q qubits
+        self._checkpoints = Checkpoints(q, noise, self._scales()) if noisy else Checkpoints(q)
         self._inverse = readout_inverse(noise.readout[:q]) if self.mitigate_readout else None
         self.telemetry = telemetry
         self.circuits_run = 0
         self.groups = dict(groups or {})
-        # the last parameters' bytes and their states, one per scale
-        self._heads: tuple[bytes, np.ndarray] | None = None
-        # the last parameters' bytes, their groups' distributions per scale
-        # and the word values read from them
-        self._reads: tuple[bytes, dict[str, np.ndarray], dict[str, float]] = (b"", {}, {})
-        # the angles last prepared, each block's (gate's) matrix and the states
-        self._checkpoints = Checkpoints(q)
+        # the last parameters' bytes, their ansatz states (one per scale),
+        # their groups' distributions per scale and the word values read
+        self._last: tuple[bytes, np.ndarray, dict[str, np.ndarray], dict[str, float]] | None = None
         # per prior's parameter bytes, its inverted ansatz: an overlap's tail,
         # the dense U(b)^dag on the statevector and shot tiers
         self._tails: dict[bytes, Circuit | np.ndarray] = {}
@@ -204,13 +200,14 @@ class Estimator:
 
     # -- the pipeline: prepare, measure the tail, sample, extrapolate ------
 
-    def _prepare(self, params) -> np.ndarray:
-        """The ansatz states of ``params`` on this tier, one per fold scale, as
-        a read-only stack, resumed from the last preparation at the first
-        block (gate, on the noisy tier) whose angles changed."""
-        if self.tier == "noisy":
-            return density_matrix(params, self.noise, self._checkpoints, self._scales())
-        return statevector(params, checkpoints=self._checkpoints)[None]
+    def _record(self, params) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, float]]:
+        """The record of ``params``: their read-only ansatz states, one per
+        fold scale, their groups' distributions and their word values.  New
+        parameters start a new record, prepared by resuming the last."""
+        key = np.asarray(params, dtype=float).tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = (key, self._checkpoints.prepare(params), {}, {})
+        return self._last[1:]
 
     def _probabilities(self, state: np.ndarray, tail: Circuit | np.ndarray, lam: int) -> np.ndarray:
         """Outcome probabilities of the q qubits after ``tail`` (a circuit or a
@@ -283,29 +280,18 @@ class Estimator:
 
     # -- primitives -----------------------------------------------------------
 
-    def _ansatz_states(self, params) -> np.ndarray:
-        """The read-only ansatz states of ``params``, one per fold scale,
-        kept for the last parameters and shared by every estimate."""
-        key = np.asarray(params, dtype=float).tobytes()
-        if self._heads is None or self._heads[0] != key:
-            self._heads = (key, self._prepare(params))
-        return self._heads[1]
-
     def _read(self, params, words: list[str]) -> list[float]:
         """<word> on the ansatz state of ``params`` for each word, each read
         once per parameters: the groups the words newly need are read and
         sampled in one batch, in the order of the first word that needs
         each, every group at each fold scale."""
-        key = np.asarray(params, dtype=float).tobytes()
-        if self._reads[0] != key:
-            self._reads = (key, {}, {})
-        _, dists, values = self._reads
+        states, dists, values = self._record(params)
         missing = [w for w in words if w not in values]
         self._group(missing)
         new = [b for b in dict.fromkeys(self.groups[w] for w in missing) if b not in dists]
         if new:
             drawn = self._sample(
-                self._group_reads(self._ansatz_states(params), new),
+                self._group_reads(states, new),
                 [{"purpose": "pauli-group", "lam": lam, "basis": basis}
                  for basis in new for lam in self._scales()],
             )
@@ -327,7 +313,7 @@ class Estimator:
         prepare it once, and each prior's tail is built once: as one dense
         unitary on the statevector and shot tiers.
         """
-        heads = self._ansatz_states(params_a)
+        heads = self._record(params_a)[0]
         key = np.asarray(params_b, dtype=float).tobytes()
         tail = self._tails.get(key)
         if tail is None:
@@ -352,7 +338,7 @@ class Estimator:
         identity = observable.identity_word
         acc = complex(observable.terms.get(identity, 0.0))
         if self.tier == "statevector":
-            psi = self._ansatz_states(params)[0]
+            psi = self._record(params)[0][0]
             return acc + np.vdot(psi, observable.traceless_dense() @ psi)
         words = [w for w in observable.terms if w != identity]
         for word, value in zip(words, self._read(params, words)):

@@ -30,14 +30,15 @@ evolves several fold scales as one stack of states, each gate one product
 with its stack of S_lam.  The :class:`NoiseModel` caches N per qubit tuple
 and a fixed gate's stack per kind, qubit tuple and scales.
 
-:func:`statevector` and :func:`density_matrix` apply each position's
-(matrix, permutations) pair in one loop.  With :class:`Checkpoints` they
-take the ansatz's angles instead of a circuit, form the matrix of each
-position (a block on a statevector, a gate on a density matrix) whose
-angles changed since the last preparation alone and resume at the first of
-them, so a one-angle step forms one new matrix (or stack).  The same
-products run on the same arrays in the same order, so the output is
-bitwise a fresh preparation's.
+:func:`statevector` and :func:`density_matrix` run a circuit, each gate one
+(matrix, permutations) step of one loop.  :class:`Checkpoints` is the one
+preparation of the ansatz from its angles: a statevector, or the noisy
+tier's stack of density matrices.  It forms the step of each position (a
+block on a statevector, a gate on a density matrix) whose angles changed
+since its last preparation alone and resumes at the first of them, so a
+one-angle step forms one new matrix (or stack).  The same products run on
+the same arrays in the same order, so the output is bitwise a fresh
+preparation's.
 
 Density matrices stay small by design: at most a six-qubit ansatz is ever
 simulated, i.e. a 64 x 64 matrix (32 x 32 under the bundled five-qubit
@@ -166,89 +167,19 @@ def ansatz_unitary(params, q: int) -> np.ndarray:
     return u
 
 
-@dataclass(eq=False)
-class Checkpoints:
-    """The last preparation of the ansatz on ``q`` qubits from |0..0>: its
-    angles' ``bits``, ``steps[k]`` the (matrix, permutations) pair of
-    position k and ``states[k]`` the state after the first k + 1 positions.
-    A position is a block of the ansatz on a statevector (its 2^q x 2^q
-    matrix, 16 * 4^q bytes, 64 KiB at q = 6, with no permutations) and a
-    gate on stacked density matrices (its stack of S_lam, 16 * 16^k bytes
-    per scale for a k-qubit gate).  So each list holds one entry per
-    position, whatever the number of preparations.  A statevector
-    checkpoint takes 16 * 2^q bytes, a density one 16 * 4^q bytes per scale.
-    """
-
-    q: int
-    bits: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    # what the states are of: (tensor rank, fold scales) and the noise model
-    kind: tuple = ()
-    noise: "NoiseModel | None" = None
-
-
-def _run(params, state, positions, step, checkpoints: Checkpoints, noise=None, scales=(1,)):
-    """``state`` taken through ``step(k, params[lo:hi])``, the (matrix,
-    permutations) pair of each position k at its angles, resuming ``checkpoints``.
-
-    ``positions[k]`` is the range (lo, hi) of the angles that position k
-    reads.  Against a record of the same kind of state, fold scales and noise
-    model, only the positions whose angles changed bit for bit (so
-    -0.0 != 0.0) form their step, and the evolution resumes at the first of
-    them; otherwise all start afresh.
-    """
-    params = ansatz_angles(params, checkpoints.q)
-    bits = params.view(np.int64).tolist()
-    steps, states, old = checkpoints.steps, checkpoints.states, checkpoints.bits
-    if checkpoints.kind != (state.ndim, scales) or checkpoints.noise is not noise:
-        steps[:], old = [None] * len(positions), None
-    start = len(positions)
-    for k, (lo, hi) in enumerate(positions):
-        if old is None or bits[lo:hi] != old[lo:hi]:
-            steps[k], start = step(k, params[lo:hi]), min(start, k)
-    del states[start:]
-    if start:
-        state = states[-1]
-    checkpoints.bits, checkpoints.kind, checkpoints.noise = bits, (state.ndim, scales), noise
-    return _evolve(state, steps[start:], states)
-
-
-def statevector(
-    circuit: Circuit | np.ndarray,
-    initial: np.ndarray | None = None,
-    checkpoints: Checkpoints | None = None,
-) -> np.ndarray:
+def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Exact amplitudes of the circuit output, big-endian flat vector.
 
     The circuit acts on |0..0>, or on the flat state ``initial`` if given.
-    With ``checkpoints``, ``circuit`` is the ansatz's angle vector, prepared
-    from |0..0> one block matrix at a time by resuming the record, and the
-    state returned is read-only.
     """
-    n = circuit.n_qubits if checkpoints is None else checkpoints.q
+    n = circuit.n_qubits
     if initial is None:
         psi = np.zeros(2**n, dtype=complex)
         psi[0] = 1.0
-    elif checkpoints is not None:
-        raise ValueError("checkpoints resume evolutions from |0..0> only")
     else:
         psi = np.asarray(initial)
-    if checkpoints is None:
-        steps = [(gate_matrix(g), _contraction(n, g.qubits, 0)) for g in circuit.gates]
-        psi = _evolve(psi.reshape((2,) * n), steps)
-    else:
-        psi = _run(circuit, psi, [r for r, _, _ in _blocks(n)],
-                   lambda b, angles: (_block_matrix(n, b, angles), None), checkpoints)
-    return _flat(psi, (-1,), checkpoints)
-
-
-def _flat(state: np.ndarray, shape: tuple, checkpoints: Checkpoints | None) -> np.ndarray:
-    """``state`` reshaped, read-only when it may be a view of a checkpoint."""
-    state = state.reshape(shape)
-    if checkpoints is not None:
-        state.setflags(write=False)
-    return state
+    steps = [(gate_matrix(g), _contraction(n, g.qubits, 0)) for g in circuit.gates]
+    return _evolve(psi.reshape((2,) * n), steps).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -525,39 +456,26 @@ def _check_evolution(n: int, noise: NoiseModel | None, scales: tuple) -> None:
         )
 
 
-def density_matrix(
-    circuit: Circuit | np.ndarray,
-    noise: NoiseModel | None = None,
-    checkpoints: Checkpoints | None = None,
-    lam: int | tuple[int, ...] = 1,
-) -> np.ndarray:
-    """Evolve |0..0><0..0| through the circuit at fold scale lam; flat (2^n x 2^n),
-    or one such per scale of a tuple lam, as one stack (len(lam), 2^n, 2^n).
+def _density_step(sop: np.ndarray, gate: Gate, n: int) -> tuple:
+    """The (matrix, permutations) step applying ``sop`` to the gate's ket axes,
+    then its bra axes, of n-qubit density tensors stacked along one axis: the
+    first for a stack of matrices (the s-th to the s-th tensor), else the last."""
+    axes = gate.qubits + tuple(n + q for q in gate.qubits)
+    return sop, _contraction(2 * n + 1, axes, sop.ndim - 2)
 
-    Each gate is one product with its S_lam (its stack); the noise profile,
-    if any, must cover the circuit's qubits.  With ``checkpoints``,
-    ``circuit`` is the ansatz's angle vector, prepared by resuming the
-    record, and the state returned is read-only.
+
+def density_matrix(circuit: Circuit, noise: NoiseModel | None = None, lam: int = 1) -> np.ndarray:
+    """Evolve |0..0><0..0| through the circuit at fold scale lam, flat (2^n x 2^n).
+
+    Each gate is one product with its S_lam; the noise profile, if any, must
+    cover the circuit's qubits.
     """
-    stacked = isinstance(lam, tuple)
-    scales = lam if stacked else (lam,)
-    n = circuit.n_qubits if checkpoints is None else checkpoints.q
-    _check_evolution(n, noise, scales)
-    rho = np.zeros((len(scales),) + (2,) * (2 * n), dtype=complex)
-    rho[(slice(None),) + (0,) * (2 * n)] = 1.0
-
-    def step(gate: Gate):
-        axes = gate.qubits + tuple(n + q for q in gate.qubits)
-        return _gate_superops(gate, noise, scales), _contraction(2 * n + 1, axes, 1)
-
-    if checkpoints is None:
-        rho = _evolve(rho, [step(g) for g in circuit.gates])
-    else:
-        layout = ansatz_layout(n)
-        ranges = [(0, 0) if a is None else (a, a + 1) for _, _, a in layout]
-        rho = _run(circuit, rho, ranges, lambda k, angles: step(Gate(*layout[k][:2], *angles)),
-                   checkpoints, noise, scales)
-    return _flat(rho, (-1, 2**n, 2**n) if stacked else (2**n, 2**n), checkpoints)
+    n = circuit.n_qubits
+    _check_evolution(n, noise, (lam,))
+    rho = np.zeros((1,) + (2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n + 1)] = 1.0
+    steps = [_density_step(_gate_superops(g, noise, (lam,)), g, n) for g in circuit.gates]
+    return _evolve(rho, steps).reshape(2**n, 2**n)
 
 
 def adjoint_density_matrix(
@@ -574,11 +492,11 @@ def adjoint_density_matrix(
     _check_evolution(n, noise, (lam,))
     shape = np.shape(operator)
     op = np.asarray(operator, dtype=complex).reshape((-1,) + (2,) * (2 * n))
-    op = np.moveaxis(op, 0, -1)
-    for gate in reversed(circuit.gates):
-        axes = gate.qubits + tuple(n + q for q in gate.qubits)
-        op = _apply_matrix(op, _gate_superops(gate, noise, (lam,))[0].conj().T, axes)
-    return np.moveaxis(op, -1, 0).reshape(shape)
+    steps = [
+        _density_step(_gate_superops(g, noise, (lam,))[0].conj().T, g, n)
+        for g in reversed(circuit.gates)
+    ]
+    return np.moveaxis(_evolve(np.moveaxis(op, 0, -1), steps), -1, 0).reshape(shape)
 
 
 def effective_povm(circuit: Circuit, noise: NoiseModel | None, lam: int = 1) -> np.ndarray:
@@ -595,6 +513,72 @@ def effective_povm(circuit: Circuit, noise: NoiseModel | None, lam: int = 1) -> 
     weights = np.array([outcome_probabilities(basis, n, readout) for basis in np.eye(2**n)])
     projectors = np.array([np.diag(w) for w in weights.T])
     return adjoint_density_matrix(circuit, projectors, noise, lam)
+
+
+# ---------------------------------------------------------------------------
+# ansatz preparation
+# ---------------------------------------------------------------------------
+
+
+class Checkpoints:
+    """The ansatz on ``q`` qubits prepared from |0..0> by resuming its last
+    preparation: a statevector, or with a ``noise`` model the stack of
+    density matrices at the fold ``scales``, which are checked here.
+
+    The record holds the last preparation's angles' ``bits``, ``steps[k]``
+    the (matrix, permutations) pair of position k and ``states[k]`` the state
+    after the first k + 1 positions.  A position is a block of the ansatz on
+    a statevector (its 2^q x 2^q matrix, 16 * 4^q bytes, 64 KiB at q = 6,
+    with no permutations) and a gate on density matrices (its stack of
+    S_lam, 16 * 16^k bytes per scale for a k-qubit gate).  So each list holds
+    one entry per position, whatever the number of preparations.  A
+    statevector checkpoint takes 16 * 2^q bytes, a density one 16 * 4^q
+    bytes per scale.
+    """
+
+    def __init__(self, q: int, noise: NoiseModel | None = None, scales: tuple[int, ...] = (1,)):
+        self.q, self.noise, self.scales = q, noise, scales
+        if noise is None:
+            self._ranges = [r for r, _, _ in _blocks(q)]
+            self._origin, self._shape = np.zeros(2**q, dtype=complex), (1, 2**q)
+            self._origin[0] = 1.0
+        else:
+            _check_evolution(q, noise, scales)
+            self._ranges = [(0, 0) if a is None else (a, a + 1) for _, _, a in ansatz_layout(q)]
+            self._origin = np.zeros((len(scales),) + (2,) * (2 * q), dtype=complex)
+            self._origin[(slice(None),) + (0,) * (2 * q)] = 1.0
+            self._shape = (len(scales), 2**q, 2**q)
+        self.bits: list | None = None
+        self.steps: list = [None] * len(self._ranges)
+        self.states: list = []
+
+    def _step(self, k: int, angles: np.ndarray) -> tuple:
+        """Position k's (matrix, permutations) pair at its ``angles``."""
+        if self.noise is None:
+            return _block_matrix(self.q, k, angles), None
+        gate = Gate(*ansatz_layout(self.q)[k][:2], *angles)
+        return _density_step(_gate_superops(gate, self.noise, self.scales), gate, self.q)
+
+    def prepare(self, params) -> np.ndarray:
+        """The ansatz states of ``params`` as a read-only stack, one per fold
+        scale: (1, 2^q) amplitudes or (scales, 2^q, 2^q) density matrices.
+
+        Only the positions whose angles changed bit for bit since the last
+        preparation (so -0.0 != 0.0) form their step, and the evolution
+        resumes at the first of them.
+        """
+        params = ansatz_angles(params, self.q)
+        bits = params.view(np.int64).tolist()
+        start = len(self._ranges)
+        for k, (lo, hi) in enumerate(self._ranges):
+            if self.bits is None or bits[lo:hi] != self.bits[lo:hi]:
+                self.steps[k], start = self._step(k, params[lo:hi]), min(start, k)
+        self.bits = bits
+        del self.states[start:]
+        state = self.states[-1] if start else self._origin
+        stack = _evolve(state, self.steps[start:], self.states).reshape(self._shape)
+        stack.setflags(write=False)
+        return stack
 
 
 # ---------------------------------------------------------------------------

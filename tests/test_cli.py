@@ -547,7 +547,8 @@ def test_dead_worker_gives_exit_three(tmp_path, monkeypatch, capsys):
     assert "odd_r0_h1" in err and "Traceback" not in err
     # the even channel ran beside the dying node and finished
     assert any(line.startswith("bound: E = ") for line in out.splitlines())
-    trace = {e["node"]: e for e in map(json.loads, (tmp_path / "out" / "trace.jsonl").open())}
+    lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines()
+    trace = {e["node"]: e for e in map(json.loads, lines)}
     event = trace["odd_r0_h1"]
     assert event["status"] == "failed"
     assert event["error"].startswith(f"worker {event['worker']} (pid ")

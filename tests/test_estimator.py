@@ -176,6 +176,24 @@ class TestNoisyTier:
         with pytest.raises(ValueError, match="noise"):
             Estimator(q=2, tier="noisy")
 
+    @pytest.mark.parametrize("build", [
+        lambda noise: Estimator(q=3, tier="noisy", noise=noise),
+        lambda noise: Estimator(q=3, tier="noisy", noise=noise, mitigate_readout=False),
+        lambda noise: Estimator(q=3, tier="noisy", noise=noise, mitigate_zne=False),
+        lambda noise: Checkpoints(3, noise),
+        lambda noise: Checkpoints(3, noise, ZNE_SCALES),
+    ], ids=["estimator", "no-readout", "no-zne", "checkpoints", "checkpoints-zne"])
+    def test_a_profile_short_of_the_qubits_fails_when_built(self, build):
+        # not at the first estimate: the readout inverse of the profile's 2
+        # qubits would build without error
+        with pytest.raises(ValueError, match="noise profile covers 2 qubits, circuit needs 3"):
+            build(torino_like(2))
+
+    @pytest.mark.parametrize("scales", [(2,), (1, 3, 4), (0,), (-1,), (1, -3)])
+    def test_an_even_or_nonpositive_fold_scale_fails_when_built(self, scales):
+        with pytest.raises(ValueError, match="fold scale must be an odd positive integer"):
+            Checkpoints(2, torino_like(2), scales)
+
     def test_expectation_near_truth_under_mild_noise(self):
         noise = torino_like(3, p1=1e-5, p2=1e-4)
         rng = RNG(12)
@@ -225,13 +243,13 @@ class TestNoisyTier:
         reference = PreparedAfresh(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
         expected = [reference.overlap_lowdepth(a, b) for b in (b1, b2)]
         evolved = []
-        real = estimator_module.density_matrix
+        real = simulator.Checkpoints.prepare
 
-        def counted(*args, **kwargs):
-            evolved.append(args[0])
-            return real(*args, **kwargs)
+        def counted(checkpoints, params):
+            evolved.append(params)
+            return real(checkpoints, params)
 
-        monkeypatch.setattr(estimator_module, "density_matrix", counted)
+        monkeypatch.setattr(simulator.Checkpoints, "prepare", counted)
         applied = count_gate_applications(monkeypatch)
         est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=22)
         assert [est.overlap_lowdepth(a, b) for b in (b1, b2)] == expected
@@ -272,11 +290,15 @@ def count_gate_applications(monkeypatch) -> list:
 
 class PreparedAfresh(Estimator):
     """Forgets every prepared state and checkpoint before each estimate, so
-    each one evolves its states from |0..0>."""
+    each one evolves its states from |0..0>; the record keeps the last
+    parameters' draws, as the estimator does."""
 
     def _forget(self):
-        self._heads = None
-        self._checkpoints = Checkpoints(self.q)
+        kept = self._checkpoints
+        self._checkpoints = Checkpoints(self.q, kept.noise, kept.scales)
+        if self._last is not None:
+            key, _, dists, values = self._last
+            self._last = (key, self._checkpoints.prepare(np.frombuffer(key)), dists, values)
 
     def expectation(self, *args):
         self._forget()
@@ -298,16 +320,16 @@ class TestSharedAnsatzState:
         return h_h, v_cap, decompose(m.conj().T @ m)
 
     @staticmethod
-    def count_statevectors(monkeypatch) -> tuple[list, list, list]:
-        """The angle vectors handed to ``statevector``, the blocks whose
-        matrices are formed and the gates whose matrices are formed."""
+    def count_preparations(monkeypatch) -> tuple[list, list, list]:
+        """The angle vectors handed to ``Checkpoints.prepare``, the blocks
+        whose matrices are formed and the gates whose matrices are formed."""
         calls, blocks, gates = [], [], []
-        real, real_block = estimator_module.statevector, simulator._block_matrix
+        real, real_block = simulator.Checkpoints.prepare, simulator._block_matrix
         real_matrix = simulator.gate_matrix
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        def counted(checkpoints, params):
+            calls.append(params)
+            return real(checkpoints, params)
 
         def counted_block(q, b, angles):
             blocks.append(b)
@@ -317,7 +339,7 @@ class TestSharedAnsatzState:
             gates.append(gate)
             return real_matrix(gate)
 
-        monkeypatch.setattr(estimator_module, "statevector", counted)
+        monkeypatch.setattr(simulator.Checkpoints, "prepare", counted)
         monkeypatch.setattr(simulator, "_block_matrix", counted_block)
         monkeypatch.setattr(simulator, "gate_matrix", counted_matrix)
         return calls, blocks, gates
@@ -326,7 +348,7 @@ class TestSharedAnsatzState:
         rng = RNG(50)
         h_h, v_cap, h_dag_h = self.problem(rng)
         est = Estimator(q=2, tier="statevector")
-        calls, blocks, gates = self.count_statevectors(monkeypatch)
+        calls, blocks, gates = self.count_preparations(monkeypatch)
         params = rng.uniform(-np.pi, np.pi, 16)
         applied = count_gate_applications(monkeypatch)
         pseudovariance_objective(params, h_h, v_cap, h_dag_h, est)
@@ -334,7 +356,7 @@ class TestSharedAnsatzState:
         # one matrix and one product per block, no gate by gate
         assert blocks == list(range(BLOCKS)) and len(applied) == BLOCKS
         assert gates == []
-        (state,) = est._heads[1]
+        (state,) = est._last[1]
         with pytest.raises(ValueError, match="read-only"):
             state[0] = 0.0
         # a step in the last angle forms and applies the last block only
@@ -349,7 +371,7 @@ class TestSharedAnsatzState:
         h_h, _ = random_observable(2, rng)
         params, *priors = (rng.uniform(-np.pi, np.pi, 16) for _ in range(3))
         est = Estimator(q=2, tier="statevector")
-        calls, blocks, gates = self.count_statevectors(monkeypatch)
+        calls, blocks, gates = self.count_preparations(monkeypatch)
         vqd_objective(params, h_h, priors, 10.0, est)
         # the head is prepared; each prior's tail is its dense U^dag, formed
         # from its block matrices once
@@ -408,7 +430,8 @@ class TestPauliGroups:
         params = rng.uniform(-np.pi, np.pi, ansatz_parameter_count(q))
         ansatz = build_ansatz(params, q)
         bases = ["".join(rng.choice(list("IXYZ"), q)) for _ in range(6)]
-        rows = est._group_reads(est._prepare(params), bases).reshape(6, len(ZNE_SCALES), -1)
+        states = est._checkpoints.prepare(params)
+        rows = est._group_reads(states, bases).reshape(6, len(ZNE_SCALES), -1)
         for basis, per_scale in zip(bases, rows):
             rotation = measurement_rotation(basis).gates
             for lam, got in zip(ZNE_SCALES, per_scale):
@@ -519,10 +542,7 @@ class PerHistogram(Estimator):
         return np.full_like(flat, 1.0 / flat.size) if total <= 0 else flat / total
 
     def _read(self, params, words):
-        key = np.asarray(params, dtype=float).tobytes()
-        if self._reads[0] != key:
-            self._reads = (key, {}, {})
-        _, dists, values = self._reads
+        states, dists, values = self._record(params)
         missing = [w for w in words if w not in values]
         self._group(missing)
         for word in missing:
@@ -533,7 +553,7 @@ class PerHistogram(Estimator):
                         group_probabilities(self, state, basis, lam),
                         lam, "pauli-group", basis=basis,
                     )
-                    for lam, state in zip(self._scales(), self._ansatz_states(params))
+                    for lam, state in zip(self._scales(), states)
                 ]
             signs = estimator_module._parity_signs(word)
             values[word] = self._maybe_extrapolate(
@@ -542,7 +562,7 @@ class PerHistogram(Estimator):
         return [values[w] for w in words]
 
     def overlap_lowdepth(self, params_a, params_b):
-        heads = self._ansatz_states(params_a)
+        heads = self._record(params_a)[0]
         key = np.asarray(params_b, dtype=float).tobytes()
         tail = self._tails.get(key)
         if tail is None:
@@ -719,7 +739,7 @@ def fresh_steps(params, q: int, est: Estimator) -> list[bytes]:
 
 def fresh_blocks(params, q: int) -> np.ndarray:
     """The ansatz state of ``params`` prepared by blocks from |0..0>."""
-    return statevector(params, checkpoints=Checkpoints(q))
+    return Checkpoints(q).prepare(params)[0]
 
 
 def circuit_overlap(params_a, params_b, q: int) -> np.ndarray:
@@ -753,7 +773,7 @@ class TestResumedPreparation:
                 params[k] = data.draw(ANGLES, label="value")
             elif move == "sign":  # flips the sign bit of a zero too
                 params[k] = -params[k]
-            stack = est._prepare(params)
+            stack = est._checkpoints.prepare(params)
             assert len(stack) == len(est._scales())
             for lam, got in zip(est._scales(), stack):
                 # each scale's slice is the state evolved at that scale alone
@@ -791,7 +811,7 @@ class TestResumedPreparation:
         kept = []
         for zero in (0.0, -0.0):
             params[5] = zero
-            est._prepare(params)
+            est._checkpoints.prepare(params)
             kept.append(est._checkpoints.steps[1][0].tobytes())
             assert kept[-1] == simulator._block_matrix(2, 1, params[4:8]).tobytes()
         assert kept[0] != kept[1]
@@ -803,7 +823,7 @@ class TestResumedPreparation:
         # the matrix of its block alone, and the state evolves from it on
         params = data.draw(angle_vectors(q), label="start")
         checkpoints = Checkpoints(q)
-        statevector(params, checkpoints=checkpoints)
+        checkpoints.prepare(params)
         formed = []
         real = simulator._block_matrix
 
@@ -819,7 +839,7 @@ class TestResumedPreparation:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(simulator, "_block_matrix", counted)
                 applied = count_gate_applications(patch)
-                got = statevector(params, checkpoints=checkpoints)
+                got = checkpoints.prepare(params)[0]
             b = k // (2 * q)
             changed = last[k].tobytes() != params[k].tobytes()
             assert formed == ([b] if changed else [])
@@ -831,12 +851,12 @@ class TestResumedPreparation:
         # the scales up to lam, evolved as one stack: one product per gate
         # whatever the number of scales
         scales = tuple(s for s in ZNE_SCALES if s <= lam)
-        checkpoints = Checkpoints(2)
+        checkpoints = Checkpoints(2, self.NOISE, scales)
         params = RNG(60).uniform(-np.pi, np.pi, 16)
-        density_matrix(params, self.NOISE, checkpoints, scales)
+        checkpoints.prepare(params)
         applied = count_gate_applications(monkeypatch)
         params[-3] = -0.0 if params[-3] == 0.0 else 0.0  # the third-last gate
-        stack = density_matrix(params, self.NOISE, checkpoints, scales)
+        stack = checkpoints.prepare(params)
         assert len(applied) == 3
         assert stack.shape == (len(scales), 4, 4)
 
@@ -852,7 +872,7 @@ class TestResumedPreparation:
         # of S_lam for the gate it changes only, and reuses every other gate's
         params = RNG(q).uniform(-np.pi, np.pi, ansatz_parameter_count(q))
         est = Estimator(q=q, tier="noisy", noise=self.NOISE, mitigate_zne=zne)
-        est._prepare(params)
+        est._checkpoints.prepare(params)
         built = []
         real = simulator._gate_superops
 
@@ -867,7 +887,7 @@ class TestResumedPreparation:
             built.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(simulator, "_gate_superops", counted)
-                stack = est._prepare(params)
+                stack = est._checkpoints.prepare(params)
             for lam, got in zip(est._scales(), stack):
                 fresh = density_matrix(build_ansatz(params, q), self.NOISE, lam=lam)
                 assert np.array_equal(got, fresh)
@@ -888,7 +908,7 @@ class TestResumedPreparation:
         params = rng.uniform(-np.pi, np.pi, 16)
         for _ in range(2000):
             params[rng.integers(16)] = rng.uniform(-np.pi, np.pi)
-            est._ansatz_states(params)
+            est._record(params)
         n_gates = len(build_ansatz(params, 2).gates)
         assert len(est._checkpoints.steps) == n_gates
         assert len(est._checkpoints.states) == n_gates
@@ -911,7 +931,7 @@ class TestBatchedRead:
         noise = torino_like(q, readout=np.array([[[0.96, 0.04], [0.07, 0.93]]] * q))
         est = Estimator(q=q, tier=tier, noise=noise, mitigate_zne=zne)
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        states = est._ansatz_states(RNG(seed).uniform(-np.pi, np.pi, ansatz_parameter_count(q)))
+        states, _, _ = est._record(RNG(seed).uniform(-np.pi, np.pi, ansatz_parameter_count(q)))
         # every basis, in a drawn order, and a drawn few on their own
         every = ["".join(letters) for letters in itertools.product("IXYZ", repeat=q)]
         few = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))

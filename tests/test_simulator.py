@@ -129,7 +129,7 @@ class TestBlocks:
         angle = st.sampled_from([0.0, -0.0, math.pi, -math.pi]) | st.floats(-math.pi, math.pi)
         m = ansatz_parameter_count(q)
         params = np.array(data.draw(st.lists(angle, min_size=m, max_size=m), label="angles"))
-        got = statevector(params, checkpoints=Checkpoints(q))
+        got = Checkpoints(q).prepare(params)[0]
         expected = statevector(build_ansatz(params, q))
         assert np.max(np.abs(got - expected)) < 1e-12
         assert abs(np.linalg.norm(got) - 1.0) < 1e-12
