@@ -537,27 +537,28 @@ class Checkpoints:
     """
 
     def __init__(self, q: int, noise: NoiseModel | None = None, scales: tuple[int, ...] = (1,)):
-        self.q, self.noise, self.scales = q, noise, scales
+        # _step(k, angles): position k's (matrix, permutations) pair
         if noise is None:
+            self._step = lambda k, angles: (_block_matrix(q, k, angles), None)
             self._ranges = [r for r, _, _ in _blocks(q)]
             self._origin, self._shape = np.zeros(2**q, dtype=complex), (1, 2**q)
             self._origin[0] = 1.0
         else:
             _check_evolution(q, noise, scales)
+
+            def gate_step(k: int, angles: np.ndarray) -> tuple:
+                gate = Gate(*ansatz_layout(q)[k][:2], *angles)
+                return _density_step(_gate_superops(gate, noise, scales), gate, q)
+
+            self._step = gate_step
             self._ranges = [(0, 0) if a is None else (a, a + 1) for _, _, a in ansatz_layout(q)]
             self._origin = np.zeros((len(scales),) + (2,) * (2 * q), dtype=complex)
             self._origin[(slice(None),) + (0,) * (2 * q)] = 1.0
             self._shape = (len(scales), 2**q, 2**q)
+        self.q = q
         self.bits: list | None = None
         self.steps: list = [None] * len(self._ranges)
         self.states: list = []
-
-    def _step(self, k: int, angles: np.ndarray) -> tuple:
-        """Position k's (matrix, permutations) pair at its ``angles``."""
-        if self.noise is None:
-            return _block_matrix(self.q, k, angles), None
-        gate = Gate(*ansatz_layout(self.q)[k][:2], *angles)
-        return _density_step(_gate_superops(gate, self.noise, self.scales), gate, self.q)
 
     def prepare(self, params) -> np.ndarray:
         """The ansatz states of ``params`` as a read-only stack, one per fold

@@ -291,14 +291,18 @@ def count_gate_applications(monkeypatch) -> list:
 class PreparedAfresh(Estimator):
     """Forgets every prepared state and checkpoint before each estimate, so
     each one evolves its states from |0..0>; the record keeps the last
-    parameters' draws, as the estimator does."""
+    parameters' draws, as the estimator does, with their states prepared
+    afresh too."""
+
+    def _fresh(self) -> Checkpoints:
+        noise = self.noise if self.tier == "noisy" else None
+        return Checkpoints(self.q, noise, self._scales())
 
     def _forget(self):
-        kept = self._checkpoints
-        self._checkpoints = Checkpoints(self.q, kept.noise, kept.scales)
         if self._last is not None:
             key, _, dists, values = self._last
-            self._last = (key, self._checkpoints.prepare(np.frombuffer(key)), dists, values)
+            self._last = (key, self._fresh().prepare(np.frombuffer(key)), dists, values)
+        self._checkpoints = self._fresh()
 
     def expectation(self, *args):
         self._forget()
