@@ -8,7 +8,8 @@ DAG and ``sweep`` one DAG over the batches of all its noise-factor points;
 both execute it through :func:`execute_dag`.  Every artifact, task JSON and
 report file alike, goes through one atomic writer, :func:`_write_text`, so a
 killed process leaves the previous file or none; the gather steps read the
-artifacts that exist through one reader, :func:`_read_existing`.
+artifacts that exist through one reader, :func:`_read_existing`.  ``run``
+reports against the oracles of its channel problems; ``diag`` builds none.
 """
 from __future__ import annotations
 
@@ -190,7 +191,7 @@ def prepare_execution(
     if problems is None:
         grid, model = build_grid(doc), build_model(doc)
         problems = {
-            parity: pipeline.build_problem(model, grid, parity, plan.q)
+            parity: pipeline.build_problem(model, grid, parity, plan.q, plan.thresholds)
             for parity in plan.parities
         }
     dag = orchestrator.build_dag(
@@ -247,23 +248,27 @@ def _spectra(doc: dict):
         yield parity, exact_diagonalize(pair, plan.thresholds)
 
 
+def _targets(spectra) -> dict[tuple[str, str], complex]:
+    """Exact-diagonalization targets per (parity, kind) of the channels' spectra."""
+    return {(s.parity, kind): e for s in spectra for kind, e in oracle_targets(s).items()}
+
+
 def oracle_target_map(doc: dict) -> tuple[dict, dict]:
     """Exact-diagonalization targets per (parity, kind) and per report label."""
-    by_key: dict[tuple[str, str], complex] = {}
-    for parity, spectrum in _spectra(doc):
-        for kind, energy in oracle_targets(spectrum).items():
-            by_key[(parity, kind)] = energy
+    by_key = _targets(spectrum for _, spectrum in _spectra(doc))
     labels = {
         label: by_key[key] for label, key in TARGET_LABELS.items() if key in by_key
     }
     return by_key, labels
 
 
-def report_targets(doc: dict, winners: list[ResonanceRecord]) -> tuple[dict, list[str]]:
-    """Match ``winners`` to the oracle's targets in one pass: print each
-    target's console line, and return the ``table.csv`` row and the labels
-    left absent."""
-    by_key, _ = oracle_target_map(doc)
+def report_targets(
+    doc: dict, problems: dict, winners: list[ResonanceRecord]
+) -> tuple[dict, list[str]]:
+    """Match ``winners`` to the targets of the channel ``problems``' oracles in
+    one pass: print each target's console line, and return the ``table.csv``
+    row and the labels left absent."""
+    by_key = _targets(p.spectrum for p in problems.values())
     matched = match_targets(winners, by_key)  # a record only for targets the oracle has
     row, absent = {"q": doc["q"], "tier": doc["tier"]}, []
     for label, key in TARGET_LABELS.items():
@@ -307,7 +312,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
     out = resolve_output_dir(doc)
     if single_task is None:
         _import_scipy_before_fork(doc)
-    _, _, dag = prepare_execution(doc, out)
+    _, problems, dag = prepare_execution(doc, out)
     if single_task is not None:
         if single_task not in dag.nodes:
             raise ConfigError(f"unknown task id {single_task!r}")
@@ -325,7 +330,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
     failed_nodes = execute_dag(doc, out, dag)
     winners, missing_sorts = collect_winners(dag, out)
     write_winners_csv(out / "winners.csv", winners)
-    row, failures = report_targets(doc, winners)
+    row, failures = report_targets(doc, problems, winners)
     _write_csv(out / "table.csv", TABLE_SCHEMA, TABLE_FIELDS, [row])
     if failed_nodes or failures or missing_sorts:
         print(f"partial failure: nodes={failed_nodes} targets={failures} "

@@ -84,10 +84,6 @@ class SineBasis:
     mode_numbers: np.ndarray = field(repr=False)
     functions: np.ndarray = field(repr=False)  # shape (2**q, n_points)
 
-    @property
-    def size(self) -> int:
-        return 2**self.q
-
 
 def build_basis(parity: str, q: int, grid: Grid) -> SineBasis:
     if parity not in ("even", "odd"):

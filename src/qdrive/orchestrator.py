@@ -73,9 +73,6 @@ class TaskDag:
         self.children[parent].append(child)
         self.parents[child].append(parent)
 
-    def edges(self) -> set[tuple[str, str]]:
-        return {(p, c) for p, cs in self.children.items() for c in cs}
-
     def topological_order(self) -> list[str]:
         indegree = {nid: len(ps) for nid, ps in self.parents.items()}
         heap = [self.nodes[nid].sort_key() for nid in indegree if indegree[nid] == 0]

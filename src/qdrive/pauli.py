@@ -67,19 +67,6 @@ class PauliSum:
     def identity_word(self) -> str:
         return "I" * self.n_qubits
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliSum)
-            and self.n_qubits == other.n_qubits
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"PauliSum(q={self.n_qubits}, terms={len(self.terms)})"
-
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit count mismatch")

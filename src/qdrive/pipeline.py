@@ -20,6 +20,7 @@ from .model import (
     Grid,
     HamiltonianPair,
     PotentialModel,
+    SpectrumRecord,
     build_basis,
     classify_state,
     exact_diagonalize,
@@ -40,11 +41,13 @@ KIND_CODE = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3, "init": 4}
 
 @dataclass
 class ChannelProblem:
-    """Pauli-space operators of one parity channel and its projected pair.
+    """Pauli-space operators of one parity channel, its projected pair and
+    the pair's exact spectrum, the channel's oracle.
 
     H_N = H_H + i V_cap is held as its Hermitian parts ``h_h`` and ``v_cap``;
     ``h_dag_h`` is H_N^dag H_N.  ``groups`` maps every word of the three to
     the basis of the qubit-wise-commuting group the estimators read it from.
+    The sort node's fidelity errors and ``run``'s report both read ``spectrum``.
     """
 
     parity: str
@@ -53,12 +56,15 @@ class ChannelProblem:
     v_cap: pauli.PauliSum
     h_dag_h: pauli.PauliSum
     pair: HamiltonianPair
+    spectrum: SpectrumRecord
     groups: dict[str, str]
 
 
 def build_problem(
-    model: PotentialModel, grid: Grid, parity: str, q: int
+    model: PotentialModel, grid: Grid, parity: str, q: int,
+    thresholds: ClassifierThresholds | None = None,
 ) -> ChannelProblem:
+    """The channel's operators, and its oracle classified under ``thresholds``."""
     basis = build_basis(parity, q, grid)
     pair = project_hamiltonians(model, basis, grid)
     h_h = pauli.decompose(pair.h_h)
@@ -77,6 +83,7 @@ def build_problem(
         v_cap=v_cap,
         h_dag_h=h_dag_h,
         pair=pair,
+        spectrum=exact_diagonalize(pair, thresholds),
         groups=pauli.qwc_groups(first + rest),
     )
 
@@ -316,14 +323,10 @@ def attach_fidelity(
     records: list[ResonanceRecord], problem: ChannelProblem
 ) -> list[ResonanceRecord]:
     """Diagnostics: fidelity error against the closest oracle eigenvector."""
-    spectrum = exact_diagonalize(problem.pair)
+    vectors = problem.spectrum.eigenvectors.T  # one oracle eigenvector per row
     for record in records:
         coeffs = record.state_coefficients(problem.q)
-        errors = [
-            compute_fidelity_error(coeffs, spectrum.eigenvectors[:, k])
-            for k in range(spectrum.eigenvectors.shape[1])
-        ]
-        record.fidelity_error = float(min(errors))
+        record.fidelity_error = min(compute_fidelity_error(coeffs, v) for v in vectors)
     return records
 
 

@@ -277,20 +277,6 @@ class NoiseModel:
     def n_qubits(self) -> int:
         return len(self.t1_us)
 
-    @classmethod
-    def noiseless(cls, n: int) -> "NoiseModel":
-        return cls(
-            t1_us=np.full(n, math.inf),
-            t2_us=np.full(n, math.inf),
-            excited_population=np.zeros(n),
-            gate_time_1q_us=0.0,
-            gate_time_2q_us=0.0,
-            p1=0.0,
-            p2=0.0,
-            readout=np.tile(np.eye(2), (n, 1, 1)),
-            name="noiseless",
-        )
-
     def gammas(self, qubit: int, t_us: float) -> tuple[float, float]:
         """(gamma1, gamma2') for duration t: population decay and the residual
         dephasing chosen so combined off-diagonal decay is exp(-t/T2)."""

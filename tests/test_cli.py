@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdrive import cli, orchestrator
+from qdrive import cli, model, orchestrator, pauli
 from qdrive.cli import (
     _write_json,
     collect_winners,
@@ -28,7 +28,7 @@ from qdrive.config import (
     load_config,
     validate_config,
 )
-from tests.test_golden import _TINY, CASES, GOLDEN
+from tests.test_golden import _TINY, CASES, GOLDEN, run_case
 from tests.test_orchestrator import execute_simulated
 
 FAST_RUN = {
@@ -298,6 +298,44 @@ class TestDiag:
         main(["--config", path, "diag"])
         doc = json.loads((tmp_path / "out" / "diag_odd.json").read_text())
         assert {"re", "im", "classification"} <= set(doc[0])
+
+    def test_builds_no_pauli_decomposition(self, tmp_path, monkeypatch):
+        # the oracle alone: a channel problem would decompose three operators
+        calls = []
+        real = pauli.decompose
+        monkeypatch.setattr(pauli, "decompose", lambda matrix: calls.append(1) or real(matrix))
+        path = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "q": 6})
+        assert main(["--config", path, "diag"]) == 0
+        assert len(read_csv(tmp_path / "out" / "diag_even.csv")) == 64
+        assert calls == []
+
+
+class TestOracleOnce:
+    """Each channel's oracle is diagonalized once, with its problem: the sort
+    nodes and the report read it from there."""
+
+    @pytest.fixture
+    def diagonalized(self, monkeypatch):
+        """The parity of each exact_diagonalize call, through any qdrive module."""
+        calls = []
+        real = model.exact_diagonalize
+
+        def counted(pair, *args):
+            calls.append(pair.basis.parity)
+            return real(pair, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qdrive") and getattr(module, "exact_diagonalize", None) is real:
+                monkeypatch.setattr(module, "exact_diagonalize", counted)
+        return calls
+
+    def test_once_per_channel_in_a_run(self, tmp_path, diagonalized):
+        run_case("statevector", tmp_path / "out")  # both parities, one worker
+        assert sorted(diagonalized) == ["even", "odd"]
+
+    def test_once_per_channel_in_a_sweep(self, tmp_path, diagonalized):
+        run_case("noisy_sweep", tmp_path / "out")  # the odd channel at two points
+        assert diagonalized == ["odd"]
 
 
 class TestZneDemo:

@@ -28,7 +28,6 @@ from qdrive.pauli import PauliSum, decompose, qwc_groups
 from qdrive.pipeline import build_problem
 from qdrive.simulator import (
     Checkpoints,
-    NoiseModel,
     density_matrix,
     effective_povm,
     load_noise_profile,
@@ -36,6 +35,7 @@ from qdrive.simulator import (
     scale_noise,
     statevector,
 )
+from tests.reference import noiseless
 from tests.test_simulator import torino_like
 
 RNG = np.random.default_rng
@@ -640,7 +640,7 @@ class TestTierConsistency:
         obs, _ = random_observable(q, rng)
         exact = Estimator(q=q, tier="statevector")
         noisy = Estimator(
-            q=q, tier="noisy", noise=NoiseModel.noiseless(q + 1), shots=self.SHOTS,
+            q=q, tier="noisy", noise=noiseless(q + 1), shots=self.SHOTS,
             seed=41 + q, mitigate_readout=False, mitigate_zne=False,
         )
         a, b = (rng.uniform(-np.pi, np.pi, ansatz_parameter_count(q)) for _ in range(2))

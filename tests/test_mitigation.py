@@ -18,12 +18,12 @@ from qdrive.mitigation import (
     zne_extrapolate,
 )
 from qdrive.simulator import (
-    NoiseModel,
     adjoint_density_matrix,
     density_matrix,
     effective_povm,
     statevector,
 )
+from tests.reference import noiseless
 
 N = 10**5
 
@@ -237,7 +237,7 @@ class TestFoldCircuit:
                 lambda: fold_circuit(circuit, lam),
                 lambda: density_matrix(circuit, lam=lam),
                 lambda: adjoint_density_matrix(circuit, np.eye(2), lam=lam),
-                lambda: effective_povm(circuit, NoiseModel.noiseless(1), lam),
+                lambda: effective_povm(circuit, noiseless(1), lam),
             ):
                 with pytest.raises(ValueError, match="odd"):
                     fold()

@@ -91,7 +91,7 @@ class TestBasis:
     def test_gram_matrix_is_identity(self, parity, grid):
         basis = build_basis(parity, 3, grid)
         gram = basis.functions @ basis.functions.T * grid.dx
-        assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-8
+        assert np.max(np.abs(gram - np.eye(2**basis.q))) < 1e-8
 
     def test_vanishes_at_box_edges(self, grid):
         basis = build_basis("even", 2, grid)

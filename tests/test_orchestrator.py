@@ -18,6 +18,7 @@ from qdrive.orchestrator import (
     export_dagman,
     node_id,
 )
+from tests.reference import edges
 
 
 def execute_simulated(
@@ -99,11 +100,11 @@ class TestBuildDag:
 
     def test_edge_pattern(self):
         dag = build_dag({"even": 2}, 1, parities=("even",))
-        edges = dag.edges()
-        assert (node_id("even", 0, "hermitian", 1), node_id("even", 0, "hermitian", 2)) in edges
-        assert (node_id("even", 0, "hermitian", 1), node_id("even", 0, "nonhermitian", 1)) in edges
-        assert (node_id("even", 0, "nonhermitian", 2), node_id("even", 0, "pool")) in edges
-        assert (node_id("even", 0, "pool"), node_id("even", 0, "sort")) in edges
+        pairs = edges(dag)
+        assert (node_id("even", 0, "hermitian", 1), node_id("even", 0, "hermitian", 2)) in pairs
+        assert (node_id("even", 0, "hermitian", 1), node_id("even", 0, "nonhermitian", 1)) in pairs
+        assert (node_id("even", 0, "nonhermitian", 2), node_id("even", 0, "pool")) in pairs
+        assert (node_id("even", 0, "pool"), node_id("even", 0, "sort")) in pairs
 
     def test_cycle_detection(self):
         dag = TaskDag()
@@ -127,7 +128,7 @@ class TestExecute:
             node.payload = payload
         trace = execute(dag, workers=1)
         position = {nid: seen.index(nid) for nid in seen}
-        for parent, child in dag.edges():
+        for parent, child in edges(dag):
             assert position[parent] < position[child]
         assert all(e["status"] == "done" for e in trace)
 
@@ -140,7 +141,7 @@ class TestExecute:
         for node in dag.nodes.values():
             node.payload = payload
         trace = execute(dag, workers=4)
-        for parent, child in dag.edges():
+        for parent, child in edges(dag):
             assert interval(trace, parent)[1] <= interval(trace, child)[0] + 1e-9
 
     def test_nonhermitian_overlaps_next_hermitian(self):
@@ -396,9 +397,9 @@ class TestDagmanExport:
     def test_roundtrip_edge_set(self):
         dag = build_dag({"even": 3, "odd": 2}, 3, parities=("even", "odd"))
         text, _ = export_dagman(dag)
-        jobs, edges = parse_dagman(text)
+        jobs, parsed = parse_dagman(text)
         assert jobs == set(dag.nodes)
-        assert edges == dag.edges()
+        assert parsed == edges(dag)
 
     def test_disabled_channel_absent(self):
         dag = build_dag({"even": 2}, 2, parities=("even",))

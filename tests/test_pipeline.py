@@ -84,7 +84,7 @@ class TestBuildProblem:
         m = pair.h_h + 1j * pair.v_cap
         h_dag_h = problem(parity, q).h_dag_h
         tol = 1e-10 * np.linalg.norm(m, 2) ** 2
-        assert len(h_dag_h) == 4**q
+        assert len(h_dag_h.terms) == 4**q
         assert max(abs(c.imag) for c in h_dag_h.terms.values()) <= tol
         assert np.abs(h_dag_h.to_dense() - m.conj().T @ m).max() <= tol
 
@@ -101,7 +101,7 @@ class TestBuildProblem:
 
     def test_estimator_reads_every_word_from_the_problem_groups(self, monkeypatch):
         channel = problem("even", 5)
-        assert (len(channel.h_dag_h), len(set(channel.groups.values()))) == (1024, 243)
+        assert (len(channel.h_dag_h.terms), len(set(channel.groups.values()))) == (1024, 243)
 
         def regroup(words):
             raise AssertionError(f"regrouped {list(words)[:3]}")

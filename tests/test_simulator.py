@@ -26,6 +26,7 @@ from qdrive.simulator import (
     scale_noise,
     statevector,
 )
+from tests.reference import noiseless
 
 RNG = np.random.default_rng
 
@@ -77,7 +78,7 @@ def noise_models() -> dict[str, NoiseModel]:
     return {
         "profile": profile,
         "scaled": scale_noise(profile, reduction=1e4, longevity=10.0),
-        "noiseless": NoiseModel.noiseless(3),
+        "noiseless": noiseless(3),
     }
 
 
@@ -423,7 +424,7 @@ class TestAdjointChannel:
         kraus = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
         w, v = np.linalg.eigh(sum(k.conj().T @ k for k in kraus))
         kraus = [k @ v @ np.diag(w**-0.5) @ v.conj().T for k in kraus]
-        noise = NoiseModel.noiseless(2)
+        noise = noiseless(2)
         noise._superop_cache[(qubit,)] = kraus_to_superop(kraus)
         gate = Gate("ry", (qubit,), 0.7)
         rho, m = random_density(4, rng), random_hermitian(4, rng)
@@ -503,7 +504,7 @@ class TestStatevectorDensityAgreement:
     def test_zero_noise_distributions_match(self, n):
         circuit = random_circuit(n, RNG(5 + n))
         psi = statevector(circuit)
-        rho = density_matrix(circuit, NoiseModel.noiseless(n))
+        rho = density_matrix(circuit, noiseless(n))
         p_sv = outcome_probabilities(psi, n)
         p_dm = outcome_probabilities(rho, n)
         assert np.max(np.abs(p_sv - p_dm)) < 1e-10
