@@ -49,6 +49,14 @@ CASES = {
          "optimizer": {"hermitian_f_max": 64, "nonhermitian_f_max": 32}},
         ("winners.csv", "table.csv"),
     ),
+    # three runs without deflation: each run finds one even state twice, and
+    # the runs' records are pooled per state index
+    "shots_batch": (
+        "run",
+        {"tier": "shots", "batch_size": 3, "n_states": {"even": 2, "odd": 1},
+         "optimizer": {"penalty_c": 0, "hermitian_f_max": 64, "nonhermitian_f_max": 32}},
+        ("winners.csv", "table.csv"),
+    ),
     "noisy": (
         "run",
         {"tier": "noisy", "parities": ["even"], "n_states": {"even": 2, "odd": 1},
