@@ -307,26 +307,25 @@ def cmd_diag(doc: dict) -> int:
 
 def cmd_run(doc: dict, single_task: str | None = None) -> int:
     """Execute the batch DAG, or with ``single_task`` one node of it.  A
-    single task writes its own artifact only: its ``config.frozen.json`` is
-    the one ``export-dag`` wrote, which concurrent jobs share."""
+    single task builds its node's channel alone and writes its own artifact
+    only: its ``config.frozen.json`` is the one ``export-dag`` wrote."""
     out = resolve_output_dir(doc)
-    if single_task is None:
-        _import_scipy_before_fork(doc)
-    _, problems, dag = prepare_execution(doc, out)
     if single_task is not None:
-        if single_task not in dag.nodes:
+        plan = build_plan(doc)
+        nodes = orchestrator.build_dag(plan.n_states, plan.batch_size, plan.parities).nodes
+        if single_task not in nodes:
             raise ConfigError(f"unknown task id {single_task!r}")
+        _, _, dag = prepare_execution(dict(doc, parities=[nodes[single_task].parity]), out)
         node = dag.nodes[single_task]
-        degraded = [
-            p for p in dag.parents[node.id]
-            if not (out / dag.nodes[p].output).exists()
-        ]
+        degraded = [p for p in dag.parents[node.id] if not (out / dag.nodes[p].output).exists()]
         status, error = orchestrator._run_payload(node, degraded)
         if status == "failed":
             print(f"task {single_task}: failed: {error}", file=sys.stderr)
             return 3
         print(f"task {single_task}: wrote {node.output}")
         return 0
+    _import_scipy_before_fork(doc)
+    _, problems, dag = prepare_execution(doc, out)
     failed_nodes = execute_dag(doc, out, dag)
     winners, missing_sorts = collect_winners(dag, out)
     write_winners_csv(out / "winners.csv", winners)

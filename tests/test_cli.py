@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdrive import cli, model, orchestrator, pauli
+from qdrive import cli, model, orchestrator, pauli, pipeline
 from qdrive.cli import (
     _write_json,
     collect_winners,
@@ -545,6 +545,23 @@ class TestRun:
         artifact = tmp_path / "out" / "runs" / "batch0" / "even" / "0" / "even_r0_h1.json"
         assert artifact.exists()
         assert main(["--config", path, "run", "--single-task", "even_r0_n1"]) == 0
+
+    @pytest.mark.parametrize("task", ["odd_r0_h1", "odd_r0_pool", "odd_sort"])
+    def test_single_task_builds_its_channel_only(self, task, tmp_path, monkeypatch):
+        # an HTC job pays for the one channel problem its node reads
+        built = []
+        real = pipeline.build_problem
+
+        def counted(model, grid, parity, *args):
+            built.append(parity)
+            return real(model, grid, parity, *args)
+
+        monkeypatch.setattr(pipeline, "build_problem", counted)
+        doc = dict(FAST_RUN, batch_size=1, n_states={"even": 1, "odd": 1})
+        doc["optimizer"] = {"hermitian_f_max": 16, "nonhermitian_f_max": 8}
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, doc), "run", "--single-task", task]) == 0
+        assert built == ["odd"]
 
     def test_single_task_failure_exits_three(self, tmp_path, capsys):
         doc = dict(FAST_RUN, batch_size=1, n_states={"even": 2, "odd": 1})
