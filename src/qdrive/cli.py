@@ -308,7 +308,8 @@ def cmd_diag(doc: dict) -> int:
 def cmd_run(doc: dict, single_task: str | None = None) -> int:
     """Execute the batch DAG, or with ``single_task`` one node of it.  A
     single task builds its node's channel alone and writes its own artifact
-    only: its ``config.frozen.json`` is the one ``export-dag`` wrote."""
+    only: its ``config.frozen.json`` is the one ``export-dag`` wrote, which
+    concurrent jobs share."""
     out = resolve_output_dir(doc)
     if single_task is not None:
         plan = build_plan(doc)
@@ -317,7 +318,10 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             raise ConfigError(f"unknown task id {single_task!r}")
         _, _, dag = prepare_execution(dict(doc, parities=[nodes[single_task].parity]), out)
         node = dag.nodes[single_task]
-        degraded = [p for p in dag.parents[node.id] if not (out / dag.nodes[p].output).exists()]
+        degraded = [
+            p for p in dag.parents[node.id]
+            if not (out / dag.nodes[p].output).exists()
+        ]
         status, error = orchestrator._run_payload(node, degraded)
         if status == "failed":
             print(f"task {single_task}: failed: {error}", file=sys.stderr)
