@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -322,6 +323,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             p for p in dag.parents[node.id]
             if not (out / dag.nodes[p].output).exists()
         ]
+        gc.freeze()  # set-up ends here, as in orchestrator.execute
         status, error = orchestrator._run_payload(node, degraded)
         if status == "failed":
             print(f"task {single_task}: failed: {error}", file=sys.stderr)

@@ -30,6 +30,7 @@ inline in the calling process.
 from __future__ import annotations
 
 import contextlib
+import gc
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -274,7 +275,15 @@ def execute(dag: TaskDag, workers: int = 1) -> list[dict]:
     its pid and its exit code; a new worker is forked in its place and the
     other running nodes carry on.  Every worker is stopped and joined before
     this returns or raises.
+
+    Set-up ends here, so the objects this process holds now (the imported
+    modules, the plan, the channel problems and the DAG) go to the
+    collector's permanent generation with ``gc.freeze()`` before any worker
+    forks or payload runs.  They live until exit, and no collection walks
+    them again: not a worker's, which would write to the pages it shares
+    with this process, nor the interpreter's full collections at exit.
     """
+    gc.freeze()
     size = min(workers, len(dag.nodes))
     if size <= 1:  # at most one node runs at a time, so one event is pending
         events: list[dict] = []

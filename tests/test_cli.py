@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import multiprocessing
 import os
@@ -562,6 +563,28 @@ class TestRun:
         doc["output_dir"] = str(tmp_path / "out")
         assert main(["--config", write_config(tmp_path, doc), "run", "--single-task", task]) == 0
         assert built == ["odd"]
+
+    def test_single_task_runs_with_the_set_up_heap_frozen(self, tmp_path, monkeypatch):
+        counts = []
+        real = cli.make_payload
+
+        def make_payload(*args):
+            payload = real(*args)
+
+            def counted(node, degraded):
+                counts.append(gc.get_freeze_count())
+                payload(node, degraded)
+
+            return counted
+
+        monkeypatch.setattr(cli, "make_payload", make_payload)
+        doc = dict(FAST_RUN, batch_size=1, n_states={"even": 1, "odd": 1})
+        doc["optimizer"] = {"hermitian_f_max": 16, "nonhermitian_f_max": 8}
+        doc["output_dir"] = str(tmp_path / "out")
+        assert gc.get_freeze_count() == 0
+        path = write_config(tmp_path, doc)
+        assert main(["--config", path, "run", "--single-task", "even_r0_h1"]) == 0
+        assert len(counts) == 1 and counts[0] > 0
 
     def test_single_task_failure_exits_three(self, tmp_path, capsys):
         doc = dict(FAST_RUN, batch_size=1, n_states={"even": 2, "odd": 1})
