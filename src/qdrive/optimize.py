@@ -36,7 +36,6 @@ exactly neutral.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -115,6 +114,8 @@ class _Counted:
             self.best_val = value
             self.best_x = x.copy()
         if self.telemetry is not None:
+            import hashlib  # only a telemetry digest needs it
+
             digest = hashlib.sha1(x.tobytes()).hexdigest()[:12]
             self.telemetry.append(
                 {
