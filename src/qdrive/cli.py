@@ -268,11 +268,16 @@ def report_targets(
 ) -> tuple[dict, list[str]]:
     """Match ``winners`` to the targets of the channel ``problems``' oracles in
     one pass: print each target's console line, and return the ``table.csv``
-    row and the labels left absent."""
+    row and the labels left absent.  A target of a channel the config does
+    not run is ``not_requested``, which is no failure."""
     by_key = _targets(p.spectrum for p in problems.values())
     matched = match_targets(winners, by_key)  # a record only for targets the oracle has
     row, absent = {"q": doc["q"], "tier": doc["tier"]}, []
     for label, key in TARGET_LABELS.items():
+        if key[0] not in problems:
+            row[f"{label}_status"] = "not_requested"
+            print(f"{label}: not requested")
+            continue
         record = matched[label]
         if record is None:
             row[f"{label}_status"] = "absent"

@@ -706,6 +706,24 @@ def test_failed_sort_is_missing_from_the_report(tmp_path, monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("case", ["noisy", "noisy_readout_only"])
+def test_one_parity_run_does_not_request_the_other_channel(case, tmp_path, capsys):
+    # the noisy golden runs the even channel alone, noisy_readout_only the odd one
+    _, overrides, _ = CASES[case]
+    doc = json.loads(json.dumps({**_TINY, **overrides}))
+    doc["output_dir"] = str(tmp_path / "out")
+    assert main(["--config", write_config(tmp_path, doc), "run"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    [row] = read_csv(tmp_path / "out" / "table.csv")
+    for label, (parity, _) in pipeline.TARGET_LABELS.items():
+        if parity in doc["parities"]:
+            assert row[f"{label}_status"] == "ok"
+        else:
+            assert row[f"{label}_status"] == "not_requested"
+            assert row[f"{label}_re"] == row[f"{label}_relative_error"] == ""
+            assert f"{label}: not requested" in out
+
+
 class TestOutputRootEnv:
     def test_env_var_prefixes_relative_dirs(self, tmp_path, monkeypatch):
         from qdrive.config import OUTPUT_ROOT_ENV
