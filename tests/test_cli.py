@@ -565,19 +565,13 @@ class TestRun:
         assert built == ["odd"]
 
     def test_single_task_runs_with_the_set_up_heap_frozen(self, tmp_path, monkeypatch):
-        counts = []
-        real = cli.make_payload
+        counts, real = [], orchestrator._run_payload
 
-        def make_payload(*args):
-            payload = real(*args)
+        def counted(node, degraded):
+            counts.append(gc.get_freeze_count())
+            return real(node, degraded)
 
-            def counted(node, degraded):
-                counts.append(gc.get_freeze_count())
-                payload(node, degraded)
-
-            return counted
-
-        monkeypatch.setattr(cli, "make_payload", make_payload)
+        monkeypatch.setattr(orchestrator, "_run_payload", counted)
         doc = dict(FAST_RUN, batch_size=1, n_states={"even": 1, "odd": 1})
         doc["optimizer"] = {"hermitian_f_max": 16, "nonhermitian_f_max": 8}
         doc["output_dir"] = str(tmp_path / "out")
