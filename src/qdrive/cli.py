@@ -125,25 +125,17 @@ def make_payload(plan, problems, root: Path):
         problem = problems[node.parity]
         out_path = root / node.output
         if node.kind == "hermitian":
-            thetas: list = []
             stages: list = []
             if node.inputs:  # the previous Hermitian stage's artifact
-                prev = _read_json(root / node.inputs[0])
-                thetas = prev["thetas"]
-                stages = prev["stages"]
-            priors = [np.asarray(t) for t in thetas]
-            stage = run_hermitian_stage(
-                node.index, priors, problem, plan, node.run
-            )
-            _write_json(
-                out_path,
-                {"thetas": thetas + [stage["theta"]], "stages": stages + [stage]},
-            )
+                stages = _read_json(root / node.inputs[0])["stages"]
+            priors = [np.asarray(s["theta"]) for s in stages]
+            stage = run_hermitian_stage(node.index, priors, problem, plan, node.run)
+            _write_json(out_path, {"stages": stages + [stage]})
         elif node.kind == "nonhermitian":
             herm = _read_json(root / node.inputs[0])
             record = run_nonhermitian_stage(
                 node.index,
-                np.asarray(herm["thetas"][-1]),
+                np.asarray(herm["stages"][-1]["theta"]),
                 problem,
                 plan,
                 node.run,
@@ -483,6 +475,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # an artifact or report could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # the process ends next: its exit collections skip all it holds,
+        # what a payload imported after the set-up freeze (scipy) included
+        gc.freeze()
     return 0
 
 

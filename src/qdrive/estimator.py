@@ -118,7 +118,6 @@ class Estimator:
         seed=0,
         mitigate_readout: bool = True,
         mitigate_zne: bool = True,
-        telemetry: list | None = None,
         groups: dict[str, str] | None = None,
     ):
         if tier not in TIERS:
@@ -140,7 +139,6 @@ class Estimator:
         # the ansatz's preparation, built first: it rejects a profile short of q qubits
         self._checkpoints = Checkpoints(q, noise, self._scales()) if noisy else Checkpoints(q)
         self._inverse = readout_inverse(noise.readout[:q]) if self.mitigate_readout else None
-        self.telemetry = telemetry
         self.circuits_run = 0
         self.groups = dict(groups or {})
         # the last parameters' bytes, their ansatz states (one per scale),
@@ -151,11 +149,6 @@ class Estimator:
         self._tails: dict[bytes, Circuit | np.ndarray] = {}
 
     # -- bookkeeping --------------------------------------------------------
-
-    def _log(self, purpose: str, **extra) -> None:
-        self.circuits_run += 1
-        if self.telemetry is not None:
-            self.telemetry.append({"purpose": purpose, "shots": self.shots, **extra})
 
     def _scales(self) -> tuple[int, ...]:
         return ZNE_SCALES if self.mitigate_zne else (1,)
@@ -248,20 +241,19 @@ class Estimator:
             t = np.matmul(factors[:, :, k], t.reshape(t.shape[:2] + (4, -1))).swapaxes(-1, -2)
         return t.real.reshape(-1, 2**q)
 
-    def _sample(self, probs: np.ndarray, logs: list[dict]) -> np.ndarray:
-        """The outcome distributions of a stack of probability rows, logged
-        with ``logs``, in row order: the probabilities themselves on the
-        statevector tier, otherwise shot histograms drawn by one multinomial
-        over the stack, with the readout confusion inverted row by row when
-        readout mitigation is on."""
+    def _sample(self, probs: np.ndarray) -> np.ndarray:
+        """The outcome distributions of a stack of probability rows, in row
+        order: the probabilities themselves on the statevector tier,
+        otherwise shot histograms drawn by one multinomial over the stack,
+        each counted in ``circuits_run``, with the readout confusion
+        inverted row by row when readout mitigation is on."""
         if self.tier == "statevector":
             return probs
         probs = np.clip(probs, 0.0, None)
         dists = sample_shots(
             probs / probs.sum(axis=1, keepdims=True), self.shots, self.rng
         ).empirical()
-        for log in logs:
-            self._log(**log)
+        self.circuits_run += len(probs)
         if self._inverse is None:
             return dists
         return invert_distribution(dists, self._inverse)[0]
@@ -272,8 +264,6 @@ class Estimator:
             return xs[0]
         pts = ZnePoints(x1=xs[0], x3=xs[1], x5=xs[2], n=self.shots, mode=mode)
         result = zne_extrapolate(pts)
-        if self.telemetry is not None:
-            self.telemetry.append({"purpose": "zne", **result.telemetry(pts)})
         if mode == "probability":
             return float(np.clip(result.x0, 0.0, 1.0))
         return result.x0
@@ -290,11 +280,7 @@ class Estimator:
         self._group(missing)
         new = [b for b in dict.fromkeys(self.groups[w] for w in missing) if b not in dists]
         if new:
-            drawn = self._sample(
-                self._group_reads(states, new),
-                [{"purpose": "pauli-group", "lam": lam, "basis": basis}
-                 for basis in new for lam in self._scales()],
-            )
+            drawn = self._sample(self._group_reads(states, new))
             dists.update(zip(new, drawn.reshape(len(new), -1, drawn.shape[-1])))
         for word in missing:
             signs = _parity_signs(word)
@@ -322,8 +308,7 @@ class Estimator:
                 else ansatz_unitary(params_b, self.q).conj().T
             )
         dists = self._sample(
-            np.array([self._probabilities(h, tail, lam) for lam, h in zip(self._scales(), heads)]),
-            [{"purpose": "overlap", "lam": lam} for lam in self._scales()],
+            np.array([self._probabilities(h, tail, lam) for lam, h in zip(self._scales(), heads)])
         )
         return self._maybe_extrapolate([float(d[0]) for d in dists], mode="probability")
 

@@ -88,12 +88,11 @@ def trust_region_start(m: int) -> int:
 
 class _Counted:
     """Objective wrapper for one run: counts evaluations, tracks the best
-    point, streams per-iteration telemetry, and enforces the budget."""
+    point and enforces the budget."""
 
-    def __init__(self, fun, f_max: int, telemetry=None):
+    def __init__(self, fun, f_max: int):
         self.fun = fun
         self.f_max = f_max
-        self.telemetry = telemetry
         self.nfev = 0
         self.refused = False
         self.best_x: np.ndarray | None = None
@@ -113,18 +112,6 @@ class _Counted:
         if value < self.best_val:
             self.best_val = value
             self.best_x = x.copy()
-        if self.telemetry is not None:
-            import hashlib  # only a telemetry digest needs it
-
-            digest = hashlib.sha1(x.tobytes()).hexdigest()[:12]
-            self.telemetry.append(
-                {
-                    "iteration": self.nfev,
-                    "params_hash": digest,
-                    "value": value,
-                    "evaluations": self.nfev,
-                }
-            )
         return value
 
 
@@ -222,14 +209,12 @@ def _simplex(counted: _Counted, x, config: OptimizerConfig) -> None:
     )
 
 
-def minimize(
-    fun, config: OptimizerConfig, x0, telemetry=None, sigma_hint: float = 0.0
-) -> OptResult:
+def minimize(fun, config: OptimizerConfig, x0, sigma_hint: float = 0.0) -> OptResult:
     """Minimize ``fun`` from ``x0`` with the configured kind, every phase
     spending from and reporting through one counter.  ``sigma_hint`` must
     bound the shot-noise s.d. of the whole of ``fun``: NFT's fit check uses it."""
     x = wrap_angles(np.asarray(x0, dtype=float))
-    counted = _Counted(fun, config.f_max, telemetry)
+    counted = _Counted(fun, config.f_max)
     kind = config.kind
     try:
         if kind == "nft":

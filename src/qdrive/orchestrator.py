@@ -71,8 +71,10 @@ class TaskDag:
         return node
 
     def add_edge(self, parent: str, child: str) -> None:
+        """``child`` runs after ``parent`` and reads its output artifact."""
         self.children[parent].append(child)
         self.parents[child].append(parent)
+        self.nodes[child].inputs.append(self.nodes[parent].output)
 
     def topological_order(self) -> list[str]:
         indegree = {nid: len(ps) for nid, ps in self.parents.items()}
@@ -143,9 +145,6 @@ def build_dag(
                     dag.add_edge(prefix + node_id(parity, run, "hermitian", i - 1), h_id)
                 dag.add_edge(n_id, pool_id)
             dag.add_edge(pool_id, sort_id)
-    for child, parents in dag.parents.items():
-        dag.nodes[child].inputs = [dag.nodes[p].output for p in parents]
-    dag.topological_order()  # acyclicity check
     return dag
 
 
@@ -219,6 +218,7 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
         for event in finished():
             running -= 1
             finish(event)
+    del finish  # it refers to itself: a cycle that would keep the DAG alive until a collection
     return trace
 
 

@@ -120,7 +120,7 @@ class RunPlan:
 
     def make_estimator(
         self, parity: str, run: int, kind: str, index: int = 0,
-        shots: int | None = None, telemetry=None, groups: dict[str, str] | None = None,
+        shots: int | None = None, groups: dict[str, str] | None = None,
     ) -> Estimator:
         return Estimator(
             q=self.q,
@@ -130,7 +130,6 @@ class RunPlan:
             seed=np.random.default_rng(self.task_seed(parity, run, kind, index)),
             mitigate_readout=self.mitigate_readout,
             mitigate_zne=self.mitigate_zne,
-            telemetry=telemetry,
             groups=groups,
         )
 
@@ -175,12 +174,9 @@ def run_hermitian_stage(
     problem: ChannelProblem,
     plan: RunPlan,
     run_id: int,
-    telemetry=None,
 ) -> dict:
     """Find the index-th Hermitian eigenstate by deflated minimization."""
-    est = plan.make_estimator(
-        problem.parity, run_id, "hermitian", index, telemetry=telemetry, groups=problem.groups
-    )
+    est = plan.make_estimator(problem.parity, run_id, "hermitian", index, groups=problem.groups)
     rng = np.random.default_rng(plan.task_seed(problem.parity, run_id, "init", index))
     x0 = random_initial_params(plan.q, rng)
     cfg = plan.hermitian_cfg
@@ -189,7 +185,7 @@ def run_hermitian_stage(
         return vqd_objective(x, problem.h_h, priors, plan.penalty, est)
 
     sigma = vqd_sigma(problem.h_h, len(priors), plan.penalty, est)
-    result = minimize(objective, cfg, x0, telemetry=telemetry, sigma_hint=sigma)
+    result = minimize(objective, cfg, x0, sigma_hint=sigma)
     energy = est.expectation(problem.h_h, result.params).real
     overlaps = [est.overlap_lowdepth(result.params, prior) for prior in priors]
     return {
@@ -210,12 +206,10 @@ def run_nonhermitian_stage(
     problem: ChannelProblem,
     plan: RunPlan,
     run_id: int,
-    telemetry=None,
 ) -> ResonanceRecord:
     """Pseudovariance minimization warm-started at the Hermitian eigenstate."""
     est = plan.make_estimator(
-        problem.parity, run_id, "nonhermitian", index, telemetry=telemetry,
-        groups=problem.groups,
+        problem.parity, run_id, "nonhermitian", index, groups=problem.groups
     )
     cfg = plan.nonhermitian_cfg
 
@@ -224,7 +218,7 @@ def run_nonhermitian_stage(
 
     theta = np.asarray(theta, dtype=float)
     warm = float(objective(theta))
-    result = minimize(objective, cfg, theta, telemetry=telemetry)
+    result = minimize(objective, cfg, theta)
     if warm < result.value:
         # the stage never reports a value above its warm start
         result = replace(result, params=theta, value=warm, converged=warm <= cfg.f_tol)

@@ -330,8 +330,7 @@ class NoiseModel:
 
         The operators depend on this model's noise, so they live on the model:
         every estimator sharing it shares them, and :func:`scale_noise` starts
-        a new model with none.  Threads that miss the same key at once each
-        build it; the copies are equal, so either may stay.
+        a new model with none.
         """
         cached = self._povm_cache.get(key)
         if cached is None:

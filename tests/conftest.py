@@ -1,10 +1,11 @@
 """Hypothesis profiles: ``--hypothesis-profile=ci`` draws the same examples
 on every run, so a failure in CI reproduces locally with the same option.
 
-``orchestrator.execute`` and ``run --single-task`` freeze the collector's
-heap, which in a test session holds the objects of every earlier test.  The
-autouse fixture unfreezes it after each test, so that the collector, and
-with it the unraisable-exception check, sees those objects again."""
+``orchestrator.execute``, ``run --single-task`` and ``cli.main`` on its way
+out freeze the collector's heap, which in a test session holds the objects
+of every earlier test.  The autouse fixture unfreezes it after each test, so
+that the collector, and with it the unraisable-exception check, sees those
+objects again."""
 import gc
 
 import pytest

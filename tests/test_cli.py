@@ -310,6 +310,12 @@ class TestDiag:
         assert len(read_csv(tmp_path / "out" / "diag_even.csv")) == 64
         assert calls == []
 
+    def test_exit_collections_skip_what_the_command_left(self, tmp_path):
+        path = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "q": 2})
+        assert gc.get_freeze_count() == 0
+        assert main(["--config", path, "diag"]) == 0
+        assert gc.get_freeze_count() > 0
+
 
 class TestOracleOnce:
     """Each channel's oracle is diagonalized once, with its problem: the sort
@@ -544,7 +550,8 @@ class TestRun:
         path = write_config(tmp_path, doc)
         assert main(["--config", path, "run", "--single-task", "even_r0_h1"]) == 0
         artifact = tmp_path / "out" / "runs" / "batch0" / "even" / "0" / "even_r0_h1.json"
-        assert artifact.exists()
+        # each stage's angles once, in its own record
+        assert json.loads(artifact.read_text()).keys() == {"stages"}
         assert main(["--config", path, "run", "--single-task", "even_r0_n1"]) == 0
 
     @pytest.mark.parametrize("task", ["odd_r0_h1", "odd_r0_pool", "odd_sort"])

@@ -208,21 +208,12 @@ class TestNoisyTier:
 
     def test_identity_word_never_estimated(self):
         noise = torino_like(3)
-        telemetry = []
-        est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=14, telemetry=telemetry)
+        est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=14)
         obs = PauliSum(2, {"II": 2.5, "ZZ": 0.5, "XI": 0.25})
         est.expectation(obs, RNG(15).uniform(-np.pi, np.pi, 16))
-        bases = [e.get("basis") for e in telemetry if e["purpose"] != "zne"]
-        assert sorted(set(bases)) == ["XI", "ZZ"]
-
-    def test_zne_branch_telemetry_logged(self):
-        noise = torino_like(3)
-        telemetry = []
-        est = Estimator(q=2, tier="noisy", noise=noise, shots=2048, seed=16, telemetry=telemetry)
-        est.expectation(PauliSum(2, {"ZZ": 1.0}), RNG(17).uniform(-np.pi, np.pi, 16))
-        zne_records = [e for e in telemetry if e["purpose"] == "zne"]
-        assert zne_records
-        assert {"x1", "x3", "x5", "z", "branch", "x0"} <= set(zne_records[0])
+        # the record's distributions, by the bases of the groups read, and its word values
+        assert sorted(est._last[2]) == ["XI", "ZZ"]
+        assert sorted(est._last[3]) == ["XI", "ZZ"]
 
     def test_overlap_bounded(self):
         noise = torino_like(2)
@@ -532,13 +523,13 @@ class PerHistogram(Estimator):
     ``sample_shots`` and ``invert_distribution`` as they were for one
     distribution."""
 
-    def _distribution(self, probs, lam, purpose, **log):
+    def _distribution(self, probs):
         if self.tier == "statevector":
             return probs
         probs = np.clip(probs, 0.0, None)
         probs = np.clip(probs / probs.sum(), 0.0, None)  # then sample_shots's own
         dist = self.rng.multinomial(self.shots, probs / probs.sum()) / self.shots
-        self._log(purpose, lam=lam, **log)
+        self.circuits_run += 1
         if self._inverse is None:
             return dist
         flat = np.clip(self._inverse @ dist, 0.0, None)
@@ -553,10 +544,7 @@ class PerHistogram(Estimator):
             basis = self.groups[word]
             if basis not in dists:
                 dists[basis] = [
-                    self._distribution(
-                        group_probabilities(self, state, basis, lam),
-                        lam, "pauli-group", basis=basis,
-                    )
+                    self._distribution(group_probabilities(self, state, basis, lam))
                     for lam, state in zip(self._scales(), states)
                 ]
             signs = estimator_module._parity_signs(word)
@@ -572,7 +560,7 @@ class PerHistogram(Estimator):
         if tail is None:
             tail = self._tails[key] = build_ansatz(params_b, self.q).inverse()
         xs = [
-            float(self._distribution(self._probabilities(head, tail, lam), lam, "overlap")[0])
+            float(self._distribution(self._probabilities(head, tail, lam))[0])
             for lam, head in zip(self._scales(), heads)
         ]
         return self._maybe_extrapolate(xs, mode="probability")
@@ -609,10 +597,8 @@ class TestBatchedSampling:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         runs = []
         for cls in (Estimator, PerHistogram):
-            telemetry = []
             est = cls(q=q, tier=tier, noise=self.NOISE, shots=997, seed=seed,
-                      mitigate_readout=readout, mitigate_zne=zne, telemetry=telemetry,
-                      groups=qwc_groups(grouped))
+                      mitigate_readout=readout, mitigate_zne=zne, groups=qwc_groups(grouped))
             rng = RNG(seed)
             x, prior = rng.uniform(-np.pi, np.pi, (2, ansatz_parameter_count(q)))
             values = []
@@ -620,12 +606,7 @@ class TestBatchedSampling:
                 x[step] += 0.5  # an optimizer's coordinate step
                 values += [est.expectation(first, x), est.expectation(second, x),
                            est.overlap_lowdepth(x, prior), est.overlap_lowdepth(x, x)]
-            # the batch logs its histograms before the extrapolations that read them
-            records = [
-                [r for r in telemetry if r["purpose"] == "zne"],
-                [r for r in telemetry if r["purpose"] != "zne"],
-            ]
-            runs.append((values, est.circuits_run, records, est.rng.bit_generator.state))
+            runs.append((values, est.circuits_run, est.rng.bit_generator.state))
         assert runs[0] == runs[1]
 
 

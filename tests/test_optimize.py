@@ -123,9 +123,8 @@ class TestNft:
             values.append(v)
             return float(v)
 
-        telemetry = []
         cfg = OptimizerConfig(kind="nft", max_iterations=6, f_max=120, reset_interval=3)
-        result = minimize(fun, cfg, np.array([0.5, -0.4]), telemetry=telemetry)
+        result = minimize(fun, cfg, np.array([0.5, -0.4]))
         assert result.value <= min(values) + 1e-12
 
 

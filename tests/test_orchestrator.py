@@ -7,6 +7,7 @@ import random
 import sys
 import time
 import warnings
+import weakref
 
 import pytest
 
@@ -107,6 +108,16 @@ class TestBuildDag:
         assert (node_id("even", 0, "nonhermitian", 2), node_id("even", 0, "pool")) in pairs
         assert (node_id("even", 0, "pool"), node_id("even", 0, "sort")) in pairs
 
+    def test_sweep_inputs_are_the_parents_outputs(self):
+        dag = TaskDag()
+        for point in ("p0/", "p1/", "p2/"):
+            build_dag({"even": 2, "odd": 1}, 2, prefix=point, dag=dag)
+        assert len(dag.nodes) == 3 * 18
+        for nid, node in dag.nodes.items():
+            assert node.inputs == [dag.nodes[p].output for p in dag.parents[nid]]
+        pool = dag.nodes["p1/even_r1_pool"]
+        assert pool.inputs == [f"p1/runs/batch0/even/1/even_r1_n{i}.json" for i in (1, 2)]
+
     def test_cycle_detection(self):
         dag = TaskDag()
         dag.add_node(TaskNode(id="a", kind="pool", parity="even", run=0, index=0))
@@ -201,6 +212,19 @@ class TestExecute:
         else:
             assert os.getpid() not in pids
         assert min(frozen) > 0
+
+    def test_the_dag_is_freed_without_a_collection(self):
+        # the heap is frozen before the process ends, so a cycle holding the
+        # DAG, its payloads and what they reach would never be freed
+        dag = build_dag({"even": 2}, 1, parities=("even",))
+        ref = weakref.ref(dag)
+        gc.disable()
+        try:
+            execute(dag, workers=1)
+            del dag
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_workers_never_outnumber_the_nodes(self, monkeypatch):
         dag = build_dag({"even": 2}, 2, parities=("even",))
