@@ -3,11 +3,11 @@
 All commands are batch-oriented: they read a JSON config (flags override
 file keys), write CSV/JSON artifacts under the output directory, and use
 the exit-code contract 0 = success, 2 = config error, 3 = partial pipeline
-failure or a file that could not be written.  ``run`` builds one batch
-DAG and ``sweep`` one DAG over the batches of all its noise-factor points;
-both execute it through :func:`execute_dag`.  Every artifact, task JSON and
-report file alike, goes through one atomic writer, :func:`_write_text`, so a
-killed process leaves the previous file or none; the gather steps read the
+failure or a file that could not be written.  ``run`` executes one batch
+DAG and ``sweep`` one DAG over the batches of all its noise-factor points,
+both through :func:`execute_points`.  Every artifact, task JSON and report
+file alike, goes through one atomic writer, :func:`_write_text`, so a killed
+process leaves the previous file or none; the gather steps read the
 artifacts that exist through one reader, :func:`_read_existing`.  ``run``
 reports against the oracles of its channel problems; ``diag`` builds none.
 """
@@ -17,6 +17,7 @@ import argparse
 import csv
 import gc
 import io
+import itertools
 import json
 import os
 import sys
@@ -177,9 +178,9 @@ def make_payload(plan, problems, root: Path):
 def prepare_execution(
     doc: dict, root: Path, problems: dict | None = None, prefix: str = "", dag=None
 ):
-    """The plan, channel problems and DAG of ``doc``'s batch, its artifacts
-    under ``root``.  A sweep passes the problems of its first point and the
-    DAG to add each further point to, its node ids and paths under ``prefix``."""
+    """The channel problems and DAG of ``doc``'s batch, its artifacts under
+    ``root``.  Later points of :func:`execute_points` pass the first one's
+    problems and the DAG to add to, their node ids and paths under ``prefix``."""
     plan = build_plan(doc)
     if problems is None:
         grid, model = build_grid(doc), build_model(doc)
@@ -194,26 +195,28 @@ def prepare_execution(
     for node in dag.nodes.values():
         if node.payload is None:  # this batch's nodes
             node.payload = payload
-    return plan, problems, dag
+    return problems, dag
 
 
-def _import_scipy_before_fork(doc: dict) -> None:
-    """With several workers, import scipy once when a stage can start a
-    trust-region or simplex phase, so the forked workers inherit it.  Before
-    the problems are built it costs about 40 ms less (``sv_run`` setup_s)."""
+def execute_points(doc: dict, out: Path, points: dict) -> tuple[dict, object, list[str]]:
+    """Build the batch of each config in ``points``, keyed by node-id prefix,
+    into one DAG; freeze ``doc`` beside the artifacts, execute the DAG and
+    write ``trace.jsonl``.  The points differ in noise and seed only, so they
+    share the first one's channel problems.  Returns those, the DAG and the
+    ids of failed or skipped nodes.  With several workers, scipy is imported
+    first when a stage can start a trust-region or simplex phase: the forked
+    workers inherit it, and before the build it costs 40 ms less (sv_run)."""
     if doc["workers"] > 1 and (
         build_plan(doc).hermitian_cfg.kind != "nft" or not idle_trust_region(doc)
     ):
         import scipy.optimize  # noqa: F401
-
-
-def execute_dag(doc: dict, out: Path, dag) -> list[str]:
-    """Freeze ``doc`` beside the artifacts, execute ``dag`` and write its
-    ``trace.jsonl``: the ids of the nodes that failed or were skipped."""
+    problems, dag = None, orchestrator.TaskDag()
+    for prefix, point in points.items():
+        problems, dag = prepare_execution(point, out, problems, prefix, dag)
     _write_json(out / "config.frozen.json", doc)
     trace = orchestrator.execute(dag, workers=doc["workers"])
     _write_text(out / "trace.jsonl", "".join(json.dumps(e) + "\n" for e in trace))
-    return [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
+    return problems, dag, [e["node"] for e in trace if e["status"] in ("failed", "skipped")]
 
 
 def collect_winners(dag, root: Path, prefix: str = "") -> tuple[list[ResonanceRecord], list[str]]:
@@ -314,7 +317,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
         nodes = orchestrator.build_dag(plan.n_states, plan.batch_size, plan.parities).nodes
         if single_task not in nodes:
             raise ConfigError(f"unknown task id {single_task!r}")
-        _, _, dag = prepare_execution(dict(doc, parities=[nodes[single_task].parity]), out)
+        _, dag = prepare_execution(dict(doc, parities=[nodes[single_task].parity]), out)
         node = dag.nodes[single_task]
         degraded = [
             p for p in dag.parents[node.id]
@@ -327,9 +330,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
             return 3
         print(f"task {single_task}: wrote {node.output}")
         return 0
-    _import_scipy_before_fork(doc)
-    _, problems, dag = prepare_execution(doc, out)
-    failed_nodes = execute_dag(doc, out, dag)
+    problems, dag, failed_nodes = execute_points(doc, out, {"": doc})
     winners, missing_sorts = collect_winners(dag, out)
     write_winners_csv(out / "winners.csv", winners)
     row, failures = report_targets(doc, problems, winners)
@@ -343,35 +344,30 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
 
 def cmd_sweep(doc: dict) -> int:
     """Every (reduction, longevity, repeat) point's batch as one DAG, run by
-    one :func:`execute_dag` call; each point's artifacts lie under its own
+    one :func:`execute_points` call; each point's artifacts lie under its own
     directory and its winners become rows of ``sweep.csv``."""
     if doc["tier"] != "noisy":
         raise ConfigError("config key 'tier' must be 'noisy' for sweeps")
     out = resolve_output_dir(doc)
-    _import_scipy_before_fork(doc)  # its points differ in noise and seed only
     sweep = doc["sweep"]
-    problems, dag = None, orchestrator.TaskDag()
-    points = {}
-    for reduction in sweep["reduction_factors"]:
-        for longevity in sweep["longevity_factors"]:
-            for repeat in range(sweep["repeats"]):
-                point = dict(
-                    doc,
-                    gate_noise_reduction_factor=float(reduction),
-                    qubit_longevity_factor=longevity,
-                    seed=doc["seed"] + 7919 * repeat,
-                )
-                prefix = f"sweep_r{reduction}_l{longevity}_{repeat}/"
-                _, problems, _ = prepare_execution(point, out, problems, prefix, dag)
-                points[prefix] = {
-                    "reduction": reduction, "longevity": longevity, "repeat": repeat
-                }
-    failed_nodes = execute_dag(doc, out, dag)
+    points, columns = {}, {}
+    for reduction, longevity, repeat in itertools.product(
+        sweep["reduction_factors"], sweep["longevity_factors"], range(sweep["repeats"])
+    ):
+        prefix = f"sweep_r{reduction}_l{longevity}_{repeat}/"
+        points[prefix] = dict(
+            doc,
+            gate_noise_reduction_factor=float(reduction),
+            qubit_longevity_factor=longevity,
+            seed=doc["seed"] + 7919 * repeat,
+        )
+        columns[prefix] = {"reduction": reduction, "longevity": longevity, "repeat": repeat}
+    _, dag, failed_nodes = execute_points(doc, out, points)
     rows, missing_sorts = [], []
-    for prefix, columns in points.items():
+    for prefix, point_columns in columns.items():
         winners, missing = collect_winners(dag, out, prefix)
         missing_sorts += missing
-        rows += [{**w.to_dict(), **columns, "status": "ok"} for w in winners]
+        rows += [{**w.to_dict(), **point_columns, "status": "ok"} for w in winners]
     _write_csv(out / "sweep.csv", SWEEP_SCHEMA, SWEEP_FIELDS, rows)
     print(f"sweep: {len(rows)} rows -> sweep.csv")
     if failed_nodes or missing_sorts:

@@ -153,6 +153,10 @@ def validate_config(doc: dict) -> None:
         factors = doc["sweep"][key]
         if len({_longevity(v) for v in factors}) < len(factors):
             raise ConfigError(f"config key 'sweep.{key}' must hold distinct values, got {factors}")
+    final_shots = doc["shots"] * doc["final_shots_factor"]
+    if final_shots > 2**63 - 1:  # the most draws numpy's multinomial takes
+        raise ConfigError(f"config keys 'shots' * 'final_shots_factor' = {final_shots} "
+                          "must be at most 2**63 - 1")
     if doc["workers"] > 1:
         import multiprocessing  # only a run that forks loads it
         if "fork" not in multiprocessing.get_all_start_methods():

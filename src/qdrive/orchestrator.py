@@ -10,9 +10,9 @@ first, so the Hermitian chain of the channel with most states, the batch's
 critical path, never waits behind a branch that can run beside it; ties go
 by :meth:`TaskNode.sort_key`.
 
-Pool and sort nodes are gather points: they run in degraded mode when at
-least one input artifact exists even if sibling branches failed, so one
-broken run never voids a batch.
+Pool and sort nodes, ``GATHER_KINDS``, are gather points: they run in
+degraded mode when at least one input artifact exists even if sibling
+branches failed, so one broken run never voids a batch.
 
 A sweep is one DAG: :func:`build_dag` adds each sweep point's batch to it
 with the point's directory as the prefix of every node id and artifact
@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 KIND_RANK = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3}
+GATHER_KINDS = ("pool", "sort")
 
 
 @dataclass
@@ -47,9 +48,6 @@ class TaskNode:
     index: int
     inputs: list = field(default_factory=list)
     output: str = ""
-    gather: bool = False
-    status: str = "pending"
-    error: str | None = None
     payload: object = field(default=None, repr=False, compare=False)
 
     def sort_key(self):
@@ -123,7 +121,6 @@ def build_dag(
         dag.add_node(
             TaskNode(
                 id=prefix + nid, kind=kind, parity=parity, run=run, index=index,
-                gather=kind in ("pool", "sort"),
                 output=f"{prefix}runs/batch0/{folder}/{nid}.json",
             )
         )
@@ -172,8 +169,8 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     ``finished()`` blocks until at least one started node ends and returns
     the trace events of those that did; ``now()`` stamps skip events.  A
     node becomes ready when all parents finished; a failed or skipped parent
-    skips regular descendants, while gather nodes (pool/sort) run in
-    degraded mode if at least one parent succeeded.
+    skips regular descendants, while ``GATHER_KINDS`` nodes run degraded if
+    at least one parent succeeded; statuses stay here, not in the DAG.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -188,19 +185,18 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     ready = [claim_key(nid) for nid, count in waiting.items() if count == 0]
     heapq.heapify(ready)
     trace: list[dict] = []
+    status: dict[str, str] = {}  # node id -> status of its finished event
     running = 0
 
     def finish(event: dict):
-        node = dag.nodes[event["node"]]
-        node.status, node.error = event["status"], event["error"]
+        status[event["node"]] = event["status"]
         trace.append(event)
-        for child_id in dag.children[node.id]:
+        for child_id in dag.children[event["node"]]:
             waiting[child_id] -= 1
             if waiting[child_id]:
                 continue
-            child = dag.nodes[child_id]
-            done = [dag.nodes[p].status == "done" for p in dag.parents[child_id]]
-            if all(done) or (child.gather and any(done)):
+            done = [status[p] == "done" for p in dag.parents[child_id]]
+            if all(done) or (dag.nodes[child_id].kind in GATHER_KINDS and any(done)):
                 heapq.heappush(ready, claim_key(child_id))
             else:
                 t = now()
@@ -212,8 +208,7 @@ def _schedule(dag: TaskDag, workers: int, start, finished, now) -> list[dict]:
     while ready or running:
         while ready and running < workers:
             node = dag.nodes[heapq.heappop(ready)[-1]]
-            node.status = "running"
-            start(node, [p for p in dag.parents[node.id] if dag.nodes[p].status != "done"])
+            start(node, [p for p in dag.parents[node.id] if status[p] != "done"])
             running += 1
         for event in finished():
             running -= 1
@@ -355,6 +350,7 @@ def export_dagman(
     the dag file's directory and logs to ``logs/`` there.
     """
     order = dag.topological_order()
+    rank = {nid: i for i, nid in enumerate(order)}
     command = " ".join(["qdrive", *cli_args.split(), "run", "--single-task"])
     lines = []
     submits: dict[str, str] = {}
@@ -371,8 +367,7 @@ def export_dagman(
             "queue\n"
         )
     for nid in order:
-        children = dag.children[nid]
+        children = sorted(dag.children[nid], key=rank.__getitem__)
         if children:
-            ordered = [c for c in order if c in set(children)]
-            lines.append(f"PARENT {nid} CHILD {' '.join(ordered)}")
+            lines.append(f"PARENT {nid} CHILD {' '.join(children)}")
     return "\n".join(lines) + "\n", submits

@@ -187,6 +187,9 @@ class TestConfig:
         cases.append((["--set", "n_states.even=0"], "n_states.even"))
         cases.append((["--set", "n_states.odd=-2"], "n_states.odd"))
         cases.append((["--set", "seed=-1"], "'seed'"))
+        # numpy's multinomial draws at most 2**63 - 1 shots, not 10**19 final shots
+        cases.append((["--set", f"shots={2**63}"], "'shots'"))
+        cases.append((["--set", "shots=1000000000000000000"], "'final_shots_factor'"))
         cases.append((["--set", "optimizer.retries=-1"], "optimizer.retries"))
         # a boolean is an int to Python, but no number key takes one
         cases.append((["--set", "model.lam=true"], "model.lam"))
@@ -535,7 +538,7 @@ class TestRun:
         # the inline virtual-clock executor picks the same winners
         out = tmp_path / "out_sim"
         out.mkdir()
-        _, _, dag = prepare_execution(doc, out)
+        _, dag = prepare_execution(doc, out)
         execute_simulated(dag, workers=2)
         winners, missing = collect_winners(dag, out)
         assert missing == []

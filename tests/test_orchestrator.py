@@ -343,6 +343,22 @@ class TestExecute:
         assert pool_event["status"] == "done"
         assert pool_event["degraded_inputs"]
 
+    def test_statuses_stay_out_of_the_dag(self):
+        # one DAG executed inline and then forked: same statuses, nodes unchanged
+        dag = build_dag({"even": 3}, 2, parities=("even",))
+
+        def payload(node, degraded):
+            if node.id == node_id("even", 0, "hermitian", 2):
+                raise RuntimeError("injected")
+
+        for node in dag.nodes.values():
+            node.payload = payload
+        inline = {e["node"]: e["status"] for e in execute(dag, workers=1)}
+        forked = {e["node"]: e["status"] for e in execute(dag, workers=2)}
+        assert inline == forked
+        assert set(inline.values()) == {"done", "failed", "skipped"}
+        assert dag.nodes == build_dag({"even": 3}, 2, parities=("even",)).nodes
+
     @pytest.mark.parametrize("executor", [execute, execute_simulated])
     def test_all_parents_failed_skips_gather(self, executor):
         dag = build_dag({"even": 1}, 1, parities=("even",))
