@@ -4,7 +4,10 @@
 the JSON type(s) it accepts and the check its value must pass; ``DEFAULTS``
 is the nested document of the defaults, in the same key order.  Defaults
 reproduce the benchmark settings (lam = 0.1, j = 0.8, x0 = 8, x_max = 10,
-2^12 grid points, batch of 8 runs, 10^5 shots, penalty 100).  A bad value
+2^12 grid points, batch of 8 runs, 10^5 shots) except two optimizer keys,
+whose null derives the setting: ``hermitian_kind`` runs NFT, and
+``penalty_c`` takes each channel's deflation penalty from its operator
+(``pipeline.build_problem``); the paper's constant is ``penalty_c: 100``.  A bad value
 fails at load with a message that names its key, before any task runs.
 Command-line flags override file keys; the resolved document is frozen into
 every run directory so a run can be reproduced byte-for-byte.
@@ -90,7 +93,7 @@ _KEYS: dict[str, tuple] = {
     "qubit_longevity_factor": (None, (*_REAL, *_OPTIONAL_STR), _positive(inf=True)),
     "mitigation.readout": (True, bool, None),
     "mitigation.zne": (True, bool, None),
-    "optimizer.penalty_c": (100.0, _REAL, _finite(0)),
+    "optimizer.penalty_c": (None, (*_REAL, type(None)), _finite(0)),
     "optimizer.hermitian_kind": (None, _OPTIONAL_STR, _one_of("nft", "trust_region", "simplex")),
     "optimizer.hermitian_f_max": (2048, int, _positive()),
     "optimizer.hermitian_max_iterations": (512, int, _positive()),
@@ -297,7 +300,7 @@ def build_plan(doc: dict) -> RunPlan:
     opt = doc["optimizer"]
     parities = tuple(doc["parities"])
     hermitian_cfg = OptimizerConfig(
-        kind=opt["hermitian_kind"] or ("simplex" if doc["tier"] == "statevector" else "nft"),
+        kind=opt["hermitian_kind"] or "nft",
         max_iterations=opt["hermitian_max_iterations"],
         f_max=opt["hermitian_f_max"],
         reset_interval=opt["reset_interval"],
@@ -324,7 +327,7 @@ def build_plan(doc: dict) -> RunPlan:
         final_shots=doc["shots"] * doc["final_shots_factor"],
         seed=doc["seed"],
         noise=resolve_noise(doc),
-        penalty=float(opt["penalty_c"]),
+        penalty=None if opt["penalty_c"] is None else float(opt["penalty_c"]),
         overlap_tol=float(doc["dedup_overlap_tol"]),
         thresholds=ClassifierThresholds(
             cap_weight=float(cls["cap_weight"]),

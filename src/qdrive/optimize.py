@@ -9,7 +9,9 @@ which holds the run's best point, and runs the configured kind:
                     a + b*cos(theta - theta0), so three evaluations at
                     shifts {+pi/2, -pi/2, +pi} place the minimizer exactly.
                     The full objective is re-evaluated every
-                    ``reset_interval`` parameter updates.  A failed fit on
+                    ``reset_interval`` parameter updates.  The run stops
+                    after a sweep that lowers the best value by at most
+                    1e-10 * max(1, |best|), COBYLA's ``tol``.  A failed fit on
                     the first update downgrades the run: the trust-region
                     phase continues on NFT's counter, and the run has kind
                     ``"nft->trust_region"``.
@@ -28,7 +30,8 @@ NFT's evaluations and the trust region's together.  ``exhausted`` is read
 from the counter alone: it refused an evaluation, or the budget is spent;
 it is a flag, never an exception.  ``converged`` means the best value
 reached ``f_tol`` for the trust-region kinds, and otherwise that the run
-stopped by itself with budget left: every NFT sweep ran, or COBYLA stopped.
+stopped by itself with budget left: NFT's sweeps stopped lowering the best
+value or all ran, or COBYLA stopped.
 
 Angles are wrapped modulo 2*pi instead of clipped: every estimate here is
 bilinear in the prepared state, so a 2*pi shift of any rotation angle is
@@ -129,7 +132,8 @@ def _fit_sinusoid(z_plus: float, z_minus: float, z_pi: float):
 
 def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
     """Sequential sinusoidal coordinate minimization from ``x``.  Returns
-    None once every sweep has run, or the point at which the fit failed.
+    None once a sweep leaves the best value where it was or every sweep has
+    run, or the point at which the fit failed.
 
     On the first parameter of the first sweep the fitted sinusoid is checked
     by an evaluation at the predicted minimizer; the fit fails when the residual
@@ -139,6 +143,7 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
     m = x.size
     updates = 0
     for sweep in range(config.max_iterations):
+        start = counted.best_val
         for k in range(m):
             counted.require(3)
             shift = np.zeros(m)
@@ -166,6 +171,8 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
                 counted.best_x = x.copy()
             if not first and updates % config.reset_interval == 0:
                 counted(x)
+        if start - counted.best_val <= 1e-10 * max(1.0, abs(counted.best_val)):
+            break
     return None
 
 

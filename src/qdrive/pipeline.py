@@ -1,13 +1,15 @@
 """Deflation-chained resonance search over one or two parity channels.
 
 Per run and parity channel, Hermitian eigenstates are found in energy order
-with the deflated objective; each converged parameter vector warm-starts a
+with the deflated objective, whose penalty defaults to one derived from the
+channel's operator (``build_problem``); each converged parameter vector warm-starts a
 pseudovariance minimization against the CAP-augmented operator.  Runs are
 batched: duplicates are removed within a run, and across the batch each
 state index keeps the record with the lowest pseudovariance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -48,6 +50,11 @@ class ChannelProblem:
     ``h_dag_h`` is H_N^dag H_N.  ``groups`` maps every word of the three to
     the basis of the qubit-wise-commuting group the estimators read it from.
     The sort node's fidelity errors and ``run``'s report both read ``spectrum``.
+
+    ``penalty`` is 2 * ||c||_1 of h_h's traceless Pauli coefficients, a bound
+    on its spectral width; a deflation penalty above the width makes each
+    deflated objective's minimum the next eigenstate (Higgott, Wang &
+    Brierley, arXiv:1805.08138).  Stages use it unless the plan fixes one.
     """
 
     parity: str
@@ -58,6 +65,7 @@ class ChannelProblem:
     pair: HamiltonianPair
     spectrum: SpectrumRecord
     groups: dict[str, str]
+    penalty: float
 
 
 def build_problem(
@@ -85,6 +93,8 @@ def build_problem(
         pair=pair,
         spectrum=exact_diagonalize(pair, thresholds),
         groups=pauli.qwc_groups(first + rest),
+        # fsum rounds once, so the term order cannot change the value
+        penalty=2.0 * math.fsum(abs(c) for w, c in h_h.terms.items() if w != identity),
     )
 
 
@@ -105,7 +115,7 @@ class RunPlan:
     final_shots: int
     seed: int
     noise: NoiseModel | None
-    penalty: float
+    penalty: float | None  # None: each channel's ChannelProblem.penalty
     overlap_tol: float
     thresholds: ClassifierThresholds
     hermitian_cfg: OptimizerConfig
@@ -180,11 +190,12 @@ def run_hermitian_stage(
     rng = np.random.default_rng(plan.task_seed(problem.parity, run_id, "init", index))
     x0 = random_initial_params(plan.q, rng)
     cfg = plan.hermitian_cfg
+    penalty = problem.penalty if plan.penalty is None else plan.penalty
 
     def objective(x):
-        return vqd_objective(x, problem.h_h, priors, plan.penalty, est)
+        return vqd_objective(x, problem.h_h, priors, penalty, est)
 
-    sigma = vqd_sigma(problem.h_h, len(priors), plan.penalty, est)
+    sigma = vqd_sigma(problem.h_h, len(priors), penalty, est)
     result = minimize(objective, cfg, x0, sigma_hint=sigma)
     energy = est.expectation(problem.h_h, result.params).real
     overlaps = [est.overlap_lowdepth(result.params, prior) for prior in priors]

@@ -49,7 +49,7 @@ DEFAULT_BYTES = (
     '"batch_size": 8, "tier": "statevector", "shots": 100000, "final_shots_factor": 10, '
     '"seed": 20240601, "noise_profile": null, "gate_noise_reduction_factor": 1.0, '
     '"qubit_longevity_factor": null, "mitigation": {"readout": true, "zne": true}, '
-    '"optimizer": {"penalty_c": 100.0, "hermitian_kind": null, "hermitian_f_max": 2048, '
+    '"optimizer": {"penalty_c": null, "hermitian_kind": null, "hermitian_f_max": 2048, '
     '"hermitian_max_iterations": 512, "reset_interval": 32, "nonhermitian_f_max": 1024, '
     '"f_tol": 0.05, "retries": 3, "r_beg": 1.0, "p_beg": 1.0}, '
     '"classifier": {"cap_weight": 0.5, "im_gain": 0.001, "sigma_max": 0.5, "gamma_max": 0.05}, '
@@ -98,7 +98,7 @@ class TestConfig:
         validate_config(doc)
         assert doc["batch_size"] == 8
         assert doc["shots"] == 100000
-        assert doc["optimizer"]["penalty_c"] == 100.0
+        assert doc["optimizer"]["penalty_c"] is None  # derived per channel
         assert doc["model"] == {
             "lam": 0.1, "j": 0.8, "x0": 8.0, "x_max": 10.0, "n_points": 4096,
         }
@@ -685,11 +685,13 @@ def test_degraded_inputs_are_node_ids(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_sort_is_missing_from_the_report(tmp_path, monkeypatch, capsys):
-    # two odd states, so that resonance_1 is found when odd_sort runs
-    extra = {"n_states": {"even": 2, "odd": 2}}
+    # every state of both q=2 channels, so that the clean run finds all three
+    # targets: resonance_2 is the fourth even state, resonance_1 the second odd one
+    extra = {"n_states": {"even": 4, "odd": 2}}
     assert main(["--config", golden_run_config(tmp_path, "clean", **extra), "run"]) == 0
     clean = tmp_path / "clean"
-    assert read_csv(clean / "table.csv")[0]["resonance_1_status"] == "ok"
+    for label in pipeline.TARGET_LABELS:
+        assert float(read_csv(clean / "table.csv")[0][f"{label}_relative_error"]) < 0.01
     inject_failure(monkeypatch, "odd_sort")
     capsys.readouterr()
     assert main(["--config", golden_run_config(tmp_path, "out", **extra), "run"]) == 3
@@ -712,9 +714,12 @@ def test_failed_sort_is_missing_from_the_report(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("case", ["noisy", "noisy_readout_only"])
 def test_one_parity_run_does_not_request_the_other_channel(case, tmp_path, capsys):
-    # the noisy golden runs the even channel alone, noisy_readout_only the odd one
+    # the noisy golden runs the even channel alone, noisy_readout_only the odd
+    # one; here with every state of the channel (4 even, 2 odd at q=2) and a
+    # Hermitian budget that reaches its targets
     _, overrides, _ = CASES[case]
-    doc = json.loads(json.dumps({**_TINY, **overrides}))
+    doc = json.loads(json.dumps({**_TINY, **overrides, "n_states": {"even": 4, "odd": 2}}))
+    doc["optimizer"]["hermitian_f_max"] = 100
     doc["output_dir"] = str(tmp_path / "out")
     assert main(["--config", write_config(tmp_path, doc), "run"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -722,6 +727,7 @@ def test_one_parity_run_does_not_request_the_other_channel(case, tmp_path, capsy
     for label, (parity, _) in pipeline.TARGET_LABELS.items():
         if parity in doc["parities"]:
             assert row[f"{label}_status"] == "ok"
+            assert float(row[f"{label}_relative_error"]) < 0.05
         else:
             assert row[f"{label}_status"] == "not_requested"
             assert row[f"{label}_re"] == row[f"{label}_relative_error"] == ""
@@ -909,7 +915,7 @@ class TestStartUp:
     @pytest.mark.parametrize(
         "case, loaded",
         [
-            ("run", True),  # statevector: simplex Hermitian stages
+            ("run", True),  # Hermitian stages pinned to simplex
             ("noisy_sweep", True),  # simplex Hermitian stages
             # NFT Hermitian stages and a pseudovariance budget too small for
             # the trust region to start: no phase of the plan uses scipy
@@ -920,7 +926,8 @@ class TestStartUp:
         if case == "run":
             doc = {"q": 2, "parities": ["even"], "n_states": {"even": 1},
                    "batch_size": 1, "workers": 2, "tier": "statevector",
-                   "optimizer": {"hermitian_f_max": 8, "nonhermitian_f_max": 4},
+                   "optimizer": {"hermitian_kind": "simplex", "hermitian_f_max": 8,
+                                 "nonhermitian_f_max": 4},
                    "output_dir": str(tmp_path / "out")}
             command = f"main(['--config', {write_config(tmp_path, doc)!r}, 'run'])"
         else:

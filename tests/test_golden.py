@@ -36,6 +36,15 @@ CASES = {
          "optimizer": {"hermitian_f_max": 64, "nonhermitian_f_max": 32}},
         ("winners.csv", "table.csv"),
     ),
+    # the statevector case on the paper's path: COBYLA Hermitian stages and
+    # the constant deflation penalty 100
+    "statevector_paper": (
+        "run",
+        {"tier": "statevector", "n_states": {"even": 2, "odd": 1},
+         "optimizer": {"hermitian_kind": "simplex", "penalty_c": 100,
+                       "hermitian_f_max": 64, "nonhermitian_f_max": 32}},
+        ("winners.csv", "table.csv"),
+    ),
     # q = 3 with three even states: deflated stages with several priors
     "statevector_q3": (
         "run",

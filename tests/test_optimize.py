@@ -57,6 +57,22 @@ class TestNft:
         result = minimize(fun, cfg, np.array([0.1, 0.2]))
         assert result.value == pytest.approx(0.5, abs=1e-6)
 
+    def test_stops_after_a_sweep_that_lowers_nothing(self):
+        # the first sweep places each of three separable angles exactly (9
+        # evaluations and the fit check); the second lowers nothing, so the
+        # run stops with its budget left
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return waves(x)
+
+        cfg = OptimizerConfig(kind="nft", max_iterations=100, f_max=1000)
+        result = minimize(fun, cfg, np.zeros(3))
+        assert len(calls) == result.nfev == 1 + 2 * 9
+        assert result.converged and not result.exhausted
+        assert result.value == pytest.approx(-3.0, abs=1e-12)
+
     def test_budget_exhaustion_returns_flagged_best(self):
         def fun(x):
             return float(np.sum(np.cos(x)))
@@ -228,8 +244,9 @@ class TestResultContract:
         assert result.exhausted == exhausted
         if result.kind in ("trust_region", "nft->trust_region"):
             assert result.converged == (result.value <= cfg.f_tol)
-        # NFT converges when every sweep ran and COBYLA when it stopped with
-        # budget left; each trust-region case here with budget left reaches f_tol
+        # NFT converges when its sweeps stopped lowering the best value or all
+        # ran, and COBYLA when it stopped with budget left; each trust-region
+        # case here with budget left reaches f_tol
         assert result.converged == (not exhausted)
         assert result.nfev == len(evaluated) <= cfg.f_max
         # plain NFT records predicted minima, which it never evaluated

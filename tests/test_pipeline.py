@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qdrive import estimator as estimator_module
+from qdrive import pauli
 from qdrive.circuits import ansatz_parameter_count, build_ansatz
 from qdrive.config import build_plan, load_config
 from qdrive.estimator import Estimator
@@ -99,6 +100,29 @@ class TestBuildProblem:
         h_h_words = set(channel.h_h.terms) - {"I" * q}
         assert len({channel.groups[w] for w in h_h_words}) == n_h_h_groups
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_penalty_is_above_the_spectral_width(self, q, parity):
+        # a penalty above E_max - E_min of H_H makes every deflated stage's
+        # minimum the next eigenstate (Higgott, Wang & Brierley)
+        channel = problem(parity, q)
+        eigenvalues = np.linalg.eigvalsh(channel.pair.h_h)
+        assert channel.penalty >= eigenvalues[-1] - eigenvalues[0]
+
+    def test_penalty_does_not_depend_on_term_order(self, monkeypatch):
+        # a plain sum of these 32 coefficients rounds differently in other orders
+        reference = problem("even", 3).penalty
+        decompose = pauli.decompose
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation
+
+            def shuffled(matrix):
+                terms = list(decompose(matrix).terms.items())
+                return pauli.PauliSum(3, dict(terms[i] for i in order(len(terms))))
+
+            monkeypatch.setattr(pauli, "decompose", shuffled)
+            assert build_problem(BENCHMARK, Grid(), "even", 3).penalty == reference
+
     def test_estimator_reads_every_word_from_the_problem_groups(self, monkeypatch):
         channel = problem("even", 5)
         assert (len(channel.h_dag_h.terms), len(set(channel.groups.values()))) == (1024, 243)
@@ -130,6 +154,23 @@ class TestHermitianStage:
         stage = run_hermitian_stage(1, [], q2_even, sv_plan, run_id=1)
         assert stage["overlaps"] == []
         assert stage["converged"]
+        # NFT stops once a sweep no longer lowers the energy, at the ground state
+        assert stage["evaluations"] < sv_plan.hermitian_cfg.f_max
+        assert abs(stage["energy"] - np.linalg.eigvalsh(q2_even.pair.h_h)[0]) < 1e-10
+
+    def test_null_penalty_is_the_channel_penalty(self, q2_even):
+        # penalty_c: null deflates with the channel's derived penalty; a number fixes it
+        prior = np.random.default_rng(5).uniform(-np.pi, np.pi, 16)
+
+        def deflated(penalty_c):
+            plan = build_plan(load_config(None, {
+                "q": 2, "parities": ["even"], "tier": "statevector", "seed": 5,
+                "optimizer": {"penalty_c": penalty_c, "hermitian_f_max": 100},
+            }))
+            return run_hermitian_stage(2, [prior], q2_even, plan, run_id=0)
+
+        assert q2_even.penalty == pytest.approx(3.278, abs=1e-3)
+        assert deflated(None) == deflated(q2_even.penalty) != deflated(100)
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_deflated_noisy_stage_keeps_nft(self, q2_even, seed):
