@@ -204,10 +204,8 @@ def execute_points(doc: dict, out: Path, points: dict) -> tuple[dict, object, li
     write ``trace.jsonl``.  The points differ in noise and seed only, so they
     share the first one's channel problems.  Returns those, the DAG and the
     ids of failed or skipped nodes.  With several workers, scipy is imported
-    first when a stage can start a trust-region phase (a pseudovariance
-    budget of at least its start) or a simplex one (Hermitian stages pinned
-    to ``simplex``): the forked workers inherit it, and before the build it
-    costs 40 ms less (sv_run)."""
+    first when a stage can start a trust-region or (pinned) simplex phase: the
+    forked workers inherit it, and before the build it costs 40 ms less (sv_run)."""
     if doc["workers"] > 1 and (
         build_plan(doc).hermitian_cfg.kind != "nft" or not idle_trust_region(doc)
     ):

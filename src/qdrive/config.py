@@ -4,11 +4,10 @@
 the JSON type(s) it accepts and the check its value must pass; ``DEFAULTS``
 is the nested document of the defaults, in the same key order.  Defaults
 reproduce the benchmark settings (lam = 0.1, j = 0.8, x0 = 8, x_max = 10,
-2^12 grid points, batch of 8 runs, 10^5 shots) except two optimizer keys,
-whose null derives the setting: ``hermitian_kind`` runs NFT, and
-``penalty_c`` takes each channel's deflation penalty from its operator
-(``pipeline.build_problem``); the paper's constant is ``penalty_c: 100``.  A bad value
-fails at load with a message that names its key, before any task runs.
+2^12 grid points, batch of 8 runs, 10^5 shots); ``optimizer.penalty_c``'s
+null derives each channel's penalty (``pipeline.build_problem``), and the
+paper's constant is ``penalty_c: 100``.  A bad value fails at load with a
+message that names its key, before any task runs.
 Command-line flags override file keys; the resolved document is frozen into
 every run directory so a run can be reproduced byte-for-byte.
 """

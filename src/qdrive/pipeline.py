@@ -1,8 +1,8 @@
 """Deflation-chained resonance search over one or two parity channels.
 
 Per run and parity channel, Hermitian eigenstates are found in energy order
-with the deflated objective, whose penalty defaults to one derived from the
-channel's operator (``build_problem``); each converged parameter vector warm-starts a
+with the deflated objective, penalized by ``ChannelProblem.penalty`` unless
+the plan fixes one; each converged parameter vector warm-starts a
 pseudovariance minimization against the CAP-augmented operator.  Runs are
 batched: duplicates are removed within a run, and across the batch each
 state index keeps the record with the lowest pseudovariance.
@@ -50,11 +50,9 @@ class ChannelProblem:
     ``h_dag_h`` is H_N^dag H_N.  ``groups`` maps every word of the three to
     the basis of the qubit-wise-commuting group the estimators read it from.
     The sort node's fidelity errors and ``run``'s report both read ``spectrum``.
-
-    ``penalty`` is 2 * ||c||_1 of h_h's traceless Pauli coefficients, a bound
-    on its spectral width; a deflation penalty above the width makes each
-    deflated objective's minimum the next eigenstate (Higgott, Wang &
-    Brierley, arXiv:1805.08138).  Stages use it unless the plan fixes one.
+    ``penalty``, 2 * ||c||_1 of h_h's traceless Pauli coefficients, exceeds its
+    spectral width, so each deflated minimum is the next eigenstate (Higgott,
+    Wang & Brierley, arXiv:1805.08138).
     """
 
     parity: str
