@@ -48,8 +48,9 @@ SUITES: dict[str, tuple[dict, range]] = {
     "shots": ({"q": 2, "batch_size": 2, "tier": "shots", "shots": 10000,
                "optimizer": {"hermitian_f_max": 400, "nonhermitian_f_max": 200}},
               range(1, 9)),
-    # the statevector and noisy golden cases of tests/test_golden.py
-    "sv_golden": ({**_GOLDEN, "tier": "statevector", "n_states": {"even": 2, "odd": 1},
+    # the statevector and noisy golden cases of tests/test_golden.py; the
+    # statevector one with a second odd state, the one resonance_1 is at q=2
+    "sv_golden": ({**_GOLDEN, "tier": "statevector", "n_states": {"even": 2, "odd": 2},
                    "optimizer": {"hermitian_f_max": 64, "nonhermitian_f_max": 32}},
                   range(4200, 4260)),
     "noisy_golden": ({**_GOLDEN, "tier": "noisy", "parities": ["even"],
