@@ -146,7 +146,7 @@ def make_payload(plan, problems, root: Path):
             docs = _read_existing(root, node.inputs).values()
             records = [ResonanceRecord.from_dict(d) for d in docs]
             est = plan.make_estimator(node.parity, node.run, "pool")
-            survivors = deduplicate(records, est, plan.overlap_tol)
+            survivors = deduplicate(records, est)
             _write_json(
                 out_path,
                 {
@@ -160,7 +160,7 @@ def make_payload(plan, problems, root: Path):
             records = [ResonanceRecord.from_dict(d) for doc in docs for d in doc["records"]]
             degraded = degraded + [nid for doc in docs for nid in doc["degraded_inputs"]]
             winners = pool_batches(records)
-            filter_spurious(winners, problem, plan.thresholds)
+            filter_spurious(winners, problem)
             attach_fidelity(winners, problem)
             _write_json(
                 out_path,
@@ -185,7 +185,7 @@ def prepare_execution(
     if problems is None:
         grid, model = build_grid(doc), build_model(doc)
         problems = {
-            parity: pipeline.build_problem(model, grid, parity, plan.q, plan.thresholds)
+            parity: pipeline.build_problem(model, grid, parity, plan.q)
             for parity in plan.parities
         }
     dag = orchestrator.build_dag(
@@ -207,7 +207,7 @@ def execute_points(doc: dict, out: Path, points: dict) -> tuple[dict, object, li
     first when a stage can start a trust-region or (pinned) simplex phase: the
     forked workers inherit it, and before the build it costs 40 ms less (sv_run)."""
     if doc["workers"] > 1 and (
-        build_plan(doc).hermitian_cfg.kind != "nft" or not idle_trust_region(doc)
+        doc["optimizer"]["hermitian_kind"] == "simplex" or not idle_trust_region(doc)
     ):
         import scipy.optimize  # noqa: F401
     problems, dag = None, orchestrator.TaskDag()
@@ -237,11 +237,9 @@ def _spectra(doc: dict):
     """(parity, exact spectrum) of each parity channel of the config."""
     grid = build_grid(doc)
     model = build_model(doc)
-    plan = build_plan(doc)
-    for parity in plan.parities:
-        basis = build_basis(parity, plan.q, grid)
-        pair = project_hamiltonians(model, basis, grid)
-        yield parity, exact_diagonalize(pair, plan.thresholds)
+    for parity in doc["parities"]:
+        basis = build_basis(parity, doc["q"], grid)
+        yield parity, exact_diagonalize(project_hamiltonians(model, basis, grid))
 
 
 def _targets(spectra) -> dict[tuple[str, str], complex]:
@@ -313,8 +311,7 @@ def cmd_run(doc: dict, single_task: str | None = None) -> int:
     concurrent jobs share."""
     out = resolve_output_dir(doc)
     if single_task is not None:
-        plan = build_plan(doc)
-        nodes = orchestrator.build_dag(plan.n_states, plan.batch_size, plan.parities).nodes
+        nodes = orchestrator.build_dag(doc["n_states"], doc["batch_size"], doc["parities"]).nodes
         if single_task not in nodes:
             raise ConfigError(f"unknown task id {single_task!r}")
         _, dag = prepare_execution(dict(doc, parities=[nodes[single_task].parity]), out)
@@ -380,8 +377,7 @@ def cmd_export_dag(doc: dict) -> int:
     """Write the DAGMan description.  Each job runs from the output directory
     with the frozen config, so that config names the directory absolutely."""
     out = resolve_output_dir(doc)
-    plan = build_plan(doc)
-    dag = orchestrator.build_dag(plan.n_states, plan.batch_size, plan.parities)
+    dag = orchestrator.build_dag(doc["n_states"], doc["batch_size"], doc["parities"])
     cli_args = "--config config.frozen.json"
     _write_json(out / "config.frozen.json", dict(doc, output_dir=str(out.resolve())))
     text, submits = orchestrator.export_dagman(dag, cli_args=cli_args)

@@ -152,20 +152,12 @@ def project_hamiltonians(
     return HamiltonianPair(h_h=h_h, v_cap=v_c, basis=basis, model=model)
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    """Config-exposed cutoffs for sorting states into bound/resonance/spurious.
-
-    A state is spurious when it gains probability (im_gain), parks in the
-    absorber (cap_weight), never converged (sigma_max), or sits in the
-    continuum window with a width too large for a resonance (gamma_max).
-    Survivors below the potential asymptote are bound, the rest resonances.
-    """
-
-    cap_weight: float = 0.5
-    im_gain: float = 1e-3
-    sigma_max: float = 0.5
-    gamma_max: float = 5e-2
+# classify_state's cutoffs: the largest absorber weight, gain Im E, sigma^2
+# and continuum width a state may have and still be bound or a resonance
+CAP_WEIGHT = 0.5
+IM_GAIN = 1e-3
+SIGMA_MAX = 0.5
+GAMMA_MAX = 5e-2
 
 
 def classify_state(
@@ -174,31 +166,32 @@ def classify_state(
     basis: SineBasis,
     model: PotentialModel,
     sigma2: float = 0.0,
-    thresholds: ClassifierThresholds | None = None,
 ) -> str:
     """Label one candidate state.
 
-    Returns "bound", "resonance", or one of the spurious labels
-    "spurious:diverging", "spurious:gain", "spurious:indifferent",
-    "spurious:nonresonant".
+    A state is spurious when it parks in the absorber ("spurious:diverging",
+    weight above CAP_WEIGHT), gains probability ("spurious:gain", Im E above
+    IM_GAIN), never converged ("spurious:indifferent", sigma2 above
+    SIGMA_MAX), or lies in the continuum window with a width of GAMMA_MAX or
+    more ("spurious:nonresonant").  Survivors below the potential asymptote
+    are "bound", the rest "resonance".
     """
-    th = thresholds or ClassifierThresholds()
     grid = basis.grid
     psi = np.asarray(coeffs) @ basis.functions
     density = np.abs(psi) ** 2
     total = float(np.sum(density))
     cap_region = np.abs(grid.points) > model.x0
     weight = float(np.sum(density[cap_region])) / total if total > 0 else 1.0
-    if weight > th.cap_weight:
+    if weight > CAP_WEIGHT:
         return "spurious:diverging"
-    if energy.imag > th.im_gain:
+    if energy.imag > IM_GAIN:
         return "spurious:gain"
-    if sigma2 > th.sigma_max:
+    if sigma2 > SIGMA_MAX:
         return "spurious:indifferent"
     if energy.real < model.j:
         return "bound"
     barrier_top = float(np.max(evaluate_potential(grid.points, model)))
-    if energy.real <= barrier_top and abs(energy.imag) < th.gamma_max:
+    if energy.real <= barrier_top and abs(energy.imag) < GAMMA_MAX:
         return "resonance"
     return "spurious:nonresonant"
 
@@ -221,9 +214,7 @@ class SpectrumRecord:
         return json.dumps(rows, indent=2)
 
 
-def exact_diagonalize(
-    pair: HamiltonianPair, thresholds: ClassifierThresholds | None = None
-) -> SpectrumRecord:
+def exact_diagonalize(pair: HamiltonianPair) -> SpectrumRecord:
     """Dense complex eigendecomposition, sorted by real part.
 
     The oracle scale is capped at 2**6 states; the residual of every
@@ -248,10 +239,7 @@ def exact_diagonalize(
                 f"eigenpair {k} residual {residual:.3e} exceeds tolerance"
             )
     labels = [
-        classify_state(
-            complex(eigenvalues[k]), eigenvectors[:, k], pair.basis, pair.model,
-            sigma2=0.0, thresholds=thresholds,
-        )
+        classify_state(complex(eigenvalues[k]), eigenvectors[:, k], pair.basis, pair.model)
         for k in range(pair.dim)
     ]
     return SpectrumRecord(

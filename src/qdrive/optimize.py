@@ -9,27 +9,29 @@ which holds the run's best point, and runs the configured kind:
                     a + b*cos(theta - theta0), so three evaluations at
                     shifts {+pi/2, -pi/2, +pi} place the minimizer exactly.
                     The full objective is re-evaluated every
-                    ``reset_interval`` parameter updates.  The run stops
+                    ``RESET_INTERVAL`` parameter updates.  The run stops
                     after a sweep that lowers the best value by at most
                     1e-10 * max(1, |best|), COBYLA's ``tol``.  A failed fit on
                     the first update downgrades the run: the trust-region
                     phase continues on NFT's counter, and the run has kind
                     ``"nft->trust_region"``.
 * ``trust_region``  bound-constrained quadratic-model minimization
-                    (scipy's COBYQA) with up to ``retries`` full restarts
+                    (scipy's COBYQA) with up to ``RETRIES`` full restarts
                     from the run's best point until the value reaches
-                    ``f_tol``.
+                    ``F_TOL``.
 * ``simplex``       linear-approximation fallback (scipy's COBYLA) with
-                    initial variable change ``p_beg``.
+                    initial variable change ``P_BEG``.
 
-scipy loads when the first trust-region or simplex phase starts.
+A config sets only the kind and the budget ``f_max``; every other setting
+is one of the module constants below, the same for every stage.  scipy
+loads when the first trust-region or simplex phase starts.
 
 The result is the run's best evaluated point (the start if none was), its
 value and the evaluations spent, so a downgraded run reports the best of
 NFT's evaluations and the trust region's together.  ``exhausted`` is read
 from the counter alone: it refused an evaluation, or the budget is spent;
 it is a flag, never an exception.  ``converged`` means the best value
-reached ``f_tol`` for the trust-region kinds, and otherwise that the run
+reached ``F_TOL`` for the trust-region kinds, and otherwise that the run
 stopped by itself with budget left: NFT's sweeps stopped lowering the best
 value or all ran, or COBYLA stopped.
 
@@ -49,24 +51,28 @@ from .pauli import PauliSum
 
 # relative sinusoid-fit residual above which NFT downgrades to trust_region
 RESIDUAL_TOL = 1e-3
+# iteration caps below the budget: NFT's sweeps, and COBYLA's maxiter
+MAX_ITERATIONS = 512
+# NFT parameter updates between full re-evaluations of the objective
+RESET_INTERVAL = 32
+# the trust region: the value that ends its retries, how many restarts it
+# makes, and its initial radius; COBYLA's initial variable change
+F_TOL = 0.05
+RETRIES = 3
+R_BEG = 1.0
+P_BEG = 1.0
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "trust_region"
-    max_iterations: int = 2**9
     f_max: int = 2**11
-    reset_interval: int = 32
-    retries: int = 3
-    r_beg: float = 1.0
-    f_tol: float = 0.05
-    p_beg: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("nft", "trust_region", "simplex"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.f_max <= 0 or self.max_iterations <= 0 or self.reset_interval <= 0:
-            raise ValueError("budgets must be positive")
+        if self.f_max <= 0:
+            raise ValueError("the budget f_max must be positive")
 
 
 @dataclass
@@ -130,7 +136,7 @@ def _fit_sinusoid(z_plus: float, z_minus: float, z_pi: float):
     return a, alpha, beta
 
 
-def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
+def _nft(counted: _Counted, x, sigma_hint: float):
     """Sequential sinusoidal coordinate minimization from ``x``.  Returns
     None once a sweep leaves the best value where it was or every sweep has
     run, or the point at which the fit failed.
@@ -142,7 +148,7 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
     x = x.copy()
     m = x.size
     updates = 0
-    for sweep in range(config.max_iterations):
+    for sweep in range(MAX_ITERATIONS):
         start = counted.best_val
         for k in range(m):
             counted.require(3)
@@ -169,18 +175,18 @@ def _nft(counted: _Counted, x, config: OptimizerConfig, sigma_hint: float):
             if predicted < counted.best_val:
                 counted.best_val = predicted
                 counted.best_x = x.copy()
-            if not first and updates % config.reset_interval == 0:
+            if not first and updates % RESET_INTERVAL == 0:
                 counted(x)
         if start - counted.best_val <= 1e-10 * max(1.0, abs(counted.best_val)):
             break
     return None
 
 
-def _trust_region(counted: _Counted, x, config: OptimizerConfig) -> None:
+def _trust_region(counted: _Counted, x) -> None:
     """COBYQA from ``x`` with a retry loop: restart from the run's best point
-    until its value reaches f_tol or the retries are spent."""
+    until its value reaches F_TOL or the retries are spent."""
     start = x
-    for _ in range(config.retries + 1):
+    for _ in range(RETRIES + 1):
         counted.require(trust_region_start(x.size))
         import scipy.optimize  # only once the phase can start
         remaining = counted.f_max - counted.nfev
@@ -192,25 +198,25 @@ def _trust_region(counted: _Counted, x, config: OptimizerConfig) -> None:
             options={
                 "maxfev": remaining,
                 "maxiter": 10 * remaining,
-                "initial_tr_radius": config.r_beg,
+                "initial_tr_radius": R_BEG,
                 "final_tr_radius": 1e-8,
             },
         )
-        if counted.best_val <= config.f_tol:
+        if counted.best_val <= F_TOL:
             return
         x = counted.best_x.copy()
 
 
-def _simplex(counted: _Counted, x, config: OptimizerConfig) -> None:
+def _simplex(counted: _Counted, x) -> None:
     import scipy.optimize
     scipy.optimize.minimize(
         counted,
         x,
         method="COBYLA",
         options={
-            "rhobeg": config.p_beg,
+            "rhobeg": P_BEG,
             # COBYLA needs m + 2 evaluations to start; _Counted enforces f_max
-            "maxiter": max(x.size + 2, min(config.max_iterations, config.f_max)),
+            "maxiter": max(x.size + 2, min(MAX_ITERATIONS, counted.f_max)),
             "tol": 1e-10,
         },
     )
@@ -225,19 +231,19 @@ def minimize(fun, config: OptimizerConfig, x0, sigma_hint: float = 0.0) -> OptRe
     kind = config.kind
     try:
         if kind == "nft":
-            failed_at = _nft(counted, x, config, sigma_hint)
+            failed_at = _nft(counted, x, sigma_hint)
             if failed_at is not None:
                 kind = "nft->trust_region"
-                _trust_region(counted, failed_at, config)
+                _trust_region(counted, failed_at)
         elif kind == "trust_region":
-            _trust_region(counted, x, config)
+            _trust_region(counted, x)
         else:
-            _simplex(counted, x, config)
+            _simplex(counted, x)
     except _BudgetExhausted:
         pass
     exhausted = counted.refused or counted.nfev >= config.f_max
     if kind in ("trust_region", "nft->trust_region"):
-        converged = counted.best_val <= config.f_tol
+        converged = counted.best_val <= F_TOL
     else:
         converged = not exhausted
     params = counted.best_x if counted.best_x is not None else x

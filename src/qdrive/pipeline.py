@@ -4,8 +4,9 @@ Per run and parity channel, Hermitian eigenstates are found in energy order
 with the deflated objective, penalized by ``ChannelProblem.penalty`` unless
 the plan fixes one; each converged parameter vector warm-starts a
 pseudovariance minimization against the CAP-augmented operator.  Runs are
-batched: duplicates are removed within a run, and across the batch each
-state index keeps the record with the lowest pseudovariance.
+batched: duplicates, records whose states overlap by more than
+DEDUP_OVERLAP_TOL, are removed within a run, and across the batch each state
+index keeps the record with the lowest pseudovariance.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from . import pauli
 from .circuits import build_ansatz, random_initial_params
 from .estimator import Estimator
 from .model import (
-    ClassifierThresholds,
     Grid,
     HamiltonianPair,
     PotentialModel,
@@ -28,7 +28,9 @@ from .model import (
     exact_diagonalize,
     project_hamiltonians,
 )
-from .optimize import OptimizerConfig, minimize, pseudovariance_objective, vqd_objective, vqd_sigma
+from .optimize import (
+    F_TOL, OptimizerConfig, minimize, pseudovariance_objective, vqd_objective, vqd_sigma,
+)
 from .simulator import NoiseModel, statevector
 
 PARITY_CODE = {"even": 0, "odd": 1}
@@ -39,6 +41,8 @@ TARGET_LABELS = {
     "resonance_2": ("even", "resonance"),
 }
 KIND_CODE = {"hermitian": 0, "nonhermitian": 1, "pool": 2, "sort": 3, "init": 4}
+# the squared overlap above which deduplicate takes two records for one state
+DEDUP_OVERLAP_TOL = 0.5
 
 
 @dataclass
@@ -66,11 +70,8 @@ class ChannelProblem:
     penalty: float
 
 
-def build_problem(
-    model: PotentialModel, grid: Grid, parity: str, q: int,
-    thresholds: ClassifierThresholds | None = None,
-) -> ChannelProblem:
-    """The channel's operators, and its oracle classified under ``thresholds``."""
+def build_problem(model: PotentialModel, grid: Grid, parity: str, q: int) -> ChannelProblem:
+    """The channel's operators and its oracle."""
     basis = build_basis(parity, q, grid)
     pair = project_hamiltonians(model, basis, grid)
     h_h = pauli.decompose(pair.h_h)
@@ -89,7 +90,7 @@ def build_problem(
         v_cap=v_cap,
         h_dag_h=h_dag_h,
         pair=pair,
-        spectrum=exact_diagonalize(pair, thresholds),
+        spectrum=exact_diagonalize(pair),
         groups=pauli.qwc_groups(first + rest),
         # fsum rounds once, so the term order cannot change the value
         penalty=2.0 * math.fsum(abs(c) for w, c in h_h.terms.items() if w != identity),
@@ -114,8 +115,6 @@ class RunPlan:
     seed: int
     noise: NoiseModel | None
     penalty: float | None  # None: each channel's ChannelProblem.penalty
-    overlap_tol: float
-    thresholds: ClassifierThresholds
     hermitian_cfg: OptimizerConfig
     nonhermitian_cfg: OptimizerConfig
     mitigate_readout: bool
@@ -230,7 +229,7 @@ def run_nonhermitian_stage(
     result = minimize(objective, cfg, theta)
     if warm < result.value:
         # the stage never reports a value above its warm start
-        result = replace(result, params=theta, value=warm, converged=warm <= cfg.f_tol)
+        result = replace(result, params=theta, value=warm, converged=warm <= F_TOL)
     # final comparison estimates use an extra order of magnitude of shots;
     # the estimator keeps the word values of the last parameters, so the
     # energy and sigma2 come from the same draws
@@ -257,9 +256,7 @@ def run_nonhermitian_stage(
     )
 
 
-def deduplicate(
-    records: list[ResonanceRecord], est: Estimator, overlap_tol: float = 0.5
-) -> list[ResonanceRecord]:
+def deduplicate(records: list[ResonanceRecord], est: Estimator) -> list[ResonanceRecord]:
     """Greedy keep-lowest-pseudovariance filter on pairwise overlaps."""
     survivors: list[ResonanceRecord] = []
     for record in sorted(records, key=lambda r: r.sigma2):
@@ -268,7 +265,7 @@ def deduplicate(
             overlap = est.overlap_lowdepth(
                 np.asarray(record.params), np.asarray(kept.params)
             )
-            if overlap > overlap_tol:
+            if overlap > DEDUP_OVERLAP_TOL:
                 duplicate = True
                 break
         if not duplicate:
@@ -297,9 +294,7 @@ def pool_batches(records: list[ResonanceRecord]) -> list[ResonanceRecord]:
 
 
 def filter_spurious(
-    records: list[ResonanceRecord],
-    problem: ChannelProblem,
-    thresholds: ClassifierThresholds | None = None,
+    records: list[ResonanceRecord], problem: ChannelProblem
 ) -> list[ResonanceRecord]:
     """Attach a classification to every record (records are kept, not dropped)."""
     for record in records:
@@ -310,7 +305,6 @@ def filter_spurious(
             problem.pair.basis,
             problem.pair.model,
             sigma2=record.sigma2,
-            thresholds=thresholds,
         )
     return records
 

@@ -24,7 +24,6 @@ from qdrive.config import (
     DEFAULTS,
     OUTPUT_ROOT_ENV,
     ConfigError,
-    build_plan,
     bundled_profile_path,
     load_config,
     validate_config,
@@ -50,10 +49,7 @@ DEFAULT_BYTES = (
     '"seed": 20240601, "noise_profile": null, "gate_noise_reduction_factor": 1.0, '
     '"qubit_longevity_factor": null, "mitigation": {"readout": true, "zne": true}, '
     '"optimizer": {"penalty_c": null, "hermitian_kind": null, "hermitian_f_max": 2048, '
-    '"hermitian_max_iterations": 512, "reset_interval": 32, "nonhermitian_f_max": 1024, '
-    '"f_tol": 0.05, "retries": 3, "r_beg": 1.0, "p_beg": 1.0}, '
-    '"classifier": {"cap_weight": 0.5, "im_gain": 0.001, "sigma_max": 0.5, "gamma_max": 0.05}, '
-    '"dedup_overlap_tol": 0.5, "workers": 4, "output_dir": "out", '
+    '"nonhermitian_f_max": 1024}, "workers": 4, "output_dir": "out", '
     '"sweep": {"reduction_factors": [1.0, 10000.0], "longevity_factors": [10.0, "inf"], '
     '"repeats": 8}}'
 )
@@ -148,7 +144,6 @@ class TestConfig:
             for key in (
                 "shots", "final_shots_factor", "batch_size", "workers",
                 "optimizer.hermitian_f_max", "optimizer.nonhermitian_f_max",
-                "optimizer.hermitian_max_iterations", "optimizer.reset_interval",
                 "sweep.repeats",
             )
         ]
@@ -156,6 +151,9 @@ class TestConfig:
         cases.append((["--set", "q=6", "--set", "tier=noisy"], "'q'"))
         cases.append((["--set", "model.n_points=16", "--set", "q=3"], "'q'"))
         cases.append((["--set", "model.n_points=100"], "'model'"))
+        # a grid beyond 2**16 points fails at load, not in Grid.points' allocation
+        cases.append((["--set", f"model.n_points={2**17}"], "'model.n_points'"))
+        cases.append((["--set", f"model.n_points={2**40}"], "'model.n_points'"))
         cases.append((["--set", "q=0"], "'q'"))
         cases.append((["--set", "q=7"], "'q'"))
         cases.append((["--set", 'parities=["even","even"]'], "'parities'"))
@@ -190,26 +188,29 @@ class TestConfig:
         # numpy's multinomial draws at most 2**63 - 1 shots, not 10**19 final shots
         cases.append((["--set", f"shots={2**63}"], "'shots'"))
         cases.append((["--set", "shots=1000000000000000000"], "'final_shots_factor'"))
-        cases.append((["--set", "optimizer.retries=-1"], "optimizer.retries"))
         # a boolean is an int to Python, but no number key takes one
         cases.append((["--set", "model.lam=true"], "model.lam"))
-        cases.append((["--set", "optimizer.f_tol=true"], "optimizer.f_tol"))
-        cases.append((["--set", "dedup_overlap_tol=false"], "dedup_overlap_tol"))
+        cases.append((["--set", "optimizer.penalty_c=true"], "optimizer.penalty_c"))
         # real-valued settings out of range or not finite
         for key, values in [
-            ("optimizer.r_beg", ("-1", "0", "NaN", "Infinity")),
-            ("optimizer.p_beg", ("-0.5", "0", "NaN")),
-            ("optimizer.f_tol", ("-0.01", "NaN", "Infinity")),
             ("optimizer.penalty_c", ("-1", "-Infinity", "NaN")),
-            ("dedup_overlap_tol", ("-0.1", "1.5", "NaN")),
-            ("classifier.cap_weight", ("-0.1", "1.5", "NaN")),
-            ("classifier.im_gain", ("-5", "NaN")),
-            ("classifier.sigma_max", ("-1", "Infinity")),
-            ("classifier.gamma_max", ("-0.01", "NaN")),
             ("model.j", ("NaN",)),
             ("model.x_max", ("NaN",)),
         ]:
             cases.extend((["--set", f"{key}={value}"], key) for value in values)
+        # settings that are module constants now: a config that still sets
+        # one, at its old default too, is unknown
+        for key, value in [
+            ("optimizer.hermitian_max_iterations", 512), ("optimizer.reset_interval", 32),
+            ("optimizer.f_tol", 0.05), ("optimizer.retries", 3), ("optimizer.r_beg", 1.0),
+            ("optimizer.p_beg", 1.0), ("classifier.cap_weight", 0.5),
+            ("classifier.im_gain", 0.001), ("classifier.sigma_max", 0.5),
+            ("classifier.gamma_max", 0.05), ("dedup_overlap_tol", 0.5),
+        ]:
+            cases.append((["--set", f"{key}={value}"], f"unknown config key {key!r}"))
+        # the trust region runs only as NFT's downgrade and the pseudovariance stages
+        cases.append((["--set", "optimizer.hermitian_kind=trust_region"],
+                      "'optimizer.hermitian_kind'"))
         # a noise profile with a negative gate time or T1 fails at load too
         profile = json.loads(bundled_profile_path().read_text())
         n = len(profile["t1_us"])
@@ -242,6 +243,7 @@ class TestConfig:
                            "sweep": {"reduction_factors": [0.5]}})
         load_config(None, {"tier": "noisy", "q": 2, "noise_profile": singular,
                            "mitigation": {"readout": False}})
+        load_config(None, {"model": {"n_points": 2**16}})
         # an absorber at infinity is no absorber, not an error
         assert load_config(None, {"model": {"x0": float("inf")}})["model"]["x0"] == float("inf")
         # more than one worker needs fork; one worker runs inline anywhere
@@ -258,18 +260,6 @@ class TestConfig:
         err = capsys.readouterr().err
         assert ("optimizer.nonhermitian_f_max" in err) == warned
         assert err.count("warning:") == int(warned)
-
-    def test_p_beg_reaches_the_simplex(self):
-        plan = build_plan(load_config(None, {"optimizer": {"p_beg": 0.3}}))
-        assert plan.hermitian_cfg.p_beg == 0.3
-
-    def test_trust_region_settings_reach_the_nft_downgrade(self):
-        # an NFT stage that downgrades runs trust_region on its own config
-        overrides = {"optimizer": {"r_beg": 0.25, "retries": 5, "f_tol": 0.01}}
-        plan = build_plan(load_config(None, {"tier": "shots", **overrides}))
-        assert plan.hermitian_cfg.kind == "nft"
-        for cfg in (plan.hermitian_cfg, plan.nonhermitian_cfg):
-            assert (cfg.r_beg, cfg.retries, cfg.f_tol) == (0.25, 5, 0.01)
 
     def test_override_flags(self, tmp_path):
         path = write_config(tmp_path, {"q": 3})
@@ -403,19 +393,25 @@ class TestExportDag:
         assert main(submitted_argv(tmp_path / "out", "even_r0_h1")) == 0
         assert (tmp_path / "out" / "runs/batch0/even/0/even_r0_h1.json").exists()
 
-    def test_replayed_jobs_match_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("case,nonhermitian_f_max,n_jobs", [
+        ("shots", 8, 18),
+        # one parity; a budget of 40 starts COBYQA (2m + 1 = 33) on the noisy tier
+        ("noisy", 40, 11),
+    ], ids=["shots", "noisy"])
+    def test_replayed_jobs_match_run(self, tmp_path, monkeypatch, case, nonhermitian_f_max,
+                                     n_jobs):
         # every JOB of batch.dag in file order, each writing its own artifact
         # only, gives the runs/ tree of `run`
-        _, overrides, _ = CASES["shots"]
+        _, overrides, _ = CASES[case]
         doc = json.loads(json.dumps({**_TINY, **overrides, "batch_size": 2}))
-        doc["optimizer"] = {"hermitian_f_max": 16, "nonhermitian_f_max": 8}
+        doc["optimizer"] = {"hermitian_f_max": 16, "nonhermitian_f_max": nonhermitian_f_max}
         doc["output_dir"] = str(tmp_path / "htc")
         assert main(["--config", write_config(tmp_path, doc), "export-dag"]) == 0
         frozen = tmp_path / "htc" / "config.frozen.json"
         inode = frozen.stat().st_ino
         dag_text = (tmp_path / "htc" / "batch.dag").read_text()
         jobs = [line.split()[1] for line in dag_text.splitlines() if line.startswith("JOB")]
-        assert len(jobs) == 18
+        assert len(jobs) == n_jobs
         monkeypatch.chdir(tmp_path / "htc")
         for job in jobs:
             assert main(submitted_argv(tmp_path / "htc", job)) == 0
@@ -430,7 +426,7 @@ class TestExportDag:
             }
 
         replayed = tree(tmp_path / "htc" / "runs")
-        assert len(replayed) == 18
+        assert len(replayed) == n_jobs
         assert replayed == tree(tmp_path / "run" / "runs")
 
     def test_default_output_dir_replays_as_run(self, tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qdrive.model import (
-    ClassifierThresholds,
     Grid,
     PotentialModel,
     build_basis,

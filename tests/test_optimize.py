@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qdrive import optimize
 from qdrive.circuits import build_ansatz
 from qdrive.estimator import Estimator
 from qdrive.model import Grid, PotentialModel, build_basis, project_hamiltonians
@@ -36,28 +37,30 @@ def q2_even_problem():
 
 
 class TestNft:
-    def test_single_sinusoid_exact_in_four_evaluations(self):
+    def test_single_sinusoid_exact_in_four_evaluations(self, monkeypatch):
         calls = []
 
         def fun(x):
             calls.append(x.copy())
             return 2.0 + 1.5 * np.cos(x[0])
 
-        cfg = OptimizerConfig(kind="nft", max_iterations=1, f_max=16)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 1)
+        cfg = OptimizerConfig(kind="nft", f_max=16)
         result = minimize(fun, cfg, np.array([0.3]))
         assert len(calls) <= 4
         assert abs(wrap_angles(result.params)[0]) == pytest.approx(np.pi, abs=1e-8)
         assert result.value == pytest.approx(0.5, abs=1e-8)
 
-    def test_multiparameter_trig_objective(self):
+    def test_multiparameter_trig_objective(self, monkeypatch):
         def fun(x):
             return np.cos(x[0]) + 0.5 * np.cos(x[1] - 1.0) + 2.0
 
-        cfg = OptimizerConfig(kind="nft", max_iterations=4, f_max=200)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 4)
+        cfg = OptimizerConfig(kind="nft", f_max=200)
         result = minimize(fun, cfg, np.array([0.1, 0.2]))
         assert result.value == pytest.approx(0.5, abs=1e-6)
 
-    def test_stops_after_a_sweep_that_lowers_nothing(self):
+    def test_stops_after_a_sweep_that_lowers_nothing(self, monkeypatch):
         # the first sweep places each of three separable angles exactly (9
         # evaluations and the fit check); the second lowers nothing, so the
         # run stops with its budget left
@@ -67,26 +70,29 @@ class TestNft:
             calls.append(x.copy())
             return waves(x)
 
-        cfg = OptimizerConfig(kind="nft", max_iterations=100, f_max=1000)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 100)
+        cfg = OptimizerConfig(kind="nft", f_max=1000)
         result = minimize(fun, cfg, np.zeros(3))
         assert len(calls) == result.nfev == 1 + 2 * 9
         assert result.converged and not result.exhausted
         assert result.value == pytest.approx(-3.0, abs=1e-12)
 
-    def test_budget_exhaustion_returns_flagged_best(self):
+    def test_budget_exhaustion_returns_flagged_best(self, monkeypatch):
         def fun(x):
             return float(np.sum(np.cos(x)))
 
-        cfg = OptimizerConfig(kind="nft", max_iterations=100, f_max=7)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 100)
+        cfg = OptimizerConfig(kind="nft", f_max=7)
         result = minimize(fun, cfg, np.zeros(5))
         assert result.exhausted
         assert result.nfev <= 7
 
-    def test_downgrade_on_non_sinusoidal_objective(self):
+    def test_downgrade_on_non_sinusoidal_objective(self, monkeypatch):
         def fun(x):
             return float((x[0] - 1.0) ** 2 + 0.3 * x[0] ** 4)
 
-        cfg = OptimizerConfig(kind="nft", max_iterations=8, f_max=300)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 8)
+        cfg = OptimizerConfig(kind="nft", f_max=300)
         result = minimize(fun, cfg, np.array([0.2]))
         assert result.kind == "nft->trust_region"
 
@@ -131,7 +137,7 @@ class TestNft:
             assert fun(result.params) == result.value
         assert downgraded > 150
 
-    def test_monotone_best_bookkeeping(self):
+    def test_monotone_best_bookkeeping(self, monkeypatch):
         values = []
 
         def fun(x):
@@ -139,47 +145,55 @@ class TestNft:
             values.append(v)
             return float(v)
 
-        cfg = OptimizerConfig(kind="nft", max_iterations=6, f_max=120, reset_interval=3)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 6)
+        monkeypatch.setattr(optimize, "RESET_INTERVAL", 3)
+        cfg = OptimizerConfig(kind="nft", f_max=120)
         result = minimize(fun, cfg, np.array([0.5, -0.4]))
         assert result.value <= min(values) + 1e-12
 
 
 class TestTrustRegion:
-    def test_quadratic_argmin(self):
+    def test_quadratic_argmin(self, monkeypatch):
         def fun(x):
             return float((x[0] - 1.0) ** 2)
 
-        cfg = OptimizerConfig(kind="trust_region", f_max=200, f_tol=1e-10)
+        monkeypatch.setattr(optimize, "F_TOL", 1e-10)
+        cfg = OptimizerConfig(kind="trust_region", f_max=200)
         result = minimize(fun, cfg, np.array([0.0]))
         assert result.params[0] == pytest.approx(1.0, abs=1e-4)
 
-    def test_retry_loop_reaches_tolerance(self):
+    def test_retry_loop_reaches_tolerance(self, monkeypatch):
         calls = {"n": 0}
 
         def fun(x):
             calls["n"] += 1
             return float(np.sum((x - 0.7) ** 2))
 
-        cfg = OptimizerConfig(kind="trust_region", f_max=500, f_tol=1e-6, retries=3)
+        monkeypatch.setattr(optimize, "F_TOL", 1e-6)
+        monkeypatch.setattr(optimize, "RETRIES", 3)
+        cfg = OptimizerConfig(kind="trust_region", f_max=500)
         result = minimize(fun, cfg, np.array([2.0, -2.0]))
         assert result.converged
         assert result.nfev == calls["n"] <= 500
 
-    def test_budget_cap_respected(self):
+    def test_budget_cap_respected(self, monkeypatch):
         def fun(x):
             return float(np.sum(x**2))
 
-        cfg = OptimizerConfig(kind="trust_region", f_max=30, f_tol=0.0, retries=5)
+        monkeypatch.setattr(optimize, "F_TOL", 0.0)
+        monkeypatch.setattr(optimize, "RETRIES", 5)
+        cfg = OptimizerConfig(kind="trust_region", f_max=30)
         result = minimize(fun, cfg, np.full(4, 2.0))
         assert result.nfev <= 30
 
 
 class TestSimplex:
-    def test_quadratic(self):
+    def test_quadratic(self, monkeypatch):
         def fun(x):
             return float((x[0] + 0.5) ** 2 + (x[1] - 0.25) ** 2)
 
-        cfg = OptimizerConfig(kind="simplex", max_iterations=400, f_max=500)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 400)
+        cfg = OptimizerConfig(kind="simplex", f_max=500)
         result = minimize(fun, cfg, np.array([1.0, 1.0]))
         assert result.value < 1e-6
 
@@ -203,24 +217,25 @@ def waves(x):
     return float(np.sum(np.cos(x - np.array([0.4, -1.1, 2.0]))))
 
 
-# (optimizer config, objective, exhausted) from three zero angles: each kind
-# once with budget left and once exhausted
+# (optimizer config, optimize constants set, objective, exhausted) from three
+# zero angles: each kind once with budget left and once exhausted
+SWEEPS_2 = {"MAX_ITERATIONS": 2}
 CONTRACT_CASES = {
-    "nft-left": (OptimizerConfig(kind="nft", max_iterations=2, f_max=100), waves, False),
-    "nft-spent": (OptimizerConfig(kind="nft", max_iterations=2, f_max=8), waves, True),
+    "nft-left": (OptimizerConfig(kind="nft", f_max=100), SWEEPS_2, waves, False),
+    "nft-spent": (OptimizerConfig(kind="nft", f_max=8), SWEEPS_2, waves, True),
     # NFT spends 4, then the trust region takes the rest
-    "downgrade-left": (OptimizerConfig(kind="nft", f_max=500, f_tol=0.5), bowl, False),
-    "downgrade-spent": (OptimizerConfig(kind="nft", f_max=20, f_tol=0.0), bowl, True),
+    "downgrade-left": (OptimizerConfig(kind="nft", f_max=500), {"F_TOL": 0.5}, bowl, False),
+    "downgrade-spent": (OptimizerConfig(kind="nft", f_max=20), {"F_TOL": 0.0}, bowl, True),
     # too few left for the trust region to start after NFT's 4
-    "downgrade-idle": (OptimizerConfig(kind="nft", f_max=8), bowl, True),
-    "trust_region-left": (OptimizerConfig(kind="trust_region", f_max=500, f_tol=0.5), bowl, False),
-    "trust_region-spent": (OptimizerConfig(kind="trust_region", f_max=20, f_tol=0.0), bowl, True),
-    "trust_region-idle": (OptimizerConfig(kind="trust_region", f_max=4), bowl, True),
-    "simplex-left": (OptimizerConfig(kind="simplex", f_max=500), bowl, False),
+    "downgrade-idle": (OptimizerConfig(kind="nft", f_max=8), {}, bowl, True),
+    "trust_region-left": (OptimizerConfig(f_max=500), {"F_TOL": 0.5}, bowl, False),
+    "trust_region-spent": (OptimizerConfig(f_max=20), {"F_TOL": 0.0}, bowl, True),
+    "trust_region-idle": (OptimizerConfig(f_max=4), {}, bowl, True),
+    "simplex-left": (OptimizerConfig(kind="simplex", f_max=500), {}, bowl, False),
     # below the m + 2 evaluations COBYLA needs to start
-    "simplex-spent": (OptimizerConfig(kind="simplex", f_max=3), bowl, True),
+    "simplex-spent": (OptimizerConfig(kind="simplex", f_max=3), {}, bowl, True),
     # COBYLA stops by itself at maxiter = f_max, having spent the budget
-    "simplex-spent-at-cobyla-cap": (OptimizerConfig(kind="simplex", f_max=10), bowl, True),
+    "simplex-spent-at-cobyla-cap": (OptimizerConfig(kind="simplex", f_max=10), {}, bowl, True),
 }
 
 
@@ -228,9 +243,11 @@ class TestResultContract:
     """Every kind reports its outcome the same way."""
 
     @pytest.mark.parametrize(
-        "cfg,fun,exhausted", CONTRACT_CASES.values(), ids=CONTRACT_CASES.keys()
+        "cfg,constants,fun,exhausted", CONTRACT_CASES.values(), ids=CONTRACT_CASES.keys()
     )
-    def test_flags_counts_and_best_point(self, cfg, fun, exhausted):
+    def test_flags_counts_and_best_point(self, cfg, constants, fun, exhausted, monkeypatch):
+        for name, value in constants.items():
+            monkeypatch.setattr(optimize, name, value)
         evaluated = []
 
         def counted(x):
@@ -243,10 +260,10 @@ class TestResultContract:
         assert result.kind == ("nft->trust_region" if downgraded else cfg.kind)
         assert result.exhausted == exhausted
         if result.kind in ("trust_region", "nft->trust_region"):
-            assert result.converged == (result.value <= cfg.f_tol)
+            assert result.converged == (result.value <= optimize.F_TOL)
         # NFT converges when its sweeps stopped lowering the best value or all
         # ran, and COBYLA when it stopped with budget left; each trust-region
-        # case here with budget left reaches f_tol
+        # case here with budget left reaches F_TOL
         assert result.converged == (not exhausted)
         assert result.nfev == len(evaluated) <= cfg.f_max
         # plain NFT records predicted minima, which it never evaluated
@@ -299,11 +316,12 @@ class TestVqdObjective:
         b = vqd_objective(params, h_h, [shifted], 100.0, est)
         assert a == pytest.approx(b, abs=1e-10)
 
-    def test_q2_benchmark_ground_energy(self, q2_even_problem):
+    def test_q2_benchmark_ground_energy(self, q2_even_problem, monkeypatch):
         pair, h_h, _, _ = q2_even_problem
         exact_ground = np.sort(np.linalg.eigvalsh(pair.h_h))[0]
         best = np.inf
-        cfg = OptimizerConfig(kind="simplex", max_iterations=512, f_max=2048)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 512)
+        cfg = OptimizerConfig(kind="simplex", f_max=2048)
         for restart in range(8):
             est = Estimator(q=2, tier="statevector")
             rng = np.random.default_rng(1000 + restart)

@@ -249,7 +249,7 @@ class TestDeduplicate:
         params = rng.uniform(-np.pi, np.pi, 16)
         a = make_record(index=1, sigma2=0.2, params=params)
         b = make_record(index=2, sigma2=0.1, params=params)
-        survivors = deduplicate([a, b], est, overlap_tol=0.5)
+        survivors = deduplicate([a, b], est)
         assert len(survivors) == 1
         assert survivors[0].sigma2 == 0.1
 
@@ -260,7 +260,7 @@ class TestDeduplicate:
         one[0] = np.pi
         a = make_record(index=1, sigma2=0.2, params=zero, q=1)
         b = make_record(index=2, sigma2=0.1, params=one, q=1)
-        survivors = deduplicate([a, b], est, overlap_tol=0.5)
+        survivors = deduplicate([a, b], est)
         assert len(survivors) == 2
 
     def test_three_way_overlap_keeps_minimum(self):
@@ -287,7 +287,7 @@ class TestDeduplicate:
             if all(overlaps[min(i, j), max(i, j)] <= 0.5 for i in keep for j in keep if i < j)
         ]
         best_single = min(valid_sets, key=lambda k: min(records[i].sigma2 for i in k))
-        survivors = deduplicate(records, est, overlap_tol=0.5)
+        survivors = deduplicate(records, est)
         assert len(survivors) == 1
         assert survivors[0].sigma2 == min(r.sigma2 for r in records)
         assert records.index(survivors[0]) in best_single
