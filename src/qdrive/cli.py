@@ -35,7 +35,7 @@ from .config import (
     idle_trust_region,
     load_config,
 )
-from .mitigation import ZnePoints, zne_extrapolate
+from .mitigation import zne_extrapolate
 from .model import build_basis, exact_diagonalize, oracle_targets, project_hamiltonians
 from .pipeline import (
     TARGET_LABELS,
@@ -390,11 +390,11 @@ def cmd_export_dag(doc: dict) -> int:
 
 def cmd_zne_demo(doc: dict, x1: float, x3: float, x5: float, shots: int, mode: str) -> int:
     try:
-        pts = ZnePoints(x1=x1, x3=x3, x5=x5, n=shots, mode=mode)
+        result = zne_extrapolate(x1, x3, x5, shots, mode)
     except ValueError as exc:  # it names the value by its flag: x1, x3, x5 or shots
         raise ConfigError(f"zne-demo flag --{exc}")
-    result = zne_extrapolate(pts)
-    print(json.dumps(result.telemetry(pts), indent=2))
+    record = {"x1": x1, "x3": x3, "x5": x5, "z": result.z, "branch": result.branch, "x0": result.x0}
+    print(json.dumps(record, indent=2))
     return 0
 
 

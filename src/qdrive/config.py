@@ -6,11 +6,15 @@ is the nested document of the defaults, in the same key order.  Defaults
 reproduce the benchmark settings (lam = 0.1, j = 0.8, x0 = 8, x_max = 10,
 2^12 grid points, batch of 8 runs, 10^5 shots); ``optimizer.penalty_c``'s
 null derives each channel's penalty (``pipeline.build_problem``), and the
-paper's constant is ``penalty_c: 100``.  Settings that every run shares
-are module constants beside the code that reads them, not keys: the
-optimizers' tolerances in ``optimize``, the classifier's cutoffs in
-``model`` and the dedup overlap in ``pipeline``.  A bad value fails at load
-with a message that names its key, before any task runs.
+paper's constant is ``penalty_c: 100``.  The Hermitian stages run NFT
+(``optimizer.hermitian_kind: "nft"``) unless the key pins ``"simplex"``.
+Settings that every run shares are module constants beside the code that
+reads them, not keys: the optimizers' tolerances in ``optimize``, the
+classifier's cutoffs in ``model`` and the dedup overlap in ``pipeline``.
+A bad value fails at load with a message that names its key, before any
+task runs; among them a ``model.x_max`` outside [1e-60, 1e60], where
+H_N^dag H_N overflows, and a requested parity's ``n_states`` above the
+2**q states of its channel.
 Command-line flags override file keys; the resolved document is frozen into
 every run directory so a run can be reproduced byte-for-byte.
 """
@@ -26,7 +30,7 @@ from pathlib import Path
 from .circuits import ansatz_parameter_count
 from .mitigation import readout_inverse
 from .model import Grid, PotentialModel
-from .optimize import OptimizerConfig, trust_region_start
+from .optimize import trust_region_start
 from .pipeline import RunPlan
 from .simulator import NoiseModel, load_noise_profile, scale_noise
 
@@ -77,7 +81,8 @@ _KEYS: dict[str, tuple] = {
     "model.j": (0.8, _REAL, _finite()),
     # Infinity puts the absorber beyond the grid: no CAP
     "model.x0": (8.0, _REAL, ((lambda v: v > -math.inf), "a number or Infinity")),
-    "model.x_max": (10.0, _REAL, _finite()),
+    # beyond, the absorber's x_max**2 or the kinetic 1/dx**2 overflows in H_N^dag H_N
+    "model.x_max": (10.0, _REAL, ((lambda v: 1e-60 <= v <= 1e60), "in [1e-60, 1e60]")),
     # the sine basis holds 2**q * n_points floats: q = 6 diag on 2**16 points peaks at 165 MB
     "model.n_points": (4096, int, ((lambda v: v <= 2**16), "at most 2**16")),
     "q": (3, int, _positive()),
@@ -95,7 +100,7 @@ _KEYS: dict[str, tuple] = {
     "mitigation.readout": (True, bool, None),
     "mitigation.zne": (True, bool, None),
     "optimizer.penalty_c": (None, (*_REAL, type(None)), _finite(0)),
-    "optimizer.hermitian_kind": (None, _OPTIONAL_STR, _one_of("nft", "simplex")),
+    "optimizer.hermitian_kind": ("nft", str, _one_of("nft", "simplex")),
     "optimizer.hermitian_f_max": (2048, int, _positive()),
     "optimizer.nonhermitian_f_max": (1024, int, _positive()),
     "workers": (4, int, _positive()),
@@ -170,6 +175,12 @@ def validate_config(doc: dict) -> None:
         raise ConfigError(
             f"config key 'parities' must be nonempty and distinct, got {parities}"
         )
+    for parity in parities:  # each state of a channel is a new one of its 2**q
+        if doc["n_states"][parity] > 2 ** doc["q"]:
+            raise ConfigError(
+                f"config key 'n_states.{parity}' = {doc['n_states'][parity]} exceeds the "
+                f"2**q = {2 ** doc['q']} basis states of a channel at q = {doc['q']}"
+            )
     try:
         n_points = build_grid(doc).n_points
         build_model(doc)
@@ -303,8 +314,9 @@ def build_plan(doc: dict) -> RunPlan:
         seed=doc["seed"],
         noise=resolve_noise(doc),
         penalty=None if opt["penalty_c"] is None else float(opt["penalty_c"]),
-        hermitian_cfg=OptimizerConfig(opt["hermitian_kind"] or "nft", opt["hermitian_f_max"]),
-        nonhermitian_cfg=OptimizerConfig("trust_region", opt["nonhermitian_f_max"]),
+        hermitian_kind=opt["hermitian_kind"],
+        hermitian_f_max=opt["hermitian_f_max"],
+        nonhermitian_f_max=opt["nonhermitian_f_max"],
         mitigate_readout=doc["mitigation"]["readout"],
         mitigate_zne=doc["mitigation"]["zne"],
     )

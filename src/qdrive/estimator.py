@@ -37,7 +37,9 @@ Every estimate goes through one pipeline:
      the exact and shot tiers a dense matrix, the conjugate transpose of the
      product of the prior's block matrices, formed once per prior;
 3. *extrapolate* (:meth:`Estimator._maybe_extrapolate`): with ZNE, each
-   word's or overlap's values at fold scales 1, 3, 5 become one estimate.
+   word's or overlap's values at fold scales 1, 3, 5 go to one call of
+   :func:`~qdrive.mitigation.zne_extrapolate` with the shot count, and its
+   ``x0`` is the estimate.
 
 For an expectation the statevector tier replaces step 2 with one exact
 contraction of the observable's cached traceless operator D - c_I,
@@ -54,12 +56,7 @@ import math
 import numpy as np
 
 from .circuits import Circuit, Gate, build_ansatz
-from .mitigation import (
-    ZnePoints,
-    invert_distribution,
-    readout_inverse,
-    zne_extrapolate,
-)
+from .mitigation import invert_distribution, readout_inverse, zne_extrapolate
 from .pauli import PauliSum, qwc_groups
 from .simulator import (
     Checkpoints,
@@ -262,8 +259,7 @@ class Estimator:
         """Zero-noise estimate from the values at the fold scales."""
         if len(xs) == 1:
             return xs[0]
-        pts = ZnePoints(x1=xs[0], x3=xs[1], x5=xs[2], n=self.shots, mode=mode)
-        result = zne_extrapolate(pts)
+        result = zne_extrapolate(*xs, self.shots, mode)
         if mode == "probability":
             return float(np.clip(result.x0, 0.0, 1.0))
         return result.x0

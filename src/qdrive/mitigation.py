@@ -3,11 +3,11 @@
 Readout errors are undone by the inverse of the joint confusion, the
 Kronecker product of the per-qubit 2x2 inverses of the noise model's
 confusion rows (``NoiseModel.readout``).  Gate errors are
-extrapolated away from circuit results at fold scales 1, 3, 5: an
-exponential fit where the three points decay monotonically and
-significantly, with linear and outlier fallbacks in the statistically
-degenerate orderings.  Significance between two points is
-decided by a two-sample binomial z-test at |z| > 1.96.
+extrapolated away by one function, :func:`zne_extrapolate`, from the three
+values at fold scales 1, 3, 5 and their shot count: an exponential fit where
+the three points decay monotonically and significantly, with linear and
+outlier fallbacks in the statistically degenerate orderings.  Significance
+between two points is decided by a two-sample binomial z-test at |z| > 1.96.
 """
 from __future__ import annotations
 
@@ -99,61 +99,25 @@ def z_score(x3: float, x5: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class ZnePoints:
-    """Expectation estimates at fold scales 1, 3, 5 with their shot count.
-
-    ``mode`` is "probability" for values in [0, 1] (all-zeros statistics)
-    and "expectation" for values in [-1, 1], which are mapped affinely to
-    proportions before the binomial z-test.
-    """
-
-    x1: float
-    x3: float
-    x5: float
-    n: int
-    mode: str = "probability"
-
-    def __post_init__(self):
-        if self.mode not in ("probability", "expectation"):
-            raise ValueError(f"bad mode {self.mode!r}")
-        if self.n <= 0:
-            raise ValueError(f"shots = {self.n}: the shot count must be positive")
-        lo = 0.0 if self.mode == "probability" else -1.0
-        for name, v in (("x1", self.x1), ("x3", self.x3), ("x5", self.x5)):
-            if not lo - 1e-9 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"{name} = {v} is outside [{lo}, 1]")
-
-    def proportions(self) -> tuple[float, float, float]:
-        if self.mode == "probability":
-            return self.x1, self.x3, self.x5
-        return (self.x1 + 1) / 2.0, (self.x3 + 1) / 2.0, (self.x5 + 1) / 2.0
-
-
-@dataclass(frozen=True)
 class ZneResult:
     x0: float
     branch: str
-    z13: float
-    z15: float
-    z35: float
-
-    def telemetry(self, pts: ZnePoints) -> dict:
-        return {
-            "x1": pts.x1,
-            "x3": pts.x3,
-            "x5": pts.x5,
-            "z": self.z35,
-            "branch": self.branch,
-            "x0": self.x0,
-        }
+    z: float  # z-score between the scale-3 and scale-5 proportions
 
 
 def _strictly_between(v: float, a: float, b: float) -> bool:
     return min(a, b) < v < max(a, b)
 
 
-def zne_extrapolate(pts: ZnePoints) -> ZneResult:
-    """Zero-noise estimate with exhaustive branch coverage.
+def zne_extrapolate(x1: float, x3: float, x5: float, n: int, mode: str) -> ZneResult:
+    """Zero-noise estimate of the values at fold scales 1, 3, 5 at ``n``
+    shots each, with exhaustive branch coverage.
+
+    ``mode`` is "probability" for values in [0, 1] (all-zeros statistics)
+    and "expectation" for values in [-1, 1], which are mapped affinely to
+    proportions before the binomial z-test.  A bad mode, n <= 0 or a value
+    out of range raises ``ValueError``, whose message begins with the name
+    of the value (``shots`` for n).
 
     Branch precedence (first match wins):
 
@@ -164,28 +128,32 @@ def zne_extrapolate(pts: ZnePoints) -> ZneResult:
     5. linear-ztest        x3 ~ x5 (or x1 ~ x3)               -> (3*x1-x3)/2
     6. exponential         monotone, all significant          -> closed form
     """
-    x1, x3, x5 = pts.x1, pts.x3, pts.x5
-    p1, p3, p5 = pts.proportions()
-    z13 = z_score(p1, p3, pts.n)
-    z15 = z_score(p1, p5, pts.n)
-    z35 = z_score(p3, p5, pts.n)
-
-    def result(x0: float, branch: str) -> ZneResult:
-        return ZneResult(x0=x0, branch=branch, z13=z13, z15=z15, z35=z35)
-
-    insig = lambda z: abs(z) <= Z_CRITICAL
-    if insig(z13) and insig(z15) and insig(z35):
-        return result(x1, "constant")
-    if insig(z15):
-        return result(x1, "undefined-averaged")
+    if mode not in ("probability", "expectation"):
+        raise ValueError(f"bad mode {mode!r}")
+    if n <= 0:
+        raise ValueError(f"shots = {n}: the shot count must be positive")
+    lo = 0.0 if mode == "probability" else -1.0
+    for name, v in (("x1", x1), ("x3", x3), ("x5", x5)):
+        if not lo - 1e-9 <= v <= 1.0 + 1e-9:
+            raise ValueError(f"{name} = {v} is outside [{lo}, 1]")
+    p1, p3, p5 = (x1, x3, x5) if mode == "probability" else ((x + 1) / 2.0 for x in (x1, x3, x5))
+    z = z_score(p3, p5, n)
+    # which pairs of scales are z-insignificant, "~" above
+    same13 = abs(z_score(p1, p3, n)) <= Z_CRITICAL
+    same15 = abs(z_score(p1, p5, n)) <= Z_CRITICAL
+    same35 = abs(z) <= Z_CRITICAL
+    if same13 and same15 and same35:
+        return ZneResult(x1, "constant", z)
+    if same15:
+        return ZneResult(x1, "undefined-averaged", z)
     if _strictly_between(x1, x3, x5):
-        return result((x1 + x3) / 2.0, "outlier-x5")
+        return ZneResult((x1 + x3) / 2.0, "outlier-x5", z)
     if _strictly_between(x5, x1, x3):
-        return result((3.0 * x1 - x3) / 2.0, "linear-order")
-    if insig(z35) or insig(z13):
-        return result((3.0 * x1 - x3) / 2.0, "linear-ztest")
+        return ZneResult((3.0 * x1 - x3) / 2.0, "linear-order", z)
+    if same35 or same13:
+        return ZneResult((3.0 * x1 - x3) / 2.0, "linear-ztest", z)
     beta = math.sqrt((x3 - x5) / (x1 - x3))
-    return result(x1 + (x1 - x3) / (beta**2 + beta), "exponential")
+    return ZneResult(x1 + (x1 - x3) / (beta**2 + beta), "exponential", z)
 
 
 def fold_circuit(circuit: Circuit, lam: int) -> Circuit:

@@ -1,8 +1,9 @@
 """Derivative-free minimization of circuit-parameter objectives.
 
-``minimize`` is the one entry point.  Each call wraps the objective in one
-``_Counted``, which every phase of the run spends its evaluations from and
-which holds the run's best point, and runs the configured kind:
+``minimize`` is the one entry point; a stage passes its kind and its
+budget ``f_max``.  Each call wraps the objective in one ``_Counted``, which
+every phase of the run spends its evaluations from and which holds the
+run's best point, and runs the kind:
 
 * ``nft``           sequential per-parameter sinusoidal updates; each
                     rotation angle's restriction of the objective is
@@ -22,9 +23,9 @@ which holds the run's best point, and runs the configured kind:
 * ``simplex``       linear-approximation fallback (scipy's COBYLA) with
                     initial variable change ``P_BEG``.
 
-A config sets only the kind and the budget ``f_max``; every other setting
-is one of the module constants below, the same for every stage.  scipy
-loads when the first trust-region or simplex phase starts.
+Every other setting is one of the module constants below, the same for
+every stage.  scipy loads when the first trust-region or simplex phase
+starts.
 
 The result is the run's best evaluated point (the start if none was), its
 value and the evaluations spent, so a downgraded run reports the best of
@@ -61,18 +62,6 @@ F_TOL = 0.05
 RETRIES = 3
 R_BEG = 1.0
 P_BEG = 1.0
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: str = "trust_region"
-    f_max: int = 2**11
-
-    def __post_init__(self):
-        if self.kind not in ("nft", "trust_region", "simplex"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.f_max <= 0:
-            raise ValueError("the budget f_max must be positive")
 
 
 @dataclass
@@ -222,13 +211,18 @@ def _simplex(counted: _Counted, x) -> None:
     )
 
 
-def minimize(fun, config: OptimizerConfig, x0, sigma_hint: float = 0.0) -> OptResult:
-    """Minimize ``fun`` from ``x0`` with the configured kind, every phase
-    spending from and reporting through one counter.  ``sigma_hint`` must
-    bound the shot-noise s.d. of the whole of ``fun``: NFT's fit check uses it."""
+def minimize(fun, kind: str, f_max: int, x0, sigma_hint: float = 0.0) -> OptResult:
+    """Minimize ``fun`` from ``x0`` with ``kind`` ("nft", "trust_region" or
+    "simplex") in at most ``f_max`` evaluations, every phase spending from
+    and reporting through one counter; an unknown kind or f_max <= 0 raises
+    ``ValueError``.  ``sigma_hint`` must bound the shot-noise s.d. of the
+    whole of ``fun``: NFT's fit check uses it."""
+    if kind not in ("nft", "trust_region", "simplex"):
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    if f_max <= 0:
+        raise ValueError("the budget f_max must be positive")
     x = wrap_angles(np.asarray(x0, dtype=float))
-    counted = _Counted(fun, config.f_max)
-    kind = config.kind
+    counted = _Counted(fun, f_max)
     try:
         if kind == "nft":
             failed_at = _nft(counted, x, sigma_hint)
@@ -241,7 +235,7 @@ def minimize(fun, config: OptimizerConfig, x0, sigma_hint: float = 0.0) -> OptRe
             _simplex(counted, x)
     except _BudgetExhausted:
         pass
-    exhausted = counted.refused or counted.nfev >= config.f_max
+    exhausted = counted.refused or counted.nfev >= f_max
     if kind in ("trust_region", "nft->trust_region"):
         converged = counted.best_val <= F_TOL
     else:

@@ -28,9 +28,7 @@ from .model import (
     exact_diagonalize,
     project_hamiltonians,
 )
-from .optimize import (
-    F_TOL, OptimizerConfig, minimize, pseudovariance_objective, vqd_objective, vqd_sigma,
-)
+from .optimize import F_TOL, minimize, pseudovariance_objective, vqd_objective, vqd_sigma
 from .simulator import NoiseModel, statevector
 
 PARITY_CODE = {"even": 0, "odd": 1}
@@ -102,7 +100,10 @@ class RunPlan:
     """Everything one batch needs: problem sizes, tier, budgets, and seeds.
 
     Built from a config document by ``config.build_plan``, which owns the
-    defaults.
+    defaults.  The Hermitian stages minimize with ``hermitian_kind`` ("nft"
+    or "simplex") in at most ``hermitian_f_max`` evaluations each; the
+    pseudovariance stages with the trust region, which
+    ``run_nonhermitian_stage`` names, in at most ``nonhermitian_f_max``.
     """
 
     q: int
@@ -115,8 +116,9 @@ class RunPlan:
     seed: int
     noise: NoiseModel | None
     penalty: float | None  # None: each channel's ChannelProblem.penalty
-    hermitian_cfg: OptimizerConfig
-    nonhermitian_cfg: OptimizerConfig
+    hermitian_kind: str
+    hermitian_f_max: int
+    nonhermitian_f_max: int
     mitigate_readout: bool
     mitigate_zne: bool
 
@@ -186,14 +188,13 @@ def run_hermitian_stage(
     est = plan.make_estimator(problem.parity, run_id, "hermitian", index, groups=problem.groups)
     rng = np.random.default_rng(plan.task_seed(problem.parity, run_id, "init", index))
     x0 = random_initial_params(plan.q, rng)
-    cfg = plan.hermitian_cfg
     penalty = problem.penalty if plan.penalty is None else plan.penalty
 
     def objective(x):
         return vqd_objective(x, problem.h_h, priors, penalty, est)
 
     sigma = vqd_sigma(problem.h_h, len(priors), penalty, est)
-    result = minimize(objective, cfg, x0, sigma_hint=sigma)
+    result = minimize(objective, plan.hermitian_kind, plan.hermitian_f_max, x0, sigma_hint=sigma)
     energy = est.expectation(problem.h_h, result.params).real
     overlaps = [est.overlap_lowdepth(result.params, prior) for prior in priors]
     return {
@@ -219,14 +220,13 @@ def run_nonhermitian_stage(
     est = plan.make_estimator(
         problem.parity, run_id, "nonhermitian", index, groups=problem.groups
     )
-    cfg = plan.nonhermitian_cfg
 
     def objective(x):
         return pseudovariance_objective(x, problem.h_h, problem.v_cap, problem.h_dag_h, est)
 
     theta = np.asarray(theta, dtype=float)
     warm = float(objective(theta))
-    result = minimize(objective, cfg, theta)
+    result = minimize(objective, "trust_region", plan.nonhermitian_f_max, theta)
     if warm < result.value:
         # the stage never reports a value above its warm start
         result = replace(result, params=theta, value=warm, converged=warm <= F_TOL)

@@ -48,7 +48,7 @@ DEFAULT_BYTES = (
     '"batch_size": 8, "tier": "statevector", "shots": 100000, "final_shots_factor": 10, '
     '"seed": 20240601, "noise_profile": null, "gate_noise_reduction_factor": 1.0, '
     '"qubit_longevity_factor": null, "mitigation": {"readout": true, "zne": true}, '
-    '"optimizer": {"penalty_c": null, "hermitian_kind": null, "hermitian_f_max": 2048, '
+    '"optimizer": {"penalty_c": null, "hermitian_kind": "nft", "hermitian_f_max": 2048, '
     '"nonhermitian_f_max": 1024}, "workers": 4, "output_dir": "out", '
     '"sweep": {"reduction_factors": [1.0, 10000.0], "longevity_factors": [10.0, "inf"], '
     '"repeats": 8}}'
@@ -195,9 +195,12 @@ class TestConfig:
         for key, values in [
             ("optimizer.penalty_c", ("-1", "-Infinity", "NaN")),
             ("model.j", ("NaN",)),
-            ("model.x_max", ("NaN",)),
+            # beyond these, H_N^dag H_N overflows
+            ("model.x_max", ("NaN", "1e200", "1e-300", "1.0000001e60", "9.999999e-61")),
         ]:
             cases.extend((["--set", f"{key}={value}"], key) for value in values)
+        # a channel has 2**q states: a requested parity asks for no more
+        cases.append((["--set", "q=2", "--set", "n_states.even=5"], "'n_states.even'"))
         # settings that are module constants now: a config that still sets
         # one, at its old default too, is unknown
         for key, value in [
@@ -208,9 +211,11 @@ class TestConfig:
             ("classifier.gamma_max", 0.05), ("dedup_overlap_tol", 0.5),
         ]:
             cases.append((["--set", f"{key}={value}"], f"unknown config key {key!r}"))
-        # the trust region runs only as NFT's downgrade and the pseudovariance stages
-        cases.append((["--set", "optimizer.hermitian_kind=trust_region"],
-                      "'optimizer.hermitian_kind'"))
+        # the trust region runs only as NFT's downgrade and the pseudovariance
+        # stages; null is no kind: the default is "nft"
+        for kind in ("trust_region", "null"):
+            cases.append((["--set", f"optimizer.hermitian_kind={kind}"],
+                          "'optimizer.hermitian_kind'"))
         # a noise profile with a negative gate time or T1 fails at load too
         profile = json.loads(bundled_profile_path().read_text())
         n = len(profile["t1_us"])
@@ -244,6 +249,9 @@ class TestConfig:
         load_config(None, {"tier": "noisy", "q": 2, "noise_profile": singular,
                            "mitigation": {"readout": False}})
         load_config(None, {"model": {"n_points": 2**16}})
+        for x_max in (1e-60, 1e60):
+            load_config(None, {"model": {"x_max": x_max}})
+        load_config(None, {"q": 2, "n_states": {"even": 4, "odd": 4}})
         # an absorber at infinity is no absorber, not an error
         assert load_config(None, {"model": {"x0": float("inf")}})["model"]["x0"] == float("inf")
         # more than one worker needs fork; one worker runs inline anywhere
@@ -345,6 +353,7 @@ class TestZneDemo:
         )
         assert code == 0
         record = json.loads(capsys.readouterr().out)
+        assert list(record) == ["x1", "x3", "x5", "z", "branch", "x0"]
         assert record["branch"] == "exponential"
         assert record["x0"] == pytest.approx(1.0)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qdrive.circuits import Circuit, Gate, build_ansatz
 from qdrive.mitigation import (
     BRANCHES,
-    ZnePoints,
     fold_circuit,
     invert_distribution,
     readout_invert,
@@ -174,8 +173,7 @@ class TestZScore:
 class TestZneBranches:
     @pytest.mark.parametrize("triple,expected,branch", WORKED_TRIPLES)
     def test_worked_triples(self, triple, expected, branch):
-        pts = ZnePoints(*triple, n=N)
-        result = zne_extrapolate(pts)
+        result = zne_extrapolate(*triple, N, "probability")
         assert result.branch == branch
         assert result.x0 == pytest.approx(expected, abs=1e-12)
 
@@ -183,12 +181,10 @@ class TestZneBranches:
         assert {b for _, _, b in WORKED_TRIPLES} == set(BRANCHES)
 
     def test_constant_under_tiny_scatter(self):
-        pts = ZnePoints(0.5001, 0.5000, 0.5002, n=1000)
-        assert zne_extrapolate(pts).branch == "constant"
+        assert zne_extrapolate(0.5001, 0.5000, 0.5002, 1000, "probability").branch == "constant"
 
     def test_expectation_mode_maps_to_proportions(self):
-        pts = ZnePoints(0.8, 0.4, 0.0, n=N, mode="expectation")
-        result = zne_extrapolate(pts)
+        result = zne_extrapolate(0.8, 0.4, 0.0, N, "expectation")
         # monotone significant decay with beta = 1
         assert result.branch == "exponential"
         assert result.x0 == pytest.approx(0.8 + 0.4 / 2.0)
@@ -197,8 +193,7 @@ class TestZneBranches:
         # x_lam = A + B exp(C lam) with C < 0, fed exact points
         a, b, c = 0.3, 0.5, -0.7
         xs = [a + b * math.exp(c * lam) for lam in (1, 3, 5)]
-        pts = ZnePoints(*xs, n=10**9)
-        result = zne_extrapolate(pts)
+        result = zne_extrapolate(*xs, 10**9, "probability")
         assert result.branch == "exponential"
         assert result.x0 == pytest.approx(a + b, abs=1e-9)
 
@@ -208,16 +203,11 @@ class TestZneBranches:
         for _ in range(10**5):
             xs = rng.uniform(0.0, 1.0, size=3)
             n = int(rng.integers(1, 10**6))
-            result = zne_extrapolate(ZnePoints(*xs, n=n))
+            result = zne_extrapolate(*xs, n, "probability")
             assert result.branch in BRANCHES
             assert math.isfinite(result.x0)
             labels.add(result.branch)
         assert labels == set(BRANCHES)
-
-    def test_telemetry_record_fields(self):
-        pts = ZnePoints(0.9, 0.7, 0.5, n=N)
-        record = zne_extrapolate(pts).telemetry(pts)
-        assert {"x1", "x3", "x5", "z", "branch", "x0"} == set(record)
 
 
 class TestFoldCircuit:

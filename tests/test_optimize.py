@@ -8,7 +8,6 @@ from qdrive.circuits import build_ansatz
 from qdrive.estimator import Estimator
 from qdrive.model import Grid, PotentialModel, build_basis, project_hamiltonians
 from qdrive.optimize import (
-    OptimizerConfig,
     minimize,
     pseudovariance_objective,
     vqd_objective,
@@ -45,8 +44,7 @@ class TestNft:
             return 2.0 + 1.5 * np.cos(x[0])
 
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 1)
-        cfg = OptimizerConfig(kind="nft", f_max=16)
-        result = minimize(fun, cfg, np.array([0.3]))
+        result = minimize(fun, "nft", 16, np.array([0.3]))
         assert len(calls) <= 4
         assert abs(wrap_angles(result.params)[0]) == pytest.approx(np.pi, abs=1e-8)
         assert result.value == pytest.approx(0.5, abs=1e-8)
@@ -56,8 +54,7 @@ class TestNft:
             return np.cos(x[0]) + 0.5 * np.cos(x[1] - 1.0) + 2.0
 
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 4)
-        cfg = OptimizerConfig(kind="nft", f_max=200)
-        result = minimize(fun, cfg, np.array([0.1, 0.2]))
+        result = minimize(fun, "nft", 200, np.array([0.1, 0.2]))
         assert result.value == pytest.approx(0.5, abs=1e-6)
 
     def test_stops_after_a_sweep_that_lowers_nothing(self, monkeypatch):
@@ -71,8 +68,7 @@ class TestNft:
             return waves(x)
 
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 100)
-        cfg = OptimizerConfig(kind="nft", f_max=1000)
-        result = minimize(fun, cfg, np.zeros(3))
+        result = minimize(fun, "nft", 1000, np.zeros(3))
         assert len(calls) == result.nfev == 1 + 2 * 9
         assert result.converged and not result.exhausted
         assert result.value == pytest.approx(-3.0, abs=1e-12)
@@ -82,8 +78,7 @@ class TestNft:
             return float(np.sum(np.cos(x)))
 
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 100)
-        cfg = OptimizerConfig(kind="nft", f_max=7)
-        result = minimize(fun, cfg, np.zeros(5))
+        result = minimize(fun, "nft", 7, np.zeros(5))
         assert result.exhausted
         assert result.nfev <= 7
 
@@ -92,8 +87,7 @@ class TestNft:
             return float((x[0] - 1.0) ** 2 + 0.3 * x[0] ** 4)
 
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 8)
-        cfg = OptimizerConfig(kind="nft", f_max=300)
-        result = minimize(fun, cfg, np.array([0.2]))
+        result = minimize(fun, "nft", 300, np.array([0.2]))
         assert result.kind == "nft->trust_region"
 
     @pytest.mark.parametrize("f_max", [4, 8])
@@ -105,8 +99,7 @@ class TestNft:
             values.append(float(np.sum((x - 1.0) ** 2 + 0.3 * x**4)))
             return values[-1]
 
-        cfg = OptimizerConfig(kind="nft", f_max=f_max)
-        result = minimize(fun, cfg, np.full(12, 0.2))
+        result = minimize(fun, "nft", f_max, np.full(12, 0.2))
         assert result.kind == "nft->trust_region"
         assert result.exhausted and not result.converged
         assert result.nfev == len(values) <= f_max
@@ -127,8 +120,7 @@ class TestNft:
                 values.append(float(np.sum(scale * (x - centre) ** 2)))
                 return values[-1]
 
-            cfg = OptimizerConfig(kind="nft", f_max=9)
-            result = minimize(fun, cfg, rng.uniform(-np.pi, np.pi, 2))
+            result = minimize(fun, "nft", 9, rng.uniform(-np.pi, np.pi, 2))
             if result.kind != "nft->trust_region":
                 continue
             downgraded += 1
@@ -147,8 +139,7 @@ class TestNft:
 
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 6)
         monkeypatch.setattr(optimize, "RESET_INTERVAL", 3)
-        cfg = OptimizerConfig(kind="nft", f_max=120)
-        result = minimize(fun, cfg, np.array([0.5, -0.4]))
+        result = minimize(fun, "nft", 120, np.array([0.5, -0.4]))
         assert result.value <= min(values) + 1e-12
 
 
@@ -158,8 +149,7 @@ class TestTrustRegion:
             return float((x[0] - 1.0) ** 2)
 
         monkeypatch.setattr(optimize, "F_TOL", 1e-10)
-        cfg = OptimizerConfig(kind="trust_region", f_max=200)
-        result = minimize(fun, cfg, np.array([0.0]))
+        result = minimize(fun, "trust_region", 200, np.array([0.0]))
         assert result.params[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_retry_loop_reaches_tolerance(self, monkeypatch):
@@ -171,8 +161,7 @@ class TestTrustRegion:
 
         monkeypatch.setattr(optimize, "F_TOL", 1e-6)
         monkeypatch.setattr(optimize, "RETRIES", 3)
-        cfg = OptimizerConfig(kind="trust_region", f_max=500)
-        result = minimize(fun, cfg, np.array([2.0, -2.0]))
+        result = minimize(fun, "trust_region", 500, np.array([2.0, -2.0]))
         assert result.converged
         assert result.nfev == calls["n"] <= 500
 
@@ -182,8 +171,7 @@ class TestTrustRegion:
 
         monkeypatch.setattr(optimize, "F_TOL", 0.0)
         monkeypatch.setattr(optimize, "RETRIES", 5)
-        cfg = OptimizerConfig(kind="trust_region", f_max=30)
-        result = minimize(fun, cfg, np.full(4, 2.0))
+        result = minimize(fun, "trust_region", 30, np.full(4, 2.0))
         assert result.nfev <= 30
 
 
@@ -193,16 +181,14 @@ class TestSimplex:
             return float((x[0] + 0.5) ** 2 + (x[1] - 0.25) ** 2)
 
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 400)
-        cfg = OptimizerConfig(kind="simplex", f_max=500)
-        result = minimize(fun, cfg, np.array([1.0, 1.0]))
+        result = minimize(fun, "simplex", 500, np.array([1.0, 1.0]))
         assert result.value < 1e-6
 
     def test_budget_below_cobyla_minimum_does_not_warn(self):
         # q=2 has 16 parameters, so COBYLA needs 18 evaluations to start
-        cfg = OptimizerConfig(kind="simplex", f_max=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = minimize(lambda x: float(np.sum(x**2)), cfg, np.ones(16))
+            result = minimize(lambda x: float(np.sum(x**2)), "simplex", 6, np.ones(16))
         assert result.nfev == 6
         assert result.exhausted
 
@@ -217,35 +203,43 @@ def waves(x):
     return float(np.sum(np.cos(x - np.array([0.4, -1.1, 2.0]))))
 
 
-# (optimizer config, optimize constants set, objective, exhausted) from three
+# (kind, budget, optimize constants set, objective, exhausted) from three
 # zero angles: each kind once with budget left and once exhausted
 SWEEPS_2 = {"MAX_ITERATIONS": 2}
 CONTRACT_CASES = {
-    "nft-left": (OptimizerConfig(kind="nft", f_max=100), SWEEPS_2, waves, False),
-    "nft-spent": (OptimizerConfig(kind="nft", f_max=8), SWEEPS_2, waves, True),
+    "nft-left": ("nft", 100, SWEEPS_2, waves, False),
+    "nft-spent": ("nft", 8, SWEEPS_2, waves, True),
     # NFT spends 4, then the trust region takes the rest
-    "downgrade-left": (OptimizerConfig(kind="nft", f_max=500), {"F_TOL": 0.5}, bowl, False),
-    "downgrade-spent": (OptimizerConfig(kind="nft", f_max=20), {"F_TOL": 0.0}, bowl, True),
+    "downgrade-left": ("nft", 500, {"F_TOL": 0.5}, bowl, False),
+    "downgrade-spent": ("nft", 20, {"F_TOL": 0.0}, bowl, True),
     # too few left for the trust region to start after NFT's 4
-    "downgrade-idle": (OptimizerConfig(kind="nft", f_max=8), {}, bowl, True),
-    "trust_region-left": (OptimizerConfig(f_max=500), {"F_TOL": 0.5}, bowl, False),
-    "trust_region-spent": (OptimizerConfig(f_max=20), {"F_TOL": 0.0}, bowl, True),
-    "trust_region-idle": (OptimizerConfig(f_max=4), {}, bowl, True),
-    "simplex-left": (OptimizerConfig(kind="simplex", f_max=500), {}, bowl, False),
+    "downgrade-idle": ("nft", 8, {}, bowl, True),
+    "trust_region-left": ("trust_region", 500, {"F_TOL": 0.5}, bowl, False),
+    "trust_region-spent": ("trust_region", 20, {"F_TOL": 0.0}, bowl, True),
+    "trust_region-idle": ("trust_region", 4, {}, bowl, True),
+    "simplex-left": ("simplex", 500, {}, bowl, False),
     # below the m + 2 evaluations COBYLA needs to start
-    "simplex-spent": (OptimizerConfig(kind="simplex", f_max=3), {}, bowl, True),
+    "simplex-spent": ("simplex", 3, {}, bowl, True),
     # COBYLA stops by itself at maxiter = f_max, having spent the budget
-    "simplex-spent-at-cobyla-cap": (OptimizerConfig(kind="simplex", f_max=10), {}, bowl, True),
+    "simplex-spent-at-cobyla-cap": ("simplex", 10, {}, bowl, True),
 }
 
 
 class TestResultContract:
     """Every kind reports its outcome the same way."""
 
+    def test_unknown_kind_or_no_budget_raises(self):
+        with pytest.raises(ValueError, match="unknown optimizer kind 'cobyla'"):
+            minimize(bowl, "cobyla", 100, np.zeros(3))
+        with pytest.raises(ValueError, match="f_max must be positive"):
+            minimize(bowl, "nft", 0, np.zeros(3))
+
     @pytest.mark.parametrize(
-        "cfg,constants,fun,exhausted", CONTRACT_CASES.values(), ids=CONTRACT_CASES.keys()
+        "kind,f_max,constants,fun,exhausted", CONTRACT_CASES.values(), ids=CONTRACT_CASES.keys()
     )
-    def test_flags_counts_and_best_point(self, cfg, constants, fun, exhausted, monkeypatch):
+    def test_flags_counts_and_best_point(
+        self, kind, f_max, constants, fun, exhausted, monkeypatch
+    ):
         for name, value in constants.items():
             monkeypatch.setattr(optimize, name, value)
         evaluated = []
@@ -255,9 +249,9 @@ class TestResultContract:
             return evaluated[-1]
 
         x0 = np.zeros(3)
-        result = minimize(counted, cfg, x0)
-        downgraded = cfg.kind == "nft" and fun is bowl
-        assert result.kind == ("nft->trust_region" if downgraded else cfg.kind)
+        result = minimize(counted, kind, f_max, x0)
+        downgraded = kind == "nft" and fun is bowl
+        assert result.kind == ("nft->trust_region" if downgraded else kind)
         assert result.exhausted == exhausted
         if result.kind in ("trust_region", "nft->trust_region"):
             assert result.converged == (result.value <= optimize.F_TOL)
@@ -265,7 +259,7 @@ class TestResultContract:
         # ran, and COBYLA when it stopped with budget left; each trust-region
         # case here with budget left reaches F_TOL
         assert result.converged == (not exhausted)
-        assert result.nfev == len(evaluated) <= cfg.f_max
+        assert result.nfev == len(evaluated) <= f_max
         # plain NFT records predicted minima, which it never evaluated
         if result.kind != "nft":
             assert result.value == min(evaluated, default=np.inf)
@@ -321,12 +315,11 @@ class TestVqdObjective:
         exact_ground = np.sort(np.linalg.eigvalsh(pair.h_h))[0]
         best = np.inf
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 512)
-        cfg = OptimizerConfig(kind="simplex", f_max=2048)
         for restart in range(8):
             est = Estimator(q=2, tier="statevector")
             rng = np.random.default_rng(1000 + restart)
             x0 = rng.uniform(-np.pi, np.pi, 16)
-            result = minimize(lambda x: vqd_objective(x, h_h, [], 100.0, est), cfg, x0)
+            result = minimize(lambda x: vqd_objective(x, h_h, [], 100.0, est), "simplex", 2048, x0)
             best = min(best, result.value)
         assert abs(best - exact_ground) / abs(exact_ground) < 0.005
 

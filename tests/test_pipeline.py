@@ -155,7 +155,7 @@ class TestHermitianStage:
         assert stage["overlaps"] == []
         assert stage["converged"]
         # NFT stops once a sweep no longer lowers the energy, at the ground state
-        assert stage["evaluations"] < sv_plan.hermitian_cfg.f_max
+        assert stage["evaluations"] < sv_plan.hermitian_f_max
         assert abs(stage["energy"] - np.linalg.eigvalsh(q2_even.pair.h_h)[0]) < 1e-10
 
     def test_null_penalty_is_the_channel_penalty(self, q2_even):
