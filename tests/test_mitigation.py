@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -208,6 +209,13 @@ class TestZneBranches:
             assert math.isfinite(result.x0)
             labels.add(result.branch)
         assert labels == set(BRANCHES)
+
+    def test_telemetry_record_fields(self):
+        # the inputs and the result's fields make up the record zne-demo prints
+        result = zne_extrapolate(0.9, 0.7, 0.5, N, "probability")
+        record = {"x1": 0.9, "x3": 0.7, "x5": 0.5, **dataclasses.asdict(result)}
+        assert {"x1", "x3", "x5", "z", "branch", "x0"} == set(record)
+        assert math.isfinite(record["z"]) and record["branch"] in BRANCHES
 
 
 class TestFoldCircuit:
